@@ -7,7 +7,10 @@ Routes implemented here:
                            estimates the critical value as eps -> 0
 * ``solve_ergodic``        state-constraint problem on the box; three methods:
                            augmented Newton, relative value iteration, policy
-                           iteration (all fixed points of the same discrete system)
+                           iteration (all fixed points of the same discrete system).
+                           Newton and policy iteration are one iteration on one
+                           bordered system with two globalizations (line search vs
+                           full step), so their agreement is not independent evidence
 * ``parabolic_march``      explicit monotone march of u_t = 1/2 Lap u - H(Du) + f;
                            u/t and the per-step increments approach the critical value
 * ``estimate_lambda_star`` outer loop over expanding radii with a monotonicity
@@ -34,7 +37,6 @@ from .scheme import (
     DIRICHLET,
     STATE_CONSTRAINT,
     DiscreteOperator,
-    drift_field,
     laplacian_values,
     upwind_state,
 )
@@ -169,12 +171,18 @@ def _damped_newton(
     tol: float,
     max_iter: int,
     lam_of: Optional[Callable[[np.ndarray], float]] = None,
+    *,
+    _full_step: bool = False,
 ) -> tuple[np.ndarray, list[TraceRecord]]:
     """Damped Newton with backtracking; raises _Stagnation when no damped step helps.
 
     The line search decreases the Euclidean residual norm (the Newton direction
     is always a descent direction for it, unlike for the sup norm, which jams
     at upwind kinks); convergence is still declared on the sup norm.
+
+    With _full_step every step is taken whole, with no merit test and no stall
+    window: on the bordered ergodic system this is Howard's policy iteration.
+    A non-finite full step raises SolverError.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = residual_fn(x)
@@ -189,22 +197,28 @@ def _damped_newton(
         jac = jacobian_fn(x)
         delta = spsolve(jac.tocsc(), -f)
         if not np.all(np.isfinite(delta)):
+            if _full_step:
+                raise SolverError(
+                    f"non-finite newton step at iteration {it}",
+                    ConvergenceTrace(records=records, termination="non_finite_step"),
+                )
             raise _Stagnation(records, x)
         s = 1.0
-        accepted = False
-        while s >= BACKTRACK_FLOOR:
+        xt = x + delta
+        ft = residual_fn(xt)
+        mt = float(np.linalg.norm(ft))
+        while not _full_step and not (np.isfinite(mt) and mt < merit * (1.0 - 1e-4 * s)):
+            s *= 0.5
+            if s < BACKTRACK_FLOOR:
+                raise _Stagnation(records, x)
             xt = x + s * delta
             ft = residual_fn(xt)
             mt = float(np.linalg.norm(ft))
-            if np.isfinite(mt) and mt < merit * (1.0 - 1e-4 * s):
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            raise _Stagnation(records, x)
         x, f, merit = xt, ft, mt
         r = _sup(f)
         records.append(TraceRecord(it, r, lam_of(x) if lam_of else None, s))
+        if _full_step:
+            continue
         if merit >= best * (1.0 - 1e-12):
             stall += 1
             if stall >= STALL_WINDOW:
@@ -411,15 +425,11 @@ def _march_steps(values: np.ndarray, h: float, theta: float, m: int, f: np.ndarr
     return u
 
 
-def _solve_newton_augmented(
-    spec: ProblemSpec, initial_guess: Optional[Field], tol: float, max_iter: int
-) -> ErgodicSolution:
-    """Newton on the (N+1)-unknown system {G_h[phi] + lambda = 0, phi(anchor) = 0}.
+def _bordered_system(spec: ProblemSpec):
+    """Residual and Jacobian of {G_h[phi] + lambda = 0, phi(anchor) = 0} in N+1 unknowns.
 
-    The anchor constraint removes the additive-constant rank deficiency. When
-    the semismooth iteration jams on an upwind kink configuration, a batch of
-    explicit monotone march steps moves the iterate off the kink manifold and
-    Newton restarts from there.
+    The ones column carries lambda and the anchor row removes the
+    additive-constant rank deficiency; the Jacobian is assembled in CSC.
     """
     grid = spec.grid
     op = DiscreteOperator(spec, boundary_policy=STATE_CONSTRAINT)
@@ -427,21 +437,39 @@ def _solve_newton_augmented(
     anchor_flat = int(np.ravel_multi_index(spec.anchor_index, grid.shape))
     ones_col = sp.csr_matrix(np.ones((n, 1)))
     anchor_row = sp.csr_matrix(([1.0], ([0], [anchor_flat])), shape=(1, n))
-    zero11 = sp.csr_matrix((1, 1))
 
     def residual_fn(x: np.ndarray) -> np.ndarray:
-        vals = x[:n].reshape(grid.shape)
-        lam = x[n]
-        pde = op.residual_values(vals, lam).ravel()
-        return np.concatenate([pde, [vals.reshape(-1)[anchor_flat]]])
+        pde = op.residual_values(x[:n].reshape(grid.shape), x[n]).ravel()
+        return np.concatenate([pde, [x[anchor_flat]]])
 
-    def jacobian_fn(x: np.ndarray) -> sp.spmatrix:
+    def jacobian_fn(x: np.ndarray) -> sp.csc_matrix:
         jac = op.jacobian(x[:n].reshape(grid.shape))
-        return sp.bmat([[jac, ones_col], [anchor_row, zero11]], format="csr")
+        return sp.bmat([[jac, ones_col], [anchor_row, None]], format="csc")
 
-    x0 = np.zeros(n + 1)
+    return residual_fn, jacobian_fn
+
+
+def _initial_unknowns(spec: ProblemSpec, initial_guess: Optional[Field]) -> np.ndarray:
+    x0 = np.zeros(spec.grid.n_nodes + 1)
     if initial_guess is not None:
-        x0[:n] = initial_guess.values.ravel()
+        x0[:-1] = initial_guess.values.ravel()
+    return x0
+
+
+def _solve_newton_augmented(
+    spec: ProblemSpec, initial_guess: Optional[Field], tol: float, max_iter: int
+) -> ErgodicSolution:
+    """Damped Newton on the bordered (N+1)-unknown system.
+
+    When the semismooth iteration jams on an upwind kink configuration, a batch
+    of explicit monotone march steps moves the iterate off the kink manifold
+    and Newton restarts from there.
+    """
+    grid = spec.grid
+    n = grid.n_nodes
+    anchor_flat = int(np.ravel_multi_index(spec.anchor_index, grid.shape))
+    residual_fn, jacobian_fn = _bordered_system(spec)
+    x0 = _initial_unknowns(spec, initial_guess)
     start = time.perf_counter()
     all_records: list[TraceRecord] = []
     for attempt in range(4):
@@ -459,12 +487,11 @@ def _solve_newton_augmented(
             all_records.extend(stag.records)
             if attempt == 3 or stag.x is None:
                 break
-            u = _march_steps(
-                stag.x[:n].reshape(grid.shape), spec.h, spec.theta, spec.m, op.f_values, 2000
-            )
+            f = spec.f_field().values
+            u = _march_steps(stag.x[:n].reshape(grid.shape), spec.h, spec.theta, spec.m, f, 2000)
             if not np.all(np.isfinite(u)):
                 break
-            rate, _ = _march_rate(u, spec.h, spec.theta, op.f_values)
+            rate, _ = _march_rate(u, spec.h, spec.theta, f)
             x0 = np.concatenate([(u - u.reshape(-1)[anchor_flat]).ravel(), [float(rate.mean())]])
     trace = ConvergenceTrace(
         records=all_records,
@@ -478,6 +505,32 @@ def _solve_newton_augmented(
         "the requested tolerance is not attainable at this resolution",
         trace,
     ) from None
+
+
+def _solve_policy_iteration(
+    spec: ProblemSpec, initial_guess: Optional[Field], tol: float, max_iter: int
+) -> ErgodicSolution:
+    """Howard's method, run as full-step Newton on the bordered system.
+
+    Policy evaluation solves -1/2 Lap phi + b . D phi (upwinded) + lambda
+    = f + L*(b) with phi(anchor) = 0, where b = |p|^(theta-2) p is the
+    maximizing drift and L*(b) = (1/theta*) |b|^theta* the Legendre dual of the
+    Hamiltonian. The matrix of that linear system is the Jacobian of G_h at
+    the current iterate, and its right-hand side is that Jacobian applied to
+    the iterate minus the residual, so one policy sweep is one undamped Newton
+    step (Puterman & Brumelle 1979; Bokanowski, Maroso & Zidani 2009).
+    """
+    n = spec.grid.n_nodes
+    residual_fn, jacobian_fn = _bordered_system(spec)
+    start = time.perf_counter()
+    x, records = _damped_newton(
+        residual_fn, jacobian_fn, _initial_unknowns(spec, initial_guess), 0.5 * tol, max_iter,
+        lam_of=lambda z: float(z[n]), _full_step=True,
+    )
+    wall = time.perf_counter() - start
+    return _finalize(
+        spec, x[:n].reshape(spec.grid.shape), float(x[n]), records, wall, "policy_iteration", tol
+    )
 
 
 def _stable_dt(mag: np.ndarray, theta: float, h: float, m: int) -> float:
@@ -515,7 +568,6 @@ def _solve_rvi(
     theta, h, m = spec.theta, spec.h, spec.m
     records: list[TraceRecord] = []
     start = time.perf_counter()
-    dt = None
     rate = None
     for step in range(max_steps):
         rate, mag = _march_rate(u, h, theta, f)
@@ -524,8 +576,7 @@ def _solve_rvi(
                 "relative value iteration blew up; reduce the time step or check the data",
                 ConvergenceTrace(records=records, termination="blow_up"),
             )
-        if step % 50 == 0:
-            dt = _stable_dt(mag, theta, h, m)
+        dt = _stable_dt(mag, theta, h, m)
         span = float(rate.max() - rate.min())
         if step % record_every == 0:
             records.append(TraceRecord(step, span, float(rate.mean()), dt))
@@ -543,102 +594,6 @@ def _solve_rvi(
     return _finalize(spec, u, lam, records, wall, "relative_value_iteration", tol)
 
 
-def _drift_matrix(grid: Grid, h: float, b: np.ndarray) -> sp.csr_matrix:
-    """-1/2 Lap + upwind(b . D) with state-constraint truncation of outward arms."""
-    shape = grid.shape
-    n = grid.n_nodes
-    m = grid.m
-    flat = np.arange(n).reshape(shape)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        data.append(np.asarray(v).ravel())
-
-    inv_h2 = 1.0 / h**2
-    for a in range(m):
-        lo = tuple(slice(None) if i != a else slice(None, -1) for i in range(m))
-        hi = tuple(slice(None) if i != a else slice(1, None) for i in range(m))
-        add(flat[lo], flat[hi], np.full(flat[lo].size, -0.5 * inv_h2))
-        add(flat[lo], flat[lo], np.full(flat[lo].size, 0.5 * inv_h2))
-        add(flat[hi], flat[lo], np.full(flat[hi].size, -0.5 * inv_h2))
-        add(flat[hi], flat[hi], np.full(flat[hi].size, 0.5 * inv_h2))
-
-        bp = np.maximum(b[a], 0.0)
-        bm = np.minimum(b[a], 0.0)
-        # outward arms at the box faces are dropped (only interior information)
-        first = tuple(slice(None) if i != a else slice(0, 1) for i in range(m))
-        last = tuple(slice(None) if i != a else slice(-1, None) for i in range(m))
-        bp = bp.copy()
-        bp[first] = 0.0
-        bm = bm.copy()
-        bm[last] = 0.0
-
-        # bp * backward difference: (u(x) - u(x-h)) / h
-        add(flat[hi], flat[hi], bp[hi] / h)
-        add(flat[hi], flat[lo], -bp[hi] / h)
-        # bm * forward difference: (u(x+h) - u(x)) / h
-        add(flat[lo], flat[lo], -bm[lo] / h)
-        add(flat[lo], flat[hi], bm[lo] / h)
-
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-
-
-def _solve_policy_iteration(
-    spec: ProblemSpec, initial_guess: Optional[Field], tol: float, max_iter: int
-) -> ErgodicSolution:
-    """Alternate drift improvement with linear ergodic solves (Howard's method).
-
-    Policy evaluation solves -1/2 Lap phi + b . D phi (upwinded) = f + L*(b) - lambda
-    with phi(anchor) = 0, where L*(b) = (1/theta*) |b|^theta* is the Legendre dual
-    of the Hamiltonian: substituting the maximizing drift into
-    H(p) = sup_b [b.p - L*(b)] moves L*(b) to the right-hand side with a plus sign.
-    """
-    grid = spec.grid
-    op = DiscreteOperator(spec, boundary_policy=STATE_CONSTRAINT)
-    f = op.f_values
-    n = grid.n_nodes
-    theta = spec.theta
-    theta_star = spec.theta_star
-    h = spec.h
-    anchor_flat = int(np.ravel_multi_index(spec.anchor_index, grid.shape))
-    ones_col = sp.csr_matrix(np.ones((n, 1)))
-    anchor_row = sp.csr_matrix(([1.0], ([0], [anchor_flat])), shape=(1, n))
-    zero11 = sp.csr_matrix((1, 1))
-
-    vals = (
-        initial_guess.values.astype(float).copy()
-        if initial_guess is not None
-        else np.zeros(grid.shape)
-    )
-    b = drift_field(vals, h, theta)
-    records: list[TraceRecord] = []
-    start = time.perf_counter()
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        a_mat = _drift_matrix(grid, h, b)
-        rhs = (f + np.linalg.norm(b, axis=0) ** theta_star / theta_star).ravel()
-        aug = sp.bmat([[a_mat, ones_col], [anchor_row, zero11]], format="csc")
-        sol = spsolve(aug, np.concatenate([rhs, [0.0]]))
-        vals = sol[:n].reshape(grid.shape)
-        lam = float(sol[n])
-        res = _sup(op.residual_values(vals, lam))
-        records.append(TraceRecord(it, res, lam, None))
-        if res <= 0.5 * tol:
-            wall = time.perf_counter() - start
-            return _finalize(spec, vals, lam, records, wall, "policy_iteration", tol)
-        b = drift_field(vals, h, theta)
-    raise SolverError(
-        f"policy iteration did not reach tolerance {tol:g} within {max_iter} sweeps",
-        ConvergenceTrace(records=records, termination="max_iterations"),
-    )
-
-
 def solve_ergodic(
     spec: ProblemSpec,
     initial_guess: Optional[Field] = None,
@@ -649,8 +604,11 @@ def solve_ergodic(
     """State-constraint ergodic solve on the box; phi(anchor) = 0 exactly.
 
     All three methods converge to the same discrete fixed point; they differ
-    in robustness and cost. The returned residual_sup is the sup norm of the
-    operator applied to the normalized solution.
+    in robustness and cost. ``newton_augmented`` and ``policy_iteration`` share
+    the bordered system and the Newton driver and differ only in globalization
+    (backtracking with march restarts vs full steps); relative value iteration
+    is an independent explicit march. The returned residual_sup is the sup norm
+    of the operator applied to the normalized solution.
     """
     if not np.isfinite(spec.rhs.min_value()):
         raise ValueError("right-hand side must be bounded from below on the box")
@@ -711,7 +669,6 @@ def parabolic_march(
     start = time.perf_counter()
     t = 0.0
     step = 0
-    dt = None
     rate = None
     while t < T:
         rate, mag = _march_rate(u, h, theta, f)
@@ -720,9 +677,7 @@ def parabolic_march(
                 "explicit march blew up; use a smaller time step",
                 ConvergenceTrace(records=records, termination="blow_up"),
             )
-        if step % 50 == 0:
-            dt = _stable_dt(mag, theta, h, m)
-        dt_eff = min(dt, T - t)
+        dt_eff = min(_stable_dt(mag, theta, h, m), T - t)
         if dt_eff <= 0.0:  # guards float stalls at the horizon
             break
         if step % record_every == 0:
@@ -838,7 +793,7 @@ def estimate_lambda_star(
             if abs(popt[0] - lam[-1]) <= 2.0 * spread + slack_used:
                 fit_params = (float(popt[0]), float(popt[1]), float(popt[2]))
                 lambda_star = float(popt[0])
-        except Exception:
+        except (RuntimeError, ValueError):  # no convergence, or infeasible inputs
             fit_params = None
             lambda_star = float(lam[-1])
 

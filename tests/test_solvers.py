@@ -7,6 +7,7 @@ import pytest
 
 from ergodic_hjb.grid import Field
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
+from ergodic_hjb.scheme import laplacian_values, upwind_state
 from ergodic_hjb.solvers import (
     ErgodicSolution,
     NoSolutionSuspected,
@@ -233,10 +234,18 @@ def test_ergodic_lambda_error_is_first_order_in_h():
         assert 1.7 <= e1 / e2 <= 2.3  # halving h halves the upwind bias
 
 
-@pytest.mark.parametrize("theta", [1.1, 1.2, 4.0, 6.0])
-def test_ergodic_extreme_exponents(theta):
+EXTREME_THETAS = (1.1, 1.2, 4.0, 6.0)
+
+
+# the Newton cases keep their bare-theta ids, so test ids stay stable
+@pytest.mark.parametrize(
+    "theta, method",
+    [pytest.param(t, "newton_augmented", id=f"{t}") for t in EXTREME_THETAS]
+    + [pytest.param(t, "policy_iteration", id=f"{t}-policy_iteration") for t in EXTREME_THETAS],
+)
+def test_ergodic_extreme_exponents(theta, method):
     spec = closed_form_spec(theta, 1, 8.0, 0.02)
-    sol = solve_ergodic(spec, tol=1e-8)
+    sol = solve_ergodic(spec, method=method, tol=1e-8)
     assert sol.lam == pytest.approx(closed_form_lambda(1), abs=0.02)
 
 
@@ -378,6 +387,27 @@ def test_parabolic_stationary_from_exact_profile():
     # up to the upwind bias (at most R h / 2 at the box edge)
     first_max = march.rate_stats[0][3]
     assert first_max == pytest.approx(closed_form_lambda(1), abs=0.5 * 6.0 * g.h + 0.02)
+
+
+def test_parabolic_time_step_respects_cfl_at_every_step():
+    # theta = 6 from a rough field: max|p| moves fast, so a time step that is
+    # refreshed only now and then overshoots the monotonicity bound
+    theta = 6.0
+    spec = closed_form_spec(theta, 1, 8.0, 0.025)
+    h, m = spec.h, spec.m
+    u0 = random_smooth_field(spec.grid, 1)
+    march = parabolic_march(spec, u0=u0, T=5e-4, record_every=1)
+    steps = march.trace.records[:-1]
+    assert len(steps) == march.n_steps > 400
+    f = spec.f_field().values
+    u = u0.values.copy()
+    for rec in steps:
+        state = upwind_state(u, h)
+        bound = 1.0 / (m / h**2 + m * float(np.max(state.mag)) ** (theta - 1.0) / h)
+        assert rec.step_size <= bound, f"step {rec.iteration}: dt/bound = {rec.step_size / bound}"
+        u = u + rec.step_size * (0.5 * laplacian_values(u, h) - state.mag**theta / theta + f)
+    replayed = u - u[spec.anchor_index]
+    assert np.max(np.abs(replayed - march.profile.values)) <= 1e-12
 
 
 def test_parabolic_long_run_matches_ergodic_solve():
