@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from ergodic_hjb import solvers
 from ergodic_hjb.grid import Field
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.scheme import laplacian_values, upwind_state
 from ergodic_hjb.solvers import (
+    PTC_TAU0,
     ErgodicSolution,
     NoSolutionSuspected,
     discounted_lambda_path,
@@ -265,17 +267,43 @@ def test_ergodic_unknown_method_rejected():
         solve_ergodic(spec, method="gradient_descent")
 
 
-def test_ergodic_normalization_and_trace_invariants():
+def test_ergodic_normalization_and_trace_invariants(monkeypatch):
+    linear_solves = []
+    spsolve = solvers.spsolve
+
+    def counting_spsolve(a, b):
+        linear_solves.append(a.shape)
+        return spsolve(a, b)
+
+    monkeypatch.setattr(solvers, "spsolve", counting_spsolve)
     spec = closed_form_spec(3.0, 1, 6.0, 0.05)
-    sol = solve_ergodic(spec, tol=1e-8)
-    assert sol.phi.at(spec.anchor_index) == 0.0
-    assert sol.trace.records[-1].residual_sup == sol.residual_sup
-    assert sol.trace.termination == "converged"
-    # jsonl serialization is parseable, one record per line plus the footer
-    lines = sol.trace.to_jsonl().strip().splitlines()
-    parsed = [json.loads(ln) for ln in lines]
-    assert parsed[-1]["event"] == "done"
-    assert len(parsed) == len(sol.trace.records) + 1
+    # from this field the line search stalls and pseudo-time steps take over
+    cold = closed_form_spec(6.0, 1, 8.0, 0.02)
+    runs = [
+        (spec, None, "newton_augmented"),
+        (spec, None, "policy_iteration"),
+        (cold, random_smooth_field(cold.grid, 1), "newton_augmented"),
+    ]
+    for sp, guess, method in runs:
+        linear_solves.clear()
+        sol = solve_ergodic(sp, initial_guess=guess, method=method, tol=1e-8)
+        records = sol.trace.records
+        assert sol.phi.at(sp.anchor_index) == 0.0
+        assert records[-1].residual_sup == sol.residual_sup
+        assert sol.trace.termination == "converged"
+        # one record per iteration, counting up across any switch of globalization
+        assert [r.iteration for r in records] == list(range(len(records)))
+        assert records[-1].iteration == len(linear_solves)
+        # jsonl serialization is parseable, one record per line plus the footer
+        lines = sol.trace.to_jsonl().strip().splitlines()
+        parsed = [json.loads(ln) for ln in lines]
+        assert parsed[-1]["event"] == "done"
+        assert len(parsed) == len(records) + 1
+    # the cold start's rejected line-search step (step size 0) is followed by
+    # the first pseudo-time step
+    steps = [r.step_size for r in records]
+    switch = steps.index(PTC_TAU0)
+    assert steps[switch - 1] == 0.0
 
 
 def test_ergodic_shift_equivariance():
@@ -291,12 +319,29 @@ def test_ergodic_shift_equivariance():
 
 def test_ergodic_uniqueness_from_random_initializations():
     tol = 1e-8
-    spec = closed_form_spec(2.0, 1, 6.0, 0.05)
-    s1 = solve_ergodic(spec, initial_guess=random_smooth_field(spec.grid, 1), tol=tol)
-    s2 = solve_ergodic(spec, initial_guess=random_smooth_field(spec.grid, 2), tol=tol)
-    diff = s1.phi.values - s2.phi.values
-    assert diff.max() - diff.min() <= 10.0 * tol
-    assert abs(s1.lam - s2.lam) <= 10.0 * tol
+    cases = [
+        ((2.0, 1, 6.0, 0.05), (1, 2)),
+        # cold starts on which the line search stalls and pseudo-time steps finish
+        ((6.0, 1, 8.0, 0.02), (1, 2)),
+        ((2.0, 1, 8.0, 0.01), (307626447, 592467769)),
+        ((1.5, 1, 8.0, 0.01), (387592216, 1)),
+    ]
+    for args, seeds in cases:
+        spec = closed_form_spec(*args)
+        ref = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol)
+        s1, s2 = (
+            solve_ergodic(spec, initial_guess=random_smooth_field(spec.grid, seed), tol=tol)
+            for seed in seeds
+        )
+        diff = s1.phi.values - s2.phi.values
+        assert diff.max() - diff.min() <= 10.0 * tol
+        assert abs(s1.lam - s2.lam) <= 10.0 * tol
+        for sol in (s1, s2):
+            # the comparison principle bounds the lambda gap by the residual sum
+            gap = abs(sol.lam - ref.lam)
+            assert gap <= 1e-10 or gap <= sol.residual_sup + ref.residual_sup, (args, gap)
+            diff = sol.phi.values - ref.phi.values
+            assert diff.max() - diff.min() <= 10.0 * tol, args
 
 
 def test_ergodic_rejects_unbounded_rhs():
