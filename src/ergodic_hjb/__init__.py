@@ -23,10 +23,8 @@ from .problem import (
 from .scheme import (
     DiscreteOperator,
     apply_operator,
-    godunov_gradient,
     hopf_cole_residual,
     linearize,
-    optimal_drift,
 )
 from .solvers import (
     ConvergenceTrace,
@@ -56,10 +54,8 @@ __all__ = [
     "validate_hypotheses",
     "DiscreteOperator",
     "apply_operator",
-    "godunov_gradient",
     "hopf_cole_residual",
     "linearize",
-    "optimal_drift",
     "ConvergenceTrace",
     "ErgodicSolution",
     "NoSolutionSuspected",

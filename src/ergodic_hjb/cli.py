@@ -15,8 +15,6 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     check_cross_method,
@@ -44,11 +42,10 @@ from .grid import dump_json, field_to_csv
 from .problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from .solvers import (
     SolverError,
+    discounted_lambda_path,
     eikonal_initial_guess,
-    solve_discounted,
     solve_ergodic,
 )
-from .scheme import DiscreteOperator
 
 __all__ = ["main", "run_solve", "run_sweep", "run_verify"]
 
@@ -131,11 +128,8 @@ def _sweep_row(cfg: ExperimentConfig, axis: str, value: float) -> dict:
             )
             lam, res = sol.lam, sol.residual_sup
         elif axis == "epsilon":
-            spec = build_spec(cfg)
-            phi = solve_discounted(spec, float(value), tol=cfg.numerics.tol)
-            lam = float(value) * phi.at(spec.anchor_index)
-            op = DiscreteOperator(spec)
-            res = float(np.max(np.abs(op.residual_values(phi.values, 0.0) + value * phi.values)))
+            (row,), _ = discounted_lambda_path(build_spec(cfg), [float(value)], cfg.numerics.tol)
+            lam, res = row["lambda"], row["residual_sup"]
         elif axis == "coeff":
             problem = replace(cfg.problem, coeff=float(value))
             spec = ProblemSpec(

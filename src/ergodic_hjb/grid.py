@@ -15,9 +15,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "forward_diff",
-    "backward_diff",
-    "laplacian",
     "field_to_csv",
     "field_from_csv",
     "field_to_json",
@@ -163,51 +160,6 @@ class Field:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-def zeros_field(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.shape))
-
-
-def _shift_index(node: tuple[int, ...], axis: int, step: int) -> tuple[int, ...]:
-    out = list(node)
-    out[axis] += step
-    return tuple(out)
-
-
-def forward_diff(field: Field, axis: int, node) -> float:
-    """(u(x + h e_axis) - u(x)) / h; raises if the stencil leaves the grid."""
-    g = field.grid
-    node = g.node_tuple(node)
-    if node[axis] + 1 >= g.n_per_axis:
-        raise IndexError(f"forward difference at {node} leaves the grid along axis {axis}")
-    up = field.values[_shift_index(node, axis, 1)]
-    return float((up - field.values[node]) / g.h)
-
-
-def backward_diff(field: Field, axis: int, node) -> float:
-    """(u(x) - u(x - h e_axis)) / h; raises if the stencil leaves the grid."""
-    g = field.grid
-    node = g.node_tuple(node)
-    if node[axis] - 1 < 0:
-        raise IndexError(f"backward difference at {node} leaves the grid along axis {axis}")
-    down = field.values[_shift_index(node, axis, -1)]
-    return float((field.values[node] - down) / g.h)
-
-
-def laplacian(field: Field, node) -> float:
-    """Central 3-point Laplacian; the node must be strictly interior."""
-    g = field.grid
-    node = g.node_tuple(node)
-    if g.is_boundary(node):
-        raise IndexError(f"laplacian stencil undefined at boundary node {node}")
-    total = 0.0
-    u0 = field.values[node]
-    for axis in range(g.m):
-        up = field.values[_shift_index(node, axis, 1)]
-        down = field.values[_shift_index(node, axis, -1)]
-        total += (up - 2.0 * u0 + down) / g.h**2
-    return float(total)
 
 
 # -- serialization ----------------------------------------------------------

@@ -1,11 +1,12 @@
 """Monotone finite-difference discretization of G[phi] = -1/2 Lap(phi) + (1/theta)|D phi|^theta - f.
 
-Gradient terms use Godunov upwinding: per axis the slope candidate is
+Gradient terms use Godunov upwinding: per axis the slope p_i has magnitude
 
-    g_i = max(backward_diff, -forward_diff, 0),
+    |p_i| = max(D_i^- u, -D_i^+ u, 0)   (backward and forward differences D^-, D^+)
 
-which for the radial convex Hamiltonian H(p) = (1/theta)|p|^theta is the exact
-Godunov flux per axis and yields a monotone (degenerate-elliptic) scheme.
+and the sign of the difference it came from, which for the radial convex
+Hamiltonian H(p) = (1/theta)|p|^theta is the exact Godunov flux per axis and
+yields a monotone (degenerate-elliptic) scheme.
 
 Boundary handling:
 
@@ -33,9 +34,7 @@ __all__ = [
     "UpwindState",
     "upwind_state",
     "laplacian_values",
-    "godunov_gradient",
     "apply_operator",
-    "optimal_drift",
     "drift_field",
     "hopf_cole_residual",
     "linearize",
@@ -59,17 +58,13 @@ def _axis_slice(m: int, axis: int, sl: slice) -> tuple:
 class UpwindState:
     """Per-axis Godunov slopes of a field.
 
-    g[a]      nonnegative upwind candidate along axis a
-    p[a]      signed upwind derivative along axis a (backward branch on ties)
-    back[a]   True where the backward difference is the active candidate
-    fwd[a]    True where the forward difference is the active candidate
-    mag       Euclidean magnitude of g across axes
+    p[a]      signed upwind derivative along axis a: the backward difference
+              where it is the active candidate (also on ties), the forward
+              difference where that is, else 0
+    mag       Euclidean magnitude of p across axes
     """
 
-    g: np.ndarray
     p: np.ndarray
-    back: np.ndarray
-    fwd: np.ndarray
     mag: np.ndarray
 
 
@@ -81,10 +76,7 @@ def upwind_state(values: np.ndarray, h: float) -> UpwindState:
     """
     m = values.ndim
     shape = values.shape
-    g = np.empty((m,) + shape)
     p = np.empty((m,) + shape)
-    back = np.empty((m,) + shape, dtype=bool)
-    fwd = np.empty((m,) + shape, dtype=bool)
     for a in range(m):
         d = np.diff(values, axis=a) / h
         pad = list(shape)
@@ -92,16 +84,8 @@ def upwind_state(values: np.ndarray, h: float) -> UpwindState:
         ninf = np.full(pad, -np.inf)
         cb = np.concatenate([ninf, d], axis=a)  # backward difference
         cf = np.concatenate([-d, ninf], axis=a)  # minus forward difference
-        active_b = (cb >= cf) & (cb > 0)
-        active_f = (cf > cb) & (cf > 0)
-        ga = np.where(active_b, cb, np.where(active_f, cf, 0.0))
-        pa = np.where(active_b, cb, np.where(active_f, -cf, 0.0))
-        g[a] = ga
-        p[a] = pa
-        back[a] = active_b
-        fwd[a] = active_f
-    mag = np.sqrt(np.sum(g**2, axis=0))
-    return UpwindState(g=g, p=p, back=back, fwd=fwd, mag=mag)
+        p[a] = np.where((cb >= cf) & (cb > 0), cb, np.where((cf > cb) & (cf > 0), -cf, 0.0))
+    return UpwindState(p=p, mag=np.sqrt(np.sum(p**2, axis=0)))
 
 
 def laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
@@ -148,10 +132,6 @@ class DiscreteOperator:
     def grid(self) -> Grid:
         return self.spec.grid
 
-    @property
-    def f_values(self) -> np.ndarray:
-        return self._f
-
     def residual_values(self, values: np.ndarray, lam: float) -> np.ndarray:
         """-1/2 Lap + (1/theta) |upwind gradient|^theta - f + lambda, grid-shaped."""
         theta = self.spec.theta
@@ -166,17 +146,19 @@ class DiscreteOperator:
     def jacobian(self, values: np.ndarray) -> sp.csr_matrix:
         """Derivative of the node residuals with respect to the node values.
 
-        Under the Dirichlet policy the matrix is restricted to interior rows
-        and columns (boundary values are data, not unknowns).
+        The Laplacian couplings plus the upwind stencil of the optimal drift
+        b = drift_field(values): along axis a a node with b[a] > 0 differences
+        backward, one with b[a] < 0 forward. This is the generator of the
+        controlled chain under the policy b, i.e. Howard's policy-evaluation
+        matrix (Bokanowski, Maroso & Zidani 2009). Under the Dirichlet policy
+        the matrix is restricted to interior rows and columns (boundary values
+        are data, not unknowns).
         """
-        theta = self.spec.theta
         h = self.spec.h
         grid = self.grid
-        shape = values.shape
         n = values.size
-        flat = np.arange(n).reshape(shape)
-        state = upwind_state(values, h)
-        magc = np.maximum(state.mag, GRADIENT_CLAMP)
+        flat = np.arange(n).reshape(values.shape)
+        b = drift_field(values, h, self.spec.theta)
 
         rows: list[np.ndarray] = []
         cols: list[np.ndarray] = []
@@ -198,20 +180,16 @@ class DiscreteOperator:
             add(flat[hi], flat[lo], np.full(flat[hi].size, -0.5 * inv_h2))
             add(flat[hi], flat[hi], np.full(flat[hi].size, 0.5 * inv_h2))
 
-            # Hamiltonian: d/dg (1/theta) mag^theta = mag^(theta-2) g per axis,
-            # routed through the active one-sided difference
-            w = magc ** (theta - 2.0) * state.g[a]
-            minus = np.full(shape, -1, dtype=np.int64)
-            minus[hi] = flat[lo]
-            plus = np.full(shape, -1, dtype=np.int64)
-            plus[lo] = flat[hi]
-
-            mb = state.back[a]
-            add(flat[mb], flat[mb], w[mb] / h)
-            add(flat[mb], minus[mb], -w[mb] / h)
-            mf = state.fwd[a]
-            add(flat[mf], flat[mf], w[mf] / h)
-            add(flat[mf], plus[mf], -w[mf] / h)
+            # Hamiltonian: d/dp (1/theta)|p|^theta = b, routed through the
+            # one-sided difference that produced p (never an out-of-grid arm)
+            stride = flat.strides[a] // flat.itemsize
+            ba = b[a]
+            back = ba > 0
+            add(flat[back], flat[back], ba[back] / h)
+            add(flat[back], flat[back] - stride, -ba[back] / h)
+            fwd = ba < 0
+            add(flat[fwd], flat[fwd], -ba[fwd] / h)
+            add(flat[fwd], flat[fwd] + stride, ba[fwd] / h)
 
         jac = sp.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
@@ -221,27 +199,6 @@ class DiscreteOperator:
             interior = flat[grid.interior_mask()].ravel()
             jac = jac[interior, :][:, interior]
         return jac
-
-
-def godunov_gradient(
-    field: Field,
-    node,
-    boundary_policy: str = STATE_CONSTRAINT,
-    boundary_data: Optional[Field] = None,
-) -> tuple[np.ndarray, float]:
-    """Per-axis upwind slope vector and its magnitude at one node."""
-    grid = field.grid
-    node = grid.node_tuple(node)
-    if boundary_policy == DIRICHLET:
-        if boundary_data is None:
-            raise ValueError("dirichlet policy requires boundary data")
-        if grid.is_boundary(node):
-            raise ValueError(f"operator undefined at boundary node {node} under dirichlet policy")
-    elif boundary_policy != STATE_CONSTRAINT:
-        raise ValueError(f"unknown boundary policy {boundary_policy!r}")
-    state = upwind_state(field.values, grid.h)
-    g = np.array([state.g[a][node] for a in range(grid.m)])
-    return g, float(state.mag[node])
 
 
 def apply_operator(op: DiscreteOperator, phi: Field, lam: float) -> Field:
@@ -256,17 +213,6 @@ def drift_field(values: np.ndarray, h: float, theta: float) -> np.ndarray:
     state = upwind_state(values, h)
     magc = np.maximum(state.mag, GRADIENT_CLAMP)
     return magc ** (theta - 2.0) * state.p
-
-
-def optimal_drift(phi: Field, node, theta: float) -> np.ndarray:
-    """Drift vector attaining the Legendre dual of the Hamiltonian at one node.
-
-    Satisfies b.p - (1/theta*) |b|^theta* = (1/theta) |p|^theta with p the
-    signed upwind gradient; p = 0 gives b = 0 for every theta > 1.
-    """
-    node = phi.grid.node_tuple(node)
-    b = drift_field(phi.values, phi.grid.h, theta)
-    return np.array([b[a][node] for a in range(phi.grid.m)])
 
 
 def hopf_cole_residual(phi: Field, lam: float, spec: ProblemSpec) -> Field:

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid
 from scipy.ndimage import uniform_filter
 from scipy.optimize import curve_fit
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .grid import Field, Grid, dump_json
 from .problem import ProblemSpec
@@ -205,6 +205,14 @@ def _damped_newton(
     budget carry on from its last record.
     """
     ptc = tau is not None
+
+    def trial(xt: np.ndarray) -> tuple[np.ndarray, float]:
+        # a trial step may overflow |p|^theta; the non-finite merit that
+        # results is handled below (backtrack, or SolverError under PTC)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ft = residual_fn(xt)
+            return ft, float(np.linalg.norm(ft))
+
     x = np.asarray(x0, dtype=float).copy()
     f = residual_fn(x)
     r = _sup(f)
@@ -218,13 +226,18 @@ def _damped_newton(
             return x, records
         shift = 1.0 / tau if ptc else 0.0
         jac = jacobian_fn(x, shift) if shift else jacobian_fn(x)
-        delta = spsolve(jac.tocsc(), -f)
+        with warnings.catch_warnings():
+            # a singular J gives a NaN step, which the checks below handle
+            # (a line-search stall hands over to PTC). catch_warnings is not
+            # thread-safe (verify --workers): a race can leak this ignore
+            # filter, which hides warnings but never changes a number
+            warnings.simplefilter("ignore", MatrixRankWarning)
+            delta = spsolve(jac.tocsc(), -f)
         if not ptc and not np.all(np.isfinite(delta)):
             raise _Stagnation(records + [TraceRecord(it, r, lam, 0.0)], x)
         s = 1.0
         xt = x + delta
-        ft = residual_fn(xt)
-        mt = float(np.linalg.norm(ft))
+        ft, mt = trial(xt)
         if ptc and not np.isfinite(mt):
             raise SolverError(
                 f"non-finite newton step at iteration {it}",
@@ -235,8 +248,7 @@ def _damped_newton(
             if s < BACKTRACK_FLOOR:
                 raise _Stagnation(records + [TraceRecord(it, r, lam, 0.0)], x)
             xt = x + s * delta
-            ft = residual_fn(xt)
-            mt = float(np.linalg.norm(ft))
+            ft, mt = trial(xt)
         x, f, merit, previous = xt, ft, mt, merit
         r = _sup(f)
         lam = lam_of(x) if lam_of else None
@@ -377,6 +389,7 @@ def discounted_lambda_path(
     Successive solves are warm-started through the 1/eps scaling of the fields.
     """
     anchor = spec.anchor_index
+    op = DiscreteOperator(spec, boundary_policy=STATE_CONSTRAINT)
     rows = []
     guess: Optional[Field] = None
     lam_prev = None
@@ -387,7 +400,6 @@ def discounted_lambda_path(
             guess = Field(spec.grid, shifted)
         phi = solve_discounted(spec, eps, initial_guess=guess, tol=tol)
         lam_eps = eps * phi.at(anchor)
-        op = DiscreteOperator(spec, boundary_policy=STATE_CONSTRAINT)
         res = _sup(op.residual_values(phi.values, 0.0) + eps * phi.values)
         rows.append({"epsilon": eps, "lambda": lam_eps, "residual_sup": res})
         guess, lam_prev, eps_prev = phi, lam_eps, eps

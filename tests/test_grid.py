@@ -1,4 +1,4 @@
-"""Grid, stencils, and field serialization."""
+"""Grid, field serialization, and the difference stencils of the scheme kernels."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from ergodic_hjb.grid import (
     Field,
     Grid,
-    backward_diff,
     field_from_csv,
     field_from_json,
     field_to_csv,
     field_to_json,
-    forward_diff,
-    laplacian,
 )
+from ergodic_hjb.scheme import laplacian_values, upwind_state
 
 from oracles import convergence_order
 
@@ -51,60 +49,55 @@ def test_index_of_rejects_off_grid_points():
 
 def test_one_sided_diffs_on_constant_field():
     g = Grid(m=1, radius=1.0, h=0.1)
-    u = Field(g, np.full(g.shape, 5.0))
-    for i in range(1, g.n_per_axis - 1):
-        assert forward_diff(u, 0, (i,)) == 0.0
-        assert backward_diff(u, 0, (i,)) == 0.0
+    state = upwind_state(np.full(g.shape, 5.0), g.h)
+    assert np.array_equal(state.p, np.zeros((1,) + g.shape))
+    assert np.array_equal(state.mag, np.zeros(g.shape))
 
 
 def test_one_sided_diffs_linear_exactness():
+    # slope +1 takes the backward arm, slope -1 the forward arm; both give p exactly
     g = Grid(m=1, radius=1.0, h=0.1)
-    u = Field(g, g.axis_coords())
+    up = upwind_state(g.axis_coords(), g.h)
+    down = upwind_state(-g.axis_coords(), g.h)
     for i in range(1, g.n_per_axis - 1):
-        assert forward_diff(u, 0, (i,)) == pytest.approx(1.0, abs=1e-12)
-        assert backward_diff(u, 0, (i,)) == pytest.approx(1.0, abs=1e-12)
+        assert up.p[0, i] == pytest.approx(1.0, abs=1e-12)
+        assert down.p[0, i] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_one_sided_diffs_on_parabola_at_origin():
-    # u(x) = x^2, h = 0.1: forward (h^2 - 0)/h = 0.1, backward -(h^2 - 0)/h = -0.1
+    # u(x) = x^2, h = 0.1: the backward difference at x = h is (h^2 - 0)/h = 0.1,
+    # the forward difference at x = -h is (0 - h^2)/h = -0.1; the origin is a
+    # discrete minimum, so its slope vanishes
     g = Grid(m=1, radius=1.0, h=0.1)
-    u = Field(g, g.axis_coords() ** 2)
-    i0 = g.index_of((0.0,))
-    assert forward_diff(u, 0, i0) == pytest.approx(0.1, abs=1e-13)
-    assert backward_diff(u, 0, i0) == pytest.approx(-0.1, abs=1e-13)
-
-
-def test_diff_stencils_error_outside_grid():
-    g = Grid(m=1, radius=1.0, h=0.5)
-    u = Field(g, np.zeros(g.shape))
-    last = g.n_per_axis - 1
-    with pytest.raises(IndexError):
-        forward_diff(u, 0, (last,))
-    with pytest.raises(IndexError):
-        backward_diff(u, 0, (0,))
+    state = upwind_state(g.axis_coords() ** 2, g.h)
+    i0 = g.index_of((0.0,))[0]
+    assert state.p[0, i0 + 1] == pytest.approx(0.1, abs=1e-13)
+    assert state.p[0, i0 - 1] == pytest.approx(-0.1, abs=1e-13)
+    assert state.p[0, i0] == 0.0
 
 
 def test_laplacian_constant_and_quadratic_exactness():
     g = Grid(m=1, radius=2.0, h=0.1)
-    const = Field(g, np.full(g.shape, 3.7))
-    quad = Field(g, g.axis_coords() ** 2)
+    const = laplacian_values(np.full(g.shape, 3.7), g.h)
+    quad = laplacian_values(g.axis_coords() ** 2, g.h)
     for i in range(1, g.n_per_axis - 1):
-        assert laplacian(const, (i,)) == pytest.approx(0.0, abs=1e-12)
-        assert laplacian(quad, (i,)) == pytest.approx(2.0, abs=1e-9)
+        assert const[i] == pytest.approx(0.0, abs=1e-12)
+        assert quad[i] == pytest.approx(2.0, abs=1e-9)
+    # a boundary node keeps only its inward arm: (u(-R + h) - u(-R)) / h^2 = 1 - 2R/h
+    assert const[0] == 0.0
+    assert quad[0] == pytest.approx(1.0 - 2.0 * 2.0 / 0.1, rel=1e-12)
+    assert quad[-1] == pytest.approx(1.0 - 2.0 * 2.0 / 0.1, rel=1e-12)
 
 
 def test_laplacian_quadratic_exactness_2d():
     g = Grid(m=2, radius=1.0, h=0.125)
     xx, yy = g.meshgrid()
-    u = Field(g, xx**2 + yy**2)
-    assert laplacian(u, (4, 5)) == pytest.approx(4.0, abs=1e-10)
-
-
-def test_laplacian_errors_at_boundary():
-    g = Grid(m=2, radius=1.0, h=0.5)
-    u = Field(g, np.zeros(g.shape))
-    with pytest.raises(IndexError):
-        laplacian(u, (0, 1))
+    lap = laplacian_values(xx**2 + yy**2, g.h)
+    assert lap[4, 5] == pytest.approx(4.0, abs=1e-10)
+    # the corner keeps one inward arm per axis, each (1 - 2R/h); an edge node
+    # keeps the central difference along the edge
+    assert lap[0, 0] == pytest.approx(2.0 * (1.0 - 2.0 / 0.125), rel=1e-12)
+    assert lap[0, 5] == pytest.approx(2.0 + (1.0 - 2.0 / 0.125), rel=1e-12)
 
 
 def test_laplacian_second_order_convergence():
@@ -113,9 +106,8 @@ def test_laplacian_second_order_convergence():
     hs = [0.2, 0.1, 0.05, 0.025]
     for h in hs:
         g = Grid(m=1, radius=2.0, h=h)
-        u = Field(g, np.sin(g.axis_coords()))
-        i = g.index_of((1.0,))
-        errs.append(abs(laplacian(u, i) - (-np.sin(1.0))))
+        lap = laplacian_values(np.sin(g.axis_coords()), h)
+        errs.append(abs(lap[g.index_of((1.0,))] - (-np.sin(1.0))))
     assert convergence_order(hs, errs) >= 1.9
 
 

@@ -12,10 +12,10 @@ from ergodic_hjb.scheme import (
     DiscreteOperator,
     apply_operator,
     drift_field,
-    godunov_gradient,
     hopf_cole_residual,
+    laplacian_values,
     linearize,
-    optimal_drift,
+    upwind_state,
 )
 
 from oracles import closed_form_spec, convergence_order, dyadic_field, godunov_1d_brute
@@ -31,31 +31,31 @@ def flat_rhs(theta=2.0, m=1, radius=1.0, h=0.25, c=1.0):
 
 def test_godunov_vanishes_at_discrete_minimum():
     g = Grid(m=1, radius=1.0, h=0.25)
-    u = Field(g, np.abs(g.axis_coords()))  # minimum at the origin
-    vec, mag = godunov_gradient(u, g.index_of((0.0,)))
-    assert mag == 0.0
-    assert np.array_equal(vec, np.zeros(1))
+    state = upwind_state(np.abs(g.axis_coords()), g.h)  # minimum at the origin
+    node = g.index_of((0.0,))
+    assert state.mag[node] == 0.0
+    assert np.array_equal(state.p[(slice(None),) + node], np.zeros(1))
 
 
 def test_godunov_hand_example_backward_two_forward_three():
-    # backward_diff = 2, forward_diff = 3 at the middle node: g = max(2, -3, 0) = 2
+    # backward difference 2, forward difference 3 at the middle node: |p| = max(2, -3, 0) = 2
     g = Grid(m=1, radius=1.0, h=0.5)
     i0 = g.index_of((0.0,))[0]
     vals = np.zeros(g.shape)
     vals[i0 - 1] = 1.0 - 2.0 * g.h
     vals[i0] = 1.0
     vals[i0 + 1] = 1.0 + 3.0 * g.h
-    vec, mag = godunov_gradient(Field(g, vals), (i0,))
-    assert mag == pytest.approx(2.0, abs=1e-14)
+    state = upwind_state(vals, g.h)
+    assert state.mag[i0] == pytest.approx(2.0, abs=1e-14)
+    assert state.p[0, i0] == pytest.approx(2.0, abs=1e-14)  # backward branch, positive
     assert godunov_1d_brute(2.0, 3.0) == 2.0
 
 
 def test_godunov_on_kink_profile():
     # u = |x| at x = h: backward 1, forward 1, slope 1 exactly
     g = Grid(m=1, radius=1.0, h=0.1)
-    u = Field(g, np.abs(g.axis_coords()))
-    _, mag = godunov_gradient(u, g.index_of((0.1,)))
-    assert mag == pytest.approx(1.0, abs=1e-14)
+    state = upwind_state(np.abs(g.axis_coords()), g.h)
+    assert state.mag[g.index_of((0.1,))] == pytest.approx(1.0, abs=1e-14)
 
 
 @settings(max_examples=200, deadline=None)
@@ -67,28 +67,20 @@ def test_godunov_matches_definitional_extremum(back, fwd):
     # build a 3-node profile with the prescribed one-sided differences
     g = Grid(m=1, radius=0.5, h=0.5)
     u = np.array([-back * g.h, 0.0, fwd * g.h])
-    _, mag = godunov_gradient(Field(g, u), (1,))
-    assert mag == pytest.approx(godunov_1d_brute(back, fwd), abs=1e-12)
+    state = upwind_state(u, g.h)
+    assert state.mag[1] == pytest.approx(godunov_1d_brute(back, fwd), abs=1e-12)
+    assert abs(state.p[0, 1]) == pytest.approx(state.mag[1], abs=1e-12)
 
 
 def test_godunov_boundary_uses_only_interior_information():
     g = Grid(m=1, radius=1.0, h=0.5)
-    u = Field(g, np.array([5.0, 0.0, 0.0, 0.0, 7.0]))
-    # left boundary: only the forward arm; slope max(-(-10), 0) = 10
-    vec, mag = godunov_gradient(u, (0,))
-    assert mag == pytest.approx(10.0)
-    # right boundary: only the backward arm; slope max(14, 0) = 14
-    vec, mag = godunov_gradient(u, (4,))
-    assert mag == pytest.approx(14.0)
-
-
-def test_godunov_dirichlet_policy_errors():
-    g = Grid(m=1, radius=1.0, h=0.5)
-    u = Field(g, np.zeros(g.shape))
-    with pytest.raises(ValueError):
-        godunov_gradient(u, (0,), boundary_policy="dirichlet", boundary_data=u)
-    with pytest.raises(ValueError):
-        godunov_gradient(u, (1,), boundary_policy="dirichlet")
+    state = upwind_state(np.array([5.0, 0.0, 0.0, 0.0, 7.0]), g.h)
+    # left boundary: only the forward arm; slope max(-(-10), 0) = 10, forward sign
+    assert state.mag[0] == pytest.approx(10.0)
+    assert state.p[0, 0] == pytest.approx(-10.0)
+    # right boundary: only the backward arm; slope max(14, 0) = 14, backward sign
+    assert state.mag[4] == pytest.approx(14.0)
+    assert state.p[0, 4] == pytest.approx(14.0)
 
 
 # -- operator residual -----------------------------------------------------------
@@ -208,24 +200,22 @@ def test_monotonicity_randomized_no_violations():
 
 def test_drift_zero_gradient_gives_zero():
     g = Grid(m=2, radius=1.0, h=0.5)
-    phi = Field(g, np.zeros(g.shape))
-    assert np.array_equal(optimal_drift(phi, (1, 1), theta=1.5), np.zeros(2))
+    b = drift_field(np.zeros(g.shape), g.h, theta=1.5)
+    assert np.array_equal(b[:, 1, 1], np.zeros(2))
 
 
 def test_drift_quadratic_hamiltonian_is_identity():
     g = Grid(m=1, radius=2.0, h=0.25)
-    phi = Field(g, 3.0 * g.axis_coords())  # slope 3 everywhere
-    b = optimal_drift(phi, g.index_of((1.0,)), theta=2.0)
-    assert b[0] == pytest.approx(3.0, abs=1e-13)
+    b = drift_field(3.0 * g.axis_coords(), g.h, theta=2.0)  # slope 3 everywhere
+    assert b[0][g.index_of((1.0,))] == pytest.approx(3.0, abs=1e-13)
 
 
 def test_drift_cubic_hamiltonian_hand_value():
     # theta = 3, p = (2, 0): b = |p| p = (4, 0)
     g = Grid(m=2, radius=1.0, h=0.5)
     xx, _ = g.meshgrid()
-    phi = Field(g, 2.0 * xx)
-    b = optimal_drift(phi, (1, 1), theta=3.0)
-    assert np.allclose(b, [4.0, 0.0], atol=1e-13)
+    b = drift_field(2.0 * xx, g.h, theta=3.0)
+    assert np.allclose(b[:, 1, 1], [4.0, 0.0], atol=1e-13)
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,8 +241,6 @@ def test_drift_field_fenchel_on_solver_state():
     spec = closed_form_spec(3.0, 1, 4.0, 0.05)
     g = spec.grid
     phi = Field(g, 0.5 * g.axis_coords() ** 2)
-    from ergodic_hjb.scheme import upwind_state
-
     state = upwind_state(phi.values, g.h)
     b = drift_field(phi.values, g.h, spec.theta)
     theta_star = spec.theta_star
@@ -327,8 +315,6 @@ def test_hopf_cole_overflow_guard():
 
 
 def test_jacobian_at_zero_field_is_half_laplacian():
-    from ergodic_hjb.scheme import laplacian_values
-
     spec = flat_rhs(theta=2.0, m=2, radius=1.0, h=0.25)
     op = DiscreteOperator(spec)
     g = spec.grid
