@@ -20,12 +20,7 @@ from .problem import (
     make_tabulated_rhs,
     validate_hypotheses,
 )
-from .scheme import (
-    DiscreteOperator,
-    apply_operator,
-    hopf_cole_residual,
-    linearize,
-)
+from .scheme import DiscreteOperator, hopf_cole_residual
 from .solvers import (
     ConvergenceTrace,
     ErgodicSolution,
@@ -33,7 +28,6 @@ from .solvers import (
     SolverError,
     TimeStepError,
     estimate_lambda_star,
-    interior_minimum_check,
     parabolic_march,
     solve_dirichlet,
     solve_discounted,
@@ -53,16 +47,13 @@ __all__ = [
     "make_tabulated_rhs",
     "validate_hypotheses",
     "DiscreteOperator",
-    "apply_operator",
     "hopf_cole_residual",
-    "linearize",
     "ConvergenceTrace",
     "ErgodicSolution",
     "NoSolutionSuspected",
     "SolverError",
     "TimeStepError",
     "estimate_lambda_star",
-    "interior_minimum_check",
     "parabolic_march",
     "solve_dirichlet",
     "solve_discounted",

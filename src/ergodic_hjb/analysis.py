@@ -22,14 +22,13 @@ from .problem import (
     make_power_rhs,
     make_pure_power_rhs,
 )
-from .scheme import STATE_CONSTRAINT, DiscreteOperator, upwind_state
+from .scheme import DiscreteOperator, upwind_state
 from .solvers import (
     ErgodicSolution,
     SolverError,
     discounted_lambda_path,
     eikonal_initial_guess,
     estimate_lambda_star,
-    interior_minimum_check,
     parabolic_march,
     random_smooth_field,
     solve_dirichlet,
@@ -393,7 +392,7 @@ def check_power_supersolution(
     grid = sol.phi.grid
     shifted = sol.phi.values - sol.phi.values.min() + 1.0
     powered = Field(grid, shifted**q)
-    op = DiscreteOperator(spec, boundary_policy=STATE_CONSTRAINT)
+    op = DiscreteOperator(spec)
     q_res = op.residual_values(powered.values, sol.lam)
     rr = grid.radii()
     mask = (rr >= r_inner) & (rr <= 0.8 * spec.radius)
@@ -729,18 +728,21 @@ def check_radius_monotonicity(
 
 
 def check_interior_minimum(sol: ErgodicSolution, tol: float = 1e-6) -> VerdictReport:
-    """Interior localization of the minimizer with f(argmin) <= lambda."""
-    rep = interior_minimum_check(sol, tol=tol)
+    """Interior localization of the minimizer with f(argmin) <= lambda.
+
+    The minimizer passes when it lies at least two cells inside the box.
+    """
+    grid = sol.phi.grid
+    loc = grid.coords(np.unravel_index(np.argmin(sol.phi.values), grid.shape))
+    f_val = float(sol.spec.rhs.value_at(loc))
+    dist = float(min(grid.half_count * grid.h - abs(c) for c in loc))
+    passed = dist >= 2.0 * grid.h - 1e-12 and f_val <= sol.lam + tol
     return VerdictReport(
         name="interior_minimum",
-        passed=rep.verdict == "pass",
-        measured={
-            "f_at_argmin": rep.f_value,
-            "lambda": rep.lambda_value,
-            "distance_to_boundary": rep.distance_to_boundary,
-        },
+        passed=passed,
+        measured={"f_at_argmin": f_val, "lambda": sol.lam, "distance_to_boundary": dist},
         predicted={"f_at_argmin_below_lambda": 0.0},
         tolerance=tol,
         provenance="the minimum of the state-constraint solution is interior with f(argmin) <= lambda",
-        inputs={"verdict": rep.verdict, "location": list(rep.location)},
+        inputs={"verdict": "pass" if passed else "fail", "location": [float(c) for c in loc]},
     )

@@ -39,7 +39,8 @@ from .config import (
     parse_config,
 )
 from .grid import dump_json, field_to_csv
-from .problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
+from .problem import make_power_rhs, make_pure_power_rhs
+from .scheme import STATE_CONSTRAINT
 from .solvers import (
     SolverError,
     discounted_lambda_path,
@@ -99,7 +100,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
         "lambda": sol.lam,
         "residual_sup": sol.residual_sup,
         "method": sol.method,
-        "boundary_policy": sol.boundary_policy,
+        "boundary_policy": STATE_CONSTRAINT,
         "tolerance": sol.tol,
         "grid": {"m": spec.m, "radius": spec.radius, "h": spec.h},
         "anchor": list(spec.anchor),
@@ -119,33 +120,20 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def _sweep_row(cfg: ExperimentConfig, axis: str, value: float) -> dict:
     t0 = time.perf_counter()
+    n = cfg.numerics
     try:
-        if axis == "radius":
-            spec = replace(build_spec(cfg), radius=float(value))
-            sol = solve_ergodic(
-                spec, method=cfg.numerics.method, tol=cfg.numerics.tol,
-                max_iter=cfg.numerics.max_iter,
-            )
-            lam, res = sol.lam, sol.residual_sup
-        elif axis == "epsilon":
-            (row,), _ = discounted_lambda_path(build_spec(cfg), [float(value)], cfg.numerics.tol)
+        if axis == "epsilon":
+            (row,), _ = discounted_lambda_path(build_spec(cfg), [float(value)], n.tol)
             lam, res = row["lambda"], row["residual_sup"]
-        elif axis == "coeff":
-            problem = replace(cfg.problem, coeff=float(value))
-            spec = ProblemSpec(
-                theta=problem.theta,
-                m=problem.dim,
-                rhs=build_rhs(problem),
-                radius=cfg.numerics.radius,
-                h=cfg.numerics.h,
-            )
-            sol = solve_ergodic(
-                spec, method=cfg.numerics.method, tol=cfg.numerics.tol,
-                max_iter=cfg.numerics.max_iter,
-            )
-            lam, res = sol.lam, sol.residual_sup
         else:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
+            if axis == "radius":
+                cfg = replace(cfg, numerics=replace(n, radius=float(value)))
+            elif axis == "coeff":
+                cfg = replace(cfg, problem=replace(cfg.problem, coeff=float(value)))
+            else:
+                raise ConfigError(f"unknown sweep axis {axis!r}")
+            sol = solve_ergodic(build_spec(cfg), method=n.method, tol=n.tol, max_iter=n.max_iter)
+            lam, res = sol.lam, sol.residual_sup
         return {
             "value": value, "lambda": lam, "residual": res,
             "status": "ok", "wall_s": time.perf_counter() - t0,
@@ -315,7 +303,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
         results = [_run_one_check(nm, cfg) for nm in names]
 
     verdicts = []
-    for (reps, plots), nm in zip(results, names):
+    for reps, plots in results:
         verdicts.extend(reps)
         for fname, (header, rows) in plots.items():
             _write(out / "plots" / fname, _csv(header, rows))

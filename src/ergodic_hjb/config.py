@@ -278,7 +278,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"[sweep] axis must be one of {SWEEP_AXES}, got {sweep.axis!r}")
         if not sweep.values:
             raise ConfigError("[sweep] values must be a nonempty list")
-        if sweep.axis in ("radius", "epsilon", "coeff") and any(v <= 0 for v in sweep.values):
+        if any(v <= 0 for v in sweep.values):
             raise ConfigError(f"[sweep] {sweep.axis} values must be positive")
     elif "sweep" in sections:
         raise ConfigError(f"[sweep] section is only valid for mode=sweep (mode={run.mode})")

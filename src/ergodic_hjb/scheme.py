@@ -8,20 +8,17 @@ and the sign of the difference it came from, which for the radial convex
 Hamiltonian H(p) = (1/theta)|p|^theta is the exact Godunov flux per axis and
 yields a monotone (degenerate-elliptic) scheme.
 
-Boundary handling:
-
-* ``state_constraint``: at boundary nodes every stencil arm that would leave
-  the grid is dropped, from both the Laplacian and the Hamiltonian, so only
-  interior information enters. This is the discrete counterpart of "no data
-  prescribed on the boundary".
-* ``dirichlet``: the operator is evaluated at interior nodes only; boundary
-  nodes carry the data residual phi - g.
+Boundary handling is the state constraint: at boundary nodes every stencil
+arm that would leave the grid is dropped, from both the Laplacian and the
+Hamiltonian, so only interior information enters. This is the discrete
+counterpart of "no data prescribed on the boundary". At interior nodes both
+arms exist, so the Dirichlet problem uses the same operator restricted to the
+interior rows (``solvers.solve_dirichlet``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,10 +31,8 @@ __all__ = [
     "UpwindState",
     "upwind_state",
     "laplacian_values",
-    "apply_operator",
     "drift_field",
     "hopf_cole_residual",
-    "linearize",
 ]
 
 # |p|^(theta-2) is unbounded at p=0 for theta < 2; derivative denominators
@@ -45,7 +40,6 @@ __all__ = [
 GRADIENT_CLAMP = 1e-10
 
 STATE_CONSTRAINT = "state_constraint"
-DIRICHLET = "dirichlet"
 
 
 def _axis_slice(m: int, axis: int, sl: slice) -> tuple:
@@ -69,11 +63,7 @@ class UpwindState:
 
 
 def upwind_state(values: np.ndarray, h: float) -> UpwindState:
-    """Godunov upwind slopes at every node; out-of-grid arms are excluded.
-
-    At interior nodes this has both one-sided differences available, so the
-    same arrays serve the Dirichlet policy (which only reads interior rows).
-    """
+    """Godunov upwind slopes at every node; out-of-grid arms are excluded."""
     m = values.ndim
     shape = values.shape
     p = np.empty((m,) + shape)
@@ -110,22 +100,18 @@ def laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
 
 @dataclass
 class DiscreteOperator:
-    """Discretization of the operator for one problem instance.
+    """State-constraint discretization of the operator for one problem instance.
 
-    boundary_policy is ``state_constraint`` (operator defined at every node,
-    truncated stencils on the boundary) or ``dirichlet`` (operator defined at
-    interior nodes, boundary rows carry phi - boundary_data).
+    The operator is defined at every node, with truncated stencils on the
+    boundary. ``boundary_policy`` accepts only ``state_constraint``.
     """
 
     spec: ProblemSpec
     boundary_policy: str = STATE_CONSTRAINT
-    boundary_data: Optional[Field] = None
 
     def __post_init__(self) -> None:
-        if self.boundary_policy not in (STATE_CONSTRAINT, DIRICHLET):
+        if self.boundary_policy != STATE_CONSTRAINT:
             raise ValueError(f"unknown boundary policy {self.boundary_policy!r}")
-        if self.boundary_policy == DIRICHLET and self.boundary_data is None:
-            raise ValueError("dirichlet policy requires boundary data")
         self._f = self.spec.f_field().values
 
     @property
@@ -137,11 +123,7 @@ class DiscreteOperator:
         theta = self.spec.theta
         h = self.spec.h
         state = upwind_state(values, h)
-        res = -0.5 * laplacian_values(values, h) + state.mag**theta / theta - self._f + lam
-        if self.boundary_policy == DIRICHLET:
-            shell = self.grid.boundary_shell_mask()
-            res[shell] = values[shell] - self.boundary_data.values[shell]
-        return res
+        return -0.5 * laplacian_values(values, h) + state.mag**theta / theta - self._f + lam
 
     def jacobian(self, values: np.ndarray) -> sp.csr_matrix:
         """Derivative of the node residuals with respect to the node values.
@@ -150,9 +132,9 @@ class DiscreteOperator:
         b = drift_field(values): along axis a a node with b[a] > 0 differences
         backward, one with b[a] < 0 forward. This is the generator of the
         controlled chain under the policy b, i.e. Howard's policy-evaluation
-        matrix (Bokanowski, Maroso & Zidani 2009). Under the Dirichlet policy
-        the matrix is restricted to interior rows and columns (boundary values
-        are data, not unknowns).
+        matrix (Bokanowski, Maroso & Zidani 2009). Ties in the Godunov slope
+        differentiate through the backward branch; for theta < 2 the
+        gradient-magnitude factor is clamped below at GRADIENT_CLAMP.
         """
         h = self.spec.h
         grid = self.grid
@@ -191,21 +173,9 @@ class DiscreteOperator:
             add(flat[fwd], flat[fwd], -ba[fwd] / h)
             add(flat[fwd], flat[fwd] + stride, ba[fwd] / h)
 
-        jac = sp.coo_matrix(
+        return sp.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
         ).tocsr()
-
-        if self.boundary_policy == DIRICHLET:
-            interior = flat[grid.interior_mask()].ravel()
-            jac = jac[interior, :][:, interior]
-        return jac
-
-
-def apply_operator(op: DiscreteOperator, phi: Field, lam: float) -> Field:
-    """Residual field of G_h[phi] + lambda under the operator's policy."""
-    if phi.grid != op.grid:
-        raise ValueError("field grid does not match the operator grid")
-    return Field(op.grid, op.residual_values(phi.values, float(lam)))
 
 
 def drift_field(values: np.ndarray, h: float, theta: float) -> np.ndarray:
@@ -235,7 +205,6 @@ def hopf_cole_residual(phi: Field, lam: float, spec: ProblemSpec) -> Field:
     interior = grid.interior_mask()
 
     lap = np.zeros_like(z)
-    grad_sq = np.zeros_like(z)
     dz = np.zeros((m,) + z.shape)
     for a in range(m):
         up = _axis_slice(m, a, slice(2, None))
@@ -252,14 +221,3 @@ def hopf_cole_residual(phi: Field, lam: float, spec: ProblemSpec) -> Field:
     out = np.zeros_like(res)
     out[interior] = res[interior]
     return Field(grid, out)
-
-
-def linearize(op: DiscreteOperator, phi: Field, lam: float) -> sp.csr_matrix:
-    """Sparse Jacobian of apply_operator at phi (lambda enters affinely).
-
-    Godunov ties differentiate through the backward branch; for theta < 2 the
-    gradient-magnitude factor is clamped below at GRADIENT_CLAMP.
-    """
-    if phi.grid != op.grid:
-        raise ValueError("field grid does not match the operator grid")
-    return op.jacobian(phi.values)

@@ -3,6 +3,7 @@
 Routes implemented here:
 
 * ``solve_dirichlet``      fixed lambda, boundary data prescribed; damped Newton
+                           on the interior rows of the state-constraint operator
 * ``solve_discounted``     discount term eps*phi replaces lambda; eps*phi(anchor)
                            estimates the critical value as eps -> 0
 * ``solve_ergodic``        state-constraint problem on the box; three methods:
@@ -35,13 +36,7 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .grid import Field, Grid, dump_json
 from .problem import ProblemSpec
-from .scheme import (
-    DIRICHLET,
-    STATE_CONSTRAINT,
-    DiscreteOperator,
-    laplacian_values,
-    upwind_state,
-)
+from .scheme import DiscreteOperator, laplacian_values, upwind_state
 
 __all__ = [
     "SolverError",
@@ -52,11 +47,9 @@ __all__ = [
     "ErgodicSolution",
     "ParabolicMarch",
     "LambdaStarEstimate",
-    "InteriorMinimumReport",
     "solve_dirichlet",
     "solve_discounted",
     "solve_ergodic",
-    "interior_minimum_check",
     "parabolic_march",
     "estimate_lambda_star",
     "discounted_lambda_path",
@@ -91,7 +84,11 @@ class NoSolutionSuspected(SolverError):
 
 
 class TimeStepError(SolverError):
-    """Explicit march blew up; retry with a smaller time step."""
+    """Explicit march blew up.
+
+    The march sets its own CFL time step at every step, so a blow-up points at
+    the data (right-hand side or initial field), not at the step size.
+    """
 
 
 @dataclass
@@ -131,7 +128,6 @@ class ErgodicSolution:
     trace: ConvergenceTrace
     method: str
     spec: ProblemSpec
-    boundary_policy: str = STATE_CONSTRAINT
     tol: float = 0.0
 
 
@@ -142,15 +138,6 @@ class ParabolicMarch:
     profile: Field  # u(., T) - u(anchor, T)
     n_steps: int
     trace: ConvergenceTrace
-
-
-@dataclass
-class InteriorMinimumReport:
-    location: tuple[float, ...]
-    f_value: float
-    lambda_value: float
-    distance_to_boundary: float
-    verdict: str  # "pass" | "fail" | "n/a"
 
 
 @dataclass
@@ -278,22 +265,25 @@ def _damped_newton(
 def solve_dirichlet(
     spec: ProblemSpec,
     lam: float,
-    boundary_data: Field,
+    data: Field,
     initial_guess: Optional[Field] = None,
     tol: float = 1e-8,
     max_iter: int = 150,
 ) -> Field:
     """Solve G_h[phi] + lambda = 0 at interior nodes with phi = data on the boundary.
 
-    Stagnation of the damped Newton iteration raises NoSolutionSuspected,
-    consistent with lambda exceeding the critical value.
+    Both stencil arms exist at interior nodes, so the Dirichlet operator is the
+    state-constraint operator restricted to the interior rows; the Jacobian is
+    restricted to the interior rows and columns (boundary values are data, not
+    unknowns). Stagnation of the damped Newton iteration raises
+    NoSolutionSuspected, consistent with lambda exceeding the critical value.
     """
     grid = spec.grid
-    op = DiscreteOperator(spec, boundary_policy=DIRICHLET, boundary_data=boundary_data)
-    shell = grid.boundary_shell_mask()
+    op = DiscreteOperator(spec)
     interior = grid.interior_mask()
+    unknowns = np.flatnonzero(interior)
 
-    full = np.array(boundary_data.values, dtype=float)
+    full = np.array(data.values, dtype=float)
     if initial_guess is not None:
         full[interior] = initial_guess.values[interior]
     else:
@@ -308,7 +298,7 @@ def solve_dirichlet(
         return op.residual_values(assemble(x), lam)[interior]
 
     def jacobian_fn(x: np.ndarray) -> sp.spmatrix:
-        return op.jacobian(assemble(x))
+        return op.jacobian(assemble(x))[unknowns, :][:, unknowns]
 
     start = time.perf_counter()
     try:
@@ -332,9 +322,7 @@ def solve_dirichlet(
                 exc.trace,
             ) from None
         raise
-    vals = assemble(x)
-    vals[shell] = boundary_data.values[shell]
-    return Field(grid, vals)
+    return Field(grid, assemble(x))
 
 
 # -- discounted route ----------------------------------------------------------
@@ -354,7 +342,7 @@ def solve_discounted(
     if not epsilon > 0:
         raise ValueError(f"discount rate must be positive, got {epsilon}")
     grid = spec.grid
-    op = DiscreteOperator(spec, boundary_policy=STATE_CONSTRAINT)
+    op = DiscreteOperator(spec)
     n = grid.n_nodes
     eye = sp.identity(n, format="csr") * epsilon
 
@@ -389,7 +377,7 @@ def discounted_lambda_path(
     Successive solves are warm-started through the 1/eps scaling of the fields.
     """
     anchor = spec.anchor_index
-    op = DiscreteOperator(spec, boundary_policy=STATE_CONSTRAINT)
+    op = DiscreteOperator(spec)
     rows = []
     guess: Optional[Field] = None
     lam_prev = None
@@ -429,7 +417,7 @@ def _finalize(
     grid = spec.grid
     anchor = spec.anchor_index
     vals = values - values[anchor]
-    op = DiscreteOperator(spec, boundary_policy=STATE_CONSTRAINT)
+    op = DiscreteOperator(spec)
     res = _sup(op.residual_values(vals, lam))
     records = records[:-1] + [replace(records[-1], residual_sup=res)]
     trace = ConvergenceTrace(records=records, wall_time_s=wall, termination=termination)
@@ -443,7 +431,6 @@ def _finalize(
         trace=trace,
         method=method,
         spec=spec,
-        boundary_policy=STATE_CONSTRAINT,
         tol=tol,
     )
 
@@ -457,7 +444,7 @@ def _bordered_system(spec: ProblemSpec):
     matrix keeps the anchor row and stays nonsingular where J is singular.
     """
     grid = spec.grid
-    op = DiscreteOperator(spec, boundary_policy=STATE_CONSTRAINT)
+    op = DiscreteOperator(spec)
     n = grid.n_nodes
     anchor_flat = int(np.ravel_multi_index(spec.anchor_index, grid.shape))
     ones_col = sp.csr_matrix(np.ones((n, 1)))
@@ -633,33 +620,6 @@ def solve_ergodic(
     raise ValueError(f"unknown method {method!r}")
 
 
-def interior_minimum_check(sol: ErgodicSolution, tol: float = 1e-6) -> InteriorMinimumReport:
-    """Locate the minimizer of phi and test interiority plus f(argmin) <= lambda.
-
-    Only meaningful for state-constraint solutions of coercive problems;
-    other boundary policies report "n/a".
-    """
-    grid = sol.phi.grid
-    argmin = np.unravel_index(np.argmin(sol.phi.values), grid.shape)
-    loc = grid.coords(argmin)
-    f_val = sol.spec.rhs.value_at(loc)
-    half_width = grid.half_count * grid.h
-    dist = float(min(half_width - abs(c) for c in loc))
-    if sol.boundary_policy != STATE_CONSTRAINT:
-        verdict = "n/a"
-    elif dist >= 2.0 * grid.h - 1e-12 and f_val <= sol.lam + tol:
-        verdict = "pass"
-    else:
-        verdict = "fail"
-    return InteriorMinimumReport(
-        location=tuple(float(c) for c in loc),
-        f_value=float(f_val),
-        lambda_value=sol.lam,
-        distance_to_boundary=dist,
-        verdict=verdict,
-    )
-
-
 def parabolic_march(
     spec: ProblemSpec,
     u0: Optional[Field] = None,
@@ -713,7 +673,6 @@ def estimate_lambda_star(
     spec: ProblemSpec,
     radii: list[float],
     h,
-    method: str = "newton_augmented",
     tol: float = 1e-8,
     slack: Optional[float] = None,
     strict: bool = True,
@@ -740,7 +699,7 @@ def estimate_lambda_star(
     for r, hr in zip(radii, h_list):
         sub = replace(spec, radius=float(r), h=hr)
         guess = eikonal_initial_guess(sub) if warm_start else None
-        sol = solve_ergodic(sub, initial_guess=guess, method=method, tol=tol)
+        sol = solve_ergodic(sub, initial_guess=guess, tol=tol)
         err = scheme_error_estimate(sub, sol.phi)
         err_max = max(err_max, err)
         rows.append(

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from ergodic_hjb.grid import Field, Grid
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.scheme import (
+    STATE_CONSTRAINT,
     DiscreteOperator,
-    apply_operator,
     drift_field,
     hopf_cole_residual,
     laplacian_values,
-    linearize,
     upwind_state,
 )
 
@@ -86,12 +85,19 @@ def test_godunov_boundary_uses_only_interior_information():
 # -- operator residual -----------------------------------------------------------
 
 
+def test_state_constraint_is_the_only_boundary_policy():
+    spec = flat_rhs()
+    DiscreteOperator(spec, boundary_policy=STATE_CONSTRAINT)
+    with pytest.raises(ValueError, match="unknown boundary policy"):
+        DiscreteOperator(spec, boundary_policy="dirichlet")
+
+
 def test_constant_field_residual_is_minus_f():
     spec = flat_rhs(c=2.5, m=2, h=0.5)
     op = DiscreteOperator(spec)
     phi = Field(spec.grid, np.full(spec.grid.shape, 4.0))
-    res = apply_operator(op, phi, 0.0)
-    assert np.array_equal(res.values, np.full(spec.grid.shape, -2.5))
+    res = op.residual_values(phi.values, 0.0)
+    assert np.array_equal(res, np.full(spec.grid.shape, -2.5))
 
 
 def test_interior_consistency_first_order_quadratic_theta():
@@ -104,9 +110,9 @@ def test_interior_consistency_first_order_quadratic_theta():
         spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=4.0, h=h)
         g = spec.grid
         phi = Field(g, 0.5 * g.axis_coords() ** 2)
-        res = apply_operator(DiscreteOperator(spec), phi, 0.5)
+        res = DiscreteOperator(spec).residual_values(phi.values, 0.5)
         inner = np.abs(g.axis_coords()) <= 2.0
-        errs.append(np.max(np.abs(res.values[inner])))
+        errs.append(np.max(np.abs(res[inner])))
     assert convergence_order(hs, errs) >= 0.9
 
 
@@ -119,9 +125,9 @@ def test_interior_consistency_first_order_cubic_theta():
         spec = ProblemSpec(theta=3.0, m=1, rhs=rhs, radius=4.0, h=h)
         g = spec.grid
         phi = Field(g, 0.5 * g.axis_coords() ** 2)
-        res = apply_operator(DiscreteOperator(spec), phi, 0.5)
+        res = DiscreteOperator(spec).residual_values(phi.values, 0.5)
         inner = np.abs(g.axis_coords()) <= 2.0
-        errs.append(np.max(np.abs(res.values[inner])))
+        errs.append(np.max(np.abs(res[inner])))
     assert convergence_order(hs, errs) >= 0.9
 
 
@@ -132,9 +138,9 @@ def test_additive_constant_invariance_bitwise_on_dyadic_data():
     op = DiscreteOperator(spec)
     phi = dyadic_field(spec.grid, seed=11)
     shifted = Field(spec.grid, phi.values + 64.0)
-    r0 = apply_operator(op, phi, 0.5)
-    r1 = apply_operator(op, shifted, 0.5)
-    assert np.array_equal(r0.values, r1.values)
+    r0 = op.residual_values(phi.values, 0.5)
+    r1 = op.residual_values(shifted.values, 0.5)
+    assert np.array_equal(r0, r1)
 
 
 def test_additive_constant_invariance_generic():
@@ -143,9 +149,9 @@ def test_additive_constant_invariance_generic():
     rng = np.random.default_rng(0)
     phi = Field(spec.grid, rng.standard_normal(spec.grid.shape))
     shifted = Field(spec.grid, phi.values + np.pi)
-    r0 = apply_operator(op, phi, 0.3)
-    r1 = apply_operator(op, shifted, 0.3)
-    assert np.max(np.abs(r0.values - r1.values)) <= 1e-12 * max(1.0, np.max(np.abs(r0.values)))
+    r0 = op.residual_values(phi.values, 0.3)
+    r1 = op.residual_values(shifted.values, 0.3)
+    assert np.max(np.abs(r0 - r1)) <= 1e-12 * max(1.0, np.max(np.abs(r0)))
 
 
 def test_lambda_linearity_bitwise_on_dyadic_data():
@@ -153,9 +159,9 @@ def test_lambda_linearity_bitwise_on_dyadic_data():
     op = DiscreteOperator(spec)
     phi = dyadic_field(spec.grid, seed=5)
     lam = 0.5
-    r_lam = apply_operator(op, phi, lam)
-    r_zero = apply_operator(op, phi, 0.0)
-    assert np.array_equal(r_lam.values - r_zero.values, np.full(spec.grid.shape, lam))
+    r_lam = op.residual_values(phi.values, lam)
+    r_zero = op.residual_values(phi.values, 0.0)
+    assert np.array_equal(r_lam - r_zero, np.full(spec.grid.shape, lam))
 
 
 @settings(max_examples=50, deadline=None)
@@ -165,7 +171,7 @@ def test_lambda_linearity_generic(lam):
     op = DiscreteOperator(spec)
     rng = np.random.default_rng(1)
     phi = Field(spec.grid, rng.standard_normal(spec.grid.shape))
-    diff = apply_operator(op, phi, lam).values - apply_operator(op, phi, 0.0).values
+    diff = op.residual_values(phi.values, lam) - op.residual_values(phi.values, 0.0)
     assert np.max(np.abs(diff - lam)) <= 1e-12 * max(1.0, abs(lam))
 
 
@@ -318,7 +324,7 @@ def test_jacobian_at_zero_field_is_half_laplacian():
     spec = flat_rhs(theta=2.0, m=2, radius=1.0, h=0.25)
     op = DiscreteOperator(spec)
     g = spec.grid
-    jac = linearize(op, Field(g, np.zeros(g.shape)), 0.0)
+    jac = op.jacobian(np.zeros(g.shape))
     rng = np.random.default_rng(8)
     v = rng.standard_normal(g.shape)
     action = (jac @ v.ravel()).reshape(g.shape)
@@ -331,7 +337,7 @@ def test_jacobian_annihilates_constants():
     g = spec.grid
     rng = np.random.default_rng(9)
     phi = Field(g, rng.standard_normal(g.shape))
-    jac = linearize(op, phi, 0.0)
+    jac = op.jacobian(phi.values)
     action = jac @ np.ones(g.n_nodes)
     assert np.max(np.abs(action)) <= 1e-8  # rounding on 1/h^2-scale entries
 
@@ -344,7 +350,7 @@ def test_jacobian_matches_finite_differences(theta):
     rng = np.random.default_rng(12)
     base = rng.standard_normal(g.shape).cumsum() * 0.3  # smooth-ish, no exact ties
     phi = Field(g, base)
-    jac = linearize(op, phi, 0.0)
+    jac = op.jacobian(phi.values)
     step = 1e-6
     for trial in range(5):
         direction = rng.standard_normal(g.shape)
@@ -362,17 +368,10 @@ def test_jacobian_matches_finite_differences_2d():
     g = spec.grid
     rng = np.random.default_rng(13)
     base = rng.standard_normal(g.shape)
-    jac = linearize(op, Field(g, base), 0.0)
+    jac = op.jacobian(base)
     step = 1e-6
     direction = rng.standard_normal(g.shape)
     fd = (op.residual_values(base + step * direction, 0.0)
           - op.residual_values(base - step * direction, 0.0)) / (2 * step)
     action = (jac @ direction.ravel()).reshape(g.shape)
     assert np.max(np.abs(action - fd)) / max(np.max(np.abs(fd)), 1.0) <= 1e-5
-
-
-def test_operator_grid_mismatch_rejected():
-    spec = flat_rhs()
-    other = Grid(m=1, radius=2.0, h=0.25)
-    with pytest.raises(ValueError):
-        apply_operator(DiscreteOperator(spec), Field(other, np.zeros(other.shape)), 0.0)

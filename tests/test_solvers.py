@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from ergodic_hjb import solvers
+from ergodic_hjb.analysis import check_interior_minimum
 from ergodic_hjb.grid import Field
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
-from ergodic_hjb.scheme import laplacian_values, upwind_state
+from ergodic_hjb.scheme import DiscreteOperator, laplacian_values, upwind_state
 from ergodic_hjb.solvers import (
     PTC_TAU0,
-    ErgodicSolution,
     NoSolutionSuspected,
     discounted_lambda_path,
     eikonal_initial_guess,
     estimate_lambda_star,
-    interior_minimum_check,
     parabolic_march,
     random_smooth_field,
     solve_dirichlet,
@@ -45,6 +44,22 @@ def test_dirichlet_zero_data_zero_f_gives_zero():
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=2.0, h=0.1)
     phi = solve_dirichlet(spec, 0.0, zero_field(spec.grid))
     assert np.array_equal(phi.values, np.zeros(spec.grid.shape))
+
+
+@pytest.mark.parametrize("theta", [1.5, 3.0])
+@pytest.mark.parametrize("m, radius, h", [(1, 4.0, 0.02), (2, 2.0, 0.1)])
+def test_dirichlet_solves_the_interior_rows_of_the_state_constraint_operator(theta, m, radius, h):
+    # both stencil arms exist at interior nodes, so the Dirichlet solution
+    # zeroes the state-constraint residual there and keeps the data on the shell
+    spec = ProblemSpec(theta=theta, m=m, rhs=make_power_rhs(1.0, 2.0), radius=radius, h=h)
+    g = spec.grid
+    data = np.random.default_rng(7).standard_normal(g.shape)
+    tol = 1e-8
+    phi = solve_dirichlet(spec, 1.0, Field(g, data), tol=tol)
+    shell = g.boundary_shell_mask()
+    assert np.array_equal(phi.values[shell], data[shell])
+    res = DiscreteOperator(spec).residual_values(phi.values, 1.0)
+    assert np.max(np.abs(res[g.interior_mask()])) <= tol
 
 
 class ManufacturedRhs(type(make_power_rhs(1.0, 0.0))):
@@ -359,10 +374,10 @@ def test_interior_minimum_at_origin():
     rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=6.0, h=0.05)
     sol = solve_ergodic(spec, tol=1e-8)
-    rep = interior_minimum_check(sol)
-    assert rep.verdict == "pass"
-    assert rep.location[0] == pytest.approx(0.0, abs=0.1)
-    assert rep.f_value <= rep.lambda_value + 1e-6
+    rep = check_interior_minimum(sol)
+    assert rep.passed
+    assert rep.inputs["location"][0] == pytest.approx(0.0, abs=0.1)
+    assert rep.measured["f_at_argmin"] <= rep.measured["lambda"] + 1e-6
 
 
 def test_interior_minimum_shifted_well():
@@ -379,26 +394,9 @@ def test_interior_minimum_shifted_well():
     rhs = Shifted(coeff=0.5, alpha=2.0, shift=0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.05)
     sol = solve_ergodic(spec, tol=1e-8)
-    rep = interior_minimum_check(sol)
-    assert rep.verdict == "pass"
-    assert rep.location[0] == pytest.approx(2.0, abs=0.2)
-
-
-def test_interior_minimum_not_applicable_for_dirichlet():
-    rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
-    spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=4.0, h=0.1)
-    phi = solve_dirichlet(spec, 0.0, zero_field(spec.grid))
-    sol = ErgodicSolution(
-        lam=0.0,
-        phi=phi,
-        residual_sup=0.0,
-        trace=solve_ergodic(spec, tol=1e-6).trace,
-        method="dirichlet",
-        spec=spec,
-        boundary_policy="dirichlet",
-        tol=1e-6,
-    )
-    assert interior_minimum_check(sol).verdict == "n/a"
+    rep = check_interior_minimum(sol)
+    assert rep.passed
+    assert rep.inputs["location"][0] == pytest.approx(2.0, abs=0.2)
 
 
 # -- parabolic march ------------------------------------------------------------------
