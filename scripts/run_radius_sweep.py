@@ -9,29 +9,14 @@ import sys
 from pathlib import Path
 
 from ergodic_hjb.cli import main as cli_main
-
-CONFIG = """\
-[run]
-mode = sweep
-seed = 0
-
-[problem]
-theta = {theta}
-dim = {dim}
-rhs = pure_power
-alpha = {alpha}
-coeff = {coeff}
-shift = 0.0
-
-[numerics]
-radius = {rmax}
-h = {h}
-tol = 1e-08
-
-[sweep]
-axis = radius
-values = {values}
-"""
+from ergodic_hjb.config import (
+    ExperimentConfig,
+    NumericsSettings,
+    ProblemSettings,
+    RunSettings,
+    SweepSettings,
+    config_to_text,
+)
 
 
 def main():
@@ -45,15 +30,19 @@ def main():
     ap.add_argument("--out", default="out/radius_sweep")
     args = ap.parse_args()
 
-    cfg = CONFIG.format(
-        theta=args.theta, dim=args.dim, alpha=args.alpha, coeff=args.coeff,
-        h=args.h, rmax=max(args.radii),
-        values=", ".join(str(v) for v in sorted(args.radii)),
-    )
     out = Path(args.out)
+    cfg = ExperimentConfig(
+        run=RunSettings(mode="sweep"),
+        problem=ProblemSettings(
+            theta=args.theta, dim=args.dim, rhs="pure_power", alpha=args.alpha, coeff=args.coeff
+        ),
+        numerics=NumericsSettings(radius=max(args.radii), h=args.h),
+        sweep=SweepSettings(axis="radius", values=tuple(sorted(args.radii))),
+        out_dir=str(out),
+    )
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "sweep.cfg"
-    cfg_path.write_text(cfg)
+    cfg_path.write_text(config_to_text(cfg))
     code = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)])
     if code == 0:
         print((out / "sweep.csv").read_text())

@@ -17,7 +17,6 @@ from .problem import (
     blend_rhs,
     make_power_rhs,
     make_pure_power_rhs,
-    make_tabulated_rhs,
     validate_hypotheses,
 )
 from .scheme import DiscreteOperator, hopf_cole_residual
@@ -44,7 +43,6 @@ __all__ = [
     "blend_rhs",
     "make_power_rhs",
     "make_pure_power_rhs",
-    "make_tabulated_rhs",
     "validate_hypotheses",
     "DiscreteOperator",
     "hopf_cole_residual",

@@ -659,11 +659,11 @@ def check_cross_method(
 ) -> tuple:
     """Agreement of the five routes to the critical value on one instance.
 
-    Newton and policy iteration are one iteration on one bordered system with
-    two globalizations (line search vs full step), so their agreement is not
-    independent evidence. The independent routes are relative value iteration
-    and the parabolic march (explicit marches), the discount path and, when
-    given, the oracle.
+    Newton and policy iteration are one iteration with two globalizations;
+    relative value iteration and the parabolic march are one march from the
+    zero field with two stopping rules (increment spread <= tol/2, horizon).
+    So the independent computations are Newton, the march, the discount path
+    and, when given, the oracle.
 
     Returns (report, lambdas by route, parabolic march, discount rows).
     """

@@ -39,7 +39,7 @@ from .config import (
     parse_config,
 )
 from .grid import dump_json, field_to_csv
-from .problem import make_power_rhs, make_pure_power_rhs
+from .problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from .scheme import STATE_CONSTRAINT
 from .solvers import (
     SolverError,
@@ -177,119 +177,139 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
 
 # -- verify -----------------------------------------------------------------------
 
+# Each entry maps (cfg, spec) to (verdicts, plot tables as {filename: (header, rows)}) and
+# calls its check by module-global name, so a wrapper installed on that name sees the call.
+
+
+def _shift_equivariance(cfg: ExperimentConfig, spec: ProblemSpec):
+    rep = check_shift_equivariance(spec, c=1.0, tol=cfg.verify.tol, solver_tol=cfg.numerics.tol)
+    return [rep], {}
+
+
+def _scaling_law(cfg: ExperimentConfig, spec: ProblemSpec):
+    v, p, n = cfg.verify, cfg.problem, cfg.numerics
+    rep = check_scaling_law(
+        p.theta, p.alpha, v.c, m=p.dim, radii=v.radii, h=n.h, tol_rel=max(v.tol, 0.01), tol=n.tol
+    )
+    return [rep], {}
+
+
+def _lambda_shape(cfg: ExperimentConfig, spec: ProblemSpec):
+    v, p, n = cfg.verify, cfg.problem, cfg.numerics
+    f1 = make_power_rhs(p.coeff, p.alpha, p.shift)
+    f2 = make_pure_power_rhs(v.coeff2, v.alpha2, v.shift2)
+    reps = check_lambda_shape(
+        f1, f2, list(v.t_grid), p.theta, m=p.dim, radii=v.radii, h=n.h,
+        tol=v.tol, solver_tol=n.tol,
+    )
+    return reps, {}
+
+
+def _growth_exponent(cfg: ExperimentConfig, spec: ProblemSpec):
+    p = cfg.problem
+    rep, fit, sol = check_growth_exponent(p.theta, p.alpha, m=p.dim, tol=cfg.numerics.tol)
+    rr = sol.phi.grid.radii().ravel()
+    shifted = (sol.phi.values - sol.phi.values.min() + 1.0).ravel()
+    mask = rr > 0
+    rows = [[_f(r), _f(val)] for r, val in zip(rr[mask], shifted[mask])]
+    return [rep], {"growth_loglog.csv": (["abs_y", "phi_shifted"], rows)}
+
+
+def _continuity_bound(cfg: ExperimentConfig, spec: ProblemSpec):
+    v, p, n = cfg.verify, cfg.problem, cfg.numerics
+    f1 = make_power_rhs(p.coeff, p.alpha, p.shift)
+    f2 = make_power_rhs(v.coeff2, p.alpha, v.shift2)
+    rep = check_continuity_bound(
+        f1, f2, p.theta, m=p.dim, radii=v.radii, h=n.h, tol=v.tol, solver_tol=n.tol
+    )
+    return [rep], {}
+
+
+def _uniqueness(cfg: ExperimentConfig, spec: ProblemSpec):
+    seeds = (cfg.run.seed + 1, cfg.run.seed + 2)
+    return [check_uniqueness(spec, seeds=seeds, solver_tol=cfg.numerics.tol)], {}
+
+
+def _cross_method(cfg: ExperimentConfig, spec: ProblemSpec):
+    v = cfg.verify
+    rep, lams, march, drows = check_cross_method(
+        spec, horizon=v.horizon, eps_list=v.eps, pair_tol=v.tol, solver_tol=cfg.numerics.tol
+    )
+    rates = [[_f(t), _f(a), _f(b), _f(c)] for t, a, b, c in march.rate_stats]
+    path = [[_f(r["epsilon"]), _f(r["lambda"])] for r in drows]
+    return [rep], {
+        "parabolic_rate.csv": (["t", "rate_min", "rate_mean", "rate_max"], rates),
+        "discount_path.csv": (["epsilon", "lambda"], path),
+    }
+
+
+def _radius_monotonicity(cfg: ExperimentConfig, spec: ProblemSpec):
+    v, n = cfg.verify, cfg.numerics
+    rep, table = check_radius_monotonicity(
+        spec, radii=v.radii, h=n.h, slack=max(v.tol, 0.02), solver_tol=n.tol
+    )
+    rows = [[_f(r["radius"]), _f(r["lambda"])] for r in table]
+    return [rep], {"lambda_vs_radius.csv": (["radius", "lambda"], rows)}
+
+
+def _lambda_star_characterization(cfg: ExperimentConfig, spec: ProblemSpec):
+    rep, table = check_lambda_star_characterization(spec, tol=0.01, solver_tol=cfg.numerics.tol)
+    rows = [[_f(r["lambda"]), "1" if r["solvable"] else "0"] for r in table]
+    return [rep], {"dirichlet_bisection.csv": (["lambda", "solvable"], rows)}
+
+
+def _interior_minimum(cfg: ExperimentConfig, spec: ProblemSpec):
+    n = cfg.numerics
+    sol = solve_ergodic(spec, method=n.method, tol=n.tol, max_iter=n.max_iter)
+    return [check_interior_minimum(sol)], {}
+
+
+def _gradient_estimate(cfg: ExperimentConfig, spec: ProblemSpec):
+    v, p, n = cfg.verify, cfg.problem, cfg.numerics
+    rep = check_gradient_estimate(
+        p.theta, build_rhs(p), r_primes=v.r_primes, gap=v.gap, m=p.dim, h=n.h, tol=n.tol
+    )
+    return [rep], {}
+
+
+def _warm_solve(cfg: ExperimentConfig, spec: ProblemSpec):
+    n = cfg.numerics
+    guess = eikonal_initial_guess(spec)
+    return solve_ergodic(spec, initial_guess=guess, tol=n.tol, max_iter=n.max_iter)
+
+
+def _power_supersolution(cfg: ExperimentConfig, spec: ProblemSpec):
+    v = cfg.verify
+    return [check_power_supersolution(_warm_solve(cfg, spec), q=v.q, r_inner=v.r_inner)], {}
+
+
+def _dirichlet_family(cfg: ExperimentConfig, spec: ProblemSpec):
+    sol = _warm_solve(cfg, spec)
+    lambdas = list(cfg.verify.lambdas) if cfg.verify.lambdas else [
+        spec.rhs.min_value(), 0.5 * (spec.rhs.min_value() + sol.lam - 0.1), sol.lam - 0.1
+    ]
+    return [check_dirichlet_family(spec, lambdas, sol.lam, tol=cfg.numerics.tol)], {}
+
+
+_CHECKS = {
+    "shift_equivariance": _shift_equivariance,
+    "scaling_law": _scaling_law,
+    "lambda_shape": _lambda_shape,
+    "growth_exponent": _growth_exponent,
+    "continuity_bound": _continuity_bound,
+    "uniqueness": _uniqueness,
+    "cross_method": _cross_method,
+    "radius_monotonicity": _radius_monotonicity,
+    "lambda_star_characterization": _lambda_star_characterization,
+    "interior_minimum": _interior_minimum,
+    "gradient_estimate": _gradient_estimate,
+    "power_supersolution": _power_supersolution,
+    "dirichlet_family": _dirichlet_family,
+}
+
 
 def _run_one_check(name: str, cfg: ExperimentConfig):
-    """Returns (verdicts, plot tables as {filename: (header, rows)})."""
-    v = cfg.verify
-    p = cfg.problem
-    n = cfg.numerics
-    spec = build_spec(cfg)
-    plots: dict[str, tuple[list[str], list[list[str]]]] = {}
-
-    if name == "shift_equivariance":
-        rep = check_shift_equivariance(spec, c=1.0, tol=v.tol, solver_tol=n.tol)
-        return [rep], plots
-
-    if name == "scaling_law":
-        rep = check_scaling_law(
-            p.theta, p.alpha, v.c, m=p.dim, radii=v.radii, h=n.h,
-            tol_rel=max(v.tol, 0.01), tol=n.tol,
-        )
-        return [rep], plots
-
-    if name == "lambda_shape":
-        f1 = make_power_rhs(p.coeff, p.alpha, p.shift)
-        f2 = make_pure_power_rhs(v.coeff2, v.alpha2, v.shift2)
-        reps = check_lambda_shape(
-            f1, f2, list(v.t_grid), p.theta, m=p.dim, radii=v.radii, h=n.h,
-            tol=v.tol, solver_tol=n.tol,
-        )
-        return reps, plots
-
-    if name == "growth_exponent":
-        rep, fit, sol = check_growth_exponent(p.theta, p.alpha, m=p.dim, tol=n.tol)
-        rr = sol.phi.grid.radii().ravel()
-        shifted = (sol.phi.values - sol.phi.values.min() + 1.0).ravel()
-        mask = rr > 0
-        rows = [[_f(r), _f(val)] for r, val in zip(rr[mask], shifted[mask])]
-        plots["growth_loglog.csv"] = (["abs_y", "phi_shifted"], rows)
-        return [rep], plots
-
-    if name == "continuity_bound":
-        f1 = make_power_rhs(p.coeff, p.alpha, p.shift)
-        f2 = make_power_rhs(v.coeff2, p.alpha, v.shift2)
-        rep = check_continuity_bound(
-            f1, f2, p.theta, m=p.dim, radii=v.radii, h=n.h, tol=v.tol, solver_tol=n.tol
-        )
-        return [rep], plots
-
-    if name == "uniqueness":
-        seeds = (cfg.run.seed + 1, cfg.run.seed + 2)
-        rep = check_uniqueness(spec, seeds=seeds, solver_tol=n.tol)
-        return [rep], plots
-
-    if name == "cross_method":
-        rep, lams, march, drows = check_cross_method(
-            spec, horizon=v.horizon, eps_list=v.eps, pair_tol=v.tol, solver_tol=n.tol
-        )
-        plots["parabolic_rate.csv"] = (
-            ["t", "rate_min", "rate_mean", "rate_max"],
-            [[_f(t), _f(a), _f(b), _f(c)] for t, a, b, c in march.rate_stats],
-        )
-        plots["discount_path.csv"] = (
-            ["epsilon", "lambda"],
-            [[_f(r["epsilon"]), _f(r["lambda"])] for r in drows],
-        )
-        return [rep], plots
-
-    if name == "radius_monotonicity":
-        rep, rows = check_radius_monotonicity(
-            spec, radii=v.radii, h=n.h, slack=max(v.tol, 0.02), solver_tol=n.tol
-        )
-        plots["lambda_vs_radius.csv"] = (
-            ["radius", "lambda"],
-            [[_f(r["radius"]), _f(r["lambda"])] for r in rows],
-        )
-        return [rep], plots
-
-    if name == "lambda_star_characterization":
-        rep, table = check_lambda_star_characterization(spec, tol=0.01, solver_tol=n.tol)
-        plots["dirichlet_bisection.csv"] = (
-            ["lambda", "solvable"],
-            [[_f(r["lambda"]), "1" if r["solvable"] else "0"] for r in table],
-        )
-        return [rep], plots
-
-    if name == "interior_minimum":
-        sol = solve_ergodic(spec, method=n.method, tol=n.tol, max_iter=n.max_iter)
-        rep = check_interior_minimum(sol)
-        return [rep], plots
-
-    if name == "gradient_estimate":
-        rhs = build_rhs(p)
-        rep = check_gradient_estimate(
-            p.theta, rhs, r_primes=v.r_primes, gap=v.gap, m=p.dim, h=n.h, tol=n.tol
-        )
-        return [rep], plots
-
-    if name == "power_supersolution":
-        sol = solve_ergodic(
-            spec, initial_guess=eikonal_initial_guess(spec), tol=n.tol, max_iter=n.max_iter
-        )
-        rep = check_power_supersolution(sol, q=v.q, r_inner=v.r_inner)
-        return [rep], plots
-
-    if name == "dirichlet_family":
-        sol = solve_ergodic(
-            spec, initial_guess=eikonal_initial_guess(spec), tol=n.tol, max_iter=n.max_iter
-        )
-        lambdas = list(v.lambdas) if v.lambdas else [
-            spec.rhs.min_value(), 0.5 * (spec.rhs.min_value() + sol.lam - 0.1), sol.lam - 0.1
-        ]
-        rep = check_dirichlet_family(spec, lambdas, sol.lam, tol=n.tol)
-        return [rep], plots
-
-    raise ConfigError(f"unknown check {name!r}")
+    return _CHECKS[name](cfg, build_spec(cfg))
 
 
 def run_verify(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> int:

@@ -27,6 +27,7 @@ round-trips losslessly through to_text/from_text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -179,18 +180,20 @@ _SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
 
 def _parse_value(raw: str, kind: str, where: str):
     try:
-        if kind == "float":
-            return float(raw)
+        if kind in ("float", "float_list"):
+            parts = [raw] if kind == "float" else [p for p in raw.split(",") if p.strip()]
+            values = tuple(float(p) for p in parts)
+            if not all(math.isfinite(x) for x in values):
+                raise ValueError("not finite")
+            return values[0] if kind == "float" else values
         if kind == "int":
             return int(raw)
         if kind == "str":
             return raw
-        if kind == "float_list":
-            return tuple(float(p.strip()) for p in raw.split(",") if p.strip())
         if kind == "str_list":
             return tuple(p.strip() for p in raw.split(",") if p.strip())
     except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}") from exc
+        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind} ({exc})") from exc
     raise ConfigError(f"{where}: unknown value kind {kind}")
 
 

@@ -16,9 +16,6 @@ __all__ = [
     "Grid",
     "Field",
     "field_to_csv",
-    "field_from_csv",
-    "field_to_json",
-    "field_from_json",
 ]
 
 # 17 significant decimal digits round-trip any IEEE double exactly.
@@ -113,11 +110,6 @@ class Grid:
             idx.append(int(j + k))
         return tuple(idx)
 
-    def is_boundary(self, node) -> bool:
-        node = self.node_tuple(node)
-        n = self.n_per_axis
-        return any(i == 0 or i == n - 1 for i in node)
-
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.shape, dtype=bool)
         mask[(slice(1, -1),) * self.m] = True
@@ -144,22 +136,11 @@ class Field:
                     f"values shape {self.values.shape} incompatible with grid shape {self.grid.shape}"
                 )
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
 
     def at(self, node) -> float:
         return float(self.values[self.grid.node_tuple(node)])
-
-    def anchored(self, anchor_node) -> "Field":
-        """Return a copy normalized to vanish at the given node."""
-        node = self.grid.node_tuple(anchor_node)
-        return Field(self.grid, self.values - self.values[node])
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 # -- serialization ----------------------------------------------------------
@@ -175,22 +156,6 @@ def field_to_csv(field: Field) -> str:
     for p, v in zip(pts, vals):
         lines.append(",".join(_fmt(c) for c in p) + "," + _fmt(v))
     return "\n".join(lines) + "\n"
-
-
-def field_from_csv(text: str, grid: Grid) -> Field:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty CSV document")
-    rows = lines[1:]
-    if len(rows) != grid.n_nodes:
-        raise ValueError(f"CSV has {len(rows)} rows, grid has {grid.n_nodes} nodes")
-    vals = np.empty(grid.n_nodes)
-    for k, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != grid.m + 1:
-            raise ValueError(f"row {k + 2} has {len(parts)} columns, expected {grid.m + 1}")
-        vals[k] = float(parts[-1])
-    return Field(grid, vals.reshape(grid.shape))
 
 
 def dump_json(obj) -> str:
@@ -213,18 +178,3 @@ def dump_json(obj) -> str:
         return dump_json(obj.tolist())
     return json.dumps(obj)
 
-
-def field_to_json(field: Field) -> str:
-    g = field.grid
-    doc = {
-        "grid": {"m": g.m, "radius": g.radius, "h": g.h},
-        "values": field.values.ravel().tolist(),
-    }
-    return dump_json(doc) + "\n"
-
-
-def field_from_json(text: str) -> Field:
-    doc = json.loads(text)
-    g = Grid(m=int(doc["grid"]["m"]), radius=float(doc["grid"]["radius"]), h=float(doc["grid"]["h"]))
-    vals = np.asarray(doc["values"], dtype=float)
-    return Field(g, vals.reshape(g.shape))

@@ -27,22 +27,18 @@ __all__ = [
     "PowerRhs",
     "PurePowerRhs",
     "BlendRhs",
-    "TabulatedRhs",
     "HypothesisReport",
     "make_power_rhs",
     "make_pure_power_rhs",
-    "make_tabulated_rhs",
     "blend_rhs",
     "validate_hypotheses",
 ]
 
 
-def _as_points(points, m: int) -> np.ndarray:
+def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if m == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
+    if pts.ndim == 0 or (pts.ndim == 1 and pts.shape[0] != 1):
         pts = pts[..., None]
-    if pts.shape[-1] != m:
-        raise ValueError(f"points have trailing dimension {pts.shape[-1]}, expected {m}")
     return pts
 
 
@@ -109,12 +105,12 @@ class PowerRhs(RhsFunction):
     form: str = field(default="power", init=False)
 
     def evaluate(self, points) -> np.ndarray:
-        pts = _as_points(points, pts_m(points))
+        pts = _as_points(points)
         r2 = np.sum(pts**2, axis=-1)
         return self.coeff * (1.0 + r2) ** (self.alpha / 2.0) + self.shift
 
     def gradient(self, points) -> np.ndarray:
-        pts = _as_points(points, pts_m(points))
+        pts = _as_points(points)
         r2 = np.sum(pts**2, axis=-1)
         fac = self.coeff * self.alpha * (1.0 + r2) ** (self.alpha / 2.0 - 1.0)
         return fac[..., None] * pts
@@ -141,12 +137,12 @@ class PurePowerRhs(RhsFunction):
     form: str = field(default="pure_power", init=False)
 
     def evaluate(self, points) -> np.ndarray:
-        pts = _as_points(points, pts_m(points))
+        pts = _as_points(points)
         r = np.sqrt(np.sum(pts**2, axis=-1))
         return self.coeff * r**self.alpha + self.shift
 
     def gradient(self, points) -> np.ndarray:
-        pts = _as_points(points, pts_m(points))
+        pts = _as_points(points)
         r = np.sqrt(np.sum(pts**2, axis=-1))
         safe = np.maximum(r, 1e-300)
         fac = self.coeff * self.alpha * safe ** (self.alpha - 2.0)
@@ -189,48 +185,6 @@ class BlendRhs(RhsFunction):
             "f1": self.f1.descriptor(),
             "f2": self.f2.descriptor(),
         }
-
-
-@dataclass(frozen=True, eq=False)
-class TabulatedRhs(RhsFunction):
-    """Values and gradient sampled on a grid; evaluable only at grid nodes."""
-
-    grid: Grid = None
-    values: np.ndarray = None
-    grads: np.ndarray = None  # shape (m, *grid.shape)
-    alpha: Optional[float] = None
-    f0: Optional[float] = None
-    shift: float = 0.0
-    form: str = field(default="tabulated", init=False)
-
-    def evaluate(self, points) -> np.ndarray:
-        pts = _as_points(points, self.grid.m)
-        flat = pts.reshape(-1, self.grid.m)
-        out = np.empty(flat.shape[0])
-        for k, p in enumerate(flat):
-            out[k] = self.values[self.grid.index_of(p)]
-        return out.reshape(pts.shape[:-1])
-
-    def gradient(self, points) -> np.ndarray:
-        pts = _as_points(points, self.grid.m)
-        flat = pts.reshape(-1, self.grid.m)
-        out = np.empty((flat.shape[0], self.grid.m))
-        for k, p in enumerate(flat):
-            idx = self.grid.index_of(p)
-            out[k] = [self.grads[a][idx] for a in range(self.grid.m)]
-        return out.reshape(pts.shape[:-1] + (self.grid.m,))
-
-    def min_value(self) -> float:
-        return float(np.min(self.values))
-
-    def descriptor(self) -> dict:
-        return {"form": "tabulated", "m": self.grid.m, "radius": self.grid.radius, "h": self.grid.h}
-
-
-def pts_m(points) -> int:
-    """Trailing dimension of a point array (1 for a flat 1-d array)."""
-    pts = np.asarray(points, dtype=float)
-    return 1 if pts.ndim <= 1 else pts.shape[-1]
 
 
 # -- hypothesis scans --------------------------------------------------------
@@ -287,14 +241,6 @@ def make_pure_power_rhs(c: float, alpha: float, shift: float = 0.0) -> PurePower
     return replace(rhs, f0=f0)
 
 
-def make_tabulated_rhs(grid: Grid, values: np.ndarray, grads: np.ndarray) -> TabulatedRhs:
-    values = np.asarray(values, dtype=float).reshape(grid.shape)
-    grads = np.asarray(grads, dtype=float).reshape((grid.m,) + grid.shape)
-    if not (np.isfinite(values).all() and np.isfinite(grads).all()):
-        raise ValueError("tabulated data must be finite")
-    return TabulatedRhs(grid=grid, values=values, grads=grads)
-
-
 def blend_rhs(f1: RhsFunction, f2: RhsFunction, t: float) -> RhsFunction:
     """Pointwise t*f1 + (1-t)*f2 with blended gradient."""
     if not 0.0 <= t <= 1.0:
@@ -328,27 +274,10 @@ def validate_hypotheses(rhs: RhsFunction, theta: float) -> HypothesisReport:
     """Report boundedness, coercivity, the two growth hypotheses, and gamma.
 
     gamma = alpha/theta + 1 is the predicted growth exponent of bounded-from-
-    below solutions. For tabulated data the flags that would require knowledge
-    beyond the grid are reported as undetermined; coercivity is judged
-    empirically on the outermost grid shell.
+    below solutions.
     """
     if not theta > 1:
         raise ValueError(f"exponent theta must exceed 1, got {theta}")
-
-    if isinstance(rhs, TabulatedRhs):
-        shell = rhs.grid.boundary_shell_mask()
-        vmin = float(np.min(rhs.values))
-        argmin = np.unravel_index(np.argmin(rhs.values), rhs.grid.shape)
-        interior_min = not rhs.grid.is_boundary(argmin)
-        coercive = bool(interior_min and np.min(rhs.values[shell]) > vmin)
-        return HypothesisReport(
-            bounded_below=None,  # finite on the grid, unknown beyond it
-            coercive=coercive,
-            h0=None,
-            h1=None,
-            gamma=None,
-            f0=None,
-        )
 
     alpha = rhs.alpha
     gamma = alpha / theta + 1.0 if alpha is not None else None

@@ -605,9 +605,9 @@ def solve_ergodic(
     in robustness and cost. ``newton_augmented`` and ``policy_iteration`` share
     the bordered system and the Newton driver and differ only in globalization
     (backtracking, and on a stall pseudo-transient continuation, vs full
-    steps); relative value iteration is an independent explicit march. The
-    returned residual_sup is the sup norm of the operator applied to the
-    normalized solution.
+    steps); relative value iteration from the zero field is ``parabolic_march``
+    stopped once the increment spread is <= tol/2. The returned residual_sup is
+    the sup norm of the operator applied to the normalized solution.
     """
     if not np.isfinite(spec.rhs.min_value()):
         raise ValueError("right-hand side must be bounded from below on the box")

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergodic_hjb import cli
 from ergodic_hjb.cli import main
 from ergodic_hjb.config import (
+    CHECK_NAMES,
     ConfigError,
     ExperimentConfig,
     NumericsSettings,
@@ -76,6 +78,20 @@ def test_invalid_values_are_rejected():
         parse_config(BASE.replace("mode = solve", "mode = dance"))
     with pytest.raises(ConfigError):
         parse_config(BASE.replace("method = newton_augmented", "method = bogus"))
+
+
+def test_non_finite_floats_are_rejected(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a config with a non-finite float must not reach a solve")
+
+    monkeypatch.setattr(cli, "solve_ergodic", no_solve)
+    verify = BASE.replace("mode = solve", "mode = verify") + "\n[verify]\nchecks = cross_method\n"
+    solves = [BASE.replace("tol = 1e-08", "tol = inf"), BASE.replace("tol = 1e-08", "tol = nan")]
+    for text in solves + [verify + "horizon = inf\n", verify + "radii = 4.0, inf\n"]:
+        with pytest.raises(ConfigError, match="not finite"):
+            parse_config(text)
+    for text in solves:
+        assert main(["solve", "--config", write_cfg(tmp_path, text)]) == 1
 
 
 def test_sweep_requires_section_and_values():
@@ -303,6 +319,26 @@ def test_cli_verify_passes_and_writes_reports(tmp_path):
     lines = (out / "verdicts.csv").read_text().strip().splitlines()
     assert lines[0].startswith("check,outcome")
     assert len(lines) == 3
+
+
+def test_check_table_matches_check_names():
+    assert tuple(cli._CHECKS) == CHECK_NAMES
+
+
+def test_check_table_calls_checks_by_module_global_name(monkeypatch):
+    # run-time wrappers replace module attributes; a table entry that held the
+    # function object itself would bypass them
+    class Called(Exception):
+        pass
+
+    def stub(*args, **kwargs):
+        raise Called
+
+    cfg = parse_config(VERIFY)
+    for name in CHECK_NAMES:
+        monkeypatch.setattr(cli, f"check_{name}", stub)
+        with pytest.raises(Called):
+            cli._run_one_check(name, cfg)
 
 
 def test_cli_verify_failure_exits_three(tmp_path):

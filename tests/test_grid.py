@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodic_hjb.grid import (
-    Field,
-    Grid,
-    field_from_csv,
-    field_from_json,
-    field_to_csv,
-    field_to_json,
-)
+from ergodic_hjb.grid import Field, Grid, field_to_csv
 from ergodic_hjb.scheme import laplacian_values, upwind_state
 
 from oracles import convergence_order
@@ -118,31 +111,15 @@ def test_field_requires_matching_shape():
         Field(g, np.zeros(7))
 
 
-def test_anchored_vanishes_exactly():
-    g = Grid(m=1, radius=1.0, h=0.25)
-    u = Field(g, np.linspace(-3.0, 11.0, g.n_per_axis))
-    v = u.anchored(g.index_of((0.0,)))
-    assert v.at(g.index_of((0.0,))) == 0.0
-
-
 def test_csv_round_trip_is_bit_exact():
     g = Grid(m=2, radius=1.0, h=0.25)
     rng = np.random.default_rng(3)
     u = Field(g, rng.standard_normal(g.shape) * np.pi)
     text = field_to_csv(u)
-    v = field_from_csv(text, g)
-    assert np.array_equal(u.values, v.values)
-    header = text.splitlines()[0]
+    header, *rows = text.splitlines()
     assert header == "x1,x2,value"
-
-
-def test_json_round_trip_is_bit_exact():
-    g = Grid(m=1, radius=2.0, h=0.125)
-    rng = np.random.default_rng(4)
-    u = Field(g, rng.standard_normal(g.shape) / 3.0)
-    v = field_from_json(field_to_json(u))
-    assert v.grid == g
-    assert np.array_equal(u.values, v.values)
+    parsed = np.array([float(row.split(",")[-1]) for row in rows])
+    assert np.array_equal(parsed, u.values.ravel())
 
 
 @settings(max_examples=50, deadline=None)
@@ -156,5 +133,5 @@ def test_json_round_trip_is_bit_exact():
 def test_serialization_round_trip_property(vals):
     g = Grid(m=1, radius=1.0, h=0.5)
     u = Field(g, np.asarray(vals))
-    assert np.array_equal(field_from_json(field_to_json(u)).values, u.values)
-    assert np.array_equal(field_from_csv(field_to_csv(u), g).values, u.values)
+    rows = field_to_csv(u).splitlines()[1:]
+    assert np.array_equal([float(row.split(",")[-1]) for row in rows], u.values)

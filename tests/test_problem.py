@@ -12,7 +12,6 @@ from ergodic_hjb.problem import (
     blend_rhs,
     make_power_rhs,
     make_pure_power_rhs,
-    make_tabulated_rhs,
     validate_hypotheses,
 )
 
@@ -174,20 +173,6 @@ def test_analytic_gradient_matches_centered_differences_order_two():
         for h in hs
     ]
     assert convergence_order(hs, errs) >= 1.9
-
-
-def test_tabulated_rhs_roundtrip_and_coercivity():
-    grid = Grid(m=1, radius=2.0, h=0.5)
-    base = make_power_rhs(1.0, 2.0, 0.0)
-    vals = base.on_grid(grid)
-    grads = base.gradient(grid.points()).T.reshape((1,) + grid.shape)
-    tab = make_tabulated_rhs(grid, vals, grads)
-    assert tab.value_at([0.5]) == base.value_at([0.5])
-    rep = validate_hypotheses(tab, theta=2.0)
-    assert rep.coercive is True
-    assert rep.h0 is None and rep.h1 is None and rep.gamma is None  # undetermined
-    with pytest.raises(ValueError):
-        tab.value_at([0.3])  # off-grid
 
 
 def test_problem_spec_invariants():

@@ -1,0 +1,29 @@
+"""Smoke runs of the experiment scripts on tiny instances."""
+
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name: str, argv: list[str], monkeypatch) -> int:
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    code = runpy.run_path(str(SCRIPTS / name))["main"]()
+    return code or 0
+
+
+def test_closed_form_suite_prints_its_table(monkeypatch, capsys):
+    assert run_script("run_closed_form_suite.py", ["--h1", "0.1", "--h2", "0.5"], monkeypatch) == 0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert header.split()[:4] == ["theta", "m", "lambda", "exact"]
+    assert len(rows) == 6  # theta in (1.5, 2, 3) times m in (1, 2)
+
+
+def test_radius_sweep_prints_its_table(tmp_path, monkeypatch, capsys):
+    argv = ["--radii", "2", "3", "4", "--h", "0.1", "--out", str(tmp_path)]
+    assert run_script("run_radius_sweep.py", argv, monkeypatch) == 0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert header == "radius,lambda,residual_sup,status"
+    assert [row.split(",")[0] for row in rows] == ["2", "3", "4"]
+    assert all(row.endswith(",ok") for row in rows)
