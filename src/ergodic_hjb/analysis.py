@@ -661,16 +661,21 @@ def check_cross_method(
 
     Newton and policy iteration are one iteration with two globalizations;
     relative value iteration and the parabolic march are one march from the
-    zero field with two stopping rules (increment spread <= tol/2, horizon).
-    So the independent computations are Newton, the march, the discount path
-    and, when given, the oracle.
+    zero field with two stopping rules (increment spread <= tol/2, horizon),
+    so both are read off one march. The independent computations are Newton,
+    the march, the discount path and, when given, the oracle. A horizon that
+    ends before the increments settle raises SolverError.
 
-    Returns (report, lambdas by route, parabolic march, discount rows).
+    Returns (report, parabolic march, discount rows).
     """
     lams: dict[str, float] = {}
-    for meth in ("newton_augmented", "policy_iteration", "relative_value_iteration"):
+    for meth in ("newton_augmented", "policy_iteration"):
         lams[meth] = solve_ergodic(spec, method=meth, tol=solver_tol).lam
-    march = parabolic_march(spec, T=horizon)
+    march = parabolic_march(spec, T=horizon, tol=solver_tol)
+    if march.settled is None:
+        msg = f"relative value iteration did not settle within the horizon {horizon:g}"
+        raise SolverError(msg, march.trace)
+    lams["relative_value_iteration"] = march.settled.lam
     lams["parabolic_march"] = march.lambda_hat
     rows, extrap = discounted_lambda_path(spec, list(eps_list), tol=solver_tol)
     lams["discounted_extrapolation"] = extrap
@@ -694,7 +699,7 @@ def check_cross_method(
         provenance="all approximation routes converge to the same critical value",
         inputs={"theta": spec.theta, "m": spec.m, "horizon": horizon, "eps": list(eps_list)},
     )
-    return report, lams, march, rows
+    return report, march, rows
 
 
 def check_radius_monotonicity(

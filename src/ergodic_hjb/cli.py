@@ -232,7 +232,7 @@ def _uniqueness(cfg: ExperimentConfig, spec: ProblemSpec):
 
 def _cross_method(cfg: ExperimentConfig, spec: ProblemSpec):
     v = cfg.verify
-    rep, lams, march, drows = check_cross_method(
+    rep, march, drows = check_cross_method(
         spec, horizon=v.horizon, eps_list=v.eps, pair_tol=v.tol, solver_tol=cfg.numerics.tol
     )
     rates = [[_f(t), _f(a), _f(b), _f(c)] for t, a, b, c in march.rate_stats]
@@ -309,7 +309,10 @@ _CHECKS = {
 
 
 def _run_one_check(name: str, cfg: ExperimentConfig):
-    return _CHECKS[name](cfg, build_spec(cfg))
+    """One check's (verdicts, plots), and [name, wall seconds] for meta.json."""
+    t0 = time.perf_counter()
+    result = _CHECKS[name](cfg, build_spec(cfg))
+    return result, [name, time.perf_counter() - t0]
 
 
 def run_verify(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
@@ -323,7 +326,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
         results = [_run_one_check(nm, cfg) for nm in names]
 
     verdicts = []
-    for reps, plots in results:
+    for (reps, plots), _ in results:
         verdicts.extend(reps)
         for fname, (header, rows) in plots.items():
             _write(out / "plots" / fname, _csv(header, rows))
@@ -340,7 +343,8 @@ def run_verify(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
         out / "verdicts.csv",
         _csv(["check", "outcome", "measured", "predicted", "tolerance"], summary_rows),
     )
-    _write_meta(out, time.perf_counter() - start, {"n_checks": len(verdicts)})
+    meta = {"n_checks": len(verdicts), "check_wall_s": [wall for _, wall in results]}
+    _write_meta(out, time.perf_counter() - start, meta)
     failed = [r.name for r in verdicts if not r.passed]
     for r in verdicts:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")

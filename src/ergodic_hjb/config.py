@@ -298,6 +298,12 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(
                     f"[verify] unknown check {name!r}; known checks: {', '.join(CHECK_NAMES)}"
                 )
+        # the checks guard these too, but only once the checks before them have run
+        radii = verify.radii
+        if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] < numerics.h:
+            raise ConfigError("[verify] radii must be 3+ strictly increasing values >= [numerics] h")
+        if not verify.eps or min(verify.eps) <= 0 or verify.horizon <= 0 or verify.c <= 0:
+            raise ConfigError("[verify] need eps values > 0, horizon > 0 and c > 0")
     elif "verify" in sections:
         raise ConfigError(f"[verify] section is only valid for mode=verify (mode={run.mode})")
 

@@ -81,7 +81,7 @@ class RhsFunction:
         t = np.asarray(t, dtype=float)
         pts = np.zeros(t.shape + (m,))
         pts[..., 0] = t
-        return self.evaluate(pts)
+        return self.evaluate(pts.reshape(-1, m)).reshape(t.shape)
 
     def descriptor(self) -> dict:
         raise NotImplementedError

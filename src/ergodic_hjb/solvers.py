@@ -13,8 +13,9 @@ Routes implemented here:
                            bordered system with two globalizations (line search,
                            and on a stall pseudo-transient continuation, vs full
                            step), so their agreement is not independent evidence
-* ``parabolic_march``      explicit monotone march of u_t = 1/2 Lap u - H(Du) + f;
-                           u/t and the per-step increments approach the critical value
+* ``parabolic_march``      the one explicit monotone march of u_t = 1/2 Lap u - H(Du) + f;
+                           u/t and the increments approach the critical value, and
+                           relative value iteration is read off it (spread <= tol/2)
 * ``estimate_lambda_star`` outer loop over expanding radii with a monotonicity
                            audit and an exponential extrapolation heuristic
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,6 +66,7 @@ STALL_WINDOW = 20
 # 1e-1 converge on every field, and 1e-2 needs fewer iterations than 1e-1 on the
 # 2-d theta=3 instance; 1 takes up to 246 iterations and twice the wall time.
 PTC_TAU0 = 1e-2
+MARCH_RECORD_EVERY = 200  # march steps between trace records and rate statistics
 
 
 class SolverError(RuntimeError):
@@ -138,6 +139,7 @@ class ParabolicMarch:
     profile: Field  # u(., T) - u(anchor, T)
     n_steps: int
     trace: ConvergenceTrace
+    settled: Optional[ErgodicSolution] = None  # relative value iteration's pair
 
 
 @dataclass
@@ -555,43 +557,6 @@ def _march(spec: ProblemSpec, u: np.ndarray, records: list[TraceRecord], horizon
         step += 1
 
 
-def _solve_rvi(
-    spec: ProblemSpec,
-    initial_guess: Optional[Field],
-    tol: float,
-    max_steps: int,
-    record_every: int = 500,
-) -> ErgodicSolution:
-    """March u <- u + dt (1/2 Lap u - H(Du) + f) until the increments flatten.
-
-    The spread (max - min) of the per-step increment bounds the residual of the
-    returned pair, so it doubles as the stopping test.
-    """
-    u0 = (
-        initial_guess.values.astype(float).copy()
-        if initial_guess is not None
-        else np.zeros(spec.grid.shape)
-    )
-    records: list[TraceRecord] = []
-    start = time.perf_counter()
-    for step, _, u, rate, dt in islice(_march(spec, u0, records), max_steps):
-        span = float(rate.max() - rate.min())
-        if span <= 0.5 * tol:
-            break
-        if step % record_every == 0:
-            records.append(TraceRecord(step, span, float(rate.mean()), dt))
-    else:
-        raise SolverError(
-            f"relative value iteration: increment spread {span:.3e} above tolerance "
-            f"after {max_steps} steps",
-            ConvergenceTrace(records=records, termination="max_iterations"),
-        )
-    lam = float(rate.mean())
-    records.append(TraceRecord(step, span, lam, None))
-    wall = time.perf_counter() - start
-    return _finalize(spec, u, lam, records, wall, "relative_value_iteration", tol)
-
-
 def solve_ergodic(
     spec: ProblemSpec,
     initial_guess: Optional[Field] = None,
@@ -605,16 +570,16 @@ def solve_ergodic(
     in robustness and cost. ``newton_augmented`` and ``policy_iteration`` share
     the bordered system and the Newton driver and differ only in globalization
     (backtracking, and on a stall pseudo-transient continuation, vs full
-    steps); relative value iteration from the zero field is ``parabolic_march``
-    stopped once the increment spread is <= tol/2. The returned residual_sup is
-    the sup norm of the operator applied to the normalized solution.
+    steps); relative value iteration is ``parabolic_march`` with T = inf, read
+    off at the first step whose increment spread is <= tol/2. The returned
+    residual_sup is the sup norm of the operator applied to the normalized solution.
     """
     if not np.isfinite(spec.rhs.min_value()):
         raise ValueError("right-hand side must be bounded from below on the box")
     if method == "newton_augmented":
         return _solve_newton_augmented(spec, initial_guess, tol, max_iter or 300)
     if method == "relative_value_iteration":
-        return _solve_rvi(spec, initial_guess, tol, max_iter or 2_000_000)
+        return parabolic_march(spec, initial_guess, np.inf, tol, max_iter or 2_000_000).settled
     if method == "policy_iteration":
         return _solve_policy_iteration(spec, initial_guess, tol, max_iter or 100)
     raise ValueError(f"unknown method {method!r}")
@@ -624,34 +589,54 @@ def parabolic_march(
     spec: ProblemSpec,
     u0: Optional[Field] = None,
     T: float = 50.0,
-    record_every: int = 200,
+    tol: float = 1e-8,
+    max_steps: int = 2_000_000,
 ) -> ParabolicMarch:
     """Explicit monotone march of the evolution equation to time T.
 
     Returns per-sample (t, min, mean, max) of the discrete time derivative;
     the mean at the final step is the long-time estimate of the critical value.
+    ``settled`` is relative value iteration's pair, read off at the first step
+    whose increment spread (a bound on that pair's residual) is <= tol/2, or
+    None if the horizon comes first; with T = inf the march stops there. More
+    than max_steps steps raise SolverError.
     """
     u = u0.values.astype(float).copy() if u0 is not None else np.zeros(spec.grid.shape)
     stats: list[tuple[float, float, float, float]] = []
     records: list[TraceRecord] = []
+    settled: Optional[ErgodicSolution] = None
     start = time.perf_counter()
     for step, t, u, rate, dt in _march(spec, u, records, horizon=T):
-        if dt <= 0.0:
+        if settled is None:
+            spread = float(rate.max() - rate.min())
+            if spread <= 0.5 * tol:
+                lam = float(rate.mean())
+                settled = _finalize(
+                    spec, u, lam, records + [TraceRecord(step, spread, lam, None)],
+                    time.perf_counter() - start, "relative_value_iteration", tol,
+                )
+        stop = dt <= 0.0 or (settled is not None and T == np.inf)
+        if stop or step % MARCH_RECORD_EVERY == 0:
+            lo, mean, hi = float(rate.min()), float(rate.mean()), float(rate.max())
+            stats.append((t, lo, mean, hi))
+            records.append(TraceRecord(step, hi - lo, mean, None if stop else dt))
+        if stop:
             break
-        if step % record_every == 0:
-            stats.append((t, float(rate.min()), float(rate.mean()), float(rate.max())))
-            records.append(
-                TraceRecord(step, float(rate.max() - rate.min()), float(rate.mean()), dt)
+        if step >= max_steps:
+            raise SolverError(
+                f"explicit march did not stop within {max_steps} steps (t = {t:.6g}, "
+                f"horizon {T:g}, increment spread {spread:.3e} vs tol/2 = {0.5 * tol:g})",
+                ConvergenceTrace(records=records, termination="max_iterations"),
             )
-    stats.append((t, float(rate.min()), float(rate.mean()), float(rate.max())))
-    lam_hat = float(rate.mean())
-    records.append(TraceRecord(step, float(rate.max() - rate.min()), lam_hat, None))
     trace = ConvergenceTrace(
-        records=records, wall_time_s=time.perf_counter() - start, termination="horizon_reached"
+        records=records,
+        wall_time_s=time.perf_counter() - start,
+        termination="horizon_reached" if dt <= 0.0 else "converged",
     )
     profile = Field(spec.grid, u - u[spec.anchor_index])
     return ParabolicMarch(
-        lambda_hat=lam_hat, rate_stats=stats, profile=profile, n_steps=step, trace=trace
+        lambda_hat=mean, rate_stats=stats, profile=profile, n_steps=step, trace=trace,
+        settled=settled,
     )
 
 

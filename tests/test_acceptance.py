@@ -13,6 +13,7 @@ import pytest
 
 from ergodic_hjb.analysis import (
     check_continuity_bound,
+    check_cross_method,
     check_growth_exponent,
     check_lambda_shape,
     check_lambda_star_characterization,
@@ -22,10 +23,8 @@ from ergodic_hjb.grid import Field
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.scheme import DiscreteOperator, hopf_cole_residual
 from ergodic_hjb.solvers import (
-    discounted_lambda_path,
     eikonal_initial_guess,
     estimate_lambda_star,
-    parabolic_march,
     random_smooth_field,
     solve_ergodic,
 )
@@ -89,19 +88,16 @@ def test_criterion_2_cross_route_agreement():
     with criterion("2 five routes pairwise within 0.05 and within 0.05 of 1 + 1/sqrt(2)"):
         rhs = make_power_rhs(1.0, 2.0, 0.0)  # f = 1 + |y|^2
         spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.025)
-        lams = {}
-        for meth in ("newton_augmented", "policy_iteration", "relative_value_iteration"):
-            lams[meth] = solve_ergodic(spec, method=meth, tol=SOLVER_TOL).lam
-        lams["parabolic_march"] = parabolic_march(spec, T=50.0).lambda_hat
-        _, lams["discounted_extrapolation"] = discounted_lambda_path(
-            spec, [0.1, 0.05, 0.025], tol=SOLVER_TOL
+        report, _, _ = check_cross_method(
+            spec,
+            horizon=50.0,
+            eps_list=(0.1, 0.05, 0.025),
+            pair_tol=0.05,
+            solver_tol=SOLVER_TOL,
+            oracle=1.0 + 2.0**-0.5,  # quadratic ansatz: a = 1/sqrt(2), lambda = 1 + a
+            oracle_tol=0.05,
         )
-        vals = list(lams.values())
-        worst_pair = max(abs(a - b) for a in vals for b in vals)
-        oracle = 1.0 + 2.0**-0.5  # quadratic ansatz: a = 1/sqrt(2), lambda = 1 + a
-        worst_oracle = max(abs(v - oracle) for v in vals)
-        assert worst_pair <= 0.05, lams
-        assert worst_oracle <= 0.05, lams
+        assert report.passed, report.measured
 
 
 def test_criterion_3_radius_monotonicity():

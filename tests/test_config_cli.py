@@ -319,6 +319,43 @@ def test_cli_verify_passes_and_writes_reports(tmp_path):
     lines = (out / "verdicts.csv").read_text().strip().splitlines()
     assert lines[0].startswith("check,outcome")
     assert len(lines) == 3
+    meta = json.loads((out / "meta.json").read_text())
+    assert [name for name, _ in meta["check_wall_s"]] == ["shift_equivariance", "uniqueness"]
+    assert all(wall >= 0.0 for _, wall in meta["check_wall_s"])
+    assert meta["n_checks"] == 2
+
+
+def test_verify_values_a_check_would_refuse_are_config_errors(tmp_path, monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a bad [verify] value must not reach a check")
+
+    monkeypatch.setattr(cli, "_run_one_check", no_check)
+    text = VERIFY.replace("checks = shift_equivariance, uniqueness", "checks = cross_method")
+    bad = [
+        "radii = 4.0, 6.0\n",
+        "radii = 8.0, 4.0, 6.0\n",
+        "radii = 4.0, 4.0, 6.0\n",
+        "radii = 0.01, 4.0, 6.0\n",  # below h = 0.05
+        "eps = 0.1, -0.05\n",
+        "eps = 0.1, 0.0\n",
+        "horizon = -1\n",
+        "horizon = 0\n",
+        "c = 0\n",
+    ]
+    for line in bad:
+        with pytest.raises(ConfigError):
+            parse_config(text + line)
+        cfg = write_cfg(tmp_path, text + line)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1, line
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_verify_horizon_before_settling_exits_two(tmp_path, capsys):
+    text = VERIFY.replace("checks = shift_equivariance, uniqueness", "checks = cross_method")
+    text = text.replace("radius = 6.0", "radius = 4.0").replace("h = 0.05", "h = 0.1")
+    cfg = write_cfg(tmp_path, text + "horizon = 0.5\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "horizon 0.5" in capsys.readouterr().err
 
 
 def test_check_table_matches_check_names():

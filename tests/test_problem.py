@@ -76,6 +76,17 @@ def test_pure_power_gradient_and_origin_convention():
     assert np.array_equal(rhs.gradient_at(np.zeros(2)), np.zeros(2))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_radial_value_of_a_scalar_is_one_value(m):
+    for rhs in (make_power_rhs(1.0, 2.0), make_pure_power_rhs(2.0, 3.0, 0.5)):
+        for t in (0.0, 1.0, 2.5):
+            val = rhs.radial_value(t, m)
+            assert np.shape(val) == ()
+            assert val == rhs.value_at([t] + [0.0] * (m - 1))
+        ts = np.array([0.0, 1.0, 2.5])
+        assert rhs.radial_value(ts, m).shape == ts.shape
+
+
 def test_validate_constant_f():
     rep = validate_hypotheses(make_power_rhs(1.0, 0.0, 0.0), theta=2.0)
     assert rep.bounded_below is True

@@ -434,14 +434,15 @@ def test_parabolic_stationary_from_exact_profile():
     assert first_max == pytest.approx(closed_form_lambda(1), abs=0.5 * 6.0 * g.h + 0.02)
 
 
-def test_parabolic_time_step_respects_cfl_at_every_step():
+def test_parabolic_time_step_respects_cfl_at_every_step(monkeypatch):
     # theta = 6 from a rough field: max|p| moves fast, so a time step that is
     # refreshed only now and then overshoots the monotonicity bound
     theta = 6.0
     spec = closed_form_spec(theta, 1, 8.0, 0.025)
     h, m = spec.h, spec.m
     u0 = random_smooth_field(spec.grid, 1)
-    march = parabolic_march(spec, u0=u0, T=5e-4, record_every=1)
+    monkeypatch.setattr(solvers, "MARCH_RECORD_EVERY", 1)
+    march = parabolic_march(spec, u0=u0, T=5e-4)
     steps = march.trace.records[:-1]
     assert len(steps) == march.n_steps > 400
     f = spec.f_field().values
@@ -464,6 +465,29 @@ def test_parabolic_long_run_matches_ergodic_solve():
     mask = spec.grid.radii() <= 3.0
     d = march.profile.values[mask] - sol.phi.values[mask]
     assert d.max() - d.min() <= 0.05
+
+
+def test_relative_value_iteration_is_read_off_the_march():
+    spec = closed_form_spec(2.0, 1, 4.0, 0.1)
+    tol = 1e-7
+    march = parabolic_march(spec, T=30.0, tol=tol)
+    rvi = solve_ergodic(spec, method="relative_value_iteration", tol=tol)
+    assert march.settled is not None
+    assert march.settled.lam == rvi.lam
+    assert np.array_equal(march.settled.phi.values, rvi.phi.values)
+    assert march.settled.residual_sup == rvi.residual_sup <= tol
+    # the march goes on to its horizon past the settle step
+    assert rvi.trace.records[-1].iteration < march.n_steps
+    short = parabolic_march(spec, T=0.5, tol=tol)
+    assert short.settled is None
+    assert short.trace.termination == "horizon_reached"
+
+
+def test_march_step_budget_raises():
+    spec = closed_form_spec(2.0, 1, 4.0, 0.1)
+    with pytest.raises(solvers.SolverError) as info:
+        parabolic_march(spec, T=30.0, max_steps=10)
+    assert info.value.trace.termination == "max_iterations"
 
 
 # -- outer radius loop ------------------------------------------------------------------
