@@ -167,11 +167,9 @@ def _lambda_star(
     radii: list[float],
     h: float,
     tol: float = 1e-8,
-    warm_start: bool = True,
 ) -> float:
     spec = ProblemSpec(theta=theta, m=m, rhs=rhs, radius=radii[-1], h=h)
-    est = estimate_lambda_star(spec, radii, h, tol=tol, strict=False, warm_start=warm_start)
-    return est.lambda_star
+    return estimate_lambda_star(spec, radii, tol=tol).lambda_star
 
 
 def check_scaling_law(
@@ -705,20 +703,14 @@ def check_cross_method(
 def check_radius_monotonicity(
     spec: ProblemSpec,
     radii: tuple[float, ...] = (4.0, 6.0, 8.0),
-    h: Optional[float] = None,
     slack: float = 0.02,
     solver_tol: float = 1e-8,
 ) -> tuple[VerdictReport, list[dict]]:
-    """lambda_R is non-increasing in the box radius, within discretization slack."""
-    est = estimate_lambda_star(
-        spec,
-        list(radii),
-        h if h is not None else spec.h,
-        tol=solver_tol,
-        slack=slack,
-        strict=False,
-        warm_start=True,
-    )
+    """lambda_R is non-increasing in the box radius, within discretization slack.
+
+    Every box keeps the spacing spec.h.
+    """
+    est = estimate_lambda_star(spec, list(radii), tol=solver_tol, slack=slack)
     lams = [row["lambda"] for row in est.rows]
     report = VerdictReport(
         name="radius_monotonicity",

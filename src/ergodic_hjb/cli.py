@@ -246,7 +246,7 @@ def _cross_method(cfg: ExperimentConfig, spec: ProblemSpec):
 def _radius_monotonicity(cfg: ExperimentConfig, spec: ProblemSpec):
     v, n = cfg.verify, cfg.numerics
     rep, table = check_radius_monotonicity(
-        spec, radii=v.radii, h=n.h, slack=max(v.tol, 0.02), solver_tol=n.tol
+        spec, radii=v.radii, slack=max(v.tol, 0.02), solver_tol=n.tol
     )
     rows = [[_f(r["radius"]), _f(r["lambda"])] for r in table]
     return [rep], {"lambda_vs_radius.csv": (["radius", "lambda"], rows)}

@@ -21,8 +21,9 @@ The format is diffable and easy to generate from sweep scripts:
     max_iter = 300
     method = newton_augmented
 
-Unknown sections or keys are rejected (no silent typos), and a config
-round-trips losslessly through to_text/from_text.
+Without max_iter each method keeps its own budget. Unknown sections or keys
+are rejected (no silent typos), and a config round-trips losslessly through
+to_text/from_text.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class NumericsSettings:
     radius: float = 8.0
     h: float = 0.01
     tol: float = 1e-8
-    max_iter: int = 300
+    max_iter: Optional[int] = None  # None: the method's own budget (solvers.METHOD_BUDGETS)
     method: str = "newton_augmented"
 
 
@@ -265,7 +266,7 @@ def parse_config(text: str) -> ExperimentConfig:
     numerics = NumericsSettings(**typed("numerics"))
     if numerics.radius <= 0 or numerics.h <= 0 or numerics.h > numerics.radius:
         raise ConfigError("[numerics] need radius > 0 and 0 < h <= radius")
-    if numerics.tol <= 0 or numerics.max_iter <= 0:
+    if numerics.tol <= 0 or (numerics.max_iter is not None and numerics.max_iter <= 0):
         raise ConfigError("[numerics] need tol > 0 and max_iter > 0")
     if numerics.method not in METHODS:
         raise ConfigError(f"[numerics] method must be one of {METHODS}, got {numerics.method!r}")
@@ -327,7 +328,9 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     def emit(section: str, obj, keys: list[str]) -> None:
         lines.append(f"[{section}]")
         for key in keys:
-            lines.append(f"{key} = {_format_value(getattr(obj, key))}")
+            value = getattr(obj, key)
+            if value is not None:
+                lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
 
     emit("run", cfg.run, ["mode", "seed"])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Field, Grid
+from .grid import Field
 from .problem import ProblemSpec
 
 __all__ = [
@@ -114,10 +114,6 @@ class DiscreteOperator:
             raise ValueError(f"unknown boundary policy {self.boundary_policy!r}")
         self._f = self.spec.f_field().values
 
-    @property
-    def grid(self) -> Grid:
-        return self.spec.grid
-
     def residual_values(self, values: np.ndarray, lam: float) -> np.ndarray:
         """-1/2 Lap + (1/theta) |upwind gradient|^theta - f + lambda, grid-shaped."""
         theta = self.spec.theta
@@ -125,8 +121,8 @@ class DiscreteOperator:
         state = upwind_state(values, h)
         return -0.5 * laplacian_values(values, h) + state.mag**theta / theta - self._f + lam
 
-    def jacobian(self, values: np.ndarray) -> sp.csr_matrix:
-        """Derivative of the node residuals with respect to the node values.
+    def jacobian(self, values: np.ndarray, shift: float = 0.0) -> sp.csr_matrix:
+        """Derivative of the node residuals with respect to the node values, plus shift * I.
 
         The Laplacian couplings plus the upwind stencil of the optimal drift
         b = drift_field(values): along axis a a node with b[a] > 0 differences
@@ -135,47 +131,50 @@ class DiscreteOperator:
         matrix (Bokanowski, Maroso & Zidani 2009). Ties in the Godunov slope
         differentiate through the backward branch; for theta < 2 the
         gradient-magnitude factor is clamped below at GRADIENT_CLAMP.
+
+        Each entry is written once, in canonical CSR. Every in-grid arm holds
+        a Laplacian coupling, so the pattern depends on the grid alone. The
+        diagonal sums, axis by axis, the two Laplacian arms and |b[a]|/h, then
+        the shift.
         """
         h = self.spec.h
-        grid = self.grid
+        shape = values.shape
+        m = values.ndim
         n = values.size
-        flat = np.arange(n).reshape(values.shape)
+        flat = np.arange(n).reshape(shape)
         b = drift_field(values, h, self.spec.theta)
-
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-
-        def add(r, c, v):
-            rows.append(np.asarray(r).ravel())
-            cols.append(np.asarray(c).ravel())
-            data.append(np.asarray(v).ravel())
-
-        inv_h2 = 1.0 / h**2
-        m = grid.m
+        arm = 0.5 * (1.0 / h**2)  # weight of one Laplacian arm
+        # per node, in column order: minus neighbours along axes 0..m-1, the
+        # node, plus neighbours along axes m-1..0
+        k = 2 * m + 1
+        data = np.empty(shape + (k,))
+        cols = np.empty(shape + (k,), dtype=flat.dtype)
+        keep = np.ones(shape + (k,), dtype=bool)
+        diag = np.zeros(shape)
         for a in range(m):
             lo = _axis_slice(m, a, slice(None, -1))
             hi = _axis_slice(m, a, slice(1, None))
-            # -1/2 Lap: each available arm couples a node pair symmetrically
-            add(flat[lo], flat[hi], np.full(flat[lo].size, -0.5 * inv_h2))
-            add(flat[lo], flat[lo], np.full(flat[lo].size, 0.5 * inv_h2))
-            add(flat[hi], flat[lo], np.full(flat[hi].size, -0.5 * inv_h2))
-            add(flat[hi], flat[hi], np.full(flat[hi].size, 0.5 * inv_h2))
-
-            # Hamiltonian: d/dp (1/theta)|p|^theta = b, routed through the
-            # one-sided difference that produced p (never an out-of-grid arm)
             stride = flat.strides[a] // flat.itemsize
             ba = b[a]
-            back = ba > 0
-            add(flat[back], flat[back], ba[back] / h)
-            add(flat[back], flat[back] - stride, -ba[back] / h)
-            fwd = ba < 0
-            add(flat[fwd], flat[fwd], -ba[fwd] / h)
-            add(flat[fwd], flat[fwd] + stride, ba[fwd] / h)
-
-        return sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        ).tocsr()
+            diag[lo] += arm
+            diag[hi] += arm
+            diag += np.abs(ba) / h
+            # d/dp (1/theta)|p|^theta = b goes through the one-sided difference
+            # that produced p: the minus arm where b > 0, the plus arm where
+            # b < 0 (never an out-of-grid arm)
+            data[..., a] = -arm - np.maximum(ba, 0.0) / h
+            cols[..., a] = flat - stride
+            keep[..., a][_axis_slice(m, a, slice(None, 1))] = False
+            data[..., k - 1 - a] = -arm + np.minimum(ba, 0.0) / h
+            cols[..., k - 1 - a] = flat + stride
+            keep[..., k - 1 - a][_axis_slice(m, a, slice(-1, None))] = False
+        data[..., m] = diag + shift
+        cols[..., m] = flat
+        keep = keep.reshape(n, k)
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        return sp.csr_matrix(
+            (data.reshape(n, k)[keep], cols.reshape(n, k)[keep], indptr), shape=(n, n)
+        )
 
 
 def drift_field(values: np.ndarray, h: float, theta: float) -> np.ndarray:

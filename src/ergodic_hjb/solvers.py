@@ -9,7 +9,7 @@ Routes implemented here:
 * ``solve_ergodic``        state-constraint problem on the box; three methods:
                            augmented Newton, relative value iteration, policy
                            iteration (all fixed points of the same discrete system).
-                           Newton and policy iteration are one iteration on one
+                           Newton and policy iteration are one route function on one
                            bordered system with two globalizations (line search,
                            and on a stall pseudo-transient continuation, vs full
                            step), so their agreement is not independent evidence
@@ -22,9 +22,9 @@ Routes implemented here:
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,6 +67,13 @@ STALL_WINDOW = 20
 # 2-d theta=3 instance; 1 takes up to 246 iterations and twice the wall time.
 PTC_TAU0 = 1e-2
 MARCH_RECORD_EVERY = 200  # march steps between trace records and rate statistics
+# solve_ergodic's budget when max_iter is not given: Newton iterations, policy
+# sweeps, march steps
+METHOD_BUDGETS = {
+    "newton_augmented": 300,
+    "policy_iteration": 100,
+    "relative_value_iteration": 2_000_000,
+}
 
 
 class SolverError(RuntimeError):
@@ -112,7 +119,6 @@ class TraceRecord:
 @dataclass
 class ConvergenceTrace:
     records: list[TraceRecord] = field(default_factory=list)
-    wall_time_s: float = 0.0
     termination: str = ""
 
     def to_jsonl(self) -> str:
@@ -164,7 +170,7 @@ def _sup(v: np.ndarray) -> float:
 
 def _damped_newton(
     residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[..., sp.spmatrix],
+    jacobian_fn: Callable[[np.ndarray, float], sp.spmatrix],
     x0: np.ndarray,
     tol: float,
     max_iter: int,
@@ -182,13 +188,14 @@ def _damped_newton(
     the trace and the iterate out; an iteration whose step was rejected is
     recorded with step size 0.
 
-    With a pseudo-time step tau every step solves (J + D/tau) d = -F, where
-    jacobian_fn(x, 1/tau) adds the shift D, and is taken whole: pseudo-transient
-    continuation, with tau grown by switched evolution relaxation,
-    tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau = inf is the
-    plain full Newton step, which on the bordered ergodic system is Howard's
-    policy iteration. There is no stall window; a non-finite step raises
-    SolverError.
+    jacobian_fn(x, shift) is the Jacobian at x with shift added to the
+    diagonal of its residual rows; without tau the shift is 0. With a
+    pseudo-time step tau every step solves (J + I/tau) d = -F and is taken
+    whole: pseudo-transient continuation, with tau grown by switched evolution
+    relaxation, tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998).
+    tau = inf is the plain full Newton step, which on the bordered ergodic
+    system is Howard's policy iteration. There is no stall window; a
+    non-finite step raises SolverError.
 
     Given the records of an earlier run, iteration numbers and the max_iter
     budget carry on from its last record.
@@ -213,8 +220,7 @@ def _damped_newton(
     for it in range(records[-1].iteration + 1, max_iter + 1):
         if r <= tol:
             return x, records
-        shift = 1.0 / tau if ptc else 0.0
-        jac = jacobian_fn(x, shift) if shift else jacobian_fn(x)
+        jac = jacobian_fn(x, 1.0 / tau if ptc else 0.0)
         with warnings.catch_warnings():
             # a singular J gives a NaN step, which the checks below handle
             # (a line-search stall hands over to PTC). catch_warnings is not
@@ -241,7 +247,8 @@ def _damped_newton(
         x, f, merit, previous = xt, ft, mt, merit
         r = _sup(f)
         lam = lam_of(x) if lam_of else None
-        records.append(TraceRecord(it, r, lam, tau if shift else s))
+        # the pseudo-time step, or the line-search fraction (1 for a full step)
+        records.append(TraceRecord(it, r, lam, tau if ptc and tau < np.inf else s))
         if ptc:
             if merit > 0.0:
                 tau *= previous / merit
@@ -299,18 +306,13 @@ def solve_dirichlet(
     def residual_fn(x: np.ndarray) -> np.ndarray:
         return op.residual_values(assemble(x), lam)[interior]
 
-    def jacobian_fn(x: np.ndarray) -> sp.spmatrix:
-        return op.jacobian(assemble(x))[unknowns, :][:, unknowns]
+    def jacobian_fn(x: np.ndarray, shift: float) -> sp.spmatrix:
+        return op.jacobian(assemble(x), shift)[unknowns, :][:, unknowns]
 
-    start = time.perf_counter()
     try:
         x, records = _damped_newton(residual_fn, jacobian_fn, full[interior], tol, max_iter)
     except _Stagnation as stag:
-        trace = ConvergenceTrace(
-            records=stag.records,
-            wall_time_s=time.perf_counter() - start,
-            termination="stagnated",
-        )
+        trace = ConvergenceTrace(records=stag.records, termination="stagnated")
         raise NoSolutionSuspected(
             f"newton stagnated at lambda={lam:g}; no solution suspected", trace
         ) from None
@@ -346,25 +348,19 @@ def solve_discounted(
     grid = spec.grid
     op = DiscreteOperator(spec)
     n = grid.n_nodes
-    eye = sp.identity(n, format="csr") * epsilon
 
     def residual_fn(x: np.ndarray) -> np.ndarray:
         vals = x.reshape(grid.shape)
         return (op.residual_values(vals, 0.0) + epsilon * vals).ravel()
 
-    def jacobian_fn(x: np.ndarray) -> sp.spmatrix:
-        return op.jacobian(x.reshape(grid.shape)) + eye
+    def jacobian_fn(x: np.ndarray, shift: float) -> sp.spmatrix:
+        return op.jacobian(x.reshape(grid.shape), epsilon + shift)
 
     x0 = initial_guess.values.ravel() if initial_guess is not None else np.zeros(n)
-    start = time.perf_counter()
     try:
         x, records = _damped_newton(residual_fn, jacobian_fn, x0, tol, max_iter)
     except _Stagnation as stag:
-        trace = ConvergenceTrace(
-            records=stag.records,
-            wall_time_s=time.perf_counter() - start,
-            termination="stagnated",
-        )
+        trace = ConvergenceTrace(records=stag.records, termination="stagnated")
         raise SolverError(f"discounted solve stagnated at eps={epsilon:g}", trace) from None
     return Field(grid, x.reshape(grid.shape))
 
@@ -411,7 +407,6 @@ def _finalize(
     values: np.ndarray,
     lam: float,
     records: list[TraceRecord],
-    wall: float,
     method: str,
     tol: float,
     termination: str = "converged",
@@ -422,7 +417,7 @@ def _finalize(
     op = DiscreteOperator(spec)
     res = _sup(op.residual_values(vals, lam))
     records = records[:-1] + [replace(records[-1], residual_sup=res)]
-    trace = ConvergenceTrace(records=records, wall_time_s=wall, termination=termination)
+    trace = ConvergenceTrace(records=records, termination=termination)
     phi = Field(grid, vals)
     if not phi.is_finite():
         raise SolverError("solution contains non-finite values", trace)
@@ -441,9 +436,9 @@ def _bordered_system(spec: ProblemSpec):
     """Residual and Jacobian of {G_h[phi] + lambda = 0, phi(anchor) = 0} in N+1 unknowns.
 
     The ones column carries lambda and the anchor row removes the
-    additive-constant rank deficiency; the Jacobian is assembled in CSC. A
-    shift is added to the diagonal of the N PDE rows only, so the shifted
-    matrix keeps the anchor row and stays nonsingular where J is singular.
+    additive-constant rank deficiency; the Jacobian is assembled in CSC. The
+    shift sits on the diagonal of the N PDE rows only, so the shifted matrix
+    keeps the anchor row and stays nonsingular where J is singular.
     """
     grid = spec.grid
     op = DiscreteOperator(spec)
@@ -451,62 +446,29 @@ def _bordered_system(spec: ProblemSpec):
     anchor_flat = int(np.ravel_multi_index(spec.anchor_index, grid.shape))
     ones_col = sp.csr_matrix(np.ones((n, 1)))
     anchor_row = sp.csr_matrix(([1.0], ([0], [anchor_flat])), shape=(1, n))
-    eye = sp.identity(n, format="csr")
 
     def residual_fn(x: np.ndarray) -> np.ndarray:
         pde = op.residual_values(x[:n].reshape(grid.shape), x[n]).ravel()
         return np.concatenate([pde, [x[anchor_flat]]])
 
-    def jacobian_fn(x: np.ndarray, shift: float = 0.0) -> sp.csc_matrix:
-        jac = op.jacobian(x[:n].reshape(grid.shape))
-        if shift:
-            jac = jac + shift * eye
+    def jacobian_fn(x: np.ndarray, shift: float) -> sp.csc_matrix:
+        jac = op.jacobian(x[:n].reshape(grid.shape), shift)
         return sp.bmat([[jac, ones_col], [anchor_row, None]], format="csc")
 
     return residual_fn, jacobian_fn
 
 
-def _initial_unknowns(spec: ProblemSpec, initial_guess: Optional[Field]) -> np.ndarray:
-    x0 = np.zeros(spec.grid.n_nodes + 1)
-    if initial_guess is not None:
-        x0[:-1] = initial_guess.values.ravel()
-    return x0
-
-
-def _solve_newton_augmented(
-    spec: ProblemSpec, initial_guess: Optional[Field], tol: float, max_iter: int
+def _solve_bordered(
+    spec: ProblemSpec, initial_guess: Optional[Field], tol: float, max_iter: int, method: str
 ) -> ErgodicSolution:
-    """Damped Newton on the bordered (N+1)-unknown system.
+    """Newton or policy iteration on the bordered (N+1)-unknown system.
 
-    When the semismooth iteration jams on an upwind kink configuration, it
-    goes on from there by pseudo-transient continuation in the same driver and
-    within the same iteration budget: the pseudo-time shift keeps the matrix
-    nonsingular and moves the iterate off the kinks.
-    """
-    n = spec.grid.n_nodes
-    residual_fn, jacobian_fn = _bordered_system(spec)
-    x0 = _initial_unknowns(spec, initial_guess)
-    start = time.perf_counter()
-    try:
-        x, records = _damped_newton(
-            residual_fn, jacobian_fn, x0, 0.5 * tol, max_iter, lam_of=lambda z: float(z[n])
-        )
-    except _Stagnation as stag:
-        x, records = _damped_newton(
-            residual_fn, jacobian_fn, stag.x, 0.5 * tol, max_iter, lam_of=lambda z: float(z[n]),
-            tau=PTC_TAU0, records=stag.records,
-        )
-    wall = time.perf_counter() - start
-    return _finalize(
-        spec, x[:n].reshape(spec.grid.shape), float(x[n]), records, wall, "newton_augmented", tol
-    )
+    Newton backtracks. When the semismooth iteration jams on an upwind kink
+    configuration, it goes on from there by pseudo-transient continuation in
+    _damped_newton and within the same iteration budget: the pseudo-time
+    shift keeps the matrix nonsingular and moves the iterate off the kinks.
 
-
-def _solve_policy_iteration(
-    spec: ProblemSpec, initial_guess: Optional[Field], tol: float, max_iter: int
-) -> ErgodicSolution:
-    """Howard's method, run as full-step Newton on the bordered system.
-
+    Policy iteration is Howard's method, run as full-step Newton (tau = inf).
     Policy evaluation solves -1/2 Lap phi + b . D phi (upwinded) + lambda
     = f + L*(b) with phi(anchor) = 0, where b = |p|^(theta-2) p is the
     maximizing drift and L*(b) = (1/theta*) |b|^theta* the Legendre dual of the
@@ -517,15 +479,19 @@ def _solve_policy_iteration(
     """
     n = spec.grid.n_nodes
     residual_fn, jacobian_fn = _bordered_system(spec)
-    start = time.perf_counter()
-    x, records = _damped_newton(
-        residual_fn, jacobian_fn, _initial_unknowns(spec, initial_guess), 0.5 * tol, max_iter,
-        lam_of=lambda z: float(z[n]), tau=np.inf,
+    x0 = np.zeros(n + 1)
+    if initial_guess is not None:
+        x0[:n] = initial_guess.values.ravel()
+
+    run = partial(
+        _damped_newton, residual_fn, jacobian_fn,
+        tol=0.5 * tol, max_iter=max_iter, lam_of=lambda z: float(z[n]),
     )
-    wall = time.perf_counter() - start
-    return _finalize(
-        spec, x[:n].reshape(spec.grid.shape), float(x[n]), records, wall, "policy_iteration", tol
-    )
+    try:
+        x, records = run(x0, tau=np.inf if method == "policy_iteration" else None)
+    except _Stagnation as stag:
+        x, records = run(stag.x, tau=PTC_TAU0, records=stag.records)
+    return _finalize(spec, x[:n].reshape(spec.grid.shape), float(x[n]), records, method, tol)
 
 
 def _march(spec: ProblemSpec, u: np.ndarray, records: list[TraceRecord], horizon: float = np.inf):
@@ -576,13 +542,12 @@ def solve_ergodic(
     """
     if not np.isfinite(spec.rhs.min_value()):
         raise ValueError("right-hand side must be bounded from below on the box")
-    if method == "newton_augmented":
-        return _solve_newton_augmented(spec, initial_guess, tol, max_iter or 300)
+    if method not in METHOD_BUDGETS:
+        raise ValueError(f"unknown method {method!r}")
+    budget = max_iter or METHOD_BUDGETS[method]
     if method == "relative_value_iteration":
-        return parabolic_march(spec, initial_guess, np.inf, tol, max_iter or 2_000_000).settled
-    if method == "policy_iteration":
-        return _solve_policy_iteration(spec, initial_guess, tol, max_iter or 100)
-    raise ValueError(f"unknown method {method!r}")
+        return parabolic_march(spec, initial_guess, np.inf, tol, budget).settled
+    return _solve_bordered(spec, initial_guess, tol, budget, method)
 
 
 def parabolic_march(
@@ -605,7 +570,6 @@ def parabolic_march(
     stats: list[tuple[float, float, float, float]] = []
     records: list[TraceRecord] = []
     settled: Optional[ErgodicSolution] = None
-    start = time.perf_counter()
     for step, t, u, rate, dt in _march(spec, u, records, horizon=T):
         if settled is None:
             spread = float(rate.max() - rate.min())
@@ -613,7 +577,7 @@ def parabolic_march(
                 lam = float(rate.mean())
                 settled = _finalize(
                     spec, u, lam, records + [TraceRecord(step, spread, lam, None)],
-                    time.perf_counter() - start, "relative_value_iteration", tol,
+                    "relative_value_iteration", tol,
                 )
         stop = dt <= 0.0 or (settled is not None and T == np.inf)
         if stop or step % MARCH_RECORD_EVERY == 0:
@@ -629,9 +593,7 @@ def parabolic_march(
                 ConvergenceTrace(records=records, termination="max_iterations"),
             )
     trace = ConvergenceTrace(
-        records=records,
-        wall_time_s=time.perf_counter() - start,
-        termination="horizon_reached" if dt <= 0.0 else "converged",
+        records=records, termination="horizon_reached" if dt <= 0.0 else "converged"
     )
     profile = Field(spec.grid, u - u[spec.anchor_index])
     return ParabolicMarch(
@@ -657,40 +619,35 @@ def scheme_error_estimate(spec: ProblemSpec, phi: Field) -> float:
 def estimate_lambda_star(
     spec: ProblemSpec,
     radii: list[float],
-    h,
     tol: float = 1e-8,
     slack: Optional[float] = None,
-    strict: bool = True,
-    warm_start: bool = False,
 ) -> LambdaStarEstimate:
     """Solve the state-constraint problem on expanding boxes and extrapolate.
 
-    The lambda_R table must be non-increasing in R up to twice the scheme-error
-    estimate (or the provided slack); a violation flags a resolution problem.
-    The extrapolation model lambda_R = L + a exp(-b R) is a heuristic; the raw
-    table is always part of the result.
+    Each box keeps the spacing spec.h and starts from eikonal_initial_guess.
+    The lambda_R table should be non-increasing in R up to twice the
+    scheme-error estimate (or the provided slack); ``monotone`` is False on a
+    violation, which flags a resolution problem. The extrapolation model
+    lambda_R = L + a exp(-b R) is a heuristic; the raw table is always part of
+    the result.
     """
     radii = list(radii)
     if len(radii) < 3:
         raise ValueError("need at least three radii")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    h_list = [float(h)] * len(radii) if np.isscalar(h) else [float(v) for v in h]
-    if len(h_list) != len(radii):
-        raise ValueError("need one spacing per radius")
 
     rows = []
     err_max = 0.0
-    for r, hr in zip(radii, h_list):
-        sub = replace(spec, radius=float(r), h=hr)
-        guess = eikonal_initial_guess(sub) if warm_start else None
-        sol = solve_ergodic(sub, initial_guess=guess, tol=tol)
+    for r in radii:
+        sub = replace(spec, radius=float(r))
+        sol = solve_ergodic(sub, initial_guess=eikonal_initial_guess(sub), tol=tol)
         err = scheme_error_estimate(sub, sol.phi)
         err_max = max(err_max, err)
         rows.append(
             {
                 "radius": float(r),
-                "h": hr,
+                "h": spec.h,
                 "lambda": sol.lam,
                 "residual_sup": sol.residual_sup,
                 "scheme_error_estimate": err,
@@ -700,11 +657,6 @@ def estimate_lambda_star(
     slack_used = float(slack) if slack is not None else 2.0 * err_max
     lam = np.array([row["lambda"] for row in rows])
     monotone = bool(np.all(lam[1:] <= lam[:-1] + slack_used))
-    if strict and not monotone:
-        raise SolverError(
-            "lambda_R increased with R beyond the discretization slack "
-            f"({slack_used:.3e}); refine the grid"
-        )
 
     fit_params = None
     lambda_star = float(lam[-1])

@@ -107,9 +107,7 @@ def test_criterion_3_radius_monotonicity():
         for theta in THETAS:
             for m, h in ((1, 0.01), (2, 0.1)):
                 spec = closed_form_spec(theta, m, radii[-1], h)
-                est = estimate_lambda_star(
-                    spec, radii, h, tol=SOLVER_TOL, slack=slack, warm_start=True
-                )
+                est = estimate_lambda_star(spec, radii, tol=SOLVER_TOL, slack=slack)
                 lams = [row["lambda"] for row in est.rows]
                 for l1, l2 in zip(lams, lams[1:]):
                     assert l2 <= l1 + slack, (theta, m, lams)

@@ -199,6 +199,22 @@ def test_cli_solver_failure_exits_two(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_rvi_without_max_iter_uses_the_method_budget(tmp_path):
+    # relative value iteration needs about 1,100 march steps here, far above
+    # the Newton budget of 300 that max_iter used to default to
+    text = BASE.replace("max_iter = 100\n", "")
+    text = text.replace("alpha = 0.0", "alpha = 2.0")
+    text = text.replace("method = newton_augmented", "method = relative_value_iteration")
+    parsed = parse_config(text)
+    assert parsed.numerics.max_iter is None
+    assert "max_iter" not in config_to_text(parsed)
+    assert parse_config(config_to_text(parsed)) == parsed
+    cfg = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    doc = json.loads((tmp_path / "o" / "solution.json").read_text())
+    assert doc["method"] == "relative_value_iteration"
+
+
 SWEEP = """
 [run]
 mode = sweep

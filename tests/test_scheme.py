@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from ergodic_hjb.scheme import (
     laplacian_values,
     upwind_state,
 )
+from ergodic_hjb.solvers import eikonal_initial_guess
 
 from oracles import closed_form_spec, convergence_order, dyadic_field, godunov_1d_brute
 
@@ -375,3 +377,37 @@ def test_jacobian_matches_finite_differences_2d():
           - op.residual_values(base - step * direction, 0.0)) / (2 * step)
     action = (jac @ direction.ravel()).reshape(g.shape)
     assert np.max(np.abs(action - fd)) / max(np.max(np.abs(fd)), 1.0) <= 1e-5
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_jacobian_shift_is_added_to_the_diagonal(m):
+    spec = closed_form_spec(1.5, m, 1.0, 0.1)
+    op = DiscreteOperator(spec)
+    g = spec.grid
+    base = np.random.default_rng(14).standard_normal(g.shape)
+    for shift in (0.05, 100.0):
+        shifted = op.jacobian(base, shift)
+        expected = op.jacobian(base) + shift * sparse.identity(g.n_nodes, format="csr")
+        assert np.array_equal(shifted.indptr, expected.indptr)
+        assert np.array_equal(shifted.indices, expected.indices)
+        assert shifted.data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_jacobian_pattern_is_independent_of_the_field(m):
+    # 2m+1 arms per node less the out-of-grid ones, whatever the drift
+    spec = closed_form_spec(3.0, m, 1.0, 0.25)
+    op = DiscreteOperator(spec)
+    g = spec.grid
+    k = g.shape[0]
+    fields = [
+        np.zeros(g.shape),
+        eikonal_initial_guess(spec).values,
+        np.random.default_rng(15).standard_normal(g.shape),
+    ]
+    jacs = [op.jacobian(v) for v in fields]
+    for jac in jacs:
+        assert jac.has_canonical_format
+        assert jac.nnz == g.n_nodes + 2 * m * (k - 1) * k ** (m - 1)
+        assert np.array_equal(jac.indptr, jacs[0].indptr)
+        assert np.array_equal(jac.indices, jacs[0].indices)

@@ -27,3 +27,18 @@ def test_radius_sweep_prints_its_table(tmp_path, monkeypatch, capsys):
     assert header == "radius,lambda,residual_sup,status"
     assert [row.split(",")[0] for row in rows] == ["2", "3", "4"]
     assert all(row.endswith(",ok") for row in rows)
+
+
+def test_output_digest_is_stable_across_runs(monkeypatch, capsys):
+    cfg = str(SCRIPTS.parent / "configs" / "solve_quadratic_1d.cfg")
+    runs = []
+    for _ in range(2):
+        assert run_script("output_digest.py", [cfg], monkeypatch) == 0
+        runs.append(capsys.readouterr().out.strip().splitlines())
+    assert runs[0] == runs[1]
+    assert [line.split("  ")[1] for line in runs[0]] == [
+        "solve_quadratic_1d/solution.csv",
+        "solve_quadratic_1d/solution.json",
+        "solve_quadratic_1d/trace.jsonl",
+    ]
+    assert all(len(line.split("  ")[0]) == 64 for line in runs[0])

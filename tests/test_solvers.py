@@ -495,7 +495,7 @@ def test_march_step_budget_raises():
 
 def test_estimate_lambda_star_closed_form():
     spec = closed_form_spec(2.0, 1, 8.0, 0.02)
-    est = estimate_lambda_star(spec, [4.0, 6.0, 8.0], 0.02, tol=1e-8)
+    est = estimate_lambda_star(spec, [4.0, 6.0, 8.0], tol=1e-8)
     assert est.monotone
     lams = [row["lambda"] for row in est.rows]
     assert all(abs(l - closed_form_lambda(1)) <= 0.03 for l in lams)
@@ -507,7 +507,7 @@ def test_estimate_lambda_star_closed_form():
 def test_estimate_lambda_star_constant_f_no_radius_dependence():
     rhs = make_power_rhs(1.0, 0.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.1)
-    est = estimate_lambda_star(spec, [4.0, 6.0, 8.0], 0.1)
+    est = estimate_lambda_star(spec, [4.0, 6.0, 8.0])
     lams = [row["lambda"] for row in est.rows]
     assert np.allclose(lams, 1.0, atol=1e-9)
     assert est.lambda_star == pytest.approx(1.0, abs=1e-9)
@@ -517,18 +517,16 @@ def test_estimate_lambda_star_smooth_quadratic_oracle():
     # f = 1 + |y|^2: quadratic ansatz gives lambda = 1 + 1/sqrt(2)
     rhs = make_power_rhs(1.0, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.01)
-    est = estimate_lambda_star(spec, [4.0, 6.0, 8.0], 0.01, tol=1e-8)
+    est = estimate_lambda_star(spec, [4.0, 6.0, 8.0], tol=1e-8)
     assert est.lambda_star == pytest.approx(smooth_power_lambda(1.0, 0.0), abs=0.03)
 
 
 def test_estimate_lambda_star_validates_arguments():
     spec = closed_form_spec(2.0, 1, 8.0, 0.1)
     with pytest.raises(ValueError):
-        estimate_lambda_star(spec, [4.0, 6.0], 0.1)
+        estimate_lambda_star(spec, [4.0, 6.0])
     with pytest.raises(ValueError):
-        estimate_lambda_star(spec, [6.0, 4.0, 8.0], 0.1)
-    with pytest.raises(ValueError):
-        estimate_lambda_star(spec, [4.0, 6.0, 8.0], [0.1, 0.1])
+        estimate_lambda_star(spec, [6.0, 4.0, 8.0])
 
 
 def test_eikonal_guess_matches_asymptotics_on_closed_form():
