@@ -56,6 +56,16 @@ __all__ = [
     "check_interior_minimum",
 ]
 
+# Each property is checked at one fixed constant.
+GROWTH_WINDOW = (0.375, 0.6)  # fit annulus as fractions of the box radius
+GROWTH_TOL_REL = 0.10
+SHIFT_C = 1.0  # the constant added to f by check_shift_equivariance
+DIRICHLET_BRACKET_TOL = 0.01  # bisection width of the Dirichlet-solvability threshold
+DIRICHLET_MARGIN = 0.05  # how far below the critical value a Dirichlet level must lie
+DIRICHLET_MAX_ITER = 80  # Newton iterations per Dirichlet solve
+INTERIOR_MINIMUM_TOL = 1e-6
+ORACLE_TOL = 0.05
+
 
 @dataclass
 class VerdictReport:
@@ -118,39 +128,30 @@ def fit_growth_exponent(phi: Field, r0: float, r1: float) -> GrowthFit:
 
 
 def check_growth_exponent(
-    theta: float,
-    alpha: float,
-    m: int = 1,
-    radius: Optional[float] = None,
-    h: Optional[float] = None,
-    window: tuple[float, float] = (0.375, 0.6),
-    tol_rel: float = 0.10,
-    tol: float = 1e-8,
+    theta: float, alpha: float, m: int = 1, tol: float = 1e-8
 ) -> tuple[VerdictReport, GrowthFit, ErgodicSolution]:
     """Measured growth exponent of phi against alpha/theta + 1.
 
     Uses f = |y|^alpha + 1 (homogeneous plus shift); the solve is warm-started
     since only the solution profile matters here. The log-log fit needs the
     annulus far enough out that the min-to-1 shift stops biasing the slope,
-    hence a larger default box than the solver checks use (coarser in 2-d to
-    stay at desk scale).
+    hence a larger box than the solver checks use (coarser in 2-d to stay at
+    desk scale).
     """
-    if radius is None:
-        radius = 16.0 if m == 1 else 12.0
-    if h is None:
-        h = 0.02 if m == 1 else 0.1
+    radius = 16.0 if m == 1 else 12.0
+    h = 0.02 if m == 1 else 0.1
     rhs = make_pure_power_rhs(1.0, alpha, shift=1.0)
     spec = ProblemSpec(theta=theta, m=m, rhs=rhs, radius=radius, h=h)
     sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol)
-    fit = fit_growth_exponent(sol.phi, window[0] * radius, window[1] * radius)
+    fit = fit_growth_exponent(sol.phi, GROWTH_WINDOW[0] * radius, GROWTH_WINDOW[1] * radius)
     gamma = alpha / theta + 1.0
-    passed = abs(fit.gamma_value - gamma) <= tol_rel * gamma
+    passed = abs(fit.gamma_value - gamma) <= GROWTH_TOL_REL * gamma
     report = VerdictReport(
         name="growth_exponent",
         passed=bool(passed),
         measured={"gamma_fit": fit.gamma_value, "gradient_slope": fit.gradient_slope},
         predicted={"gamma": gamma, "gradient_slope": gamma - 1.0},
-        tolerance=tol_rel * gamma,
+        tolerance=GROWTH_TOL_REL * gamma,
         provenance="growth exponent gamma = alpha/theta + 1 of bounded-from-below solutions",
         inputs={"theta": theta, "alpha": alpha, "m": m, "radius": radius, "h": h},
     )
@@ -473,17 +474,13 @@ def check_gradient_estimate(
 
 
 def _dirichlet_solvable(
-    spec: ProblemSpec,
-    lam: float,
-    tol: float,
-    initial_guess: Optional[Field] = None,
-    max_iter: int = 80,
+    spec: ProblemSpec, lam: float, tol: float, initial_guess: Optional[Field] = None
 ) -> tuple[bool, Optional[Field]]:
     grid = spec.grid
     data = Field(grid, np.zeros(grid.shape))
     try:
         phi = solve_dirichlet(
-            spec, lam, data, initial_guess=initial_guess, tol=tol, max_iter=max_iter
+            spec, lam, data, initial_guess=initial_guess, tol=tol, max_iter=DIRICHLET_MAX_ITER
         )
         return True, phi
     except SolverError:
@@ -494,7 +491,6 @@ def check_dirichlet_family(
     spec: ProblemSpec,
     lambdas: list[float],
     lambda_star_hint: float,
-    margin: float = 0.05,
     tol: float = 1e-8,
 ) -> VerdictReport:
     """Solvability of the Dirichlet problem at every level below the critical value.
@@ -506,7 +502,7 @@ def check_dirichlet_family(
     ok = True
     guess: Optional[Field] = None
     for lam in sorted(lambdas):
-        if lam > lambda_star_hint - margin:
+        if lam > lambda_star_hint - DIRICHLET_MARGIN:
             raise ValueError(
                 f"level {lam} is not below the critical-value hint minus the margin"
             )
@@ -527,11 +523,7 @@ def check_dirichlet_family(
 
 
 def locate_dirichlet_threshold(
-    spec: ProblemSpec,
-    lo: float,
-    hi: float,
-    bracket_tol: float = 0.01,
-    tol: float = 1e-8,
+    spec: ProblemSpec, lo: float, hi: float, tol: float = 1e-8
 ) -> tuple[float, list[dict]]:
     """Bisect the largest lambda at which the zero-data Dirichlet problem still solves.
 
@@ -547,7 +539,7 @@ def locate_dirichlet_threshold(
     table.append({"lambda": hi, "solvable": solvable_hi})
     if solvable_hi:
         raise SolverError(f"upper bracket {hi} is still solvable; widen the bracket")
-    while hi - lo > bracket_tol:
+    while hi - lo > DIRICHLET_BRACKET_TOL:
         mid = 0.5 * (lo + hi)
         solvable, phi = _dirichlet_solvable(spec, mid, tol, initial_guess=guess)
         table.append({"lambda": mid, "solvable": solvable})
@@ -560,26 +552,24 @@ def locate_dirichlet_threshold(
 
 
 def check_lambda_star_characterization(
-    spec: ProblemSpec,
-    tol: float = 0.01,
-    solver_tol: float = 1e-8,
+    spec: ProblemSpec, solver_tol: float = 1e-8
 ) -> tuple[VerdictReport, list[dict]]:
     """The Dirichlet-solvability threshold coincides with the state-constraint level.
 
     Bounded-from-below routes and the solvability supremum single out the same
-    lambda; the bisected threshold must match within 5 tol.
+    lambda; the bisected threshold must match within 5 DIRICHLET_BRACKET_TOL.
     """
     sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=solver_tol)
     threshold, table = locate_dirichlet_threshold(
-        spec, sol.lam - 1.0, sol.lam + 1.0, bracket_tol=tol, tol=solver_tol
+        spec, sol.lam - 1.0, sol.lam + 1.0, tol=solver_tol
     )
     gap = abs(threshold - sol.lam)
     report = VerdictReport(
         name="lambda_star_characterization",
-        passed=bool(gap <= 5.0 * tol),
+        passed=bool(gap <= 5.0 * DIRICHLET_BRACKET_TOL),
         measured={"threshold": threshold, "lambda_state_constraint": sol.lam, "gap": gap},
         predicted={"gap": 0.0},
-        tolerance=5.0 * tol,
+        tolerance=5.0 * DIRICHLET_BRACKET_TOL,
         provenance="bounded-from-below solutions exist only at the critical value",
         inputs={"theta": spec.theta, "m": spec.m, "radius": spec.radius, "h": spec.h},
     )
@@ -590,28 +580,25 @@ def check_lambda_star_characterization(
 
 
 def check_shift_equivariance(
-    spec: ProblemSpec,
-    c: float = 1.0,
-    tol: float = 0.03,
-    solver_tol: float = 1e-8,
+    spec: ProblemSpec, tol: float = 0.03, solver_tol: float = 1e-8
 ) -> VerdictReport:
     """lambda*(f + c) = lambda*(f) + c and the normalized profiles agree."""
     if not isinstance(spec.rhs, (PowerRhs, PurePowerRhs)):
         raise ValueError("shift equivariance check needs a power-family right-hand side")
     sol = solve_ergodic(spec, tol=solver_tol)
-    shifted_spec = replace(spec, rhs=replace(spec.rhs, shift=spec.rhs.shift + c))
+    shifted_spec = replace(spec, rhs=replace(spec.rhs, shift=spec.rhs.shift + SHIFT_C))
     sol_c = solve_ergodic(shifted_spec, tol=solver_tol)
     lam_gap = sol_c.lam - sol.lam
     phi_gap = float(np.max(np.abs(sol_c.phi.values - sol.phi.values)))
-    passed = abs(lam_gap - c) <= 2.0 * tol and phi_gap <= 2.0 * tol
+    passed = abs(lam_gap - SHIFT_C) <= 2.0 * tol and phi_gap <= 2.0 * tol
     return VerdictReport(
         name="shift_equivariance",
         passed=bool(passed),
         measured={"lambda_gap": lam_gap, "phi_sup_gap": phi_gap},
-        predicted={"lambda_gap": c, "phi_sup_gap": 0.0},
+        predicted={"lambda_gap": SHIFT_C, "phi_sup_gap": 0.0},
         tolerance=2.0 * tol,
         provenance="adding a constant to f shifts the critical value by that constant",
-        inputs={"c": c, "theta": spec.theta, "m": spec.m},
+        inputs={"c": SHIFT_C, "theta": spec.theta, "m": spec.m},
     )
 
 
@@ -653,7 +640,6 @@ def check_cross_method(
     pair_tol: float = 0.05,
     solver_tol: float = 1e-8,
     oracle: Optional[float] = None,
-    oracle_tol: float = 0.05,
 ) -> tuple:
     """Agreement of the five routes to the critical value on one instance.
 
@@ -687,7 +673,7 @@ def check_cross_method(
         worst_oracle = max(abs(v - oracle) for v in vals)
         measured["max_oracle_gap"] = worst_oracle
         predicted["oracle"] = oracle
-        passed = passed and worst_oracle <= oracle_tol
+        passed = passed and worst_oracle <= ORACLE_TOL
     report = VerdictReport(
         name="cross_method",
         passed=bool(passed),
@@ -724,7 +710,7 @@ def check_radius_monotonicity(
     return report, est.rows
 
 
-def check_interior_minimum(sol: ErgodicSolution, tol: float = 1e-6) -> VerdictReport:
+def check_interior_minimum(sol: ErgodicSolution) -> VerdictReport:
     """Interior localization of the minimizer with f(argmin) <= lambda.
 
     The minimizer passes when it lies at least two cells inside the box.
@@ -733,13 +719,13 @@ def check_interior_minimum(sol: ErgodicSolution, tol: float = 1e-6) -> VerdictRe
     loc = grid.coords(np.unravel_index(np.argmin(sol.phi.values), grid.shape))
     f_val = float(sol.spec.rhs.value_at(loc))
     dist = float(min(grid.half_count * grid.h - abs(c) for c in loc))
-    passed = dist >= 2.0 * grid.h - 1e-12 and f_val <= sol.lam + tol
+    passed = dist >= 2.0 * grid.h - 1e-12 and f_val <= sol.lam + INTERIOR_MINIMUM_TOL
     return VerdictReport(
         name="interior_minimum",
         passed=passed,
         measured={"f_at_argmin": f_val, "lambda": sol.lam, "distance_to_boundary": dist},
         predicted={"f_at_argmin_below_lambda": 0.0},
-        tolerance=tol,
+        tolerance=INTERIOR_MINIMUM_TOL,
         provenance="the minimum of the state-constraint solution is interior with f(argmin) <= lambda",
         inputs={"verdict": "pass" if passed else "fail", "location": [float(c) for c in loc]},
     )

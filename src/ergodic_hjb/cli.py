@@ -103,7 +103,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
         "boundary_policy": STATE_CONSTRAINT,
         "tolerance": sol.tol,
         "grid": {"m": spec.m, "radius": spec.radius, "h": spec.h},
-        "anchor": list(spec.anchor),
+        "anchor": [0.0] * spec.m,
         "theta": spec.theta,
         "rhs": spec.rhs.descriptor(),
         "values": sol.phi.values.ravel().tolist(),
@@ -128,10 +128,8 @@ def _sweep_row(cfg: ExperimentConfig, axis: str, value: float) -> dict:
         else:
             if axis == "radius":
                 cfg = replace(cfg, numerics=replace(n, radius=float(value)))
-            elif axis == "coeff":
+            else:  # coeff
                 cfg = replace(cfg, problem=replace(cfg.problem, coeff=float(value)))
-            else:
-                raise ConfigError(f"unknown sweep axis {axis!r}")
             sol = solve_ergodic(build_spec(cfg), method=n.method, tol=n.tol, max_iter=n.max_iter)
             lam, res = sol.lam, sol.residual_sup
         return {
@@ -182,7 +180,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
 
 
 def _shift_equivariance(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep = check_shift_equivariance(spec, c=1.0, tol=cfg.verify.tol, solver_tol=cfg.numerics.tol)
+    rep = check_shift_equivariance(spec, tol=cfg.verify.tol, solver_tol=cfg.numerics.tol)
     return [rep], {}
 
 
@@ -253,7 +251,7 @@ def _radius_monotonicity(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _lambda_star_characterization(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep, table = check_lambda_star_characterization(spec, tol=0.01, solver_tol=cfg.numerics.tol)
+    rep, table = check_lambda_star_characterization(spec, solver_tol=cfg.numerics.tol)
     rows = [[_f(r["lambda"]), "1" if r["solvable"] else "0"] for r in table]
     return [rep], {"dirichlet_bisection.csv": (["lambda", "solvable"], rows)}
 

@@ -21,15 +21,18 @@ The format is diffable and easy to generate from sweep scripts:
     max_iter = 300
     method = newton_augmented
 
-Without max_iter each method keeps its own budget. Unknown sections or keys
-are rejected (no silent typos), and a config round-trips losslessly through
-to_text/from_text.
+Each section's keys are the fields of its settings dataclass, and each
+value is parsed as its field's annotation; [output] dir is
+ExperimentConfig.out_dir. Without max_iter each method keeps its own budget.
+Unknown sections or keys are rejected (no silent typos), so are the values a
+check would refuse before any solve, and a config round-trips losslessly
+through config_to_text/parse_config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .problem import (
@@ -38,6 +41,7 @@ from .problem import (
     make_power_rhs,
     make_pure_power_rhs,
 )
+from .solvers import METHOD_BUDGETS
 
 __all__ = [
     "ConfigError",
@@ -54,8 +58,8 @@ __all__ = [
 ]
 
 MODES = ("solve", "sweep", "verify")
-RHS_FORMS = ("power", "pure_power")
-METHODS = ("newton_augmented", "relative_value_iteration", "policy_iteration")
+RHS_FORMS = {"power": make_power_rhs, "pure_power": make_pure_power_rhs}
+METHODS = tuple(METHOD_BUDGETS)
 SWEEP_AXES = ("radius", "epsilon", "coeff")
 
 CHECK_NAMES = (
@@ -139,63 +143,42 @@ class ExperimentConfig:
     out_dir: str = "out"
 
 
-# (type, required) per key; types: float, int, str, float_list, str_list
-_SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
-    "run": {"mode": ("str", True), "seed": ("int", False)},
-    "problem": {
-        "theta": ("float", True),
-        "dim": ("int", True),
-        "rhs": ("str", False),
-        "alpha": ("float", False),
-        "coeff": ("float", False),
-        "shift": ("float", False),
-    },
-    "numerics": {
-        "radius": ("float", False),
-        "h": ("float", False),
-        "tol": ("float", False),
-        "max_iter": ("int", False),
-        "method": ("str", False),
-    },
-    "output": {"dir": ("str", False)},
-    "sweep": {"axis": ("str", True), "values": ("float_list", True)},
-    "verify": {
-        "checks": ("str_list", True),
-        "tol": ("float", False),
-        "radii": ("float_list", False),
-        "c": ("float", False),
-        "alpha2": ("float", False),
-        "coeff2": ("float", False),
-        "shift2": ("float", False),
-        "t_grid": ("float_list", False),
-        "eps": ("float_list", False),
-        "horizon": ("float", False),
-        "q": ("float", False),
-        "r_inner": ("float", False),
-        "r_primes": ("float_list", False),
-        "gap": ("float", False),
-        "lambdas": ("float_list", False),
-    },
+_SECTIONS = {
+    "run": RunSettings,
+    "problem": ProblemSettings,
+    "numerics": NumericsSettings,
+    "output": None,  # its one key, dir, is ExperimentConfig.out_dir
+    "sweep": SweepSettings,
+    "verify": VerifySettings,
 }
+# keys a config must give even though their field has a default
+_REQUIRED = {
+    "run": ("mode",),
+    "problem": ("theta", "dim"),
+    "sweep": ("axis", "values"),
+    "verify": ("checks",),
+}
+_SCALARS = {"float": float, "int": int, "Optional[int]": int, "str": str}
+
+
+def _kinds(section: str) -> dict[str, str]:
+    """Key -> value kind of a section: its settings fields and their annotations."""
+    if _SECTIONS[section] is None:
+        return {"dir": "str"}
+    return {f.name: f.type for f in fields(_SECTIONS[section])}
 
 
 def _parse_value(raw: str, kind: str, where: str):
+    """A scalar annotation parses raw whole; tuple[<scalar>, ...] parses a comma list."""
+    item = kind.removeprefix("tuple[").removesuffix(", ...]")
     try:
-        if kind in ("float", "float_list"):
-            parts = [raw] if kind == "float" else [p for p in raw.split(",") if p.strip()]
-            values = tuple(float(p) for p in parts)
-            if not all(math.isfinite(x) for x in values):
-                raise ValueError("not finite")
-            return values[0] if kind == "float" else values
-        if kind == "int":
-            return int(raw)
-        if kind == "str":
-            return raw
-        if kind == "str_list":
-            return tuple(p.strip() for p in raw.split(",") if p.strip())
+        parts = [raw] if item == kind else [p.strip() for p in raw.split(",") if p.strip()]
+        values = tuple(_SCALARS[item](p) for p in parts)
+        if not all(math.isfinite(x) for x in values if isinstance(x, float)):
+            raise ValueError("not finite")
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind} ({exc})") from exc
-    raise ConfigError(f"{where}: unknown value kind {kind}")
+    return values[0] if item == kind else values
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, str]]:
@@ -207,7 +190,7 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _SCHEMA:
+            if current not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{current}]")
             if current in sections:
                 raise ConfigError(f"line {lineno}: duplicate section [{current}]")
@@ -218,7 +201,7 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA[current]:
+        if key not in _kinds(current):
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
@@ -231,19 +214,17 @@ def parse_config(text: str) -> ExperimentConfig:
     for name in ("run", "problem"):
         if name not in sections:
             raise ConfigError(f"missing required section [{name}]")
-    for name, spec in _SCHEMA.items():
-        if name not in sections:
-            continue
-        for key, (_, required) in spec.items():
-            if required and key not in sections[name]:
+    for name, keys in _REQUIRED.items():
+        for key in keys:
+            if name in sections and key not in sections[name]:
                 raise ConfigError(f"missing required key {key!r} in [{name}]")
 
     def typed(section: str) -> dict:
-        out = {}
-        for key, raw in sections.get(section, {}).items():
-            kind, _ = _SCHEMA[section][key]
-            out[key] = _parse_value(raw, kind, f"[{section}] {key}")
-        return out
+        kinds = _kinds(section)
+        return {
+            key: _parse_value(raw, kinds[key], f"[{section}] {key}")
+            for key, raw in sections.get(section, {}).items()
+        }
 
     run = RunSettings(**typed("run"))
     if run.mode not in MODES:
@@ -257,11 +238,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if problem.dim not in (1, 2, 3):
         raise ConfigError(f"[problem] dim must be 1, 2, or 3, got {problem.dim}")
     if problem.rhs not in RHS_FORMS:
-        raise ConfigError(f"[problem] rhs must be one of {RHS_FORMS}, got {problem.rhs!r}")
+        raise ConfigError(f"[problem] rhs must be one of {tuple(RHS_FORMS)}, got {problem.rhs!r}")
     if problem.coeff <= 0:
         raise ConfigError(f"[problem] coeff must be positive, got {problem.coeff}")
     if problem.alpha < 0:
         raise ConfigError(f"[problem] alpha must be >= 0, got {problem.alpha}")
+    if problem.rhs == "pure_power" and problem.alpha < 1:
+        raise ConfigError(f"[problem] rhs = pure_power needs alpha >= 1, got {problem.alpha}")
 
     numerics = NumericsSettings(**typed("numerics"))
     if numerics.radius <= 0 or numerics.h <= 0 or numerics.h > numerics.radius:
@@ -305,6 +288,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("[verify] radii must be 3+ strictly increasing values >= [numerics] h")
         if not verify.eps or min(verify.eps) <= 0 or verify.horizon <= 0 or verify.c <= 0:
             raise ConfigError("[verify] need eps values > 0, horizon > 0 and c > 0")
+        if not 1.0 < verify.q <= 1.05 or not all(0.0 <= t <= 1.0 for t in verify.t_grid):
+            raise ConfigError("[verify] need q in (1, 1.05] and t_grid values in [0, 1]")
+        if verify.gap < 1:
+            raise ConfigError(f"[verify] gap must be >= 1 (r_prime + 1 <= box), got {verify.gap}")
+        if "power_supersolution" in verify.checks and problem.theta >= 2:
+            raise ConfigError("[verify] power_supersolution needs [problem] theta < 2")
+        if "continuity_bound" in verify.checks and problem.alpha < 1:
+            raise ConfigError("[verify] continuity_bound needs [problem] alpha >= 1")
     elif "verify" in sections:
         raise ConfigError(f"[verify] section is only valid for mode=verify (mode={run.mode})")
 
@@ -324,54 +315,21 @@ def _format_value(value) -> str:
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Canonical text rendering; parse_config(config_to_text(c)) == c."""
     lines: list[str] = []
-
-    def emit(section: str, obj, keys: list[str]) -> None:
+    for section in _SECTIONS:
+        if section == "output":
+            values = {"dir": cfg.out_dir}
+        elif getattr(cfg, section) is not None:
+            values = asdict(getattr(cfg, section))
+        else:
+            continue
         lines.append(f"[{section}]")
-        for key in keys:
-            value = getattr(obj, key)
-            if value is not None:
-                lines.append(f"{key} = {_format_value(value)}")
+        lines.extend(f"{k} = {_format_value(v)}" for k, v in values.items() if v is not None)
         lines.append("")
-
-    emit("run", cfg.run, ["mode", "seed"])
-    emit("problem", cfg.problem, ["theta", "dim", "rhs", "alpha", "coeff", "shift"])
-    emit("numerics", cfg.numerics, ["radius", "h", "tol", "max_iter", "method"])
-    lines.append("[output]")
-    lines.append(f"dir = {cfg.out_dir}")
-    lines.append("")
-    if cfg.sweep is not None:
-        emit("sweep", cfg.sweep, ["axis", "values"])
-    if cfg.verify is not None:
-        emit(
-            "verify",
-            cfg.verify,
-            [
-                "checks",
-                "tol",
-                "radii",
-                "c",
-                "alpha2",
-                "coeff2",
-                "shift2",
-                "t_grid",
-                "eps",
-                "horizon",
-                "q",
-                "r_inner",
-                "r_primes",
-                "gap",
-                "lambdas",
-            ],
-        )
     return "\n".join(lines)
 
 
 def build_rhs(problem: ProblemSettings) -> RhsFunction:
-    if problem.rhs == "power":
-        return make_power_rhs(problem.coeff, problem.alpha, problem.shift)
-    if problem.rhs == "pure_power":
-        return make_pure_power_rhs(problem.coeff, problem.alpha, problem.shift)
-    raise ConfigError(f"unknown rhs form {problem.rhs!r}")
+    return RHS_FORMS[problem.rhs](problem.coeff, problem.alpha, problem.shift)
 
 
 def build_spec(cfg: ExperimentConfig) -> ProblemSpec:

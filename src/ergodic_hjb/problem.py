@@ -310,23 +310,22 @@ def validate_hypotheses(rhs: RhsFunction, theta: float) -> HypothesisReport:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full instance: -1/2 Lap(phi) + (1/theta)|D phi|^theta = f - lambda on [-R, R]^m."""
+    """Full instance: -1/2 Lap(phi) + (1/theta)|D phi|^theta = f - lambda on [-R, R]^m.
+
+    Solutions are unique up to an additive constant; every route fixes it by
+    phi(0) = 0 at the origin, the grid's central node (anchor_index).
+    """
 
     theta: float
     m: int
     rhs: RhsFunction
     radius: float
     h: float
-    anchor: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if not self.theta > 1:
             raise ValueError(f"exponent theta must exceed 1, got {self.theta}")
-        grid = Grid(self.m, self.radius, self.h)  # validates radius/h
-        anchor = self.anchor if self.anchor is not None else (0.0,) * self.m
-        anchor = tuple(float(a) for a in anchor)
-        grid.index_of(anchor)  # must be a node inside the box
-        object.__setattr__(self, "anchor", anchor)
+        Grid(self.m, self.radius, self.h)  # validates radius/h
 
     @property
     def theta_star(self) -> float:
@@ -339,7 +338,7 @@ class ProblemSpec:
 
     @property
     def anchor_index(self) -> tuple[int, ...]:
-        return self.grid.index_of(self.anchor)
+        return (self.grid.half_count,) * self.m
 
     def f_field(self) -> Field:
         g = self.grid

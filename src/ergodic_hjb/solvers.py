@@ -74,6 +74,7 @@ METHOD_BUDGETS = {
     "policy_iteration": 100,
     "relative_value_iteration": 2_000_000,
 }
+DISCOUNTED_MAX_ITER = 200  # Newton iterations of one discounted solve
 
 
 class SolverError(RuntimeError):
@@ -337,7 +338,6 @@ def solve_discounted(
     epsilon: float,
     initial_guess: Optional[Field] = None,
     tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> Field:
     """Solve -1/2 Lap phi + H(D phi) + eps*phi = f under the state-constraint policy.
 
@@ -358,7 +358,7 @@ def solve_discounted(
 
     x0 = initial_guess.values.ravel() if initial_guess is not None else np.zeros(n)
     try:
-        x, records = _damped_newton(residual_fn, jacobian_fn, x0, tol, max_iter)
+        x, records = _damped_newton(residual_fn, jacobian_fn, x0, tol, DISCOUNTED_MAX_ITER)
     except _Stagnation as stag:
         trace = ConvergenceTrace(records=stag.records, termination="stagnated")
         raise SolverError(f"discounted solve stagnated at eps={epsilon:g}", trace) from None
@@ -715,13 +715,13 @@ def eikonal_initial_guess(spec: ProblemSpec) -> Field:
     return Field(grid, vals)
 
 
-def random_smooth_field(grid: Grid, seed: int, amplitude: float = 1.0) -> Field:
-    """Smoothed seeded noise; used as an independent initial guess."""
+def random_smooth_field(grid: Grid, seed: int) -> Field:
+    """Smoothed seeded noise of unit standard deviation; an independent initial guess."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(grid.shape)
     for _ in range(3):
         v = uniform_filter(v, size=5, mode="nearest")
     scale = float(np.std(v))
     if scale > 0:
-        v = v * (amplitude / scale)
+        v = v * (1.0 / scale)
     return Field(grid, v)

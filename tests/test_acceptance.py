@@ -95,7 +95,6 @@ def test_criterion_2_cross_route_agreement():
             pair_tol=0.05,
             solver_tol=SOLVER_TOL,
             oracle=1.0 + 2.0**-0.5,  # quadratic ansatz: a = 1/sqrt(2), lambda = 1 + a
-            oracle_tol=0.05,
         )
         assert report.passed, report.measured
 
@@ -138,7 +137,7 @@ def test_criterion_5_shift_monotone_concave_suite():
 def test_criterion_6_growth_exponents():
     with criterion("6 growth exponents within 10% of alpha/theta + 1"):
         for theta, alpha in ((2.0, 2.0), (2.0, 4.0), (1.5, 1.5)):
-            rep, fit, _ = check_growth_exponent(theta, alpha, tol_rel=0.10, tol=SOLVER_TOL)
+            rep, fit, _ = check_growth_exponent(theta, alpha, tol=SOLVER_TOL)
             gamma = alpha / theta + 1.0
             assert abs(fit.gamma_value - gamma) <= 0.10 * gamma, (theta, alpha, fit)
 
@@ -178,7 +177,7 @@ def test_criterion_9_lambda_star_characterization():
     with criterion("9 Dirichlet-solvability threshold matches the state-constraint level"):
         rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
         spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.01)
-        rep, _ = check_lambda_star_characterization(spec, tol=0.01, solver_tol=SOLVER_TOL)
+        rep, _ = check_lambda_star_characterization(spec, solver_tol=SOLVER_TOL)
         assert rep.passed, rep.measured
         assert rep.measured["gap"] <= 0.05
 

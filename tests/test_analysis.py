@@ -123,7 +123,7 @@ def test_lambda_shape_uses_given_pair_when_ordered():
 def test_shift_equivariance_check():
     rhs = make_power_rhs(1.0, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=6.0, h=0.05)
-    rep = check_shift_equivariance(spec, c=1.0, tol=0.03)
+    rep = check_shift_equivariance(spec, tol=0.03)
     assert rep.passed
     assert rep.measured["lambda_gap"] == pytest.approx(1.0, abs=1e-8)
     assert rep.measured["phi_sup_gap"] <= 1e-8
@@ -272,7 +272,7 @@ def test_dirichlet_family_rejects_levels_near_threshold(quadratic_spec):
 
 
 def test_threshold_bisection_matches_state_constraint_level(quadratic_spec):
-    rep, table = check_lambda_star_characterization(quadratic_spec, tol=0.01)
+    rep, table = check_lambda_star_characterization(quadratic_spec)
     assert rep.passed
     assert rep.measured["gap"] <= 0.05
     assert any(not row["solvable"] for row in table)

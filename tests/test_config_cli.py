@@ -1,6 +1,7 @@
 """Config schema, round-trips, CLI subcommands, exit codes, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodic_hjb import cli
+from ergodic_hjb import cli, config
 from ergodic_hjb.cli import main
 from ergodic_hjb.config import (
     CHECK_NAMES,
@@ -78,6 +79,8 @@ def test_invalid_values_are_rejected():
         parse_config(BASE.replace("mode = solve", "mode = dance"))
     with pytest.raises(ConfigError):
         parse_config(BASE.replace("method = newton_augmented", "method = bogus"))
+    with pytest.raises(ConfigError, match="pure_power"):
+        parse_config(BASE.replace("rhs = power", "rhs = pure_power"))  # alpha = 0 < 1
 
 
 def test_non_finite_floats_are_rejected(tmp_path, monkeypatch):
@@ -347,7 +350,7 @@ def test_verify_values_a_check_would_refuse_are_config_errors(tmp_path, monkeypa
 
     monkeypatch.setattr(cli, "_run_one_check", no_check)
     text = VERIFY.replace("checks = shift_equivariance, uniqueness", "checks = cross_method")
-    bad = [
+    lines = [
         "radii = 4.0, 6.0\n",
         "radii = 8.0, 4.0, 6.0\n",
         "radii = 4.0, 4.0, 6.0\n",
@@ -357,12 +360,24 @@ def test_verify_values_a_check_would_refuse_are_config_errors(tmp_path, monkeypa
         "horizon = -1\n",
         "horizon = 0\n",
         "c = 0\n",
+        "q = 1.0\n",
+        "q = 1.06\n",
+        "t_grid = 0.0, 1.5\n",
+        "t_grid = -0.25, 0.5\n",
+        "gap = 0.5\n",
     ]
-    for line in bad:
+    bad = [text + line for line in lines] + [
+        text.replace("rhs = power", "rhs = pure_power").replace("alpha = 2.0", "alpha = 0.5"),
+        text.replace("cross_method", "cross_method, power_supersolution"),  # theta = 2
+        text.replace("cross_method", "cross_method, continuity_bound").replace(
+            "alpha = 2.0", "alpha = 0.5"
+        ),
+    ]
+    for bad_text in bad:
         with pytest.raises(ConfigError):
-            parse_config(text + line)
-        cfg = write_cfg(tmp_path, text + line)
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1, line
+            parse_config(bad_text)
+        cfg = write_cfg(tmp_path, bad_text)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1, bad_text
     assert not (tmp_path / "o").exists()
 
 
@@ -376,6 +391,21 @@ def test_cli_verify_horizon_before_settling_exits_two(tmp_path, capsys):
 
 def test_check_table_matches_check_names():
     assert tuple(cli._CHECKS) == CHECK_NAMES
+
+
+def test_readme_lists_the_parser_keys_and_check_names():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table, names = text.split("### Configuration schema", 1)[1].split("Check names:", 1)
+    pairs, section = set(), None
+    for row in table.splitlines():
+        cells = row.split("|")[1:3]  # the section and key columns
+        if len(cells) < 2 or "`" not in cells[1]:
+            continue  # prose, header or separator
+        if cells[0].strip():
+            section = re.fullmatch(r"`\[(\w+)\]`", cells[0].strip()).group(1)
+        pairs |= {(section, key) for key in re.findall(r"`(\w+)`", cells[1])}
+    assert pairs == {(s, k) for s in config._SECTIONS for k in config._kinds(s)}
+    assert tuple(re.findall(r"`(\w+)`", names.split(".\n", 1)[0])) == CHECK_NAMES
 
 
 def test_check_table_calls_checks_by_module_global_name(monkeypatch):

@@ -195,7 +195,9 @@ def test_problem_spec_invariants():
     assert spec3.theta_star == pytest.approx(3.0)
     with pytest.raises(ValueError):
         ProblemSpec(theta=1.0, m=1, rhs=rhs, radius=8.0, h=0.01)
-    with pytest.raises(ValueError):
-        ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.01, anchor=(9.0,))
-    with pytest.raises(ValueError):
-        ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.01, anchor=(0.005,))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_anchor_is_the_origin_node(m):
+    spec = ProblemSpec(theta=2.0, m=m, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=1.0, h=0.25)
+    assert spec.anchor_index == spec.grid.index_of((0.0,) * m)
