@@ -645,10 +645,10 @@ def check_cross_method(
 
     Newton and policy iteration are one iteration with two globalizations;
     relative value iteration and the parabolic march are one march from the
-    zero field with two stopping rules (increment spread <= tol/2, horizon),
+    zero field with two stopping rules (rate spread <= tol/2, horizon),
     so both are read off one march. The independent computations are Newton,
     the march, the discount path and, when given, the oracle. A horizon that
-    ends before the increments settle raises SolverError.
+    ends before the rates settle raises SolverError.
 
     Returns (report, parabolic march, discount rows).
     """

@@ -30,7 +30,7 @@ __all__ = [
     "DiscreteOperator",
     "UpwindState",
     "upwind_state",
-    "laplacian_values",
+    "laplacian_and_slope",
     "drift_field",
     "hopf_cole_residual",
 ]
@@ -78,24 +78,34 @@ def upwind_state(values: np.ndarray, h: float) -> UpwindState:
     return UpwindState(p=p, mag=np.sqrt(np.sum(p**2, axis=0)))
 
 
-def laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
-    """Discrete Laplacian with out-of-grid arms dropped at boundary nodes.
+def laplacian_and_slope(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete Laplacian and Godunov slope magnitude |p| from one difference per axis.
 
-    Interior nodes get the standard central second difference; a boundary node
-    keeps only the inward contributions (u(x +- h e) - u(x)) / h^2.
+    The Laplacian drops out-of-grid arms at boundary nodes: interior nodes get
+    the central second difference, a boundary node only the inward
+    contributions (u(x +- h e) - u(x)) / h^2. Per axis |p_a| = max(D^- u,
+    -D^+ u, 0), so |p| equals upwind_state(values, h).mag bit for bit.
     """
     m = values.ndim
     shape = values.shape
     lap = np.zeros(shape)
+    sq = np.zeros(shape)
     for a in range(m):
+        lo = _axis_slice(m, a, slice(None, -1))
+        hi = _axis_slice(m, a, slice(1, None))
         d = np.diff(values, axis=a) / h
-        pad = list(shape)
-        pad[a] = 1
-        zeros = np.zeros(pad)
-        right = np.concatenate([d, zeros], axis=a)
-        left = np.concatenate([zeros, d], axis=a)
-        lap += (right - left) / h
-    return lap
+        term = np.zeros(shape)
+        term[lo] = d
+        term[hi] -= d
+        term /= h
+        lap += term
+        g = np.zeros(shape)  # an out-of-grid arm is a zero candidate
+        g[hi] = d  # backward difference
+        np.maximum(g[lo], -d, out=g[lo])  # minus forward difference
+        np.maximum(g, 0.0, out=g)
+        g *= g
+        sq += g
+    return lap, np.sqrt(sq)
 
 
 @dataclass
@@ -117,9 +127,8 @@ class DiscreteOperator:
     def residual_values(self, values: np.ndarray, lam: float) -> np.ndarray:
         """-1/2 Lap + (1/theta) |upwind gradient|^theta - f + lambda, grid-shaped."""
         theta = self.spec.theta
-        h = self.spec.h
-        state = upwind_state(values, h)
-        return -0.5 * laplacian_values(values, h) + state.mag**theta / theta - self._f + lam
+        lap, mag = laplacian_and_slope(values, self.spec.h)
+        return -0.5 * lap + mag**theta / theta - self._f + lam
 
     def jacobian(self, values: np.ndarray, shift: float = 0.0) -> sp.csr_matrix:
         """Derivative of the node residuals with respect to the node values, plus shift * I.

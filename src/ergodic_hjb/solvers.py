@@ -13,11 +13,12 @@ Routes implemented here:
                            bordered system with two globalizations (line search,
                            and on a stall pseudo-transient continuation, vs full
                            step), so their agreement is not independent evidence
-* ``parabolic_march``      the one explicit monotone march of u_t = 1/2 Lap u - H(Du) + f;
-                           u/t and the increments approach the critical value, and
-                           relative value iteration is read off it (spread <= tol/2)
-* ``estimate_lambda_star`` outer loop over expanding radii with a monotonicity
-                           audit and an exponential extrapolation heuristic
+* ``parabolic_march``      the one monotone march of u_t = 1/2 Lap u - H(Du) + f,
+                           IMEX: backward Euler for 1/2 Lap, explicit upwind H, with
+                           dt <= 0.9 h / (m max(1, max|p|)^(theta-1)); the rate
+                           -G_h[u] approaches the critical value, and relative value
+                           iteration is read off it (rate spread <= tol/2)
+* ``estimate_lambda_star`` outer loop over expanding radii with a monotonicity audit
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid
 from scipy.ndimage import uniform_filter
-from scipy.optimize import curve_fit
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import MatrixRankWarning, splu, spsolve
 
 from .grid import Field, Grid, dump_json
 from .problem import ProblemSpec
-from .scheme import DiscreteOperator, laplacian_values, upwind_state
+from .scheme import DiscreteOperator, laplacian_and_slope
 
 __all__ = [
     "SolverError",
@@ -93,10 +93,12 @@ class NoSolutionSuspected(SolverError):
 
 
 class TimeStepError(SolverError):
-    """Explicit march blew up.
+    """The march blew up.
 
-    The march sets its own CFL time step at every step, so a blow-up points at
-    the data (right-hand side or initial field), not at the step size.
+    The march sets its time step from the current gradient at every step, so
+    that its explicit Hamiltonian part stays monotone (the Laplacian part is
+    implicit), and a blow-up points at the data (right-hand side or initial
+    field), not at the step size.
     """
 
 
@@ -151,12 +153,10 @@ class ParabolicMarch:
 
 @dataclass
 class LambdaStarEstimate:
-    lambda_star: float
-    lambda_final: float
+    lambda_star: float  # lambda on the largest box
     rows: list[dict]
     monotone: bool
     slack: float
-    fit_params: Optional[tuple[float, float, float]]
 
 
 class _Stagnation(Exception):
@@ -495,30 +495,42 @@ def _solve_bordered(
 
 
 def _march(spec: ProblemSpec, u: np.ndarray, records: list[TraceRecord], horizon: float = np.inf):
-    """Explicit monotone march of u_t = 1/2 Lap u - H(Du) + f, one step per item.
+    """IMEX monotone march of u_t = 1/2 Lap u - H(Du) + f, one step per item.
 
-    Yields (step, t, u, rate, dt): rate is the right-hand side at u and dt the
-    time step 0.9 / (m/h^2 + m max|p|^(theta-1)/h), cut at the horizon, which
-    keeps the update monotone; u then advances by dt * rate. The caller stops
-    the march. A non-finite or runaway rate raises TimeStepError with records.
+    Yields (step, t, u, rate, dt): rate = -G_h[u] is the right-hand side at u.
+    The Laplacian is taken backward in time and H forward, so u advances by
+    (I/dt - 1/2 Lap_h)^(-1) rate. dt is the largest rung (0.9 h/m) 2^(-k/2)
+    with dt <= 0.9 h / (m max(1, max|p|)^(theta-1)), cut at the horizon: the
+    explicit part u + dt (f - H) is then monotone, and I - dt/2 Lap_h is an
+    M-matrix, so the step is. One LU per rung is kept for the march. The
+    caller stops the march. A non-finite or runaway rate raises TimeStepError
+    with records.
     """
     f = spec.f_field().values
     theta, h, m = spec.theta, spec.h, spec.m
+    op = DiscreteOperator(spec)
+    zeros = np.zeros(u.shape)
+    top = 0.9 * h / m
+    lus = {}  # dt -> LU of I/dt - 1/2 Lap_h
     t = 0.0
     step = 0
     while True:
-        state = upwind_state(u, h)
-        rate = 0.5 * laplacian_values(u, h) - state.mag**theta / theta + f
-        if not float(np.max(np.abs(rate))) <= 1e14:  # also catches nan
+        lap, mag = laplacian_and_slope(u, h)
+        rate = 0.5 * lap - mag**theta / theta + f
+        if not (rate.min() >= -1e14 and rate.max() <= 1e14):  # also catches nan
             raise TimeStepError(
-                "explicit march blew up; check the data",
+                "march blew up; check the data",
                 ConvergenceTrace(records=records, termination="blow_up"),
             )
-        maxp = float(np.max(state.mag))
-        lip = maxp ** (theta - 1.0) if maxp > 0 else 0.0
-        dt = min(0.9 / (m / h**2 + lip * m / h), horizon - t)
+        bound = top / max(1.0, float(mag.max())) ** (theta - 1.0)
+        k = 0
+        while top * 2.0 ** (-0.5 * k) > bound:
+            k += 1
+        dt = min(top * 2.0 ** (-0.5 * k), horizon - t)
         yield step, t, u, rate, dt
-        u = u + dt * rate
+        if dt not in lus:  # symmetric: minimum degree on A^T + A halves the 2-d fill of COLAMD
+            lus[dt] = splu(op.jacobian(zeros, 1.0 / dt).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        u = u + lus[dt].solve(rate.ravel()).reshape(u.shape)
         t += dt
         step += 1
 
@@ -537,7 +549,7 @@ def solve_ergodic(
     the bordered system and the Newton driver and differ only in globalization
     (backtracking, and on a stall pseudo-transient continuation, vs full
     steps); relative value iteration is ``parabolic_march`` with T = inf, read
-    off at the first step whose increment spread is <= tol/2. The returned
+    off at the first step whose rate spread is <= tol/2. The returned
     residual_sup is the sup norm of the operator applied to the normalized solution.
     """
     if not np.isfinite(spec.rhs.min_value()):
@@ -557,12 +569,15 @@ def parabolic_march(
     tol: float = 1e-8,
     max_steps: int = 2_000_000,
 ) -> ParabolicMarch:
-    """Explicit monotone march of the evolution equation to time T.
+    """IMEX monotone march of the evolution equation to time T (see _march).
 
-    Returns per-sample (t, min, mean, max) of the discrete time derivative;
-    the mean at the final step is the long-time estimate of the critical value.
+    Returns per-sample (t, min, mean, max) of the rate -G_h[u]; the mean at
+    the final step is the long-time estimate of the critical value. The step
+    takes u = phi + lambda t to phi + lambda (t + dt) exactly when G_h[phi] +
+    lambda = 0, whatever dt is, because the implicit Laplacian annihilates
+    constants.
     ``settled`` is relative value iteration's pair, read off at the first step
-    whose increment spread (a bound on that pair's residual) is <= tol/2, or
+    whose rate spread (a bound on that pair's residual) is <= tol/2, or
     None if the horizon comes first; with T = inf the march stops there. More
     than max_steps steps raise SolverError.
     """
@@ -588,8 +603,8 @@ def parabolic_march(
             break
         if step >= max_steps:
             raise SolverError(
-                f"explicit march did not stop within {max_steps} steps (t = {t:.6g}, "
-                f"horizon {T:g}, increment spread {spread:.3e} vs tol/2 = {0.5 * tol:g})",
+                f"march did not stop within {max_steps} steps (t = {t:.6g}, "
+                f"horizon {T:g}, rate spread {spread:.3e} vs tol/2 = {0.5 * tol:g})",
                 ConvergenceTrace(records=records, termination="max_iterations"),
             )
     trace = ConvergenceTrace(
@@ -607,12 +622,11 @@ def parabolic_march(
 
 def scheme_error_estimate(spec: ProblemSpec, phi: Field) -> float:
     """Crude upwind-consistency estimate: (h/2) mean over the bulk of |p|^(theta-1) |Lap phi| / m."""
-    state = upwind_state(phi.values, spec.h)
-    lap = laplacian_values(phi.values, spec.h)
+    lap, mag = laplacian_and_slope(phi.values, spec.h)
     bulk = spec.grid.radii() <= 0.5 * spec.radius
     if not np.any(bulk):
         bulk = np.ones_like(lap, dtype=bool)
-    weight = state.mag ** (spec.theta - 1.0) * np.abs(lap)
+    weight = mag ** (spec.theta - 1.0) * np.abs(lap)
     return float(0.5 * spec.h * np.mean(weight[bulk]) / spec.m)
 
 
@@ -622,14 +636,12 @@ def estimate_lambda_star(
     tol: float = 1e-8,
     slack: Optional[float] = None,
 ) -> LambdaStarEstimate:
-    """Solve the state-constraint problem on expanding boxes and extrapolate.
+    """Solve the state-constraint problem on expanding boxes; lambda_star is the last one.
 
     Each box keeps the spacing spec.h and starts from eikonal_initial_guess.
     The lambda_R table should be non-increasing in R up to twice the
     scheme-error estimate (or the provided slack); ``monotone`` is False on a
-    violation, which flags a resolution problem. The extrapolation model
-    lambda_R = L + a exp(-b R) is a heuristic; the raw table is always part of
-    the result.
+    violation, which flags a resolution problem.
     """
     radii = list(radii)
     if len(radii) < 3:
@@ -657,43 +669,8 @@ def estimate_lambda_star(
     slack_used = float(slack) if slack is not None else 2.0 * err_max
     lam = np.array([row["lambda"] for row in rows])
     monotone = bool(np.all(lam[1:] <= lam[:-1] + slack_used))
-
-    fit_params = None
-    lambda_star = float(lam[-1])
-    spread = float(lam.max() - lam.min())
-    if spread > 1e-10:
-        try:
-            r_arr = np.array(radii, dtype=float)
-
-            def model(rr, L, a, bexp):
-                return L + a * np.exp(-bexp * rr)
-
-            p0 = (float(lam[-1]), float(lam[0] - lam[-1]), 0.5)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # near-degenerate tables are expected
-                popt, _ = curve_fit(
-                    model,
-                    r_arr,
-                    lam,
-                    p0=p0,
-                    bounds=([-np.inf, -np.inf, 1e-6], [np.inf, np.inf, np.inf]),
-                    maxfev=10000,
-                )
-            # reject extrapolations that leave the observed range by more than the spread
-            if abs(popt[0] - lam[-1]) <= 2.0 * spread + slack_used:
-                fit_params = (float(popt[0]), float(popt[1]), float(popt[2]))
-                lambda_star = float(popt[0])
-        except (RuntimeError, ValueError):  # no convergence, or infeasible inputs
-            fit_params = None
-            lambda_star = float(lam[-1])
-
     return LambdaStarEstimate(
-        lambda_star=lambda_star,
-        lambda_final=float(lam[-1]),
-        rows=rows,
-        monotone=monotone,
-        slack=slack_used,
-        fit_params=fit_params,
+        lambda_star=float(lam[-1]), rows=rows, monotone=monotone, slack=slack_used
     )
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergodic_hjb.grid import Field, Grid, field_to_csv
-from ergodic_hjb.scheme import laplacian_values, upwind_state
+from ergodic_hjb.scheme import laplacian_and_slope, upwind_state
 
 from oracles import convergence_order
 
@@ -71,8 +71,8 @@ def test_one_sided_diffs_on_parabola_at_origin():
 
 def test_laplacian_constant_and_quadratic_exactness():
     g = Grid(m=1, radius=2.0, h=0.1)
-    const = laplacian_values(np.full(g.shape, 3.7), g.h)
-    quad = laplacian_values(g.axis_coords() ** 2, g.h)
+    const = laplacian_and_slope(np.full(g.shape, 3.7), g.h)[0]
+    quad = laplacian_and_slope(g.axis_coords() ** 2, g.h)[0]
     for i in range(1, g.n_per_axis - 1):
         assert const[i] == pytest.approx(0.0, abs=1e-12)
         assert quad[i] == pytest.approx(2.0, abs=1e-9)
@@ -85,7 +85,7 @@ def test_laplacian_constant_and_quadratic_exactness():
 def test_laplacian_quadratic_exactness_2d():
     g = Grid(m=2, radius=1.0, h=0.125)
     xx, yy = g.meshgrid()
-    lap = laplacian_values(xx**2 + yy**2, g.h)
+    lap = laplacian_and_slope(xx**2 + yy**2, g.h)[0]
     assert lap[4, 5] == pytest.approx(4.0, abs=1e-10)
     # the corner keeps one inward arm per axis, each (1 - 2R/h); an edge node
     # keeps the central difference along the edge
@@ -99,7 +99,7 @@ def test_laplacian_second_order_convergence():
     hs = [0.2, 0.1, 0.05, 0.025]
     for h in hs:
         g = Grid(m=1, radius=2.0, h=h)
-        lap = laplacian_values(np.sin(g.axis_coords()), h)
+        lap = laplacian_and_slope(np.sin(g.axis_coords()), h)[0]
         errs.append(abs(lap[g.index_of((1.0,))] - (-np.sin(1.0))))
     assert convergence_order(hs, errs) >= 1.9
 

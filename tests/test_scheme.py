@@ -14,7 +14,7 @@ from ergodic_hjb.scheme import (
     DiscreteOperator,
     drift_field,
     hopf_cole_residual,
-    laplacian_values,
+    laplacian_and_slope,
     upwind_state,
 )
 from ergodic_hjb.solvers import eikonal_initial_guess
@@ -71,6 +71,35 @@ def test_godunov_matches_definitional_extremum(back, fwd):
     state = upwind_state(u, g.h)
     assert state.mag[1] == pytest.approx(godunov_1d_brute(back, fwd), abs=1e-12)
     assert abs(state.p[0, 1]) == pytest.approx(state.mag[1], abs=1e-12)
+
+
+def separate_laplacian(values, h):
+    """The Laplacian as its own pass over the axes, padding with concatenate."""
+    m = values.ndim
+    lap = np.zeros(values.shape)
+    for a in range(m):
+        d = np.diff(values, axis=a) / h
+        pad = list(values.shape)
+        pad[a] = 1
+        zeros = np.zeros(pad)
+        lap += (np.concatenate([d, zeros], axis=a) - np.concatenate([zeros, d], axis=a)) / h
+    return lap
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fused_kernel_equals_the_separate_formulas_bitwise(m):
+    # integer-valued fields make the backward and forward candidates tie
+    n = {1: 41, 2: 17, 3: 9}[m]
+    rng = np.random.default_rng(m)
+    fields = [np.full((n,) * m, 2.5), np.zeros((n,) * m)]
+    for _ in range(5):
+        fields.append(rng.standard_normal((n,) * m) * rng.uniform(0.1, 10.0))
+        fields.append(rng.integers(-2, 3, (n,) * m).astype(float))
+    for h in (1.0, 0.1):
+        for u in fields:
+            lap, mag = laplacian_and_slope(u, h)
+            assert np.array_equal(lap, separate_laplacian(u, h))
+            assert np.array_equal(mag, upwind_state(u, h).mag)
 
 
 def test_godunov_boundary_uses_only_interior_information():
@@ -330,7 +359,7 @@ def test_jacobian_at_zero_field_is_half_laplacian():
     rng = np.random.default_rng(8)
     v = rng.standard_normal(g.shape)
     action = (jac @ v.ravel()).reshape(g.shape)
-    assert np.allclose(action, -0.5 * laplacian_values(v, g.h), atol=1e-10)
+    assert np.allclose(action, -0.5 * laplacian_and_slope(v, g.h)[0], atol=1e-10)
 
 
 def test_jacobian_annihilates_constants():

@@ -4,12 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
+from scipy.sparse.linalg import spsolve
 
 from ergodic_hjb import solvers
 from ergodic_hjb.analysis import check_interior_minimum
 from ergodic_hjb.grid import Field
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
-from ergodic_hjb.scheme import DiscreteOperator, laplacian_values, upwind_state
+from ergodic_hjb.scheme import DiscreteOperator, laplacian_and_slope, upwind_state
 from ergodic_hjb.solvers import (
     PTC_TAU0,
     NoSolutionSuspected,
@@ -436,24 +440,75 @@ def test_parabolic_stationary_from_exact_profile():
 
 def test_parabolic_time_step_respects_cfl_at_every_step(monkeypatch):
     # theta = 6 from a rough field: max|p| moves fast, so a time step that is
-    # refreshed only now and then overshoots the monotonicity bound
+    # refreshed only now and then overshoots the monotonicity bound of the
+    # explicit Hamiltonian part. The replay solves the implicit Laplacian part
+    # with a banded solver of its own.
     theta = 6.0
     spec = closed_form_spec(theta, 1, 8.0, 0.025)
     h, m = spec.h, spec.m
+    top = 0.9 * h / m
     u0 = random_smooth_field(spec.grid, 1)
+    horizon = 5e-4
     monkeypatch.setattr(solvers, "MARCH_RECORD_EVERY", 1)
-    march = parabolic_march(spec, u0=u0, T=5e-4)
+    march = parabolic_march(spec, u0=u0, T=horizon)
     steps = march.trace.records[:-1]
     assert len(steps) == march.n_steps > 400
     f = spec.f_field().values
+    n = spec.grid.n_per_axis
+    arms = np.full(n, 2.0)
+    arms[[0, -1]] = 1.0
     u = u0.values.copy()
+    t = 0.0
     for rec in steps:
-        state = upwind_state(u, h)
-        bound = 1.0 / (m / h**2 + m * float(np.max(state.mag)) ** (theta - 1.0) / h)
-        assert rec.step_size <= bound, f"step {rec.iteration}: dt/bound = {rec.step_size / bound}"
-        u = u + rec.step_size * (0.5 * laplacian_values(u, h) - state.mag**theta / theta + f)
+        mag = upwind_state(u, h).mag
+        bound = 0.9 * h / (m * max(1.0, float(np.max(mag))) ** (theta - 1.0))
+        dt = rec.step_size
+        assert dt <= bound, f"step {rec.iteration}: dt/bound = {dt / bound}"
+        # the largest rung (0.9 h/m) 2^(-k/2) below the bound, or the horizon cut
+        k = round(-2.0 * np.log2(dt / top))
+        rung = dt == top * 2.0 ** (-0.5 * k) and dt > bound / np.sqrt(2.0)
+        assert rung or dt == horizon - t, f"step {rec.iteration}: dt {dt} is no rung"
+        d = np.diff(u) / h
+        lap = (np.concatenate([d, [0.0]]) - np.concatenate([[0.0], d])) / h
+        rate = 0.5 * lap - mag**theta / theta + f
+        off = np.full(n, -0.5 / h**2)
+        banded = np.vstack([off, 1.0 / dt + 0.5 * arms / h**2, off])  # I/dt - 1/2 Lap_h
+        u = u + solve_banded((1, 1), banded, rate)
+        t += dt
     replayed = u - u[spec.anchor_index]
     assert np.max(np.abs(replayed - march.profile.values)) <= 1e-12
+
+
+def imex_step(spec, u, dt):
+    """u + (I/dt - 1/2 Lap_h)^(-1) (1/2 Lap_h u - H(Du) + f), the march's step."""
+    lap, mag = laplacian_and_slope(u, spec.h)
+    rate = 0.5 * lap - mag**spec.theta / spec.theta + spec.f_field().values
+    shifted = DiscreteOperator(spec).jacobian(np.zeros(u.shape), 1.0 / dt)
+    return u + spsolve(shifted.tocsc(), rate.ravel()).reshape(u.shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([1, 2]),
+    theta=st.sampled_from([1.5, 2.0, 3.0, 6.0]),
+    scale=st.floats(min_value=0.01, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_imex_step_is_monotone(m, theta, scale, seed):
+    # the step bound holds on the whole segment [u, v]: |p| is convex in the
+    # field, so it is largest at an end
+    spec = closed_form_spec(theta, m, 1.0, 0.125)
+    h = spec.h
+    rng = np.random.default_rng(seed)
+    shape = spec.grid.shape
+    u = scale * rng.standard_normal(shape)
+    v = u + scale * rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.5)
+    maxp = max(float(np.max(laplacian_and_slope(w, h)[1])) for w in (u, v))
+    bound = 0.9 * h / (m * max(1.0, maxp) ** (theta - 1.0))
+    dt = 0.9 * h / m
+    while dt > bound:
+        dt *= 2.0**-0.5
+    assert np.all(imex_step(spec, u, dt) <= imex_step(spec, v, dt) + 1e-12)
 
 
 def test_parabolic_long_run_matches_ergodic_solve():
