@@ -1,8 +1,9 @@
 """Batch front-end: solve, sweep, and verify subcommands.
 
-Exit codes: 0 success, 1 configuration error, 2 solver failure,
-3 verification failure. Result files are deterministic for a fixed config;
-wall times and timestamps live only in meta.json / sweep_timing.csv.
+Exit codes: 0 success, 1 configuration error, 2 solver failure (any error
+raised once the config is accepted), 3 verification failure. Result files are
+deterministic for a fixed config; wall times and timestamps live only in
+meta.json / sweep_timing.csv.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -143,16 +144,11 @@ def _sweep_row(cfg: ExperimentConfig, axis: str, value: float) -> dict:
         }
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
+def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     out = Path(out_dir)
     axis = cfg.sweep.axis
-    values = list(cfg.sweep.values)
     start = time.perf_counter()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(cfg, axis, v), values))
-    else:
-        rows = [_sweep_row(cfg, axis, v) for v in values]
+    rows = [_sweep_row(cfg, axis, v) for v in cfg.sweep.values]
 
     header = [axis, "lambda", "residual_sup", "status"]
     body = [
@@ -313,15 +309,10 @@ def _run_one_check(name: str, cfg: ExperimentConfig):
     return result, [name, time.perf_counter() - t0]
 
 
-def run_verify(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> int:
+def run_verify(cfg: ExperimentConfig, out_dir: str) -> int:
     out = Path(out_dir)
     start = time.perf_counter()
-    names = list(cfg.verify.checks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda nm: _run_one_check(nm, cfg), names))
-    else:
-        results = [_run_one_check(nm, cfg) for nm in names]
+    results = [_run_one_check(nm, cfg) for nm in cfg.verify.checks]
 
     verdicts = []
     for (reps, plots), _ in results:
@@ -369,7 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd, help=desc)
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--out", default=None, help="output directory (default from config)")
-        p.add_argument("--workers", type=int, default=1, help="concurrent sweep/verify jobs")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
@@ -391,8 +381,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed < 0:
                 raise ConfigError("seed must be nonnegative")
             cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
-        if args.workers < 1:
-            raise ConfigError("workers must be >= 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -401,15 +389,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return run_solve(cfg, out_dir)
         if args.command == "sweep":
-            return run_sweep(cfg, out_dir, workers=args.workers)
-        return run_verify(cfg, out_dir, workers=args.workers)
-    except (ConfigError, ValueError) as exc:
-        # ValueError from a check means its parameters are inconsistent with
-        # the problem instance, which is a configuration problem
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+            return run_sweep(cfg, out_dir)
+        return run_verify(cfg, out_dir)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 2
+    except Exception:  # parse_config refused every bad value: this is a solver fault
+        traceback.print_exc()
         return 2
 
 

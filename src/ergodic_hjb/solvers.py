@@ -10,9 +10,10 @@ Routes implemented here:
                            augmented Newton, relative value iteration, policy
                            iteration (all fixed points of the same discrete system).
                            Newton and policy iteration are one route function on one
-                           bordered system with two globalizations (line search,
-                           and on a stall pseudo-transient continuation, vs full
-                           step), so their agreement is not independent evidence
+                           square system, lambda in the anchor's slot, with two
+                           globalizations (line search, and on a stall
+                           pseudo-transient continuation, vs full step), so their
+                           agreement is not independent evidence
 * ``parabolic_march``      the one monotone march of u_t = 1/2 Lap u - H(Du) + f,
                            IMEX: backward Euler for 1/2 Lap, explicit upwind H, with
                            dt <= 0.9 h / (m max(1, max|p|)^(theta-1)); the rate
@@ -23,7 +24,6 @@ Routes implemented here:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional
@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid
 from scipy.ndimage import uniform_filter
-from scipy.sparse.linalg import MatrixRankWarning, splu, spsolve
+from scipy.sparse.linalg import splu
 
 from .grid import Field, Grid, dump_json
 from .problem import ProblemSpec
@@ -75,6 +75,7 @@ METHOD_BUDGETS = {
     "relative_value_iteration": 2_000_000,
 }
 DISCOUNTED_MAX_ITER = 200  # Newton iterations of one discounted solve
+ND_LEAF = 16  # nested dissection stops at blocks of at most this many nodes
 
 
 class SolverError(RuntimeError):
@@ -169,9 +170,67 @@ def _sup(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
 
 
+def _nd_order(shape: tuple[int, ...], last: Optional[int] = None) -> np.ndarray:
+    """Nested-dissection order of a grid's nodes, as flat indices (George 1973).
+
+    A block of more than ND_LEAF nodes is cut across the middle of its longest
+    axis, and the cut plane follows both halves; node ``last`` goes last.
+    """
+
+    def order(block: np.ndarray) -> list[np.ndarray]:
+        if block.size <= ND_LEAF:
+            return [block.ravel()]
+        b = block.swapaxes(0, block.shape.index(max(block.shape)))
+        mid = b.shape[0] // 2
+        return order(b[:mid]) + order(b[mid + 1:]) + [b[mid].ravel()]
+
+    perm = np.concatenate(order(np.arange(int(np.prod(shape))).reshape(shape)))
+    return perm if last is None else np.append(perm[perm != last], last)
+
+
+def _nd_step(
+    spec: ProblemSpec, jacobian_fn: Callable, keep: np.ndarray, ones_at: Optional[int] = None
+):
+    """step(x, shift, rhs) = J^(-1) rhs, J the rows and columns keep of jacobian_fn(x, shift).
+
+    keep is sorted; J is written in _nd_order, node ones_at's column replaced by
+    ones and last. The CSR pattern depends on the grid alone: the map is built once.
+    """
+    order = _nd_order(spec.grid.shape, last=ones_at)
+    pick = np.searchsorted(keep, order[np.isin(order, keep)])  # unknowns in that order
+    slots = DiscreteOperator(spec).jacobian(np.zeros(spec.grid.shape))
+    slots.data = np.arange(1.0, slots.nnz + 1)  # 1 + the entry's index in data
+    if ones_at is not None:  # index nnz holds the ones
+        ones = np.full((slots.shape[0], 1), slots.nnz + 1.0)
+        slots = sp.hstack([slots[:, :ones_at], ones, slots[:, ones_at + 1:]], format="csr")
+    pattern = slots[keep[pick]][:, keep[pick]].tocsc()
+    gather, back = pattern.data.astype(int) - 1, np.argsort(pick)
+
+    def step(x: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+        data = np.append(jacobian_fn(x, shift).data, 1.0)[gather]
+        a = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        return _lu_solve(a, rhs[pick])[back]
+
+    return step
+
+
+def _lu_solve(a: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+    """a^(-1) b by one LU of a in its given order, every pivot on the diagonal; NaN if singular.
+
+    Safe here: the Jacobian is <= 0 off the diagonal with row sums = shift >= 0,
+    so without the anchor it is a nonsingular M-matrix (also on the Dirichlet
+    interior and as J + eps I), and the anchor's pivot is 1 - r M^(-1) 1 >= 1.
+    """
+    try:
+        lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:  # the factor is exactly singular
+        return np.full(b.shape, np.nan)
+    return lu.solve(b)
+
+
 def _damped_newton(
     residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray, float], sp.spmatrix],
+    step_fn: Callable[[np.ndarray, float, np.ndarray], np.ndarray],
     x0: np.ndarray,
     tol: float,
     max_iter: int,
@@ -189,14 +248,13 @@ def _damped_newton(
     the trace and the iterate out; an iteration whose step was rejected is
     recorded with step size 0.
 
-    jacobian_fn(x, shift) is the Jacobian at x with shift added to the
-    diagonal of its residual rows; without tau the shift is 0. With a
+    step_fn(x, shift, -F) solves with the Jacobian at x plus shift (0 without
+    tau) on the diagonal of its residual rows, by one LU (_nd_step). With a
     pseudo-time step tau every step solves (J + I/tau) d = -F and is taken
     whole: pseudo-transient continuation, with tau grown by switched evolution
-    relaxation, tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998).
-    tau = inf is the plain full Newton step, which on the bordered ergodic
-    system is Howard's policy iteration. There is no stall window; a
-    non-finite step raises SolverError.
+    relaxation, tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau =
+    inf is the plain full Newton step, which on the ergodic system is Howard's
+    policy iteration. There is no stall window; a non-finite step raises SolverError.
 
     Given the records of an earlier run, iteration numbers and the max_iter
     budget carry on from its last record.
@@ -221,14 +279,9 @@ def _damped_newton(
     for it in range(records[-1].iteration + 1, max_iter + 1):
         if r <= tol:
             return x, records
-        jac = jacobian_fn(x, 1.0 / tau if ptc else 0.0)
-        with warnings.catch_warnings():
-            # a singular J gives a NaN step, which the checks below handle
-            # (a line-search stall hands over to PTC). catch_warnings is not
-            # thread-safe (verify --workers): a race can leak this ignore
-            # filter, which hides warnings but never changes a number
-            warnings.simplefilter("ignore", MatrixRankWarning)
-            delta = spsolve(jac.tocsc(), -f)
+        # a singular J gives a NaN step, which the checks below handle (a
+        # line-search stall hands over to PTC)
+        delta = step_fn(x, 1.0 / tau if ptc else 0.0, -f)
         if not ptc and not np.all(np.isfinite(delta)):
             raise _Stagnation(records + [TraceRecord(it, r, lam, 0.0)], x)
         s = 1.0
@@ -307,11 +360,9 @@ def solve_dirichlet(
     def residual_fn(x: np.ndarray) -> np.ndarray:
         return op.residual_values(assemble(x), lam)[interior]
 
-    def jacobian_fn(x: np.ndarray, shift: float) -> sp.spmatrix:
-        return op.jacobian(assemble(x), shift)[unknowns, :][:, unknowns]
-
+    step = _nd_step(spec, lambda x, s: op.jacobian(assemble(x), s), unknowns)
     try:
-        x, records = _damped_newton(residual_fn, jacobian_fn, full[interior], tol, max_iter)
+        x, records = _damped_newton(residual_fn, step, full[interior], tol, max_iter)
     except _Stagnation as stag:
         trace = ConvergenceTrace(records=stag.records, termination="stagnated")
         raise NoSolutionSuspected(
@@ -347,18 +398,16 @@ def solve_discounted(
         raise ValueError(f"discount rate must be positive, got {epsilon}")
     grid = spec.grid
     op = DiscreteOperator(spec)
-    n = grid.n_nodes
+    nodes = np.arange(grid.n_nodes)
 
     def residual_fn(x: np.ndarray) -> np.ndarray:
         vals = x.reshape(grid.shape)
         return (op.residual_values(vals, 0.0) + epsilon * vals).ravel()
 
-    def jacobian_fn(x: np.ndarray, shift: float) -> sp.spmatrix:
-        return op.jacobian(x.reshape(grid.shape), epsilon + shift)
-
-    x0 = initial_guess.values.ravel() if initial_guess is not None else np.zeros(n)
+    x0 = initial_guess.values.ravel() if initial_guess is not None else np.zeros(nodes.size)
+    step = _nd_step(spec, lambda x, s: op.jacobian(x.reshape(grid.shape), epsilon + s), nodes)
     try:
-        x, records = _damped_newton(residual_fn, jacobian_fn, x0, tol, DISCOUNTED_MAX_ITER)
+        x, records = _damped_newton(residual_fn, step, x0, tol, DISCOUNTED_MAX_ITER)
     except _Stagnation as stag:
         trace = ConvergenceTrace(records=stag.records, termination="stagnated")
         raise SolverError(f"discounted solve stagnated at eps={epsilon:g}", trace) from None
@@ -432,36 +481,15 @@ def _finalize(
     )
 
 
-def _bordered_system(spec: ProblemSpec):
-    """Residual and Jacobian of {G_h[phi] + lambda = 0, phi(anchor) = 0} in N+1 unknowns.
-
-    The ones column carries lambda and the anchor row removes the
-    additive-constant rank deficiency; the Jacobian is assembled in CSC. The
-    shift sits on the diagonal of the N PDE rows only, so the shifted matrix
-    keeps the anchor row and stays nonsingular where J is singular.
-    """
-    grid = spec.grid
-    op = DiscreteOperator(spec)
-    n = grid.n_nodes
-    anchor_flat = int(np.ravel_multi_index(spec.anchor_index, grid.shape))
-    ones_col = sp.csr_matrix(np.ones((n, 1)))
-    anchor_row = sp.csr_matrix(([1.0], ([0], [anchor_flat])), shape=(1, n))
-
-    def residual_fn(x: np.ndarray) -> np.ndarray:
-        pde = op.residual_values(x[:n].reshape(grid.shape), x[n]).ravel()
-        return np.concatenate([pde, [x[anchor_flat]]])
-
-    def jacobian_fn(x: np.ndarray, shift: float) -> sp.csc_matrix:
-        jac = op.jacobian(x[:n].reshape(grid.shape), shift)
-        return sp.bmat([[jac, ones_col], [anchor_row, None]], format="csc")
-
-    return residual_fn, jacobian_fn
-
-
-def _solve_bordered(
+def _solve_square(
     spec: ProblemSpec, initial_guess: Optional[Field], tol: float, max_iter: int, method: str
 ) -> ErgodicSolution:
-    """Newton or policy iteration on the bordered (N+1)-unknown system.
+    """Newton or policy iteration on G_h[phi] + lambda = 0 in N unknowns z.
+
+    phi = z but phi(anchor) = 0, and lambda = z(anchor), so the step's matrix
+    is the Jacobian with its anchor column replaced by ones. G_h is invariant
+    under constants, so from the guess less its anchor value this is Newton on
+    the bordered system {G_h[phi] + lambda = 0, phi(anchor) = 0}.
 
     Newton backtracks. When the semismooth iteration jams on an upwind kink
     configuration, it goes on from there by pseudo-transient continuation in
@@ -477,21 +505,27 @@ def _solve_bordered(
     the iterate minus the residual, so one policy sweep is one undamped Newton
     step (Puterman & Brumelle 1979; Bokanowski, Maroso & Zidani 2009).
     """
-    n = spec.grid.n_nodes
-    residual_fn, jacobian_fn = _bordered_system(spec)
-    x0 = np.zeros(n + 1)
-    if initial_guess is not None:
-        x0[:n] = initial_guess.values.ravel()
+    grid = spec.grid
+    op = DiscreteOperator(spec)
+    anchor = int(np.ravel_multi_index(spec.anchor_index, grid.shape))
 
+    def split(z: np.ndarray) -> tuple[np.ndarray, float]:
+        phi = z.copy()
+        phi[anchor] = 0.0
+        return phi.reshape(grid.shape), float(z[anchor])
+
+    guess = initial_guess.values if initial_guess is not None else np.zeros(grid.shape)
+    z0 = (guess - guess[spec.anchor_index]).ravel()  # lambda starts at 0
+    step_fn = _nd_step(spec, lambda z, s: op.jacobian(split(z)[0], s), np.arange(z0.size), anchor)
     run = partial(
-        _damped_newton, residual_fn, jacobian_fn,
-        tol=0.5 * tol, max_iter=max_iter, lam_of=lambda z: float(z[n]),
+        _damped_newton, lambda z: op.residual_values(*split(z)).ravel(), step_fn,
+        tol=0.5 * tol, max_iter=max_iter, lam_of=lambda z: split(z)[1],
     )
     try:
-        x, records = run(x0, tau=np.inf if method == "policy_iteration" else None)
+        z, records = run(z0, tau=np.inf if method == "policy_iteration" else None)
     except _Stagnation as stag:
-        x, records = run(stag.x, tau=PTC_TAU0, records=stag.records)
-    return _finalize(spec, x[:n].reshape(spec.grid.shape), float(x[n]), records, method, tol)
+        z, records = run(stag.x, tau=PTC_TAU0, records=stag.records)
+    return _finalize(spec, *split(z), records, method, tol)
 
 
 def _march(spec: ProblemSpec, u: np.ndarray, records: list[TraceRecord], horizon: float = np.inf):
@@ -546,7 +580,7 @@ def solve_ergodic(
 
     All three methods converge to the same discrete fixed point; they differ
     in robustness and cost. ``newton_augmented`` and ``policy_iteration`` share
-    the bordered system and the Newton driver and differ only in globalization
+    the square system and the Newton driver and differ only in globalization
     (backtracking, and on a stall pseudo-transient continuation, vs full
     steps); relative value iteration is ``parabolic_march`` with T = inf, read
     off at the first step whose rate spread is <= tol/2. The returned
@@ -559,7 +593,7 @@ def solve_ergodic(
     budget = max_iter or METHOD_BUDGETS[method]
     if method == "relative_value_iteration":
         return parabolic_march(spec, initial_guess, np.inf, tol, budget).settled
-    return _solve_bordered(spec, initial_guess, tol, budget, method)
+    return _solve_square(spec, initial_guess, tol, budget, method)
 
 
 def parabolic_march(

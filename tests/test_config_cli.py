@@ -287,14 +287,6 @@ def test_cli_coeff_sweep(tmp_path):
     assert lams[-1] == pytest.approx(1.0, abs=0.06)
 
 
-def test_cli_sweep_workers_give_identical_output(tmp_path):
-    cfg = write_cfg(tmp_path, SWEEP)
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["sweep", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out2), "--workers", "3"]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-
-
 def test_cli_deterministic_outputs_modulo_metadata(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
@@ -387,6 +379,18 @@ def test_cli_verify_horizon_before_settling_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, text + "horizon = 0.5\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "horizon 0.5" in capsys.readouterr().err
+
+
+def test_cli_error_inside_a_check_exits_two(tmp_path, monkeypatch, capsys):
+    # the config was accepted, so a ValueError raised by a check is a fault
+    # in the solve or the check, not a configuration error
+    def broken(*args, **kwargs):
+        raise ValueError("inconsistent state inside the check")
+
+    monkeypatch.setattr(cli, "check_uniqueness", broken)
+    cfg = write_cfg(tmp_path, VERIFY.replace("shift_equivariance, uniqueness", "uniqueness"))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "inconsistent state inside the check" in capsys.readouterr().err
 
 
 def test_check_table_matches_check_names():

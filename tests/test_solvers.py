@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from ergodic_hjb import solvers
 from ergodic_hjb.analysis import check_interior_minimum
@@ -290,13 +291,13 @@ def test_ergodic_unknown_method_rejected():
 
 def test_ergodic_normalization_and_trace_invariants(monkeypatch):
     linear_solves = []
-    spsolve = solvers.spsolve
+    lu_solve = solvers._lu_solve
 
-    def counting_spsolve(a, b):
+    def counting_lu_solve(a, b):
         linear_solves.append(a.shape)
-        return spsolve(a, b)
+        return lu_solve(a, b)
 
-    monkeypatch.setattr(solvers, "spsolve", counting_spsolve)
+    monkeypatch.setattr(solvers, "_lu_solve", counting_lu_solve)
     spec = closed_form_spec(3.0, 1, 6.0, 0.05)
     # from this field the line search stalls and pseudo-time steps take over
     cold = closed_form_spec(6.0, 1, 8.0, 0.02)
@@ -325,6 +326,92 @@ def test_ergodic_normalization_and_trace_invariants(monkeypatch):
     steps = [r.step_size for r in records]
     switch = steps.index(PTC_TAU0)
     assert steps[switch - 1] == 0.0
+
+
+# -- the linear layer ----------------------------------------------------------------
+
+
+def bordered_matrix(spec, phi, shift):
+    """[[J + shift I, 1], [e_anchor, 0]]: the (N+1)-unknown system with lambda as a border."""
+    n = spec.grid.n_nodes
+    anchor = int(np.ravel_multi_index(spec.anchor_index, spec.grid.shape))
+    jac = DiscreteOperator(spec).jacobian(phi, shift)
+    ones = sp.csr_matrix(np.ones((n, 1)))
+    row = sp.csr_matrix(([1.0], ([0], [anchor])), shape=(1, n))
+    return sp.bmat([[jac, ones], [row, None]], format="csc")
+
+
+def square_step(spec, phi, lam, shift):
+    """The square step at (phi, lambda), phi(anchor) = 0, as (dphi, dlambda).
+
+    The ergodic route's matrix: the Jacobian with the anchor's column replaced by ones.
+    """
+    n = spec.grid.n_nodes
+    anchor = int(np.ravel_multi_index(spec.anchor_index, spec.grid.shape))
+    op = DiscreteOperator(spec)
+    step_fn = solvers._nd_step(spec, lambda z, s: op.jacobian(phi, s), np.arange(n), anchor)
+    step = step_fn(None, shift, -op.residual_values(phi, lam).ravel())
+    x = np.append(step, step[anchor])  # lambda rides in the anchor's slot
+    x[anchor] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("m, radius, h", [(1, 8.0, 0.02), (2, 3.0, 0.1)])
+@pytest.mark.parametrize("shift", [0.0, 1.0 / PTC_TAU0])
+@pytest.mark.parametrize("guess", ["eikonal", "random"])
+def test_square_step_is_the_bordered_step(m, radius, h, shift, guess):
+    spec = closed_form_spec(3.0, m, radius, h)
+    field = eikonal_initial_guess(spec) if guess == "eikonal" else random_smooth_field(spec.grid, 3)
+    phi = field.values - field.at(spec.anchor_index)
+    lam = 0.7
+    x = square_step(spec, phi, lam, shift)
+    bordered = bordered_matrix(spec, phi, shift)
+    rhs = -np.append(DiscreteOperator(spec).residual_values(phi, lam).ravel(), 0.0)
+    # the square step solves the bordered system: normwise backward error
+    size = abs(bordered).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    assert np.max(np.abs(bordered @ x - rhs)) <= 1e-14 * size
+    if shift == 0.0 and guess == "random":
+        # J at a random field is ill-conditioned (steps of 1e16 at theta=3 in
+        # 1-d), so two exact factorizations agree only to cond(J) * eps
+        return
+    ref = spsolve(bordered, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert x[-1] == pytest.approx(ref[-1], rel=1e-12, abs=0.0)  # dlambda
+
+
+@pytest.mark.parametrize("shape", [(41,), (17, 23), (9, 10, 11)])
+def test_nd_order_is_a_permutation_with_the_anchor_last(shape):
+    n = int(np.prod(shape))
+    anchor = n // 2
+    for last in (None, anchor):
+        order = solvers._nd_order(shape, last)
+        assert np.array_equal(np.sort(order), np.arange(n))
+    assert order[-1] == anchor
+
+
+def test_nd_factor_pivots_on_the_diagonal_and_fills_less_than_bordered_colamd(monkeypatch):
+    spec = closed_form_spec(2.0, 2, 3.0, 0.05)
+    factors = []
+
+    def recording_splu(a, **kwargs):
+        lu = splu(a, **kwargs)
+        factors.append((lu.L.nnz + lu.U.nnz, np.array_equal(lu.perm_r, lu.perm_c)))
+        return lu
+
+    monkeypatch.setattr(solvers, "splu", recording_splu)
+    field = random_smooth_field(spec.grid, 5)
+    phi = field.values - field.at(spec.anchor_index)
+    colamd = splu(bordered_matrix(spec, phi, 0.0), permc_spec="COLAMD")
+    rhs = -np.append(DiscreteOperator(spec).residual_values(phi, 0.7).ravel(), 0.0)
+    for shift in (0.0, 1.0 / PTC_TAU0):
+        x = square_step(spec, phi, 0.7, shift)
+        fill, diagonal = factors[-1]
+        assert diagonal  # row order = column order: no pivot left the diagonal
+        assert fill <= colamd.L.nnz + colamd.U.nnz
+        if shift > 0.0:
+            residual = bordered_matrix(spec, phi, shift) @ x - rhs
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+    assert len(factors) == 2
 
 
 def test_ergodic_shift_equivariance():
