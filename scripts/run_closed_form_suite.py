@@ -6,8 +6,11 @@ which makes this the quickest end-to-end sanity run for the solver stack.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's package
 
 from ergodic_hjb.problem import ProblemSpec, make_pure_power_rhs
 from ergodic_hjb.solvers import eikonal_initial_guess, solve_ergodic

@@ -8,6 +8,8 @@ import argparse
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # this checkout's package
+
 from ergodic_hjb.cli import main as cli_main
 from ergodic_hjb.config import (
     ExperimentConfig,

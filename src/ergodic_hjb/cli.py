@@ -112,7 +112,8 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     _write(out / "solution.json", dump_json(doc) + "\n")
     _write(out / "solution.csv", field_to_csv(sol.phi))
     _write(out / "trace.jsonl", sol.trace.to_jsonl())
-    _write_meta(out, wall, {"status": "ok"})
+    linear = {"factorizations": sol.trace.factorizations, "reused_steps": sol.trace.reused_steps}
+    _write_meta(out, wall, {"status": "ok", **linear})
     return 0
 
 

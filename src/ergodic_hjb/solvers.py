@@ -76,6 +76,14 @@ METHOD_BUDGETS = {
 }
 DISCOUNTED_MAX_ITER = 200  # Newton iterations of one discounted solve
 ND_LEAF = 16  # nested dissection stops at blocks of at most this many nodes
+ND_LAYOUTS = 8  # _nd_matrix keeps the layouts of this many (grid, unknowns, anchor) keys
+_LAYOUTS: dict = {}  # oldest first
+# Reuse of the last LU (_nd_step). Fill per unknown is about 6 in 1-d and 44-71
+# in 2-d, so 1-d steps always factor afresh.
+REUSE_FILL = 16
+REUSE_CONTRACTION = 0.1  # try the held LU only after a step that cut |F|_2 tenfold
+REUSE_ITERATIONS = 10  # GMRES iterations on a held LU before it is dropped
+REUSE_BACKWARD_ERROR = 1e-10  # a fresh diagonal-pivot LU reaches 4e-16 to 5e-11 here
 
 
 class SolverError(RuntimeError):
@@ -124,6 +132,10 @@ class TraceRecord:
 class ConvergenceTrace:
     records: list[TraceRecord] = field(default_factory=list)
     termination: str = ""
+    # Newton and policy steps solved by a fresh LU and by the held one (_nd_step);
+    # written to meta.json, not to trace.jsonl
+    factorizations: int = 0
+    reused_steps: int = 0
 
     def to_jsonl(self) -> str:
         lines = [dump_json(r.to_dict()) for r in self.records]
@@ -188,49 +200,130 @@ def _nd_order(shape: tuple[int, ...], last: Optional[int] = None) -> np.ndarray:
     return perm if last is None else np.append(perm[perm != last], last)
 
 
+def _nd_matrix(
+    jac: sp.csr_matrix, shape: tuple[int, ...], keep: np.ndarray, ones_at: Optional[int]
+) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """(a, pick, back): a the rows and columns keep of jac in _nd_order, as CSC.
+
+    Node ones_at's column is replaced by ones and goes last. pick lists the
+    unknowns in that order and back undoes it. The CSR pattern of jac depends
+    on the grid alone, so its layout in a (the CSC pattern, and the gather of
+    jac's data into it) is built once per (grid shape, unknowns, ones_at) and
+    cached; the oldest of ND_LAYOUTS layouts is dropped.
+    """
+    key = (shape, keep.tobytes(), ones_at)
+    if key not in _LAYOUTS:
+        order = _nd_order(shape, last=ones_at)
+        pick = np.searchsorted(keep, order[np.isin(order, keep)])  # unknowns in that order
+        slots = sp.csr_matrix((np.arange(1.0, jac.nnz + 1), jac.indices, jac.indptr), jac.shape)
+        if ones_at is not None:  # index nnz holds the ones
+            ones = np.full((slots.shape[0], 1), slots.nnz + 1.0)
+            slots = sp.hstack([slots[:, :ones_at], ones, slots[:, ones_at + 1:]], format="csr")
+        pattern = slots[keep[pick]][:, keep[pick]].tocsc()
+        while len(_LAYOUTS) >= ND_LAYOUTS:
+            del _LAYOUTS[next(iter(_LAYOUTS))]
+        gather = pattern.data.astype(int) - 1
+        _LAYOUTS[key] = pick, np.argsort(pick), pattern.indices, pattern.indptr, gather
+    pick, back, indices, indptr, gather = _LAYOUTS[key]
+    data = np.append(jac.data, 1.0)[gather]
+    return sp.csc_matrix((data, indices, indptr), shape=(pick.size, pick.size)), pick, back
+
+
 def _nd_step(
     spec: ProblemSpec, jacobian_fn: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """step(x, shift, rhs) = J^(-1) rhs, J the rows and columns keep of jacobian_fn(x, shift).
+    """step(x, shift, rhs, tol) = J^(-1) rhs, J the rows and columns keep of jacobian_fn(x, shift).
 
     keep is sorted; J is written in _nd_order, node ones_at's column replaced by
-    ones and last. The CSR pattern depends on the grid alone: the map is built once.
+    ones and last (_nd_matrix). The step keeps its last LU when that factor is
+    expensive (more than REUSE_FILL entries per unknown). After a step that cut
+    |rhs|_2 by REUSE_CONTRACTION or more, the next one first tries the held LU
+    (_reused_solve) and factors J afresh by _lu_solve only if that solve is
+    not as good as a direct one; only one LU is held at any time.
+    step.counts holds the number of each kind of step.
     """
-    order = _nd_order(spec.grid.shape, last=ones_at)
-    pick = np.searchsorted(keep, order[np.isin(order, keep)])  # unknowns in that order
-    slots = DiscreteOperator(spec).jacobian(np.zeros(spec.grid.shape))
-    slots.data = np.arange(1.0, slots.nnz + 1)  # 1 + the entry's index in data
-    if ones_at is not None:  # index nnz holds the ones
-        ones = np.full((slots.shape[0], 1), slots.nnz + 1.0)
-        slots = sp.hstack([slots[:, :ones_at], ones, slots[:, ones_at + 1:]], format="csr")
-    pattern = slots[keep[pick]][:, keep[pick]].tocsc()
-    gather, back = pattern.data.astype(int) - 1, np.argsort(pick)
+    held = None
+    last_norm = np.inf
+    counts = {"factorizations": 0, "reused_steps": 0}
 
-    def step(x: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
-        data = np.append(jacobian_fn(x, shift).data, 1.0)[gather]
-        a = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-        return _lu_solve(a, rhs[pick])[back]
+    def step(x: np.ndarray, shift: float, rhs: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        nonlocal held, last_norm
+        a, pick, back = _nd_matrix(jacobian_fn(x, shift), spec.grid.shape, keep, ones_at)
+        b = rhs[pick]
+        norm = np.linalg.norm(b)
+        contracted, last_norm = norm <= REUSE_CONTRACTION * last_norm, norm
+        if held is not None and contracted:
+            d = _reused_solve(a, held, b, tol)
+            if d is not None:
+                counts["reused_steps"] += 1
+                return d[back]
+        held = None  # dropped before the fresh factor is built
+        d, lu = _lu_solve(a, b)
+        counts["factorizations"] += 1
+        if lu is not None and lu.nnz > REUSE_FILL * b.size:
+            held = lu
+        return d[back]
 
+    step.counts = counts  # step never names itself: no reference cycle keeps held alive
     return step
 
 
-def _lu_solve(a: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-    """a^(-1) b by one LU of a in its given order, every pivot on the diagonal; NaN if singular.
+def _lu_solve(a: sp.csc_matrix, b: np.ndarray):
+    """(a^(-1) b, LU) by one LU of a in its given order, every pivot on the diagonal.
 
     Safe here: the Jacobian is <= 0 off the diagonal with row sums = shift >= 0,
     so without the anchor it is a nonsingular M-matrix (also on the Dirichlet
     interior and as J + eps I), and the anchor's pivot is 1 - r M^(-1) 1 >= 1.
+    A diagonal-pivot LU of such a matrix is componentwise backward stable,
+    the bar _reused_solve holds a reused factor to. If the factor is exactly
+    singular, the solution is NaN and the LU None.
     """
     try:
         lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError:  # the factor is exactly singular
-        return np.full(b.shape, np.nan)
-    return lu.solve(b)
+    except RuntimeError:
+        return np.full(b.shape, np.nan), None
+    return lu.solve(b), lu
+
+
+def _reused_solve(a: sp.csc_matrix, lu, b: np.ndarray, tol: float) -> Optional[np.ndarray]:
+    """a^(-1) b by GMRES on a lu^(-1) from 0, or None if it is not as good as a direct solve.
+
+    Right preconditioning minimizes the true residual |a d - b|_2 over the
+    Krylov space; at most REUSE_ITERATIONS iterations. An iterate d is
+    accepted when its componentwise (Oettli-Prager) backward error
+    max_i |a d - b|_i / (|a| |d| + |b|)_i is at most REUSE_BACKWARD_ERROR, or
+    when |a d - b|_inf <= tol/4. A small 2-norm residual alone is not enough:
+    accepted on that, policy iteration diverged from a cold start.
+    """
+    v = np.empty((REUSE_ITERATIONS + 1, b.size))  # orthonormal Krylov basis
+    z = np.empty((REUSE_ITERATIONS, b.size))  # lu^(-1) v
+    hess = np.zeros((REUSE_ITERATIONS + 1, REUSE_ITERATIONS))
+    e1 = np.zeros(REUSE_ITERATIONS + 1)
+    e1[0] = np.linalg.norm(b)  # nonzero: _damped_newton stops at |F|_inf <= tol first
+    v[0] = b / e1[0]
+    scale = sp.csc_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)  # |a|
+    for k in range(REUSE_ITERATIONS):
+        z[k] = lu.solve(v[k])
+        w = a @ z[k]
+        for i in range(k + 1):  # modified Gram-Schmidt
+            hess[i, k] = v[i] @ w
+            w -= hess[i, k] * v[i]
+        hess[k + 1, k] = np.linalg.norm(w)
+        y = np.linalg.lstsq(hess[: k + 2, : k + 1], e1[: k + 2], rcond=None)[0]
+        d = y @ z[: k + 1]
+        r = np.abs(a @ d - b)
+        componentwise = np.all(r <= REUSE_BACKWARD_ERROR * (scale @ np.abs(d) + np.abs(b)))
+        if componentwise or r.max() <= 0.25 * tol:
+            return d
+        if not hess[k + 1, k] > 0.0:  # breakdown: the Krylov space holds no better d
+            return None
+        v[k + 1] = w / hess[k + 1, k]
+    return None
 
 
 def _damped_newton(
     residual_fn: Callable[[np.ndarray], np.ndarray],
-    step_fn: Callable[[np.ndarray, float, np.ndarray], np.ndarray],
+    step_fn: Callable[[np.ndarray, float, np.ndarray, float], np.ndarray],
     x0: np.ndarray,
     tol: float,
     max_iter: int,
@@ -248,8 +341,10 @@ def _damped_newton(
     the trace and the iterate out; an iteration whose step was rejected is
     recorded with step size 0.
 
-    step_fn(x, shift, -F) solves with the Jacobian at x plus shift (0 without
-    tau) on the diagonal of its residual rows, by one LU (_nd_step). With a
+    step_fn(x, shift, -F, tol) solves with the Jacobian at x plus shift (0
+    without tau) on the diagonal of its residual rows (_nd_step): by a fresh
+    LU, or by the last one when that solve is as good as a direct one or
+    leaves a linear residual below tol/4, which cannot hold up convergence. With a
     pseudo-time step tau every step solves (J + I/tau) d = -F and is taken
     whole: pseudo-transient continuation, with tau grown by switched evolution
     relaxation, tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau =
@@ -281,7 +376,7 @@ def _damped_newton(
             return x, records
         # a singular J gives a NaN step, which the checks below handle (a
         # line-search stall hands over to PTC)
-        delta = step_fn(x, 1.0 / tau if ptc else 0.0, -f)
+        delta = step_fn(x, 1.0 / tau if ptc else 0.0, -f, tol)
         if not ptc and not np.all(np.isfinite(delta)):
             raise _Stagnation(records + [TraceRecord(it, r, lam, 0.0)], x)
         s = 1.0
@@ -525,7 +620,8 @@ def _solve_square(
         z, records = run(z0, tau=np.inf if method == "policy_iteration" else None)
     except _Stagnation as stag:
         z, records = run(stag.x, tau=PTC_TAU0, records=stag.records)
-    return _finalize(spec, *split(z), records, method, tol)
+    sol = _finalize(spec, *split(z), records, method, tol)
+    return replace(sol, trace=replace(sol.trace, **step_fn.counts))
 
 
 def _march(spec: ProblemSpec, u: np.ndarray, records: list[TraceRecord], horizon: float = np.inf):

@@ -177,6 +177,11 @@ def test_cli_solve_quadratic_rhs(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "solution.json").read_text())
     assert doc["lambda"] == pytest.approx(0.5, abs=0.02)
+    # the linear-step counts go to meta.json only; a 1-d factor is too cheap to reuse
+    meta = json.loads((out / "meta.json").read_text())
+    *records, done = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    assert (meta["factorizations"], meta["reused_steps"]) == (records[-1]["iteration"], 0)
+    assert "factorizations" not in done
 
 
 def test_cli_unknown_key_exits_one(tmp_path, capsys):

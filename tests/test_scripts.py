@@ -1,6 +1,8 @@
 """Smoke runs of the experiment scripts on tiny instances."""
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,3 +44,19 @@ def test_output_digest_is_stable_across_runs(monkeypatch, capsys):
         "solve_quadratic_1d/trace.jsonl",
     ]
     assert all(len(line.split("  ")[0]) == 64 for line in runs[0])
+
+
+def test_output_digest_runs_from_a_checkout_without_an_install(tmp_path):
+    """No PYTHONPATH and a foreign cwd: the script imports the checkout's src/."""
+    cfg = SCRIPTS.parent / "configs" / "solve_quadratic_1d.cfg"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "output_digest.py"), str(cfg)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert [line.split("  ")[1] for line in run.stdout.splitlines()] == [
+        "solve_quadratic_1d/solution.csv",
+        "solve_quadratic_1d/solution.json",
+        "solve_quadratic_1d/trace.jsonl",
+    ]

@@ -1,6 +1,8 @@
 """Solver routes: Dirichlet, discounted, state-constraint ergodic, parabolic."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -412,6 +414,110 @@ def test_nd_factor_pivots_on_the_diagonal_and_fills_less_than_bordered_colamd(mo
             residual = bordered_matrix(spec, phi, shift) @ x - rhs
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
     assert len(factors) == 2
+
+
+@pytest.mark.parametrize("method", ["newton_augmented", "policy_iteration"])
+@pytest.mark.parametrize("theta", [2.0, 3.0])
+def test_held_lu_saves_factors_and_agrees_with_fresh_factors(theta, method, monkeypatch):
+    spec = closed_form_spec(theta, 2, 3.0, 0.05)
+    guess = eikonal_initial_guess(spec)
+    tol = 1e-8
+    reused = solve_ergodic(spec, initial_guess=guess, method=method, tol=tol)
+    monkeypatch.setattr(solvers, "REUSE_FILL", np.inf)  # every step factors afresh
+    fresh = solve_ergodic(spec, initial_guess=guess, method=method, tol=tol)
+    iterations = reused.trace.records[-1].iteration
+    assert reused.trace.factorizations < iterations
+    assert reused.trace.factorizations + reused.trace.reused_steps == iterations
+    assert (fresh.trace.factorizations, fresh.trace.reused_steps) == (
+        fresh.trace.records[-1].iteration, 0
+    )
+    assert np.max(np.abs(reused.phi.values - fresh.phi.values)) <= 10.0 * tol
+    assert abs(reused.lam - fresh.lam) <= reused.residual_sup + fresh.residual_sup
+
+
+def test_reused_solve_meets_the_componentwise_bar_or_declines():
+    spec = closed_form_spec(2.0, 2, 3.0, 0.1)
+    op = DiscreteOperator(spec)
+    phi = eikonal_initial_guess(spec).values
+    a = op.jacobian(phi, 1.0).tocsc()
+    b = -op.residual_values(phi, 0.7).ravel()
+    near = splu(op.jacobian(1.05 * phi, 1.0).tocsc())  # the factor of the last step
+    d = solvers._reused_solve(a, near, b, 0.0)  # tol 0: only the componentwise bar accepts
+    r = np.abs(a @ d - b)
+    assert np.all(r <= solvers.REUSE_BACKWARD_ERROR * (abs(a) @ np.abs(d) + np.abs(b)))
+    jacobi = splu(sp.diags(a.diagonal()).tocsc())  # too far from a for 10 iterations
+    assert solvers._reused_solve(a, jacobi, b, 0.0) is None
+
+
+def test_held_lu_forced_on_in_1d_keeps_the_hard_solves(monkeypatch):
+    """A reused solve must be as good as a direct one, componentwise.
+
+    The held LU is tried at every step of three hard 1-d solves, whose
+    records are those of the fresh-factor path. Accepting a reused solve on a
+    small 2-norm residual alone makes policy iteration diverge here.
+    """
+    monkeypatch.setattr(solvers, "REUSE_FILL", 0)
+    monkeypatch.setattr(solvers, "REUSE_CONTRACTION", np.inf)
+    spec = closed_form_spec(6.0, 1, 8.0, 0.02)
+    runs = [
+        ("policy_iteration", None, 58),
+        ("newton_augmented", random_smooth_field(spec.grid, 1), 60),
+        ("newton_augmented", random_smooth_field(spec.grid, 2), 73),
+    ]
+    for method, guess, n_records in runs:
+        sol = solve_ergodic(spec, initial_guess=guess, method=method, tol=1e-8)
+        assert len(sol.trace.records) == n_records
+        assert sol.trace.reused_steps > 0
+        assert sol.lam == pytest.approx(closed_form_lambda(1), abs=0.02)
+
+
+def test_held_lu_is_freed_with_its_solve(monkeypatch):
+    steps = []
+    nd_step = solvers._nd_step
+
+    def recording_nd_step(*args):
+        step = nd_step(*args)
+        steps.append(weakref.ref(step))
+        return step
+
+    monkeypatch.setattr(solvers, "_nd_step", recording_nd_step)
+    gc.disable()  # reference counting alone must free the step and the LU it holds
+    try:
+        sol = solve_ergodic(closed_form_spec(2.0, 2, 3.0, 0.1), tol=1e-8)
+    finally:
+        gc.enable()
+    assert sol.trace.reused_steps > 0
+    assert len(steps) == 1 and steps[0]() is None
+
+
+def test_nd_layout_is_built_once_per_grid_from_the_steps_own_jacobians(monkeypatch):
+    orders, jacobians = [], []
+    nd_order, jacobian = solvers._nd_order, DiscreteOperator.jacobian
+
+    def counting_order(shape, last=None):
+        orders.append(shape)
+        return nd_order(shape, last)
+
+    def counting_jacobian(self, values, shift=0.0):
+        jacobians.append(shift)
+        return jacobian(self, values, shift)
+
+    monkeypatch.setattr(solvers, "_nd_order", counting_order)
+    monkeypatch.setattr(DiscreteOperator, "jacobian", counting_jacobian)
+    monkeypatch.setattr(solvers, "_LAYOUTS", {})
+    spec = closed_form_spec(2.0, 1, 4.0, 0.05)
+    for method in ("newton_augmented", "policy_iteration"):
+        jacobians.clear()
+        sol = solve_ergodic(spec, method=method, tol=1e-8)
+        assert len(jacobians) == sol.trace.records[-1].iteration  # no extra assembly
+    assert len(orders) == 1
+    # the discounted and Dirichlet routes solve for other unknowns on the same grid
+    phi = solve_discounted(spec, 0.1)
+    solve_dirichlet(spec, 0.1 * phi.at(spec.anchor_index), phi)
+    assert len(orders) == 3
+    for k in range(solvers.ND_LAYOUTS + 2):  # the cache stays bounded
+        solve_ergodic(closed_form_spec(2.0, 1, 1.0 + 0.1 * k, 0.1), tol=1e-8)
+    assert len(solvers._LAYOUTS) == solvers.ND_LAYOUTS
 
 
 def test_ergodic_shift_equivariance():
