@@ -3,6 +3,9 @@
 
 f = (1/theta)|y|^theta + 1 is solved by phi = |y|^2/2 with lambda = m/2 + 1,
 which makes this the quickest end-to-end sanity run for the solver stack.
+The last columns are the Newton iterations and LU factorizations on the
+requested grid and, for a nested solve, one n_per_axis:iterations pair per
+coarser grid solved first.
 """
 
 import argparse
@@ -25,7 +28,7 @@ def main():
 
     grids = {1: (8.0, args.h1), 2: (6.0, args.h2)}
     print(f"{'theta':>6} {'m':>3} {'lambda':>12} {'exact':>8} {'lam err':>9} "
-          f"{'phi err':>9} {'residual':>10} {'time':>7}")
+          f"{'phi err':>9} {'residual':>10} {'time':>7} {'iters':>5} {'LUs':>4}  coarse")
     for theta in (1.5, 2.0, 3.0):
         for m, (radius, h) in grids.items():
             rhs = make_pure_power_rhs(1.0 / theta, theta, shift=1.0)
@@ -33,6 +36,8 @@ def main():
             t0 = time.perf_counter()
             sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=args.tol)
             wall = time.perf_counter() - t0
+            trace = sol.trace  # fine-grid counts, then n_per_axis:iterations per coarse grid
+            coarse = " ".join(f"{lv['n_per_axis']}:{lv['iterations']}" for lv in trace.coarse_levels)
             exact_lam = 0.5 * m + 1.0
             exact_phi = 0.5 * spec.grid.radii() ** 2
             exact_phi -= exact_phi[spec.anchor_index]
@@ -40,7 +45,8 @@ def main():
             d = sol.phi.values[bulk] - exact_phi[bulk]
             print(f"{theta:>6} {m:>3} {sol.lam:>12.6f} {exact_lam:>8.3f} "
                   f"{abs(sol.lam - exact_lam):>9.2e} {(d.max() - d.min()) / 2:>9.2e} "
-                  f"{sol.residual_sup:>10.2e} {wall:>6.1f}s")
+                  f"{sol.residual_sup:>10.2e} {wall:>6.1f}s {trace.records[-1].iteration:>5} "
+                  f"{trace.factorizations:>4}  {coarse or '-'}")
 
 
 if __name__ == "__main__":

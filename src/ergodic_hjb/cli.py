@@ -43,6 +43,7 @@ from .grid import dump_json, field_to_csv
 from .problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from .scheme import STATE_CONSTRAINT
 from .solvers import (
+    ConvergenceTrace,
     SolverError,
     discounted_lambda_path,
     eikonal_initial_guess,
@@ -79,6 +80,16 @@ def _f(x: float) -> str:
 # -- solve ------------------------------------------------------------------------
 
 
+def _linear_counts(trace: ConvergenceTrace) -> dict:
+    """How a solve's steps were solved, for meta.json: the fine grid's fresh
+    and reused LU steps, and one entry per coarser grid solved first."""
+    return {
+        "factorizations": trace.factorizations,
+        "reused_steps": trace.reused_steps,
+        "coarse_levels": trace.coarse_levels,
+    }
+
+
 def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     out = Path(out_dir)
     spec = build_spec(cfg)
@@ -92,9 +103,11 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
         )
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        linear = {}
         if exc.trace is not None:
             _write(out / "trace.jsonl", exc.trace.to_jsonl())
-        _write_meta(out, time.perf_counter() - start, {"status": "solver_failure"})
+            linear = _linear_counts(exc.trace)
+        _write_meta(out, time.perf_counter() - start, {"status": "solver_failure", **linear})
         return 2
     wall = time.perf_counter() - start
     doc = {
@@ -112,8 +125,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     _write(out / "solution.json", dump_json(doc) + "\n")
     _write(out / "solution.csv", field_to_csv(sol.phi))
     _write(out / "trace.jsonl", sol.trace.to_jsonl())
-    linear = {"factorizations": sol.trace.factorizations, "reused_steps": sol.trace.reused_steps}
-    _write_meta(out, wall, {"status": "ok", **linear})
+    _write_meta(out, wall, {"status": "ok", **_linear_counts(sol.trace)})
     return 0
 
 

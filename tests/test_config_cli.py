@@ -181,7 +181,8 @@ def test_cli_solve_quadratic_rhs(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     *records, done = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
     assert (meta["factorizations"], meta["reused_steps"]) == (records[-1]["iteration"], 0)
-    assert "factorizations" not in done
+    assert meta["coarse_levels"] == []  # a 1-d grid is solved on one level
+    assert "factorizations" not in done and "coarse_levels" not in done
 
 
 def test_cli_unknown_key_exits_one(tmp_path, capsys):
@@ -205,6 +206,8 @@ def test_cli_solver_failure_exits_two(tmp_path):
     text = text.replace("method = newton_augmented", "method = relative_value_iteration")
     cfg = write_cfg(tmp_path, text)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    meta = json.loads((tmp_path / "o" / "meta.json").read_text())
+    assert meta["status"] == "solver_failure" and meta["coarse_levels"] == []
 
 
 def test_cli_rvi_without_max_iter_uses_the_method_budget(tmp_path):

@@ -1,7 +1,11 @@
-"""Every exported name resolves."""
+"""Every exported name resolves, and importing the CLI leaves heavy scipy modules out."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,18 @@ MODULES = [ergodic_hjb] + [
 def test_every_name_in_all_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    """They cost import time on every run and the package uses neither."""
+    src = str(Path(ergodic_hjb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, ergodic_hjb.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

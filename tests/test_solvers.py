@@ -520,6 +520,151 @@ def test_nd_layout_is_built_once_per_grid_from_the_steps_own_jacobians(monkeypat
     assert len(solvers._LAYOUTS) == solvers.ND_LAYOUTS
 
 
+
+def level_sizes(sol):
+    return [level["n_per_axis"] for level in sol.trace.coarse_levels]
+
+
+@pytest.mark.parametrize("theta", [2.0, 3.0])
+def test_nested_solve_reaches_the_fixed_point_of_the_one_level_solve(theta, monkeypatch):
+    """The raw start must still reach the fine fixed point without coarse levels.
+
+    121 x 121 nests once, to 61 x 61. The comparison principle bounds the
+    lambda gap of two solutions by the sum of their residuals.
+    """
+    tol = 1e-8
+    spec = closed_form_spec(theta, 2, 3.0, 0.05)
+    eikonal = eikonal_initial_guess(spec)
+    starts = [
+        ("newton_augmented", random_smooth_field(spec.grid, 101)),
+        ("newton_augmented", random_smooth_field(spec.grid, 202)),
+        ("newton_augmented", eikonal),
+        ("policy_iteration", eikonal),
+    ]
+    nested = [solve_ergodic(spec, initial_guess=g, method=mt, tol=tol) for mt, g in starts]
+    monkeypatch.setattr(solvers, "COARSE_MIN_NODES", np.inf)
+    flat = [solve_ergodic(spec, initial_guess=g, method=mt, tol=tol) for mt, g in starts]
+    for (method, _), a, b in zip(starts, nested, flat):
+        assert (level_sizes(a), level_sizes(b)) == ([61], [])
+        assert a.trace.coarse_levels[0]["termination"] == "converged"
+        assert a.trace.factorizations <= 2, method
+        gap = abs(a.lam - b.lam)
+        assert gap <= 1e-10 or gap <= a.residual_sup + b.residual_sup, (method, gap)
+        assert np.max(np.abs(a.phi.values - b.phi.values)) <= 10.0 * tol, method
+
+
+def test_nested_start_is_the_injected_guess_solved_and_prolonged(monkeypatch):
+    spec = closed_form_spec(2.0, 2, 3.0, 0.05)
+    guess = random_smooth_field(spec.grid, 101)
+    calls, starts = [], []
+    solve_square, damped_newton = solvers._solve_square, solvers._damped_newton
+
+    def recording_solve_square(spec, initial_guess, *args):
+        sol = solve_square(spec, initial_guess, *args)
+        calls.append((initial_guess.values, sol))
+        return sol
+
+    def recording_newton(residual_fn, step_fn, x0, *args, records=None, **kwargs):
+        if records is None:  # not the pseudo-time run that carries on after a stall
+            starts.append(np.array(x0))
+        return damped_newton(residual_fn, step_fn, x0, *args, records=records, **kwargs)
+
+    monkeypatch.setattr(solvers, "_solve_square", recording_solve_square)
+    monkeypatch.setattr(solvers, "_damped_newton", recording_newton)
+    sol = solve_ergodic(spec, initial_guess=guess, tol=1e-8)
+    (coarse_guess, coarse), (fine_guess, fine) = calls
+    assert fine is sol and fine_guess is guess.values
+    assert coarse.spec.grid.n_per_axis == 61 and coarse.spec.h == 2.0 * spec.h
+    assert np.array_equal(coarse_guess, guess.values[::2, ::2])  # every other node
+    start = starts[-1].reshape(spec.grid.shape)
+    # exact on the coarse nodes, the anchors included: phi(anchor) = 0, lambda starts at 0
+    assert np.array_equal(start[::2, ::2], coarse.phi.values)
+    assert start[spec.anchor_index] == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_prolongation_is_multilinear_and_exact_on_the_coarse_nodes(m):
+    fine_axis = np.linspace(-1.0, 1.0, 9)
+    coeffs = np.random.default_rng(m).standard_normal(2**m)
+
+    def multilinear(axis):
+        mesh = np.meshgrid(*([axis] * m), indexing="ij")
+        total = np.zeros(mesh[0].shape)
+        for k, c in enumerate(coeffs):  # c times the product of the coordinates in subset k
+            total += c * np.prod([x for i, x in enumerate(mesh) if k >> i & 1], axis=0)
+        return total
+
+    coarse = multilinear(fine_axis[::2])
+    fine = solvers._prolong(coarse)
+    assert fine.shape == (9,) * m
+    assert np.array_equal(fine[(slice(None, None, 2),) * m], coarse)
+    assert np.max(np.abs(fine - multilinear(fine_axis))) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "theta, m, radius, h, levels",
+    [
+        (2.0, 1, 8.0, 0.005, []),  # 3,201 nodes, the largest 1-d grid in the package
+        (2.0, 2, 3.0, 0.1, []),  # 61 x 61 = 3,721 nodes
+        (2.0, 2, 3.05, 0.05, []),  # 123 x 123: above the bound, but 2h misses the anchor
+        (2.0, 2, 3.0, 0.05, [61]),  # 121 x 121 -> 61 x 61
+    ],
+)
+def test_only_large_grids_with_an_even_half_count_nest(theta, m, radius, h, levels, monkeypatch):
+    sizes = []
+    solve_square = solvers._solve_square
+
+    def counting_solve_square(spec, *args):
+        sizes.append(spec.grid.n_per_axis)
+        return solve_square(spec, *args)
+
+    monkeypatch.setattr(solvers, "_solve_square", counting_solve_square)
+    spec = closed_form_spec(theta, m, radius, h)
+    sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=1e-8)
+    assert sizes == [spec.grid.n_per_axis] + levels[::-1]
+    assert level_sizes(sol) == levels
+    assert sol.lam == pytest.approx(closed_form_lambda(m), abs=h)  # the O(h) bias
+
+
+def test_failed_coarse_level_falls_back_to_the_callers_guess(monkeypatch):
+    spec = closed_form_spec(2.0, 2, 3.0, 0.05)
+    guess = random_smooth_field(spec.grid, 202)
+    monkeypatch.setattr(solvers, "COARSE_MIN_NODES", np.inf)
+    flat = solve_ergodic(spec, initial_guess=guess, tol=1e-8)
+    monkeypatch.setattr(solvers, "COARSE_MIN_NODES", 10_000)
+    solve_square = solvers._solve_square
+
+    def failing_coarse_level(level_spec, *args):
+        if level_spec.h != spec.h:
+            records = [solvers.TraceRecord(0, 1.0), solvers.TraceRecord(7, 0.5)]
+            trace = solvers.ConvergenceTrace(records=records, termination="stagnated")
+            raise NoSolutionSuspected("coarse level made to fail", trace)
+        return solve_square(level_spec, *args)
+
+    monkeypatch.setattr(solvers, "_solve_square", failing_coarse_level)
+    sol = solve_ergodic(spec, initial_guess=guess, tol=1e-8)
+    # the fine level starts from the guess: the one-level solve, step for step
+    assert sol.lam == flat.lam and np.array_equal(sol.phi.values, flat.phi.values)
+    assert sol.trace.records == flat.trace.records
+    assert sol.trace.coarse_levels == [
+        {
+            "n_per_axis": 61, "h": 0.1, "iterations": 7, "factorizations": 0,
+            "reused_steps": 0, "termination": "stagnated",
+            "error": "coarse level made to fail",
+        }
+    ]
+
+
+def test_solver_error_carries_the_counts_and_levels_of_its_solve():
+    spec = closed_form_spec(2.0, 2, 3.0, 0.05)
+    with pytest.raises(solvers.SolverError) as info:
+        solve_ergodic(spec, initial_guess=random_smooth_field(spec.grid, 101), max_iter=2)
+    trace = info.value.trace
+    assert trace.factorizations + trace.reused_steps == 2  # the fine level's two steps
+    (level,) = trace.coarse_levels
+    assert level["n_per_axis"] == 61 and level["termination"] == "max_iterations"
+    assert level["iterations"] == 2 and "did not reach tolerance" in level["error"]
+
 def test_ergodic_shift_equivariance():
     rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=6.0, h=0.05)
