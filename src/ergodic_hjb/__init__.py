@@ -26,7 +26,6 @@ from .solvers import (
     NoSolutionSuspected,
     SolverError,
     TimeStepError,
-    estimate_lambda_star,
     parabolic_march,
     solve_dirichlet,
     solve_discounted,
@@ -51,7 +50,6 @@ __all__ = [
     "NoSolutionSuspected",
     "SolverError",
     "TimeStepError",
-    "estimate_lambda_star",
     "parabolic_march",
     "solve_dirichlet",
     "solve_discounted",

@@ -28,7 +28,6 @@ from .solvers import (
     SolverError,
     discounted_lambda_path,
     eikonal_initial_guess,
-    estimate_lambda_star,
     parabolic_march,
     random_smooth_field,
     solve_dirichlet,
@@ -169,8 +168,9 @@ def _lambda_star(
     h: float,
     tol: float = 1e-8,
 ) -> float:
-    spec = ProblemSpec(theta=theta, m=m, rhs=rhs, radius=radii[-1], h=h)
-    return estimate_lambda_star(spec, radii, tol=tol).lambda_star
+    """lambda* of rhs: lambda on the largest box, radii[-1], from the eikonal guess."""
+    spec = ProblemSpec(theta=theta, m=m, rhs=rhs, radius=float(radii[-1]), h=h)
+    return solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol).lam
 
 
 def check_scaling_law(
@@ -694,20 +694,30 @@ def check_radius_monotonicity(
 ) -> tuple[VerdictReport, list[dict]]:
     """lambda_R is non-increasing in the box radius, within discretization slack.
 
-    Every box keeps the spacing spec.h.
+    Every box keeps the spacing spec.h and starts from eikonal_initial_guess.
+    Returns the report and one row {radius, lambda} per box. At least three
+    strictly increasing radii are needed.
     """
-    est = estimate_lambda_star(spec, list(radii), tol=solver_tol, slack=slack)
-    lams = [row["lambda"] for row in est.rows]
+    if len(radii) < 3:
+        raise ValueError("need at least three radii")
+    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly increasing")
+    rows = []
+    for r in radii:
+        sub = replace(spec, radius=float(r))
+        sol = solve_ergodic(sub, initial_guess=eikonal_initial_guess(sub), tol=solver_tol)
+        rows.append({"radius": float(r), "lambda": sol.lam})
+    lams = [row["lambda"] for row in rows]
     report = VerdictReport(
         name="radius_monotonicity",
-        passed=bool(est.monotone),
+        passed=all(l2 <= l1 + slack for l1, l2 in zip(lams, lams[1:])),
         measured={f"lambda_R{r:g}": l for r, l in zip(radii, lams)},
         predicted={"non_increasing": 1.0},
         tolerance=slack,
         provenance="state-constraint levels decrease toward the critical value as R grows",
         inputs={"radii": list(radii), "theta": spec.theta, "m": spec.m},
     )
-    return report, est.rows
+    return report, rows
 
 
 def check_interior_minimum(sol: ErgodicSolution) -> VerdictReport:

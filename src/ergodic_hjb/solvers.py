@@ -22,7 +22,6 @@ Routes implemented here:
                            dt <= 0.9 h / (m max(1, max|p|)^(theta-1)); the rate
                            -G_h[u] approaches the critical value, and relative value
                            iteration is read off it (rate spread <= tol/2)
-* ``estimate_lambda_star`` outer loop over expanding radii with a monotonicity audit
 """
 
 from __future__ import annotations
@@ -48,20 +47,16 @@ __all__ = [
     "ConvergenceTrace",
     "ErgodicSolution",
     "ParabolicMarch",
-    "LambdaStarEstimate",
     "solve_dirichlet",
     "solve_discounted",
     "solve_ergodic",
     "parabolic_march",
-    "estimate_lambda_star",
     "discounted_lambda_path",
     "eikonal_initial_guess",
     "random_smooth_field",
-    "scheme_error_estimate",
 ]
 
 BACKTRACK_FLOOR = 2.0**-20
-STALL_WINDOW = 20
 # First pseudo-time step of the continuation that takes over when the line search
 # stalls. From 60 random fields on the 1-d closed forms (h=0.01, theta 1.5/2/3),
 # 1e-3 leaves 7 solves short of tolerance within the iteration budget; 1e-2 and
@@ -175,14 +170,6 @@ class ParabolicMarch:
     n_steps: int
     trace: ConvergenceTrace
     settled: Optional[ErgodicSolution] = None  # relative value iteration's pair
-
-
-@dataclass
-class LambdaStarEstimate:
-    lambda_star: float  # lambda on the largest box
-    rows: list[dict]
-    monotone: bool
-    slack: float
 
 
 class _Stagnation(Exception):
@@ -362,7 +349,9 @@ def _damped_newton(
     whole: pseudo-transient continuation, with tau grown by switched evolution
     relaxation, tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau =
     inf is the plain full Newton step, which on the ergodic system is Howard's
-    policy iteration. There is no stall window; a non-finite step raises SolverError.
+    policy iteration. A line-search step is taken only if it cuts |F|_2 by a
+    relative 1e-4 s >= 1e-4 BACKTRACK_FLOOR, so the line search needs no stall
+    window; under PTC a non-finite step raises SolverError.
 
     Given the records of an earlier run, iteration numbers and the max_iter
     budget carry on from its last record.
@@ -382,8 +371,6 @@ def _damped_newton(
     merit = float(np.linalg.norm(f))
     lam = lam_of(x) if lam_of else None
     records = list(records) if records is not None else [TraceRecord(0, r, lam, None)]
-    best = merit
-    stall = 0
     for it in range(records[-1].iteration + 1, max_iter + 1):
         if r <= tol:
             return x, records
@@ -411,17 +398,8 @@ def _damped_newton(
         lam = lam_of(x) if lam_of else None
         # the pseudo-time step, or the line-search fraction (1 for a full step)
         records.append(TraceRecord(it, r, lam, tau if ptc and tau < np.inf else s))
-        if ptc:
-            if merit > 0.0:
-                tau *= previous / merit
-            continue
-        if merit >= best * (1.0 - 1e-12):
-            stall += 1
-            if stall >= STALL_WINDOW:
-                raise _Stagnation(records, x)
-        else:
-            best = merit
-            stall = 0
+        if ptc and merit > 0.0:
+            tau *= previous / merit
     if r <= tol:
         return x, records
     raise SolverError(
@@ -703,47 +681,6 @@ def _prolong(coarse: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _march(spec: ProblemSpec, u: np.ndarray, records: list[TraceRecord], horizon: float = np.inf):
-    """IMEX monotone march of u_t = 1/2 Lap u - H(Du) + f, one step per item.
-
-    Yields (step, t, u, rate, dt): rate = -G_h[u] is the right-hand side at u.
-    The Laplacian is taken backward in time and H forward, so u advances by
-    (I/dt - 1/2 Lap_h)^(-1) rate. dt is the largest rung (0.9 h/m) 2^(-k/2)
-    with dt <= 0.9 h / (m max(1, max|p|)^(theta-1)), cut at the horizon: the
-    explicit part u + dt (f - H) is then monotone, and I - dt/2 Lap_h is an
-    M-matrix, so the step is. One LU per rung is kept for the march. The
-    caller stops the march. A non-finite or runaway rate raises TimeStepError
-    with records.
-    """
-    f = spec.f_field().values
-    theta, h, m = spec.theta, spec.h, spec.m
-    op = DiscreteOperator(spec)
-    zeros = np.zeros(u.shape)
-    top = 0.9 * h / m
-    lus = {}  # dt -> LU of I/dt - 1/2 Lap_h
-    t = 0.0
-    step = 0
-    while True:
-        lap, mag = laplacian_and_slope(u, h)
-        rate = 0.5 * lap - mag**theta / theta + f
-        if not (rate.min() >= -1e14 and rate.max() <= 1e14):  # also catches nan
-            raise TimeStepError(
-                "march blew up; check the data",
-                ConvergenceTrace(records=records, termination="blow_up"),
-            )
-        bound = top / max(1.0, float(mag.max())) ** (theta - 1.0)
-        k = 0
-        while top * 2.0 ** (-0.5 * k) > bound:
-            k += 1
-        dt = min(top * 2.0 ** (-0.5 * k), horizon - t)
-        yield step, t, u, rate, dt
-        if dt not in lus:  # symmetric: minimum degree on A^T + A halves the 2-d fill of COLAMD
-            lus[dt] = splu(op.jacobian(zeros, 1.0 / dt).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        u = u + lus[dt].solve(rate.ravel()).reshape(u.shape)
-        t += dt
-        step += 1
-
-
 def solve_ergodic(
     spec: ProblemSpec,
     initial_guess: Optional[Field] = None,
@@ -765,7 +702,7 @@ def solve_ergodic(
         raise ValueError("right-hand side must be bounded from below on the box")
     if method not in METHOD_BUDGETS:
         raise ValueError(f"unknown method {method!r}")
-    budget = max_iter or METHOD_BUDGETS[method]
+    budget = METHOD_BUDGETS[method] if max_iter is None else max_iter
     if method == "relative_value_iteration":
         return parabolic_march(spec, initial_guess, np.inf, tol, budget).settled
     return _solve_square(spec, initial_guess, tol, budget, method)
@@ -778,23 +715,51 @@ def parabolic_march(
     tol: float = 1e-8,
     max_steps: int = 2_000_000,
 ) -> ParabolicMarch:
-    """IMEX monotone march of the evolution equation to time T (see _march).
+    """IMEX monotone march of u_t = 1/2 Lap u - H(Du) + f to time T.
 
-    Returns per-sample (t, min, mean, max) of the rate -G_h[u]; the mean at
-    the final step is the long-time estimate of the critical value. The step
-    takes u = phi + lambda t to phi + lambda (t + dt) exactly when G_h[phi] +
+    The rate is rate = -G_h[u], the right-hand side at u. The Laplacian is
+    taken backward in time and H forward, so u advances by
+    (I/dt - 1/2 Lap_h)^(-1) rate. dt is the largest rung (0.9 h/m) 2^(-k/2)
+    with dt <= 0.9 h / (m max(1, max|p|)^(theta-1)), cut at T: the explicit
+    part u + dt (f - H) is then monotone, and I - dt/2 Lap_h is an M-matrix,
+    so the step is. One LU per rung is kept for the march. The step takes
+    u = phi + lambda t to phi + lambda (t + dt) exactly when G_h[phi] +
     lambda = 0, whatever dt is, because the implicit Laplacian annihilates
     constants.
+
+    Returns per-sample (t, min, mean, max) of the rate; the mean at the final
+    step is the long-time estimate of the critical value.
     ``settled`` is relative value iteration's pair, read off at the first step
     whose rate spread (a bound on that pair's residual) is <= tol/2, or
-    None if the horizon comes first; with T = inf the march stops there. More
-    than max_steps steps raise SolverError.
+    None if the horizon comes first; with T = inf the march stops there. A
+    non-finite or runaway rate raises TimeStepError, and more than max_steps
+    steps raise SolverError.
     """
+    f = spec.f_field().values
+    theta, h, m = spec.theta, spec.h, spec.m
+    op = DiscreteOperator(spec)
     u = u0.values.astype(float).copy() if u0 is not None else np.zeros(spec.grid.shape)
+    zeros = np.zeros(u.shape)
+    top = 0.9 * h / m
+    lus = {}  # dt -> LU of I/dt - 1/2 Lap_h
     stats: list[tuple[float, float, float, float]] = []
     records: list[TraceRecord] = []
     settled: Optional[ErgodicSolution] = None
-    for step, t, u, rate, dt in _march(spec, u, records, horizon=T):
+    t = 0.0
+    step = 0
+    while True:
+        lap, mag = laplacian_and_slope(u, h)
+        rate = 0.5 * lap - mag**theta / theta + f
+        if not (rate.min() >= -1e14 and rate.max() <= 1e14):  # also catches nan
+            raise TimeStepError(
+                "march blew up; check the data",
+                ConvergenceTrace(records=records, termination="blow_up"),
+            )
+        bound = top / max(1.0, float(mag.max())) ** (theta - 1.0)
+        k = 0
+        while top * 2.0 ** (-0.5 * k) > bound:
+            k += 1
+        dt = min(top * 2.0 ** (-0.5 * k), T - t)
         if settled is None:
             spread = float(rate.max() - rate.min())
             if spread <= 0.5 * tol:
@@ -812,10 +777,15 @@ def parabolic_march(
             break
         if step >= max_steps:
             raise SolverError(
-                f"march did not stop within {max_steps} steps (t = {t:.6g}, "
-                f"horizon {T:g}, rate spread {spread:.3e} vs tol/2 = {0.5 * tol:g})",
+                f"march did not stop within {max_steps} steps (t = {t:.6g}, horizon {T:g}, "
+                f"rate spread {float(rate.max() - rate.min()):.3e} vs tol/2 = {0.5 * tol:g})",
                 ConvergenceTrace(records=records, termination="max_iterations"),
             )
+        if dt not in lus:  # symmetric: minimum degree on A^T + A halves the 2-d fill of COLAMD
+            lus[dt] = splu(op.jacobian(zeros, 1.0 / dt).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        u = u + lus[dt].solve(rate.ravel()).reshape(u.shape)
+        t += dt
+        step += 1
     trace = ConvergenceTrace(
         records=records, termination="horizon_reached" if dt <= 0.0 else "converged"
     )
@@ -823,63 +793,6 @@ def parabolic_march(
     return ParabolicMarch(
         lambda_hat=mean, rate_stats=stats, profile=profile, n_steps=step, trace=trace,
         settled=settled,
-    )
-
-
-# -- outer loop over radii -------------------------------------------------------
-
-
-def scheme_error_estimate(spec: ProblemSpec, phi: Field) -> float:
-    """Crude upwind-consistency estimate: (h/2) mean over the bulk of |p|^(theta-1) |Lap phi| / m."""
-    lap, mag = laplacian_and_slope(phi.values, spec.h)
-    bulk = spec.grid.radii() <= 0.5 * spec.radius
-    if not np.any(bulk):
-        bulk = np.ones_like(lap, dtype=bool)
-    weight = mag ** (spec.theta - 1.0) * np.abs(lap)
-    return float(0.5 * spec.h * np.mean(weight[bulk]) / spec.m)
-
-
-def estimate_lambda_star(
-    spec: ProblemSpec,
-    radii: list[float],
-    tol: float = 1e-8,
-    slack: Optional[float] = None,
-) -> LambdaStarEstimate:
-    """Solve the state-constraint problem on expanding boxes; lambda_star is the last one.
-
-    Each box keeps the spacing spec.h and starts from eikonal_initial_guess.
-    The lambda_R table should be non-increasing in R up to twice the
-    scheme-error estimate (or the provided slack); ``monotone`` is False on a
-    violation, which flags a resolution problem.
-    """
-    radii = list(radii)
-    if len(radii) < 3:
-        raise ValueError("need at least three radii")
-    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
-
-    rows = []
-    err_max = 0.0
-    for r in radii:
-        sub = replace(spec, radius=float(r))
-        sol = solve_ergodic(sub, initial_guess=eikonal_initial_guess(sub), tol=tol)
-        err = scheme_error_estimate(sub, sol.phi)
-        err_max = max(err_max, err)
-        rows.append(
-            {
-                "radius": float(r),
-                "h": spec.h,
-                "lambda": sol.lam,
-                "residual_sup": sol.residual_sup,
-                "scheme_error_estimate": err,
-            }
-        )
-
-    slack_used = float(slack) if slack is not None else 2.0 * err_max
-    lam = np.array([row["lambda"] for row in rows])
-    monotone = bool(np.all(lam[1:] <= lam[:-1] + slack_used))
-    return LambdaStarEstimate(
-        lambda_star=float(lam[-1]), rows=rows, monotone=monotone, slack=slack_used
     )
 
 

@@ -17,17 +17,13 @@ from ergodic_hjb.analysis import (
     check_growth_exponent,
     check_lambda_shape,
     check_lambda_star_characterization,
+    check_radius_monotonicity,
     check_scaling_law,
 )
 from ergodic_hjb.grid import Field
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.scheme import DiscreteOperator, hopf_cole_residual
-from ergodic_hjb.solvers import (
-    eikonal_initial_guess,
-    estimate_lambda_star,
-    random_smooth_field,
-    solve_ergodic,
-)
+from ergodic_hjb.solvers import eikonal_initial_guess, random_smooth_field, solve_ergodic
 
 from oracles import (
     closed_form_lambda,
@@ -106,8 +102,11 @@ def test_criterion_3_radius_monotonicity():
         for theta in THETAS:
             for m, h in ((1, 0.01), (2, 0.1)):
                 spec = closed_form_spec(theta, m, radii[-1], h)
-                est = estimate_lambda_star(spec, radii, tol=SOLVER_TOL, slack=slack)
-                lams = [row["lambda"] for row in est.rows]
+                report, rows = check_radius_monotonicity(
+                    spec, radii, slack=slack, solver_tol=SOLVER_TOL
+                )
+                lams = [row["lambda"] for row in rows]
+                assert report.passed, (theta, m, lams)
                 for l1, l2 in zip(lams, lams[1:]):
                     assert l2 <= l1 + slack, (theta, m, lams)
 

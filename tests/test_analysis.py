@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ergodic_hjb import analysis
 from ergodic_hjb.analysis import (
     check_continuity_bound,
     check_dirichlet_family,
@@ -14,6 +15,7 @@ from ergodic_hjb.analysis import (
     check_lambda_shape,
     check_lambda_star_characterization,
     check_power_supersolution,
+    check_radius_monotonicity,
     check_scaling_law,
     check_shift_equivariance,
     check_uniqueness,
@@ -25,7 +27,7 @@ from ergodic_hjb.grid import Field, Grid
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.solvers import eikonal_initial_guess, solve_ergodic
 
-from oracles import quad_ansatz_lambda, smooth_power_lambda
+from oracles import closed_form_lambda, closed_form_spec, quad_ansatz_lambda, smooth_power_lambda
 
 
 # -- growth fits -------------------------------------------------------------------
@@ -169,6 +171,67 @@ def test_continuity_bound_rejects_mismatched_exponents():
     f2 = make_power_rhs(1.0, 4.0, 0.0)
     with pytest.raises(ValueError):
         check_continuity_bound(f1, f2, 2.0)
+
+
+# -- radius monotonicity and the critical value ----------------------------------------
+
+
+def test_radius_monotonicity_closed_form():
+    spec = closed_form_spec(2.0, 1, 8.0, 0.02)
+    rep, rows = check_radius_monotonicity(spec, (4.0, 6.0, 8.0), slack=0.02, solver_tol=1e-8)
+    assert rep.passed
+    assert [sorted(row) for row in rows] == [["lambda", "radius"]] * 3
+    assert [row["radius"] for row in rows] == [4.0, 6.0, 8.0]
+    lams = [row["lambda"] for row in rows]
+    assert all(abs(l - closed_form_lambda(1)) <= 0.03 for l in lams)
+    for l1, l2 in zip(lams, lams[1:]):
+        assert l2 <= l1 + 0.02
+
+
+def test_radius_monotonicity_constant_f_no_radius_dependence():
+    rhs = make_power_rhs(1.0, 0.0, 0.0)
+    spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.1)
+    rep, rows = check_radius_monotonicity(spec, (4.0, 6.0, 8.0))
+    assert rep.passed
+    assert np.allclose([row["lambda"] for row in rows], 1.0, atol=1e-9)
+
+
+def test_radius_monotonicity_smooth_quadratic_oracle():
+    # f = 1 + |y|^2: quadratic ansatz gives lambda = 1 + 1/sqrt(2)
+    rhs = make_power_rhs(1.0, 2.0, 0.0)
+    spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.01)
+    rep, rows = check_radius_monotonicity(spec, (4.0, 6.0, 8.0), solver_tol=1e-8)
+    assert rep.passed
+    assert rows[-1]["lambda"] == pytest.approx(smooth_power_lambda(1.0, 0.0), abs=0.03)
+
+
+def test_radius_monotonicity_validates_arguments():
+    spec = closed_form_spec(2.0, 1, 8.0, 0.1)
+    with pytest.raises(ValueError):
+        check_radius_monotonicity(spec, (4.0, 6.0))
+    with pytest.raises(ValueError):
+        check_radius_monotonicity(spec, (6.0, 4.0, 8.0))
+
+
+def test_each_lambda_star_is_one_solve_on_the_largest_box(monkeypatch):
+    radii_solved = []
+    solve = analysis.solve_ergodic
+
+    def counting_solve(spec, *args, **kwargs):
+        radii_solved.append(spec.radius)
+        return solve(spec, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_ergodic", counting_solve)
+    radii = (2.0, 3.0, 4.0)
+    check_scaling_law(2.0, 2.0, 4.0, radii=radii, h=0.1)
+    assert radii_solved == [4.0, 4.0]
+    radii_solved.clear()
+    f1 = make_power_rhs(1.0, 2.0, 0.0)
+    check_continuity_bound(f1, make_power_rhs(1.1, 2.0, 0.0), 2.0, radii=radii, h=0.1)
+    assert radii_solved == [4.0, 4.0]
+    radii_solved.clear()
+    check_radius_monotonicity(ProblemSpec(theta=2.0, m=1, rhs=f1, radius=4.0, h=0.1), radii)
+    assert radii_solved == list(radii)
 
 
 # -- supersolution power trick ---------------------------------------------------------

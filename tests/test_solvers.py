@@ -22,7 +22,6 @@ from ergodic_hjb.solvers import (
     NoSolutionSuspected,
     discounted_lambda_path,
     eikonal_initial_guess,
-    estimate_lambda_star,
     parabolic_march,
     random_smooth_field,
     solve_dirichlet,
@@ -35,7 +34,6 @@ from oracles import (
     closed_form_phi,
     closed_form_spec,
     convergence_order,
-    smooth_power_lambda,
 )
 
 
@@ -665,6 +663,18 @@ def test_solver_error_carries_the_counts_and_levels_of_its_solve():
     assert level["n_per_axis"] == 61 and level["termination"] == "max_iterations"
     assert level["iterations"] == 2 and "did not reach tolerance" in level["error"]
 
+
+@pytest.mark.parametrize("method", ["newton_augmented", "policy_iteration"])
+def test_zero_iteration_budget_is_honoured(method):
+    # max_iter = 0 is a budget, not "use the default": the zero guess is no
+    # solution, so the solve stops at once
+    spec = closed_form_spec(2.0, 1, 4.0, 0.1)
+    with pytest.raises(solvers.SolverError) as info:
+        solve_ergodic(spec, method=method, max_iter=0)
+    assert info.value.trace.termination == "max_iterations"
+    assert [r.iteration for r in info.value.trace.records] == [0]
+
+
 def test_ergodic_shift_equivariance():
     rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=6.0, h=0.05)
@@ -883,43 +893,19 @@ def test_march_step_budget_raises():
     assert info.value.trace.termination == "max_iterations"
 
 
-# -- outer radius loop ------------------------------------------------------------------
-
-
-def test_estimate_lambda_star_closed_form():
-    spec = closed_form_spec(2.0, 1, 8.0, 0.02)
-    est = estimate_lambda_star(spec, [4.0, 6.0, 8.0], tol=1e-8)
-    assert est.monotone
-    lams = [row["lambda"] for row in est.rows]
-    assert all(abs(l - closed_form_lambda(1)) <= 0.03 for l in lams)
-    assert est.lambda_star == pytest.approx(closed_form_lambda(1), abs=0.03)
-    for r1, r2 in zip(est.rows, est.rows[1:]):
-        assert r2["lambda"] <= r1["lambda"] + est.slack
-
-
-def test_estimate_lambda_star_constant_f_no_radius_dependence():
-    rhs = make_power_rhs(1.0, 0.0, 0.0)
-    spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.1)
-    est = estimate_lambda_star(spec, [4.0, 6.0, 8.0])
-    lams = [row["lambda"] for row in est.rows]
-    assert np.allclose(lams, 1.0, atol=1e-9)
-    assert est.lambda_star == pytest.approx(1.0, abs=1e-9)
-
-
-def test_estimate_lambda_star_smooth_quadratic_oracle():
-    # f = 1 + |y|^2: quadratic ansatz gives lambda = 1 + 1/sqrt(2)
-    rhs = make_power_rhs(1.0, 2.0, 0.0)
-    spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.01)
-    est = estimate_lambda_star(spec, [4.0, 6.0, 8.0], tol=1e-8)
-    assert est.lambda_star == pytest.approx(smooth_power_lambda(1.0, 0.0), abs=0.03)
-
-
-def test_estimate_lambda_star_validates_arguments():
-    spec = closed_form_spec(2.0, 1, 8.0, 0.1)
-    with pytest.raises(ValueError):
-        estimate_lambda_star(spec, [4.0, 6.0])
-    with pytest.raises(ValueError):
-        estimate_lambda_star(spec, [6.0, 4.0, 8.0])
+def test_march_step_budget_reports_the_current_rate_spread(monkeypatch):
+    # the rates settle (spread <= tol/2) long before the step budget runs
+    # out, and the error quotes the spread at the step the march stopped on
+    monkeypatch.setattr(solvers, "MARCH_RECORD_EVERY", 1)
+    spec = ProblemSpec(2.0, 1, make_pure_power_rhs(0.5, 2.0, 1.0), 4.0, 0.05)
+    tol, max_steps = 1e-2, 683
+    with pytest.raises(solvers.SolverError) as info:
+        parabolic_march(spec, T=50.0, tol=tol, max_steps=max_steps)
+    last = info.value.trace.records[-1]
+    assert last.iteration == max_steps
+    assert last.residual_sup < 0.5 * tol
+    quoted = float(str(info.value).split("rate spread ")[1].split()[0])
+    assert quoted == pytest.approx(last.residual_sup, rel=1e-3)
 
 
 def test_eikonal_guess_matches_asymptotics_on_closed_form():
