@@ -11,13 +11,11 @@ __version__ = "0.1.0"
 
 from .grid import Field, Grid
 from .problem import (
-    HypothesisReport,
     ProblemSpec,
     RhsFunction,
     blend_rhs,
     make_power_rhs,
     make_pure_power_rhs,
-    validate_hypotheses,
 )
 from .scheme import DiscreteOperator, hopf_cole_residual
 from .solvers import (
@@ -25,7 +23,6 @@ from .solvers import (
     ErgodicSolution,
     NoSolutionSuspected,
     SolverError,
-    TimeStepError,
     parabolic_march,
     solve_dirichlet,
     solve_discounted,
@@ -36,20 +33,17 @@ __all__ = [
     "__version__",
     "Field",
     "Grid",
-    "HypothesisReport",
     "ProblemSpec",
     "RhsFunction",
     "blend_rhs",
     "make_power_rhs",
     "make_pure_power_rhs",
-    "validate_hypotheses",
     "DiscreteOperator",
     "hopf_cole_residual",
     "ConvergenceTrace",
     "ErgodicSolution",
     "NoSolutionSuspected",
     "SolverError",
-    "TimeStepError",
     "parabolic_march",
     "solve_dirichlet",
     "solve_discounted",

@@ -82,17 +82,6 @@ class VerdictReport:
     provenance: str
     inputs: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "predicted": self.predicted,
-            "tolerance": self.tolerance,
-            "provenance": self.provenance,
-            "inputs": self.inputs,
-        }
-
 
 # -- growth exponents -----------------------------------------------------------
 
@@ -160,44 +149,29 @@ def check_growth_exponent(
 # -- scaling and continuity -------------------------------------------------------
 
 
-def _lambda_star(
-    rhs: RhsFunction,
-    theta: float,
-    m: int,
-    radii: list[float],
-    h: float,
-    tol: float = 1e-8,
-) -> float:
-    """lambda* of rhs: lambda on the largest box, radii[-1], from the eikonal guess."""
-    spec = ProblemSpec(theta=theta, m=m, rhs=rhs, radius=float(radii[-1]), h=h)
+def _lambda_star(spec: ProblemSpec, rhs: RhsFunction, tol: float) -> float:
+    """lambda* of rhs: lambda on spec's box, from the eikonal guess."""
+    spec = replace(spec, rhs=rhs)
     return solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol).lam
 
 
 def check_scaling_law(
-    theta: float,
-    alpha: float,
-    c: float,
-    m: int = 1,
-    radii: tuple[float, ...] = (4.0, 6.0, 8.0),
-    h: float = 0.01,
-    tol_rel: float = 0.05,
-    tol: float = 1e-8,
+    spec: ProblemSpec, alpha: float, c: float, tol_rel: float = 0.05, tol: float = 1e-8
 ) -> VerdictReport:
-    """Dilation law of the critical value under f -> c f.
+    """Dilation law of the critical value under f -> c f on spec's box.
 
     For the homogeneous family f = |y|^alpha with alpha >= 1 the law is exact:
     lambda*(c |y|^alpha) = c^(theta*/(theta*+alpha)) lambda*(|y|^alpha). For
     alpha < 1 only the two-sided bound
     0 <= lambda*(c (1+|y|^2)^(alpha/2)) <= c + c^(theta*/(theta*+1)) lambda*(|y|)
-    is available, and that is what gets checked instead.
+    is available, and that is what gets checked instead. spec.rhs is not read.
     """
     if not c > 0:
         raise ValueError(f"scaling constant must be positive, got {c}")
-    theta_star = theta / (theta - 1.0)
-    radii = list(radii)
+    theta_star = spec.theta_star
     if alpha >= 1.0:
-        lam_base = _lambda_star(make_pure_power_rhs(1.0, alpha), theta, m, radii, h, tol)
-        lam_scaled = _lambda_star(make_pure_power_rhs(c, alpha), theta, m, radii, h, tol)
+        lam_base = _lambda_star(spec, make_pure_power_rhs(1.0, alpha), tol)
+        lam_scaled = _lambda_star(spec, make_pure_power_rhs(c, alpha), tol)
         predicted_ratio = c ** (theta_star / (theta_star + alpha))
         measured_ratio = lam_scaled / lam_base
         passed = abs(measured_ratio - predicted_ratio) <= tol_rel * predicted_ratio
@@ -212,11 +186,11 @@ def check_scaling_law(
             predicted={"ratio": predicted_ratio},
             tolerance=tol_rel * predicted_ratio,
             provenance="lambda*(c|y|^a) = c^(theta*/(theta*+a)) lambda*(|y|^a) for a >= 1",
-            inputs={"theta": theta, "alpha": alpha, "c": c, "m": m},
+            inputs={"theta": spec.theta, "alpha": alpha, "c": c, "m": spec.m},
         )
     # alpha < 1: inequality variant with the smooth regularization
-    lam_smooth = _lambda_star(make_power_rhs(c, alpha), theta, m, radii, h, tol)
-    lam_lin = _lambda_star(make_pure_power_rhs(1.0, 1.0), theta, m, radii, h, tol)
+    lam_smooth = _lambda_star(spec, make_power_rhs(c, alpha), tol)
+    lam_lin = _lambda_star(spec, make_pure_power_rhs(1.0, 1.0), tol)
     upper = c + c ** (theta_star / (theta_star + 1.0)) * lam_lin
     slack = min(lam_smooth - 0.0, upper - lam_smooth)
     passed = slack >= -tol_rel * max(1.0, upper)
@@ -227,38 +201,36 @@ def check_scaling_law(
         predicted={"lower": 0.0, "upper": upper},
         tolerance=tol_rel * max(1.0, upper),
         provenance="0 <= lambda*(c(1+|y|^2)^(a/2)) <= c + c^(theta*/(theta*+1)) lambda*(|y|) for a < 1",
-        inputs={"theta": theta, "alpha": alpha, "c": c, "m": m},
+        inputs={"theta": spec.theta, "alpha": alpha, "c": c, "m": spec.m},
     )
 
 
 def check_lambda_shape(
+    spec: ProblemSpec,
     f1: RhsFunction,
     f2: RhsFunction,
     t_grid: list[float],
-    theta: float,
-    m: int = 1,
-    radii: tuple[float, ...] = (4.0, 6.0, 8.0),
-    h: float = 0.01,
     tol: float = 0.03,
     solver_tol: float = 1e-8,
 ) -> list[VerdictReport]:
-    """Shift exactness, monotonicity, and concavity of f -> lambda*(f).
+    """Shift exactness, monotonicity, and concavity of f -> lambda*(f) on spec's box.
 
     Monotonicity needs an ordered pair. When f1 <= f2 (or f2 <= f1) on the box
     the given pair is used; otherwise the check falls back to the ordered pair
     (f1, f1 + 1), whose shift structure also pins the predicted gap to 1.
+    spec.rhs is not read.
     """
     if not isinstance(f1, (PowerRhs, PurePowerRhs)):
         raise ValueError("the shift construction needs a power-family first operand")
-    radii = list(radii)
-    grid_pts = ProblemSpec(theta=theta, m=m, rhs=f1, radius=radii[-1], h=h).grid.points()
-    lam1 = _lambda_star(f1, theta, m, radii, h, solver_tol)
-    lam2 = _lambda_star(f2, theta, m, radii, h, solver_tol)
+    theta, m = spec.theta, spec.m
+    grid_pts = spec.grid.points()
+    lam1 = _lambda_star(spec, f1, solver_tol)
+    lam2 = _lambda_star(spec, f2, solver_tol)
     reports: list[VerdictReport] = []
 
     # shift exactness: lambda*(f + 1) = lambda*(f) + 1
     shifted = replace(f1, shift=f1.shift + 1.0)
-    lam_shift = _lambda_star(shifted, theta, m, radii, h, solver_tol)
+    lam_shift = _lambda_star(spec, shifted, solver_tol)
     gap = lam_shift - lam1
     reports.append(
         VerdictReport(
@@ -306,7 +278,7 @@ def check_lambda_shape(
         elif t == 1.0:
             lam_t = lam1
         else:
-            lam_t = _lambda_star(blend_rhs(f1, f2, t), theta, m, radii, h, solver_tol)
+            lam_t = _lambda_star(spec, blend_rhs(f1, f2, t), solver_tol)
         slack = lam_t - (t * lam1 + (1.0 - t) * lam2)
         worst = min(worst, slack)
         measured[f"slack_t={t:g}"] = slack
@@ -332,19 +304,17 @@ def _rhs_gap(f1: RhsFunction, f2: RhsFunction, alpha: float, m: int) -> float:
 
 
 def check_continuity_bound(
+    spec: ProblemSpec,
     f1: RhsFunction,
     f2: RhsFunction,
-    theta: float,
-    m: int = 1,
-    radii: tuple[float, ...] = (4.0, 6.0, 8.0),
-    h: float = 0.01,
     tol: float = 0.02,
     solver_tol: float = 1e-8,
 ) -> VerdictReport:
     """|lambda*(f2) - lambda*(f1)| <= f0 g/(1 + f0 g) max(lambda*_1, lambda*_2) + tol,
 
     where g = sup |f1 - f2|/(1 + |y|^alpha) and f0 is the shared two-sided
-    growth constant (the larger of the two recorded constants).
+    growth constant (the larger of the two recorded constants). Both lambda*
+    are solved on spec's box; spec.rhs is not read.
     """
     if f1.alpha is None or f2.alpha is None or f1.alpha != f2.alpha:
         raise ValueError("continuity bound needs matching growth exponents")
@@ -354,9 +324,9 @@ def check_continuity_bound(
         raise ValueError("both right-hand sides need a recorded growth constant f0")
     alpha = float(f1.alpha)
     f0 = max(f1.f0, f2.f0)
-    gap = _rhs_gap(f1, f2, alpha, m)
-    lam1 = _lambda_star(f1, theta, m, list(radii), h, solver_tol)
-    lam2 = _lambda_star(f2, theta, m, list(radii), h, solver_tol)
+    gap = _rhs_gap(f1, f2, alpha, spec.m)
+    lam1 = _lambda_star(spec, f1, solver_tol)
+    lam2 = _lambda_star(spec, f2, solver_tol)
     measured_gap = abs(lam2 - lam1)
     bound = (f0 * gap / (1.0 + f0 * gap)) * max(lam1, lam2)
     return VerdictReport(
@@ -366,7 +336,7 @@ def check_continuity_bound(
         predicted={"bound": bound, "f0": f0},
         tolerance=tol,
         provenance="|lambda*_2 - lambda*_1| <= f0 g/(1+f0 g) max(lambda*_1, lambda*_2)",
-        inputs={"theta": theta, "m": m, "alpha": alpha},
+        inputs={"theta": spec.theta, "m": spec.m, "alpha": alpha},
     )
 
 
@@ -431,23 +401,21 @@ def gradient_estimate_ratio(sol: ErgodicSolution, r_prime: float) -> float:
 
 
 def check_gradient_estimate(
-    theta: float,
-    rhs: RhsFunction,
+    spec: ProblemSpec,
     r_primes: tuple[float, ...] = (2.0, 3.0, 4.0),
     gap: float = 4.0,
-    m: int = 1,
-    h: float = 0.01,
     tol: float = 1e-8,
 ) -> VerdictReport:
     """The interior gradient bound constant stays in a factor-2 band as R grows.
 
     The constant in sup|D phi| <= K (1 + sup|f-lambda|^(1/theta) + sup|Df|^(1/(2 theta-1)))
     depends only on dimension and theta, so the measured ratios should not drift.
+    Each r_prime is solved on spec's problem in the box of radius r_prime + gap.
     """
     ratios = {}
     for rp in r_primes:
-        spec = ProblemSpec(theta=theta, m=m, rhs=rhs, radius=rp + gap, h=h)
-        sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol)
+        sub = replace(spec, radius=rp + gap)
+        sol = solve_ergodic(sub, initial_guess=eikonal_initial_guess(sub), tol=tol)
         ratios[f"K_r{rp:g}"] = gradient_estimate_ratio(sol, rp)
     vals = np.array(list(ratios.values()))
     if np.max(vals) <= 1e-12:
@@ -466,7 +434,7 @@ def check_gradient_estimate(
         predicted={"band_max": 2.0},
         tolerance=0.0,
         provenance="interior gradient bound constant depends only on m and theta",
-        inputs={"theta": theta, "m": m, "r_primes": list(r_primes), "gap": gap},
+        inputs={"theta": spec.theta, "m": spec.m, "r_primes": list(r_primes), "gap": gap},
     )
 
 

@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,7 +35,6 @@ from .analysis import (
 from .config import (
     ConfigError,
     ExperimentConfig,
-    build_rhs,
     build_spec,
     parse_config,
 )
@@ -194,20 +193,19 @@ def _shift_equivariance(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _scaling_law(cfg: ExperimentConfig, spec: ProblemSpec):
-    v, p, n = cfg.verify, cfg.problem, cfg.numerics
+    v = cfg.verify
     rep = check_scaling_law(
-        p.theta, p.alpha, v.c, m=p.dim, radii=v.radii, h=n.h, tol_rel=max(v.tol, 0.01), tol=n.tol
+        spec, cfg.problem.alpha, v.c, tol_rel=max(v.tol, 0.01), tol=cfg.numerics.tol
     )
     return [rep], {}
 
 
 def _lambda_shape(cfg: ExperimentConfig, spec: ProblemSpec):
-    v, p, n = cfg.verify, cfg.problem, cfg.numerics
+    v, p = cfg.verify, cfg.problem
     f1 = make_power_rhs(p.coeff, p.alpha, p.shift)
     f2 = make_pure_power_rhs(v.coeff2, v.alpha2, v.shift2)
     reps = check_lambda_shape(
-        f1, f2, list(v.t_grid), p.theta, m=p.dim, radii=v.radii, h=n.h,
-        tol=v.tol, solver_tol=n.tol,
+        spec, f1, f2, list(v.t_grid), tol=v.tol, solver_tol=cfg.numerics.tol
     )
     return reps, {}
 
@@ -223,12 +221,10 @@ def _growth_exponent(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _continuity_bound(cfg: ExperimentConfig, spec: ProblemSpec):
-    v, p, n = cfg.verify, cfg.problem, cfg.numerics
+    v, p = cfg.verify, cfg.problem
     f1 = make_power_rhs(p.coeff, p.alpha, p.shift)
     f2 = make_power_rhs(v.coeff2, p.alpha, v.shift2)
-    rep = check_continuity_bound(
-        f1, f2, p.theta, m=p.dim, radii=v.radii, h=n.h, tol=v.tol, solver_tol=n.tol
-    )
+    rep = check_continuity_bound(spec, f1, f2, tol=v.tol, solver_tol=cfg.numerics.tol)
     return [rep], {}
 
 
@@ -272,10 +268,8 @@ def _interior_minimum(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _gradient_estimate(cfg: ExperimentConfig, spec: ProblemSpec):
-    v, p, n = cfg.verify, cfg.problem, cfg.numerics
-    rep = check_gradient_estimate(
-        p.theta, build_rhs(p), r_primes=v.r_primes, gap=v.gap, m=p.dim, h=n.h, tol=n.tol
-    )
+    v = cfg.verify
+    rep = check_gradient_estimate(spec, r_primes=v.r_primes, gap=v.gap, tol=cfg.numerics.tol)
     return [rep], {}
 
 
@@ -333,7 +327,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: str) -> int:
         for fname, (header, rows) in plots.items():
             _write(out / "plots" / fname, _csv(header, rows))
 
-    _write(out / "verdicts.json", dump_json([r.to_dict() for r in verdicts]) + "\n")
+    _write(out / "verdicts.json", dump_json([asdict(r) for r in verdicts]) + "\n")
     summary_rows = []
     for r in verdicts:
         measured = ";".join(f"{k}={_f(val)}" for k, val in r.measured.items())

@@ -290,10 +290,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("[verify] need eps values > 0, horizon > 0 and c > 0")
         if not 1.0 < verify.q <= 1.05 or not all(0.0 <= t <= 1.0 for t in verify.t_grid):
             raise ConfigError("[verify] need q in (1, 1.05] and t_grid values in [0, 1]")
-        if verify.gap < 1:
-            raise ConfigError(f"[verify] gap must be >= 1 (r_prime + 1 <= box), got {verify.gap}")
-        if "power_supersolution" in verify.checks and problem.theta >= 2:
-            raise ConfigError("[verify] power_supersolution needs [problem] theta < 2")
+        if not verify.r_primes or min(verify.r_primes) < 0 or verify.gap < 1:
+            raise ConfigError("[verify] need r_primes nonempty and >= 0, and gap >= 1")
+        if "power_supersolution" in verify.checks and (
+            problem.theta >= 2 or verify.r_inner >= 0.8 * numerics.radius
+        ):
+            raise ConfigError("[verify] power_supersolution needs theta < 2, r_inner < 0.8 radius")
         if "continuity_bound" in verify.checks and problem.alpha < 1:
             raise ConfigError("[verify] continuity_bound needs [problem] alpha >= 1")
     elif "verify" in sections:

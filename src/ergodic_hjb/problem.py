@@ -27,11 +27,9 @@ __all__ = [
     "PowerRhs",
     "PurePowerRhs",
     "BlendRhs",
-    "HypothesisReport",
     "make_power_rhs",
     "make_pure_power_rhs",
     "blend_rhs",
-    "validate_hypotheses",
 ]
 
 
@@ -253,56 +251,6 @@ def blend_rhs(f1: RhsFunction, f2: RhsFunction, t: float) -> RhsFunction:
     if f1.alpha is not None and f2.alpha is not None:
         alpha = max(f1.alpha, f2.alpha)
     return BlendRhs(f1=f1, f2=f2, t=float(t), alpha=alpha)
-
-
-# -- hypothesis report ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Structural flags; None means undetermined (never guessed)."""
-
-    bounded_below: Optional[bool]
-    coercive: Optional[bool]
-    h0: Optional[bool]
-    h1: Optional[bool]
-    gamma: Optional[float]
-    f0: Optional[float]
-
-
-def validate_hypotheses(rhs: RhsFunction, theta: float) -> HypothesisReport:
-    """Report boundedness, coercivity, the two growth hypotheses, and gamma.
-
-    gamma = alpha/theta + 1 is the predicted growth exponent of bounded-from-
-    below solutions.
-    """
-    if not theta > 1:
-        raise ValueError(f"exponent theta must exceed 1, got {theta}")
-
-    alpha = rhs.alpha
-    gamma = alpha / theta + 1.0 if alpha is not None else None
-    coercive = alpha is not None and alpha > 0
-    f0 = rhs.f0
-    if f0 is None and alpha is not None and alpha > 0 and rhs.min_value() > 0:
-        f0 = _growth_constant(rhs, alpha)
-    h1 = bool(alpha is not None and alpha > 0 and f0 is not None)
-    if isinstance(rhs, PurePowerRhs):
-        h0 = alpha >= 1
-    elif isinstance(rhs, PowerRhs):
-        h0 = True
-    elif isinstance(rhs, BlendRhs):
-        sub = [validate_hypotheses(g, theta).h0 for g in (rhs.f1, rhs.f2)]
-        h0 = None if any(s is None for s in sub) else all(sub)
-    else:
-        h0 = None
-    return HypothesisReport(
-        bounded_below=True,
-        coercive=coercive,
-        h0=h0,
-        h1=h1,
-        gamma=gamma,
-        f0=f0,
-    )
 
 
 # -- problem spec ---------------------------------------------------------------

@@ -26,7 +26,7 @@ Routes implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -42,7 +42,6 @@ from .scheme import DiscreteOperator, laplacian_and_slope
 __all__ = [
     "SolverError",
     "NoSolutionSuspected",
-    "TimeStepError",
     "TraceRecord",
     "ConvergenceTrace",
     "ErgodicSolution",
@@ -107,16 +106,6 @@ class NoSolutionSuspected(SolverError):
     """
 
 
-class TimeStepError(SolverError):
-    """The march blew up.
-
-    The march sets its time step from the current gradient at every step, so
-    that its explicit Hamiltonian part stays monotone (the Laplacian part is
-    implicit), and a blow-up points at the data (right-hand side or initial
-    field), not at the step size.
-    """
-
-
 @dataclass
 class TraceRecord:
     iteration: int
@@ -124,14 +113,6 @@ class TraceRecord:
     lambda_estimate: Optional[float] = None
     # Newton line-search fraction (0: step rejected), pseudo-time step tau, or march dt
     step_size: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "residual_sup": self.residual_sup,
-            "lambda_estimate": self.lambda_estimate,
-            "step_size": self.step_size,
-        }
 
 
 @dataclass
@@ -146,7 +127,7 @@ class ConvergenceTrace:
     coarse_levels: list[dict] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
-        lines = [dump_json(r.to_dict()) for r in self.records]
+        lines = [dump_json(asdict(r)) for r in self.records]
         lines.append(dump_json({"event": "done", "termination": self.termination}))
         return "\n".join(lines) + "\n"
 
@@ -732,8 +713,10 @@ def parabolic_march(
     ``settled`` is relative value iteration's pair, read off at the first step
     whose rate spread (a bound on that pair's residual) is <= tol/2, or
     None if the horizon comes first; with T = inf the march stops there. A
-    non-finite or runaway rate raises TimeStepError, and more than max_steps
-    steps raise SolverError.
+    non-finite or runaway rate raises SolverError with termination "blow_up":
+    dt follows the gradient at every step, so a blow-up points at the data
+    (right-hand side or initial field), not at the step size. More than
+    max_steps steps raise SolverError.
     """
     f = spec.f_field().values
     theta, h, m = spec.theta, spec.h, spec.m
@@ -751,7 +734,7 @@ def parabolic_march(
         lap, mag = laplacian_and_slope(u, h)
         rate = 0.5 * lap - mag**theta / theta + f
         if not (rate.min() >= -1e14 and rate.max() <= 1e14):  # also catches nan
-            raise TimeStepError(
+            raise SolverError(
                 "march blew up; check the data",
                 ConvergenceTrace(records=records, termination="blow_up"),
             )

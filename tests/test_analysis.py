@@ -67,8 +67,13 @@ def test_growth_exponent_instances(theta, alpha, tol_abs):
 # -- scaling law --------------------------------------------------------------------
 
 
+def box(radius, h):
+    """A theta = 2, 1-d spec: the lambda* checks solve on its box and do not read its rhs."""
+    return ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=radius, h=h)
+
+
 def test_scaling_law_identity_at_c_one():
-    rep = check_scaling_law(2.0, 2.0, 1.0, radii=(4.0, 6.0, 8.0), h=0.02)
+    rep = check_scaling_law(box(8.0, 0.02), 2.0, 1.0)
     assert rep.passed
     assert rep.measured["ratio"] == pytest.approx(1.0, abs=1e-9)
     assert rep.predicted["ratio"] == 1.0
@@ -76,7 +81,7 @@ def test_scaling_law_identity_at_c_one():
 
 def test_scaling_law_quadratic_absolute_values():
     # quadratic ansatz: lambda*(|y|^2) = 1/sqrt(2), lambda*(4|y|^2) = sqrt(2)
-    rep = check_scaling_law(2.0, 2.0, 4.0, h=0.02)
+    rep = check_scaling_law(box(8.0, 0.02), 2.0, 4.0)
     assert rep.passed
     assert rep.measured["ratio"] == pytest.approx(2.0, rel=0.05)
     assert rep.measured["lambda_base"] == pytest.approx(quad_ansatz_lambda(1.0, 0.0), abs=0.03)
@@ -84,7 +89,7 @@ def test_scaling_law_quadratic_absolute_values():
 
 
 def test_scaling_law_small_alpha_inequality_variant():
-    rep = check_scaling_law(2.0, 0.5, 2.0, radii=(4.0, 6.0, 8.0), h=0.02)
+    rep = check_scaling_law(box(8.0, 0.02), 0.5, 2.0)
     assert rep.name == "scaling_law"
     assert "upper_bound" in rep.measured
     assert rep.passed
@@ -92,7 +97,7 @@ def test_scaling_law_small_alpha_inequality_variant():
 
 def test_scaling_law_rejects_nonpositive_constant():
     with pytest.raises(ValueError):
-        check_scaling_law(2.0, 2.0, -1.0)
+        check_scaling_law(box(8.0, 0.01), 2.0, -1.0)
 
 
 # -- shift / monotone / concave -------------------------------------------------------
@@ -101,7 +106,7 @@ def test_scaling_law_rejects_nonpositive_constant():
 def test_lambda_shape_suite_on_quadratic_quartic_pair():
     f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_pure_power_rhs(1.0, 4.0, 1.0)
-    reps = check_lambda_shape(f1, f2, [0.0, 0.25, 0.5, 0.75, 1.0], theta=2.0, h=0.02, tol=0.03)
+    reps = check_lambda_shape(box(8.0, 0.02), f1, f2, [0.0, 0.25, 0.5, 0.75, 1.0], tol=0.03)
     by_name = {r.name: r for r in reps}
     assert by_name["shift_exactness"].passed
     assert by_name["shift_exactness"].measured["lambda_gap"] == pytest.approx(1.0, abs=0.06)
@@ -116,7 +121,7 @@ def test_lambda_shape_suite_on_quadratic_quartic_pair():
 def test_lambda_shape_uses_given_pair_when_ordered():
     f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_power_rhs(1.0, 2.0, 0.5)  # f1 + 1/2: pointwise ordered
-    reps = check_lambda_shape(f1, f2, [0.0, 0.5, 1.0], theta=2.0, radii=(4.0, 5.0, 6.0), h=0.05)
+    reps = check_lambda_shape(box(6.0, 0.05), f1, f2, [0.0, 0.5, 1.0])
     by_name = {r.name: r for r in reps}
     assert by_name["monotonicity"].inputs["pair"] == "(f1, f2)"
     assert by_name["monotonicity"].passed
@@ -139,7 +144,7 @@ def test_continuity_bound_on_scaled_quadratic_pair():
     # gap 0.1345 against bound (0.11/1.11) * lambda_2 = 0.1825
     f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_power_rhs(1.1, 2.0, 0.0)
-    rep = check_continuity_bound(f1, f2, 2.0, h=0.02)
+    rep = check_continuity_bound(box(8.0, 0.02), f1, f2)
     assert rep.passed
     lam1 = smooth_power_lambda(1.0, 0.0)
     lam2 = smooth_power_lambda(1.1, 0.0)
@@ -152,7 +157,7 @@ def test_continuity_bound_on_scaled_quadratic_pair():
 
 def test_continuity_bound_trivial_pair():
     f1 = make_power_rhs(1.0, 2.0, 0.0)
-    rep = check_continuity_bound(f1, f1, 2.0, radii=(4.0, 5.0, 6.0), h=0.05)
+    rep = check_continuity_bound(box(6.0, 0.05), f1, f1)
     assert rep.measured["rhs_gap"] == 0.0
     assert rep.predicted["bound"] == 0.0
     assert rep.passed
@@ -161,7 +166,7 @@ def test_continuity_bound_trivial_pair():
 def test_continuity_bound_small_perturbation():
     f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_power_rhs(1.01, 2.0, 0.0)  # f1 + 0.01 (1 + |y|^2)
-    rep = check_continuity_bound(f1, f2, 2.0, radii=(4.0, 5.0, 6.0), h=0.05)
+    rep = check_continuity_bound(box(6.0, 0.05), f1, f2)
     assert rep.passed
     assert rep.measured["lambda_gap"] <= rep.predicted["bound"] + rep.tolerance
 
@@ -170,7 +175,7 @@ def test_continuity_bound_rejects_mismatched_exponents():
     f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_power_rhs(1.0, 4.0, 0.0)
     with pytest.raises(ValueError):
-        check_continuity_bound(f1, f2, 2.0)
+        check_continuity_bound(box(8.0, 0.01), f1, f2)
 
 
 # -- radius monotonicity and the critical value ----------------------------------------
@@ -213,7 +218,7 @@ def test_radius_monotonicity_validates_arguments():
         check_radius_monotonicity(spec, (6.0, 4.0, 8.0))
 
 
-def test_each_lambda_star_is_one_solve_on_the_largest_box(monkeypatch):
+def test_each_lambda_star_is_one_solve_on_the_specs_box(monkeypatch):
     radii_solved = []
     solve = analysis.solve_ergodic
 
@@ -222,15 +227,19 @@ def test_each_lambda_star_is_one_solve_on_the_largest_box(monkeypatch):
         return solve(spec, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "solve_ergodic", counting_solve)
-    radii = (2.0, 3.0, 4.0)
-    check_scaling_law(2.0, 2.0, 4.0, radii=radii, h=0.1)
-    assert radii_solved == [4.0, 4.0]
-    radii_solved.clear()
+    spec = box(4.0, 0.1)
     f1 = make_power_rhs(1.0, 2.0, 0.0)
-    check_continuity_bound(f1, make_power_rhs(1.1, 2.0, 0.0), 2.0, radii=radii, h=0.1)
-    assert radii_solved == [4.0, 4.0]
+    check_scaling_law(spec, 2.0, 4.0)
+    assert radii_solved == [spec.radius] * 2
     radii_solved.clear()
-    check_radius_monotonicity(ProblemSpec(theta=2.0, m=1, rhs=f1, radius=4.0, h=0.1), radii)
+    check_continuity_bound(spec, f1, make_power_rhs(1.1, 2.0, 0.0))
+    assert radii_solved == [spec.radius] * 2
+    radii_solved.clear()
+    check_lambda_shape(spec, f1, make_pure_power_rhs(1.0, 4.0, 1.0), [0.0, 0.5, 1.0])
+    assert radii_solved == [spec.radius] * 4  # f1, f2, f1 + 1 and the t = 0.5 blend
+    radii_solved.clear()
+    radii = (2.0, 3.0, 4.0)
+    check_radius_monotonicity(spec, radii)
     assert radii_solved == list(radii)
 
 
@@ -288,7 +297,8 @@ def test_gradient_estimate_constant_f_gives_zero_ratio():
 
 def test_gradient_estimate_band_quadratic():
     # closed form phi = y^2/2: sup|Dphi| = R' against denominators from f
-    rep = check_gradient_estimate(2.0, make_pure_power_rhs(0.5, 2.0, 0.0))
+    rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
+    rep = check_gradient_estimate(ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.01))
     assert rep.passed
     assert rep.measured["K_r2"] == pytest.approx(2.0 / 7.0, abs=0.03)
     assert rep.measured["K_r4"] == pytest.approx(0.465, abs=0.03)
@@ -297,9 +307,9 @@ def test_gradient_estimate_band_quadratic():
 
 def test_gradient_estimate_band_quartic():
     # quartic growth needs a farther window before the constant plateaus
-    rep = check_gradient_estimate(
-        2.0, make_pure_power_rhs(1.0, 4.0, shift=1.0), r_primes=(4.0, 5.0, 6.0), h=0.02
-    )
+    rhs = make_pure_power_rhs(1.0, 4.0, shift=1.0)
+    spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=10.0, h=0.02)
+    rep = check_gradient_estimate(spec, r_primes=(4.0, 5.0, 6.0))
     assert rep.passed
     assert rep.measured["band"] <= 2.0
 
@@ -376,6 +386,6 @@ def test_interior_minimum_verdict_report():
 def test_verdicts_are_reproducible_bit_for_bit():
     f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_power_rhs(1.1, 2.0, 0.0)
-    a = check_continuity_bound(f1, f2, 2.0, radii=(4.0, 5.0, 6.0), h=0.05)
-    b = check_continuity_bound(f1, f2, 2.0, radii=(4.0, 5.0, 6.0), h=0.05)
+    a = check_continuity_bound(box(6.0, 0.05), f1, f2)
+    b = check_continuity_bound(box(6.0, 0.05), f1, f2)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)

@@ -365,10 +365,16 @@ def test_verify_values_a_check_would_refuse_are_config_errors(tmp_path, monkeypa
         "t_grid = 0.0, 1.5\n",
         "t_grid = -0.25, 0.5\n",
         "gap = 0.5\n",
+        "r_primes = -1.0\n",
+        "r_primes = 2.0, -1.0\n",
+        "r_primes = \n",
     ]
     bad = [text + line for line in lines] + [
         text.replace("rhs = power", "rhs = pure_power").replace("alpha = 2.0", "alpha = 0.5"),
         text.replace("cross_method", "cross_method, power_supersolution"),  # theta = 2
+        text.replace("theta = 2.0", "theta = 1.5").replace(  # annulus [r_inner, 0.8 R] empty
+            "cross_method", "cross_method, power_supersolution"
+        ) + "r_inner = 7.0\n",
         text.replace("cross_method", "cross_method, continuity_bound").replace(
             "alpha = 2.0", "alpha = 0.5"
         ),

@@ -12,7 +12,6 @@ from ergodic_hjb.problem import (
     blend_rhs,
     make_power_rhs,
     make_pure_power_rhs,
-    validate_hypotheses,
 )
 
 from oracles import centered_fd_gradient, convergence_order
@@ -85,35 +84,6 @@ def test_radial_value_of_a_scalar_is_one_value(m):
             assert val == rhs.value_at([t] + [0.0] * (m - 1))
         ts = np.array([0.0, 1.0, 2.5])
         assert rhs.radial_value(ts, m).shape == ts.shape
-
-
-def test_validate_constant_f():
-    rep = validate_hypotheses(make_power_rhs(1.0, 0.0, 0.0), theta=2.0)
-    assert rep.bounded_below is True
-    assert rep.coercive is False
-    assert rep.gamma == pytest.approx(1.0)
-
-
-def test_validate_quartic_pure_power():
-    # f = 1 + |y|^4: two-sided constant exactly 1, gamma = 4/2 + 1 = 3
-    rep = validate_hypotheses(make_pure_power_rhs(1.0, 4.0, shift=1.0), theta=2.0)
-    assert rep.h0 is True
-    assert rep.h1 is True
-    assert rep.f0 == pytest.approx(1.0, abs=1e-12)
-    assert rep.gamma == pytest.approx(3.0)
-
-
-def test_validate_subquadratic_growth_exponent():
-    # gamma = (3/2)/(3/2) + 1 = 2
-    rep = validate_hypotheses(make_pure_power_rhs(1.0, 1.5, shift=1.0), theta=1.5)
-    assert rep.gamma == pytest.approx(2.0)
-    assert rep.coercive is True
-
-
-def test_gamma_formula_is_exact():
-    for alpha, theta in [(2.0, 2.0), (4.0, 2.0), (1.5, 1.5), (3.0, 2.5)]:
-        rep = validate_hypotheses(make_power_rhs(1.0, alpha, 0.0), theta=theta)
-        assert rep.gamma == alpha / theta + 1.0
 
 
 def test_blend_endpoints_return_operands():

@@ -893,6 +893,17 @@ def test_march_step_budget_raises():
     assert info.value.trace.termination == "max_iterations"
 
 
+def test_march_blow_up_raises_solver_error():
+    # H = |p|^2/2 of 1e10 y^2 reaches 3.2e21 at the box edge: past the march's
+    # 1e14 runaway bound, yet finite, so no floating-point warning comes first
+    spec = ProblemSpec(2.0, 1, make_pure_power_rhs(0.5, 2.0, 1.0), 4.0, 0.1)
+    y = spec.grid.axis_coords()
+    with pytest.raises(solvers.SolverError) as info:
+        parabolic_march(spec, Field(spec.grid, 1e10 * y**2), T=1.0)
+    assert info.value.trace.termination == "blow_up"
+    assert "blew up" in str(info.value)
+
+
 def test_march_step_budget_reports_the_current_rate_spread(monkeypatch):
     # the rates settle (spread <= tol/2) long before the step budget runs
     # out, and the error quotes the spread at the step the march stopped on
