@@ -21,7 +21,6 @@ from .scheme import DiscreteOperator, hopf_cole_residual
 from .solvers import (
     ConvergenceTrace,
     ErgodicSolution,
-    NoSolutionSuspected,
     SolverError,
     parabolic_march,
     solve_dirichlet,
@@ -42,7 +41,6 @@ __all__ = [
     "hopf_cole_residual",
     "ConvergenceTrace",
     "ErgodicSolution",
-    "NoSolutionSuspected",
     "SolverError",
     "parabolic_march",
     "solve_dirichlet",

@@ -36,7 +36,6 @@ from .solvers import (
 
 __all__ = [
     "VerdictReport",
-    "GrowthFit",
     "fit_growth_exponent",
     "check_growth_exponent",
     "check_scaling_law",
@@ -86,18 +85,12 @@ class VerdictReport:
 # -- growth exponents -----------------------------------------------------------
 
 
-@dataclass
-class GrowthFit:
-    gamma_value: float  # log-log slope of phi (shifted to min 1)
-    gradient_slope: float  # log-log slope of |D phi|; compare to gamma - 1
-    n_nodes: int
+def fit_growth_exponent(phi: Field, r0: float, r1: float) -> tuple[float, float]:
+    """(gamma, gradient_slope): least-squares log-log slopes of phi and |D phi| over an annulus.
 
-
-def fit_growth_exponent(phi: Field, r0: float, r1: float) -> GrowthFit:
-    """Least-squares log-log slopes of phi and |D phi| over an annulus.
-
-    phi is shifted so its minimum is 1 before taking logs. The annulus should
-    stay inside 0.6 R to avoid the state-constraint boundary layer.
+    phi is shifted so its minimum is 1 before taking logs; gradient_slope is
+    compared to gamma - 1. The annulus should stay inside 0.6 R to avoid the
+    state-constraint boundary layer.
     """
     grid = phi.grid
     rr = grid.radii()
@@ -112,12 +105,12 @@ def fit_growth_exponent(phi: Field, r0: float, r1: float) -> GrowthFit:
     if int(gmask.sum()) < 10:
         raise ValueError("gradient fit needs >= 10 annulus nodes with nonzero slope")
     slope_g = float(np.polyfit(np.log(rr[gmask]), np.log(mag[gmask]), 1)[0])
-    return GrowthFit(gamma_value=slope_v, gradient_slope=slope_g, n_nodes=int(mask.sum()))
+    return slope_v, slope_g
 
 
 def check_growth_exponent(
     theta: float, alpha: float, m: int = 1, tol: float = 1e-8
-) -> tuple[VerdictReport, GrowthFit, ErgodicSolution]:
+) -> tuple[VerdictReport, ErgodicSolution]:
     """Measured growth exponent of phi against alpha/theta + 1.
 
     Uses f = |y|^alpha + 1 (homogeneous plus shift); the solve is warm-started
@@ -131,19 +124,19 @@ def check_growth_exponent(
     rhs = make_pure_power_rhs(1.0, alpha, shift=1.0)
     spec = ProblemSpec(theta=theta, m=m, rhs=rhs, radius=radius, h=h)
     sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol)
-    fit = fit_growth_exponent(sol.phi, GROWTH_WINDOW[0] * radius, GROWTH_WINDOW[1] * radius)
+    fitted, slope = fit_growth_exponent(sol.phi, *(w * radius for w in GROWTH_WINDOW))
     gamma = alpha / theta + 1.0
-    passed = abs(fit.gamma_value - gamma) <= GROWTH_TOL_REL * gamma
+    passed = abs(fitted - gamma) <= GROWTH_TOL_REL * gamma
     report = VerdictReport(
         name="growth_exponent",
         passed=bool(passed),
-        measured={"gamma_fit": fit.gamma_value, "gradient_slope": fit.gradient_slope},
+        measured={"gamma_fit": fitted, "gradient_slope": slope},
         predicted={"gamma": gamma, "gradient_slope": gamma - 1.0},
         tolerance=GROWTH_TOL_REL * gamma,
         provenance="growth exponent gamma = alpha/theta + 1 of bounded-from-below solutions",
         inputs={"theta": theta, "alpha": alpha, "m": m, "radius": radius, "h": h},
     )
-    return report, fit, sol
+    return report, sol
 
 
 # -- scaling and continuity -------------------------------------------------------
@@ -694,7 +687,7 @@ def check_interior_minimum(sol: ErgodicSolution) -> VerdictReport:
     The minimizer passes when it lies at least two cells inside the box.
     """
     grid = sol.phi.grid
-    loc = grid.coords(np.unravel_index(np.argmin(sol.phi.values), grid.shape))
+    loc = grid.points()[np.argmin(sol.phi.values)]
     f_val = float(sol.spec.rhs.value_at(loc))
     dist = float(min(grid.half_count * grid.h - abs(c) for c in loc))
     passed = dist >= 2.0 * grid.h - 1e-12 and f_val <= sol.lam + INTERIOR_MINIMUM_TOL

@@ -212,7 +212,7 @@ def _lambda_shape(cfg: ExperimentConfig, spec: ProblemSpec):
 
 def _growth_exponent(cfg: ExperimentConfig, spec: ProblemSpec):
     p = cfg.problem
-    rep, fit, sol = check_growth_exponent(p.theta, p.alpha, m=p.dim, tol=cfg.numerics.tol)
+    rep, sol = check_growth_exponent(p.theta, p.alpha, m=p.dim, tol=cfg.numerics.tol)
     rr = sol.phi.grid.radii().ravel()
     shifted = (sol.phi.values - sol.phi.values.min() + 1.0).ravel()
     mask = rr > 0
@@ -286,9 +286,8 @@ def _power_supersolution(cfg: ExperimentConfig, spec: ProblemSpec):
 
 def _dirichlet_family(cfg: ExperimentConfig, spec: ProblemSpec):
     sol = _warm_solve(cfg, spec)
-    lambdas = list(cfg.verify.lambdas) if cfg.verify.lambdas else [
-        spec.rhs.min_value(), 0.5 * (spec.rhs.min_value() + sol.lam - 0.1), sol.lam - 0.1
-    ]
+    low = spec.rhs.min_value()
+    lambdas = [low, 0.5 * (low + sol.lam - 0.1), sol.lam - 0.1]
     return [check_dirichlet_family(spec, lambdas, sol.lam, tol=cfg.numerics.tol)], {}
 
 

@@ -35,6 +35,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
+from .grid import Grid
 from .problem import (
     ProblemSpec,
     RhsFunction,
@@ -130,7 +131,6 @@ class VerifySettings:
     r_inner: float = 3.0
     r_primes: tuple[float, ...] = (2.0, 3.0, 4.0)
     gap: float = 4.0
-    lambdas: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -265,8 +265,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"[sweep] axis must be one of {SWEEP_AXES}, got {sweep.axis!r}")
         if not sweep.values:
             raise ConfigError("[sweep] values must be a nonempty list")
-        if any(v <= 0 for v in sweep.values):
-            raise ConfigError(f"[sweep] {sweep.axis} values must be positive")
+        if any(v <= 0 or (sweep.axis == "radius" and v < numerics.h) for v in sweep.values):
+            raise ConfigError(f"[sweep] {sweep.axis} values must be > 0, radii >= [numerics] h")
     elif "sweep" in sections:
         raise ConfigError(f"[sweep] section is only valid for mode=sweep (mode={run.mode})")
 
@@ -290,12 +290,16 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("[verify] need eps values > 0, horizon > 0 and c > 0")
         if not 1.0 < verify.q <= 1.05 or not all(0.0 <= t <= 1.0 for t in verify.t_grid):
             raise ConfigError("[verify] need q in (1, 1.05] and t_grid values in [0, 1]")
-        if not verify.r_primes or min(verify.r_primes) < 0 or verify.gap < 1:
-            raise ConfigError("[verify] need r_primes nonempty and >= 0, and gap >= 1")
-        if "power_supersolution" in verify.checks and (
-            problem.theta >= 2 or verify.r_inner >= 0.8 * numerics.radius
-        ):
-            raise ConfigError("[verify] power_supersolution needs theta < 2, r_inner < 0.8 radius")
+        r_primes, gap = verify.r_primes, verify.gap
+        if not r_primes or min(r_primes) < 0 or gap < 1 or min(r_primes) + gap < numerics.h:
+            raise ConfigError("[verify] need r_primes nonempty, >= 0 and >= h - gap, and gap >= 1")
+        axis = Grid(problem.dim, numerics.radius, numerics.h).axis_coords()
+        # a node on an axis at x >= 0 has radius x: exact in 1-d, sufficient in 2-d and 3-d
+        in_annulus = any(verify.r_inner <= x <= 0.8 * numerics.radius for x in axis)
+        if "power_supersolution" in verify.checks and (problem.theta >= 2 or not in_annulus):
+            raise ConfigError(
+                "[verify] power_supersolution needs theta < 2 and a node in [r_inner, 0.8 radius]"
+            )
         if "continuity_bound" in verify.checks and problem.alpha < 1:
             raise ConfigError("[verify] continuity_bound needs [problem] alpha >= 1")
     elif "verify" in sections:

@@ -77,23 +77,6 @@ class Grid:
         mesh = self.meshgrid()
         return np.sqrt(sum(g**2 for g in mesh))
 
-    def coords(self, node: tuple[int, ...]) -> np.ndarray:
-        node = self.node_tuple(node)
-        k = self.half_count
-        return np.array([(i - k) * self.h for i in node])
-
-    def node_tuple(self, node) -> tuple[int, ...]:
-        if np.isscalar(node):
-            node = (int(node),)
-        node = tuple(int(i) for i in node)
-        if len(node) != self.m:
-            raise ValueError(f"node index has {len(node)} components, grid is {self.m}-dimensional")
-        n = self.n_per_axis
-        for i in node:
-            if not 0 <= i < n:
-                raise IndexError(f"node index {node} outside grid of shape {self.shape}")
-        return node
-
     def index_of(self, point) -> tuple[int, ...]:
         """Grid index of a point that must coincide with a node."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -115,9 +98,6 @@ class Grid:
         mask[(slice(1, -1),) * self.m] = True
         return mask
 
-    def boundary_shell_mask(self) -> np.ndarray:
-        return ~self.interior_mask()
-
 
 @dataclass
 class Field:
@@ -135,12 +115,6 @@ class Field:
                 raise ValueError(
                     f"values shape {self.values.shape} incompatible with grid shape {self.grid.shape}"
                 )
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
-    def at(self, node) -> float:
-        return float(self.values[self.grid.node_tuple(node)])
 
 
 # -- serialization ----------------------------------------------------------

@@ -67,10 +67,6 @@ class RhsFunction:
         p = np.atleast_1d(np.asarray(point, dtype=float))
         return float(self.evaluate(p[None, :])[0])
 
-    def gradient_at(self, point) -> np.ndarray:
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        return np.asarray(self.gradient(p[None, :])[0])
-
     def min_value(self) -> float:
         raise NotImplementedError
 
@@ -83,9 +79,6 @@ class RhsFunction:
 
     def descriptor(self) -> dict:
         raise NotImplementedError
-
-    def on_grid(self, grid: Grid) -> np.ndarray:
-        return self.evaluate(grid.points()).reshape(grid.shape)
 
 
 @dataclass(frozen=True)
@@ -188,19 +181,13 @@ class BlendRhs(RhsFunction):
 # -- hypothesis scans --------------------------------------------------------
 
 
-def _radial_samples(extra_max: float = 1e6) -> np.ndarray:
-    near = np.linspace(0.0, 20.0, 8001)
-    far = np.geomspace(20.0, extra_max, 1500)
-    return np.concatenate([near, far])
-
-
 def _growth_constant(rhs: RhsFunction, alpha: float, m: int = 1) -> Optional[float]:
     """Smallest f0 with f0^-1 (t^alpha + 1) <= f <= f0 (t^alpha + 1) on the scan range.
 
     Valid for the radial families; returns None when f is not strictly
     positive (the lower bound is then unattainable).
     """
-    t = _radial_samples()
+    t = np.concatenate([np.linspace(0.0, 20.0, 8001), np.geomspace(20.0, 1e6, 1500)])
     fv = rhs.radial_value(t, m)
     if np.min(fv) <= 0:
         return None
@@ -290,4 +277,4 @@ class ProblemSpec:
 
     def f_field(self) -> Field:
         g = self.grid
-        return Field(g, self.rhs.on_grid(g))
+        return Field(g, self.rhs.evaluate(g.points()).reshape(g.shape))

@@ -27,7 +27,6 @@ Routes implemented here:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,7 +40,6 @@ from .scheme import DiscreteOperator, laplacian_and_slope
 
 __all__ = [
     "SolverError",
-    "NoSolutionSuspected",
     "TraceRecord",
     "ConvergenceTrace",
     "ErgodicSolution",
@@ -99,13 +97,6 @@ class SolverError(RuntimeError):
         self.trace = trace
 
 
-class NoSolutionSuspected(SolverError):
-    """Newton stagnated; consistent with lambda above the critical value.
-
-    This is a diagnostic, not a proof of nonexistence.
-    """
-
-
 @dataclass
 class TraceRecord:
     iteration: int
@@ -151,12 +142,6 @@ class ParabolicMarch:
     n_steps: int
     trace: ConvergenceTrace
     settled: Optional[ErgodicSolution] = None  # relative value iteration's pair
-
-
-class _Stagnation(Exception):
-    def __init__(self, records, x):
-        self.records = records
-        self.x = x
 
 
 def _sup(v: np.ndarray) -> float:
@@ -311,16 +296,16 @@ def _damped_newton(
     lam_of: Optional[Callable[[np.ndarray], float]] = None,
     *,
     tau: Optional[float] = None,
-    records: Optional[list[TraceRecord]] = None,
+    stall_tau: Optional[float] = None,
 ) -> tuple[np.ndarray, list[TraceRecord]]:
     """Newton iteration globalized by a line search or in pseudo-time.
 
     Without tau each step is backtracked until the Euclidean residual norm
     decreases (the Newton direction is always a descent direction for it,
     unlike for the sup norm, which jams at upwind kinks); convergence is still
-    declared on the sup norm. When no damped step helps, _Stagnation carries
-    the trace and the iterate out; an iteration whose step was rejected is
-    recorded with step size 0.
+    declared on the sup norm. A line-search step is taken only if it cuts
+    |F|_2 by a relative 1e-4 s >= 1e-4 BACKTRACK_FLOOR, so the line search
+    needs no stall window.
 
     step_fn(x, shift, -F, tol) solves with the Jacobian at x plus shift (0
     without tau) on the diagonal of its residual rows (_nd_step): by a fresh
@@ -330,12 +315,15 @@ def _damped_newton(
     whole: pseudo-transient continuation, with tau grown by switched evolution
     relaxation, tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau =
     inf is the plain full Newton step, which on the ergodic system is Howard's
-    policy iteration. A line-search step is taken only if it cuts |F|_2 by a
-    relative 1e-4 s >= 1e-4 BACKTRACK_FLOOR, so the line search needs no stall
-    window; under PTC a non-finite step raises SolverError.
+    policy iteration. Under PTC a non-finite step raises SolverError with
+    termination "non_finite_step".
 
-    Given the records of an earlier run, iteration numbers and the max_iter
-    budget carry on from its last record.
+    The line search stalls when its step is not finite or no fraction down to
+    BACKTRACK_FLOOR helps; that iteration is recorded with step size 0. With
+    stall_tau the same loop then goes on in pseudo-time from tau = stall_tau,
+    within the same max_iter budget; without it the stall raises SolverError
+    with termination "stagnated". Every failure is a SolverError whose trace's
+    termination says why.
     """
     ptc = tau is not None
 
@@ -351,29 +339,39 @@ def _damped_newton(
     r = _sup(f)
     merit = float(np.linalg.norm(f))
     lam = lam_of(x) if lam_of else None
-    records = list(records) if records is not None else [TraceRecord(0, r, lam, None)]
-    for it in range(records[-1].iteration + 1, max_iter + 1):
+    records = [TraceRecord(0, r, lam, None)]
+    for it in range(1, max_iter + 1):
         if r <= tol:
             return x, records
         # a singular J gives a NaN step, which the checks below handle (a
-        # line-search stall hands over to PTC)
+        # line-search stall)
         delta = step_fn(x, 1.0 / tau if ptc else 0.0, -f, tol)
-        if not ptc and not np.all(np.isfinite(delta)):
-            raise _Stagnation(records + [TraceRecord(it, r, lam, 0.0)], x)
         s = 1.0
-        xt = x + delta
-        ft, mt = trial(xt)
-        if ptc and not np.isfinite(mt):
-            raise SolverError(
-                f"non-finite newton step at iteration {it}",
-                ConvergenceTrace(records=records, termination="non_finite_step"),
-            )
-        while not ptc and not (np.isfinite(mt) and mt < merit * (1.0 - 1e-4 * s)):
-            s *= 0.5
-            if s < BACKTRACK_FLOOR:
-                raise _Stagnation(records + [TraceRecord(it, r, lam, 0.0)], x)
-            xt = x + s * delta
+        stalled = not ptc and not np.all(np.isfinite(delta))
+        if not stalled:
+            xt = x + delta
             ft, mt = trial(xt)
+            if ptc and not np.isfinite(mt):
+                raise SolverError(
+                    f"non-finite newton step at iteration {it}",
+                    ConvergenceTrace(records=records, termination="non_finite_step"),
+                )
+            while not ptc and not (np.isfinite(mt) and mt < merit * (1.0 - 1e-4 * s)):
+                s *= 0.5
+                if s < BACKTRACK_FLOOR:
+                    stalled = True
+                    break
+                xt = x + s * delta
+                ft, mt = trial(xt)
+        if stalled:
+            records.append(TraceRecord(it, r, lam, 0.0))
+            if stall_tau is None:
+                raise SolverError(
+                    f"newton stagnated at iteration {it} (residual {r:.3e})",
+                    ConvergenceTrace(records=records, termination="stagnated"),
+                )
+            ptc, tau = True, stall_tau  # carry on from x in pseudo-time
+            continue
         x, f, merit, previous = xt, ft, mt, merit
         r = _sup(f)
         lam = lam_of(x) if lam_of else None
@@ -405,8 +403,10 @@ def solve_dirichlet(
     Both stencil arms exist at interior nodes, so the Dirichlet operator is the
     state-constraint operator restricted to the interior rows; the Jacobian is
     restricted to the interior rows and columns (boundary values are data, not
-    unknowns). Stagnation of the damped Newton iteration raises
-    NoSolutionSuspected, consistent with lambda exceeding the critical value.
+    unknowns). A failed damped Newton iteration raises SolverError; a stall
+    ("stagnated") or an exhausted budget far from tolerance is consistent with
+    lambda above the critical value. This is a diagnostic, not a certificate
+    of nonexistence.
     """
     grid = spec.grid
     op = DiscreteOperator(spec)
@@ -414,10 +414,7 @@ def solve_dirichlet(
     unknowns = np.flatnonzero(interior)
 
     full = np.array(data.values, dtype=float)
-    if initial_guess is not None:
-        full[interior] = initial_guess.values[interior]
-    else:
-        full[interior] = 0.0
+    full[interior] = initial_guess.values[interior] if initial_guess is not None else 0.0
 
     def assemble(x: np.ndarray) -> np.ndarray:
         vals = full.copy()
@@ -428,23 +425,7 @@ def solve_dirichlet(
         return op.residual_values(assemble(x), lam)[interior]
 
     step = _nd_step(spec, lambda x, s: op.jacobian(assemble(x), s), unknowns)
-    try:
-        x, records = _damped_newton(residual_fn, step, full[interior], tol, max_iter)
-    except _Stagnation as stag:
-        trace = ConvergenceTrace(records=stag.records, termination="stagnated")
-        raise NoSolutionSuspected(
-            f"newton stagnated at lambda={lam:g}; no solution suspected", trace
-        ) from None
-    except SolverError as exc:
-        # budget exhausted while still far from tolerance: same diagnostic as
-        # a stall, consistent with lambda above the critical value
-        residual = exc.trace.records[-1].residual_sup if exc.trace else np.inf
-        if residual > 1e3 * tol:
-            raise NoSolutionSuspected(
-                f"newton made no useful progress at lambda={lam:g}; no solution suspected",
-                exc.trace,
-            ) from None
-        raise
+    x, _ = _damped_newton(residual_fn, step, full[interior], tol, max_iter)
     return Field(grid, assemble(x))
 
 
@@ -473,11 +454,7 @@ def solve_discounted(
 
     x0 = initial_guess.values.ravel() if initial_guess is not None else np.zeros(nodes.size)
     step = _nd_step(spec, lambda x, s: op.jacobian(x.reshape(grid.shape), epsilon + s), nodes)
-    try:
-        x, records = _damped_newton(residual_fn, step, x0, tol, DISCOUNTED_MAX_ITER)
-    except _Stagnation as stag:
-        trace = ConvergenceTrace(records=stag.records, termination="stagnated")
-        raise SolverError(f"discounted solve stagnated at eps={epsilon:g}", trace) from None
+    x, _ = _damped_newton(residual_fn, step, x0, tol, DISCOUNTED_MAX_ITER)
     return Field(grid, x.reshape(grid.shape))
 
 
@@ -501,18 +478,15 @@ def discounted_lambda_path(
             shifted = guess.values + lam_prev * (1.0 / eps - 1.0 / eps_prev)
             guess = Field(spec.grid, shifted)
         phi = solve_discounted(spec, eps, initial_guess=guess, tol=tol)
-        lam_eps = eps * phi.at(anchor)
+        lam_eps = eps * phi.values[anchor]
         res = _sup(op.residual_values(phi.values, 0.0) + eps * phi.values)
         rows.append({"epsilon": eps, "lambda": lam_eps, "residual_sup": res})
         guess, lam_prev, eps_prev = phi, lam_eps, eps
+    if len(rows) < 2:
+        return rows, float(rows[-1]["lambda"])
     eps_arr = np.array([r["epsilon"] for r in rows])
     lam_arr = np.array([r["lambda"] for r in rows])
-    if len(rows) >= 2:
-        slope, intercept = np.polyfit(eps_arr, lam_arr, 1)
-        extrapolated = float(intercept)
-    else:
-        extrapolated = float(lam_arr[-1])
-    return rows, extrapolated
+    return rows, float(np.polyfit(eps_arr, lam_arr, 1)[1])  # the intercept
 
 
 # -- state-constraint ergodic routes --------------------------------------------
@@ -525,21 +499,16 @@ def _finalize(
     records: list[TraceRecord],
     method: str,
     tol: float,
-    termination: str = "converged",
 ) -> ErgodicSolution:
-    grid = spec.grid
-    anchor = spec.anchor_index
-    vals = values - values[anchor]
-    op = DiscreteOperator(spec)
-    res = _sup(op.residual_values(vals, lam))
+    vals = values - values[spec.anchor_index]
+    res = _sup(DiscreteOperator(spec).residual_values(vals, lam))
     records = records[:-1] + [replace(records[-1], residual_sup=res)]
-    trace = ConvergenceTrace(records=records, termination=termination)
-    phi = Field(grid, vals)
-    if not phi.is_finite():
+    trace = ConvergenceTrace(records=records, termination="converged")
+    if not np.all(np.isfinite(vals)):
         raise SolverError("solution contains non-finite values", trace)
     return ErgodicSolution(
         lam=float(lam),
-        phi=phi,
+        phi=Field(spec.grid, vals),
         residual_sup=res,
         trace=trace,
         method=method,
@@ -594,15 +563,12 @@ def _solve_square(
     guess, levels = _coarse_start(spec, guess, tol, max_iter, method)
     z0 = (guess - guess[spec.anchor_index]).ravel()  # lambda starts at 0
     step_fn = _nd_step(spec, lambda z, s: op.jacobian(split(z)[0], s), np.arange(z0.size), anchor)
-    run = partial(
-        _damped_newton, lambda z: op.residual_values(*split(z)).ravel(), step_fn,
-        tol=0.5 * tol, max_iter=max_iter, lam_of=lambda z: split(z)[1],
-    )
     try:
-        try:
-            z, records = run(z0, tau=np.inf if method == "policy_iteration" else None)
-        except _Stagnation as stag:
-            z, records = run(stag.x, tau=PTC_TAU0, records=stag.records)
+        z, records = _damped_newton(
+            lambda z: op.residual_values(*split(z)).ravel(), step_fn, z0, 0.5 * tol, max_iter,
+            lambda z: split(z)[1], tau=np.inf if method == "policy_iteration" else None,
+            stall_tau=PTC_TAU0,
+        )
         sol = _finalize(spec, *split(z), records, method, tol)
     except SolverError as exc:
         exc.trace = replace(exc.trace, **step_fn.counts, coarse_levels=levels)

@@ -135,9 +135,10 @@ def test_criterion_5_shift_monotone_concave_suite():
 def test_criterion_6_growth_exponents():
     with criterion("6 growth exponents within 10% of alpha/theta + 1"):
         for theta, alpha in ((2.0, 2.0), (2.0, 4.0), (1.5, 1.5)):
-            rep, fit, _ = check_growth_exponent(theta, alpha, tol=SOLVER_TOL)
+            rep, _ = check_growth_exponent(theta, alpha, tol=SOLVER_TOL)
             gamma = alpha / theta + 1.0
-            assert abs(fit.gamma_value - gamma) <= 0.10 * gamma, (theta, alpha, fit)
+            fitted = rep.measured["gamma_fit"]
+            assert abs(fitted - gamma) <= 0.10 * gamma, (theta, alpha, rep.measured)
 
 
 def test_criterion_7_uniqueness_up_to_constants():

@@ -266,6 +266,18 @@ def test_cli_radius_sweep_rows_and_monotonicity(tmp_path):
     assert len(timing) == 4
 
 
+def test_radius_sweep_values_below_h_are_config_errors(tmp_path):
+    # a box narrower than one cell has no grid; refused before any row is solved
+    shipped = (Path(__file__).resolve().parents[1] / "configs" / "sweep_radius.cfg").read_text()
+    text = shipped.replace("values = 4.0, 5.0, 6.0, 7.0, 8.0", "values = 0.005, 4.0")
+    assert "0.005" in text and "h = 0.02" in text
+    with pytest.raises(ConfigError, match="radii"):
+        parse_config(text)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    assert not (out / "sweep.csv").exists()
+
+
 def test_cli_epsilon_sweep(tmp_path):
     text = SWEEP.replace("axis = radius", "axis = epsilon")
     text = text.replace("values = 4.0, 6.0, 8.0", "values = 0.1, 0.05, 0.025")
@@ -375,6 +387,11 @@ def test_verify_values_a_check_would_refuse_are_config_errors(tmp_path, monkeypa
         text.replace("theta = 2.0", "theta = 1.5").replace(  # annulus [r_inner, 0.8 R] empty
             "cross_method", "cross_method, power_supersolution"
         ) + "r_inner = 7.0\n",
+        text.replace("theta = 2.0", "theta = 1.5")  # annulus [3.1, 3.2] holds no node
+        .replace("radius = 6.0", "radius = 4.0").replace("h = 0.05", "h = 1.0")
+        .replace("cross_method", "cross_method, power_supersolution") + "r_inner = 3.1\n",
+        text.replace("radius = 6.0", "radius = 8.0").replace("h = 0.05", "h = 2.0")  # box 1 < h
+        .replace("cross_method", "cross_method, gradient_estimate") + "r_primes = 0.0\ngap = 1.0\n",
         text.replace("cross_method", "cross_method, continuity_bound").replace(
             "alpha = 2.0", "alpha = 0.5"
         ),

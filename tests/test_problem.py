@@ -39,7 +39,7 @@ def test_quadratic_case_matches_symbolic_oracle():
     y = np.array([0.8, -1.3])
     assert rhs.value_at(y) == pytest.approx(1.0 + np.dot(y, y), abs=1e-14)
     # Df = 2y, both by hand and by the symbolic oracle
-    assert np.allclose(rhs.gradient_at(y), 2 * y, atol=1e-14)
+    assert np.allclose(rhs.gradient(np.atleast_2d(y))[0], 2 * y, atol=1e-14)
     assert np.allclose(sympy_power_gradient(1, 2, y), 2 * y, atol=1e-12)
     # two-sided growth constant is exactly 1 for this instance
     assert rhs.f0 == pytest.approx(1.0, abs=1e-12)
@@ -52,7 +52,7 @@ def test_quartic_case_at_unit_diagonal_matches_symbolic_oracle():
     assert rhs.value_at(y) == pytest.approx(9.0, abs=1e-12)
     oracle = sympy_power_gradient(1, 4, y)
     assert np.linalg.norm(oracle) == pytest.approx(12.0 * np.sqrt(2.0), abs=1e-10)
-    assert np.allclose(rhs.gradient_at(y), oracle, atol=1e-10)
+    assert np.allclose(rhs.gradient(np.atleast_2d(y))[0], oracle, atol=1e-10)
 
 
 def test_power_rhs_rejects_bad_parameters():
@@ -71,8 +71,8 @@ def test_pure_power_gradient_and_origin_convention():
     y = np.array([1.0, -2.0])
     r = np.linalg.norm(y)
     assert rhs.value_at(y) == pytest.approx(2.0 * r**3 + 0.5, rel=1e-14)
-    assert np.allclose(rhs.gradient_at(y), 2.0 * 3.0 * r * y, rtol=1e-14)
-    assert np.array_equal(rhs.gradient_at(np.zeros(2)), np.zeros(2))
+    assert np.allclose(rhs.gradient(np.atleast_2d(y))[0], 2.0 * 3.0 * r * y, rtol=1e-14)
+    assert np.array_equal(rhs.gradient(np.atleast_2d(np.zeros(2)))[0], np.zeros(2))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -126,8 +126,8 @@ def test_power_minimum_at_origin_and_shell_coercivity():
     rhs = make_pure_power_rhs(0.5, 2.0, shift=1.0)
     assert rhs.min_value() == 1.0
     grid = Grid(m=2, radius=8.0, h=0.5)
-    vals = rhs.on_grid(grid)
-    shell = grid.boundary_shell_mask()
+    vals = rhs.evaluate(grid.points()).reshape(grid.shape)
+    shell = ~grid.interior_mask()
     # outermost shell values exceed any fixed threshold once R is large
     assert np.min(vals[shell]) > 30.0
     assert np.min(vals) == rhs.value_at(np.zeros(2))
@@ -147,7 +147,7 @@ def test_recorded_growth_constant_is_valid(y):
 def test_analytic_gradient_matches_centered_differences_order_two():
     rhs = make_power_rhs(1.0, 3.0, 0.2)
     point = np.array([0.7, -0.4])
-    exact = rhs.gradient_at(point)
+    exact = rhs.gradient(np.atleast_2d(point))[0]
     hs = [0.1, 0.05, 0.025, 0.0125]
     errs = [
         np.linalg.norm(centered_fd_gradient(lambda p: rhs.value_at(p), point, h) - exact)

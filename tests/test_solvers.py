@@ -19,7 +19,7 @@ from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.scheme import DiscreteOperator, laplacian_and_slope, upwind_state
 from ergodic_hjb.solvers import (
     PTC_TAU0,
-    NoSolutionSuspected,
+    SolverError,
     discounted_lambda_path,
     eikonal_initial_guess,
     parabolic_march,
@@ -61,7 +61,7 @@ def test_dirichlet_solves_the_interior_rows_of_the_state_constraint_operator(the
     data = np.random.default_rng(7).standard_normal(g.shape)
     tol = 1e-8
     phi = solve_dirichlet(spec, 1.0, Field(g, data), tol=tol)
-    shell = g.boundary_shell_mask()
+    shell = ~g.interior_mask()
     assert np.array_equal(phi.values[shell], data[shell])
     res = DiscreteOperator(spec).residual_values(phi.values, 1.0)
     assert np.max(np.abs(res[g.interior_mask()])) <= tol
@@ -169,8 +169,21 @@ def test_dirichlet_above_critical_value_is_suspected_unsolvable():
     rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=4.0, h=0.05)
     lam_hat = solve_ergodic(spec, tol=1e-8).lam  # about 1/2
-    with pytest.raises(NoSolutionSuspected):
+    with pytest.raises(SolverError) as info:
         solve_dirichlet(spec, lam_hat + 5.0, zero_field(spec.grid), max_iter=60)
+    trace = info.value.trace
+    assert trace.termination in {"stagnated", "max_iterations"}
+    assert trace.records[-1].residual_sup > 1e3 * 1e-8  # far from the default tolerance
+
+
+def test_dirichlet_stall_without_a_hand_off_raises_stagnated():
+    # the Dirichlet route passes no stall_tau, so a line-search stall ends the solve
+    spec = ProblemSpec(2.0, 1, make_pure_power_rhs(0.5, 2.0, 0.0), 4.0, 0.05)
+    with pytest.raises(SolverError) as info:
+        solve_dirichlet(spec, 1.0, zero_field(spec.grid), max_iter=60)
+    trace = info.value.trace
+    assert trace.termination == "stagnated"
+    assert trace.records[-1].step_size == 0.0
 
 
 # -- discounted -----------------------------------------------------------------------
@@ -183,7 +196,7 @@ def test_discounted_constant_f_solved_by_constant():
         spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=2.0, h=0.25)
         phi = solve_discounted(spec, eps)
         assert np.allclose(phi.values, c / eps, atol=1e-9)
-        assert eps * phi.at(spec.anchor_index) == pytest.approx(c, abs=1e-9)
+        assert eps * phi.values[spec.anchor_index] == pytest.approx(c, abs=1e-9)
 
 
 def test_discounted_path_approaches_ergodic_level():
@@ -221,7 +234,7 @@ def test_ergodic_closed_form_1d(theta, tol_lam):
     mask = spec.grid.radii() <= 4.0
     d = sol.phi.values[mask] - exact[mask]
     assert (d.max() - d.min()) / 2.0 <= 0.05
-    assert sol.phi.at(spec.anchor_index) == 0.0
+    assert sol.phi.values[spec.anchor_index] == 0.0
     assert sol.residual_sup <= 1e-8
 
 
@@ -229,7 +242,7 @@ def test_ergodic_closed_form_2d_coarse():
     spec = closed_form_spec(2.0, 2, 6.0, 0.1)
     sol = solve_ergodic(spec, tol=1e-8)
     assert sol.lam == pytest.approx(closed_form_lambda(2), abs=0.1)
-    assert sol.phi.at(spec.anchor_index) == 0.0
+    assert sol.phi.values[spec.anchor_index] == 0.0
 
 
 def test_ergodic_methods_agree_on_shared_fixed_point():
@@ -310,7 +323,7 @@ def test_ergodic_normalization_and_trace_invariants(monkeypatch):
         linear_solves.clear()
         sol = solve_ergodic(sp, initial_guess=guess, method=method, tol=1e-8)
         records = sol.trace.records
-        assert sol.phi.at(sp.anchor_index) == 0.0
+        assert sol.phi.values[sp.anchor_index] == 0.0
         assert records[-1].residual_sup == sol.residual_sup
         assert sol.trace.termination == "converged"
         # one record per iteration, counting up across any switch of globalization
@@ -362,7 +375,7 @@ def square_step(spec, phi, lam, shift):
 def test_square_step_is_the_bordered_step(m, radius, h, shift, guess):
     spec = closed_form_spec(3.0, m, radius, h)
     field = eikonal_initial_guess(spec) if guess == "eikonal" else random_smooth_field(spec.grid, 3)
-    phi = field.values - field.at(spec.anchor_index)
+    phi = field.values - field.values[spec.anchor_index]
     lam = 0.7
     x = square_step(spec, phi, lam, shift)
     bordered = bordered_matrix(spec, phi, shift)
@@ -400,7 +413,7 @@ def test_nd_factor_pivots_on_the_diagonal_and_fills_less_than_bordered_colamd(mo
 
     monkeypatch.setattr(solvers, "splu", recording_splu)
     field = random_smooth_field(spec.grid, 5)
-    phi = field.values - field.at(spec.anchor_index)
+    phi = field.values - field.values[spec.anchor_index]
     colamd = splu(bordered_matrix(spec, phi, 0.0), permc_spec="COLAMD")
     rhs = -np.append(DiscreteOperator(spec).residual_values(phi, 0.7).ravel(), 0.0)
     for shift in (0.0, 1.0 / PTC_TAU0):
@@ -511,7 +524,7 @@ def test_nd_layout_is_built_once_per_grid_from_the_steps_own_jacobians(monkeypat
     assert len(orders) == 1
     # the discounted and Dirichlet routes solve for other unknowns on the same grid
     phi = solve_discounted(spec, 0.1)
-    solve_dirichlet(spec, 0.1 * phi.at(spec.anchor_index), phi)
+    solve_dirichlet(spec, 0.1 * phi.values[spec.anchor_index], phi)
     assert len(orders) == 3
     for k in range(solvers.ND_LAYOUTS + 2):  # the cache stays bounded
         solve_ergodic(closed_form_spec(2.0, 1, 1.0 + 0.1 * k, 0.1), tol=1e-8)
@@ -562,10 +575,9 @@ def test_nested_start_is_the_injected_guess_solved_and_prolonged(monkeypatch):
         calls.append((initial_guess.values, sol))
         return sol
 
-    def recording_newton(residual_fn, step_fn, x0, *args, records=None, **kwargs):
-        if records is None:  # not the pseudo-time run that carries on after a stall
-            starts.append(np.array(x0))
-        return damped_newton(residual_fn, step_fn, x0, *args, records=records, **kwargs)
+    def recording_newton(residual_fn, step_fn, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return damped_newton(residual_fn, step_fn, x0, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "_solve_square", recording_solve_square)
     monkeypatch.setattr(solvers, "_damped_newton", recording_newton)
@@ -636,7 +648,7 @@ def test_failed_coarse_level_falls_back_to_the_callers_guess(monkeypatch):
         if level_spec.h != spec.h:
             records = [solvers.TraceRecord(0, 1.0), solvers.TraceRecord(7, 0.5)]
             trace = solvers.ConvergenceTrace(records=records, termination="stagnated")
-            raise NoSolutionSuspected("coarse level made to fail", trace)
+            raise SolverError("coarse level made to fail", trace)
         return solve_square(level_spec, *args)
 
     monkeypatch.setattr(solvers, "_solve_square", failing_coarse_level)
