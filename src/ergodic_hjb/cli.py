@@ -186,26 +186,35 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 # Each entry maps (cfg, spec) to (verdicts, plot tables as {filename: (header, rows)}) and
 # calls its check by module-global name, so a wrapper installed on that name sees the call.
 
+# Each property is stated for one problem, so the battery checks the config's problem on its
+# box at fixed inputs: the constants below, and boxes and radii that are fractions of
+# R = [numerics] radius. The checks were calibrated at R = 8, where each fraction is exact.
+# CHECK_TOL is the one check-level tolerance, kept in one place to be split per check.
+CHECK_TOL = 0.03
+SCALING_C = 4.0  # dilation constant of scaling_law
+F2 = (1.0, 4.0, 1.0)  # (coeff, alpha, shift) of the second right-hand side of the pair checks
+T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # blend weights of lambda_shape
+SUPERSOLUTION_Q = 1.01
+
 
 def _shift_equivariance(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep = check_shift_equivariance(spec, tol=cfg.verify.tol, solver_tol=cfg.numerics.tol)
+    rep = check_shift_equivariance(spec, tol=CHECK_TOL, solver_tol=cfg.numerics.tol)
     return [rep], {}
 
 
 def _scaling_law(cfg: ExperimentConfig, spec: ProblemSpec):
-    v = cfg.verify
     rep = check_scaling_law(
-        spec, cfg.problem.alpha, v.c, tol_rel=max(v.tol, 0.01), tol=cfg.numerics.tol
+        spec, cfg.problem.alpha, SCALING_C, tol_rel=CHECK_TOL, tol=cfg.numerics.tol
     )
     return [rep], {}
 
 
 def _lambda_shape(cfg: ExperimentConfig, spec: ProblemSpec):
-    v, p = cfg.verify, cfg.problem
+    p = cfg.problem
     f1 = make_power_rhs(p.coeff, p.alpha, p.shift)
-    f2 = make_pure_power_rhs(v.coeff2, v.alpha2, v.shift2)
     reps = check_lambda_shape(
-        spec, f1, f2, list(v.t_grid), tol=v.tol, solver_tol=cfg.numerics.tol
+        spec, f1, make_pure_power_rhs(*F2), list(T_GRID), tol=CHECK_TOL,
+        solver_tol=cfg.numerics.tol,
     )
     return reps, {}
 
@@ -221,10 +230,11 @@ def _growth_exponent(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _continuity_bound(cfg: ExperimentConfig, spec: ProblemSpec):
-    v, p = cfg.verify, cfg.problem
+    p = cfg.problem
     f1 = make_power_rhs(p.coeff, p.alpha, p.shift)
-    f2 = make_power_rhs(v.coeff2, p.alpha, v.shift2)
-    rep = check_continuity_bound(spec, f1, f2, tol=v.tol, solver_tol=cfg.numerics.tol)
+    coeff2, _, shift2 = F2
+    f2 = make_power_rhs(coeff2, p.alpha, shift2)
+    rep = check_continuity_bound(spec, f1, f2, tol=CHECK_TOL, solver_tol=cfg.numerics.tol)
     return [rep], {}
 
 
@@ -234,10 +244,7 @@ def _uniqueness(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _cross_method(cfg: ExperimentConfig, spec: ProblemSpec):
-    v = cfg.verify
-    rep, march, drows = check_cross_method(
-        spec, horizon=v.horizon, eps_list=v.eps, pair_tol=v.tol, solver_tol=cfg.numerics.tol
-    )
+    rep, march, drows = check_cross_method(spec, pair_tol=CHECK_TOL, solver_tol=cfg.numerics.tol)
     rates = [[_f(t), _f(a), _f(b), _f(c)] for t, a, b, c in march.rate_stats]
     path = [[_f(r["epsilon"]), _f(r["lambda"])] for r in drows]
     return [rep], {
@@ -247,9 +254,9 @@ def _cross_method(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _radius_monotonicity(cfg: ExperimentConfig, spec: ProblemSpec):
-    v, n = cfg.verify, cfg.numerics
+    big = spec.radius
     rep, table = check_radius_monotonicity(
-        spec, radii=v.radii, slack=max(v.tol, 0.02), solver_tol=n.tol
+        spec, radii=(big / 2, 3 * big / 4, big), slack=CHECK_TOL, solver_tol=cfg.numerics.tol
     )
     rows = [[_f(r["radius"]), _f(r["lambda"])] for r in table]
     return [rep], {"lambda_vs_radius.csv": (["radius", "lambda"], rows)}
@@ -268,8 +275,10 @@ def _interior_minimum(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _gradient_estimate(cfg: ExperimentConfig, spec: ProblemSpec):
-    v = cfg.verify
-    rep = check_gradient_estimate(spec, r_primes=v.r_primes, gap=v.gap, tol=cfg.numerics.tol)
+    big = spec.radius  # boxes r_prime + gap of 3/4, 7/8 and all of it
+    rep = check_gradient_estimate(
+        spec, r_primes=(big / 4, 3 * big / 8, big / 2), gap=big / 2, tol=cfg.numerics.tol
+    )
     return [rep], {}
 
 
@@ -280,8 +289,8 @@ def _warm_solve(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _power_supersolution(cfg: ExperimentConfig, spec: ProblemSpec):
-    v = cfg.verify
-    return [check_power_supersolution(_warm_solve(cfg, spec), q=v.q, r_inner=v.r_inner)], {}
+    sol = _warm_solve(cfg, spec)
+    return [check_power_supersolution(sol, q=SUPERSOLUTION_Q, r_inner=0.375 * spec.radius)], {}
 
 
 def _dirichlet_family(cfg: ExperimentConfig, spec: ProblemSpec):

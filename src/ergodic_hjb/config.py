@@ -35,7 +35,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
-from .grid import Grid
 from .problem import (
     ProblemSpec,
     RhsFunction,
@@ -118,19 +117,6 @@ class SweepSettings:
 @dataclass(frozen=True)
 class VerifySettings:
     checks: tuple[str, ...] = ()
-    tol: float = 0.03
-    radii: tuple[float, ...] = (4.0, 6.0, 8.0)
-    c: float = 4.0
-    alpha2: float = 4.0
-    coeff2: float = 1.0
-    shift2: float = 1.0
-    t_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    eps: tuple[float, ...] = (0.1, 0.05, 0.025)
-    horizon: float = 50.0
-    q: float = 1.01
-    r_inner: float = 3.0
-    r_primes: tuple[float, ...] = (2.0, 3.0, 4.0)
-    gap: float = 4.0
 
 
 @dataclass(frozen=True)
@@ -282,26 +268,18 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(
                     f"[verify] unknown check {name!r}; known checks: {', '.join(CHECK_NAMES)}"
                 )
-        # the checks guard these too, but only once the checks before them have run
-        radii = verify.radii
-        if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] < numerics.h:
-            raise ConfigError("[verify] radii must be 3+ strictly increasing values >= [numerics] h")
-        if not verify.eps or min(verify.eps) <= 0 or verify.horizon <= 0 or verify.c <= 0:
-            raise ConfigError("[verify] need eps values > 0, horizon > 0 and c > 0")
-        if not 1.0 < verify.q <= 1.05 or not all(0.0 <= t <= 1.0 for t in verify.t_grid):
-            raise ConfigError("[verify] need q in (1, 1.05] and t_grid values in [0, 1]")
-        r_primes, gap = verify.r_primes, verify.gap
-        if not r_primes or min(r_primes) < 0 or gap < 1 or min(r_primes) + gap < numerics.h:
-            raise ConfigError("[verify] need r_primes nonempty, >= 0 and >= h - gap, and gap >= 1")
-        axis = Grid(problem.dim, numerics.radius, numerics.h).axis_coords()
-        # a node on an axis at x >= 0 has radius x: exact in 1-d, sufficient in 2-d and 3-d
-        in_annulus = any(verify.r_inner <= x <= 0.8 * numerics.radius for x in axis)
-        if "power_supersolution" in verify.checks and (problem.theta >= 2 or not in_annulus):
-            raise ConfigError(
-                "[verify] power_supersolution needs theta < 2 and a node in [r_inner, 0.8 radius]"
-            )
-        if "continuity_bound" in verify.checks and problem.alpha < 1:
-            raise ConfigError("[verify] continuity_bound needs [problem] alpha >= 1")
+        # the checks guard these too, but only once the checks before them have run. Every
+        # box verify solves is at least radius/2 wide, and h <= radius/2 also puts an axis
+        # node in power_supersolution's annulus [0.375, 0.8] * radius
+        if numerics.h > 0.5 * numerics.radius:
+            raise ConfigError("[numerics] verify needs h <= radius / 2")
+        if "gradient_estimate" in verify.checks and numerics.radius < 2:
+            raise ConfigError("[verify] gradient_estimate needs [numerics] radius >= 2")
+        if "power_supersolution" in verify.checks and problem.theta >= 2:
+            raise ConfigError("[verify] power_supersolution needs [problem] theta < 2")
+        for name in ("growth_exponent", "continuity_bound"):
+            if name in verify.checks and problem.alpha < 1:
+                raise ConfigError(f"[verify] {name} needs [problem] alpha >= 1")
     elif "verify" in sections:
         raise ConfigError(f"[verify] section is only valid for mode=verify (mode={run.mode})")
 

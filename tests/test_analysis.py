@@ -8,6 +8,7 @@ import pytest
 from ergodic_hjb import analysis
 from ergodic_hjb.analysis import (
     check_continuity_bound,
+    check_cross_method,
     check_dirichlet_family,
     check_gradient_estimate,
     check_growth_exponent,
@@ -25,7 +26,7 @@ from ergodic_hjb.analysis import (
 )
 from ergodic_hjb.grid import Field, Grid
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
-from ergodic_hjb.solvers import eikonal_initial_guess, solve_ergodic
+from ergodic_hjb.solvers import SolverError, eikonal_initial_guess, solve_ergodic
 
 from oracles import closed_form_lambda, closed_form_spec, quad_ansatz_lambda, smooth_power_lambda
 
@@ -353,13 +354,19 @@ def test_threshold_bisection_matches_state_constraint_level(quadratic_spec):
 
 def test_threshold_bisection_validates_bracket(quadratic_spec):
     sol = solve_ergodic(quadratic_spec, tol=1e-8)
-    from ergodic_hjb.solvers import SolverError
-
     with pytest.raises(SolverError):
         locate_dirichlet_threshold(quadratic_spec, sol.lam + 0.5, sol.lam + 1.0)
 
 
 # -- uniqueness and interior minimum -------------------------------------------------------
+
+
+def test_cross_method_horizon_before_settling_raises():
+    # relative value iteration is read off the march, so a march that ends
+    # before its rates settle has no value to compare
+    spec = ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=4.0, h=0.1)
+    with pytest.raises(SolverError, match="horizon 0.5"):
+        check_cross_method(spec, horizon=0.5)
 
 
 def test_uniqueness_check_two_seeds():

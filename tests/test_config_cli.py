@@ -90,7 +90,7 @@ def test_non_finite_floats_are_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_ergodic", no_solve)
     verify = BASE.replace("mode = solve", "mode = verify") + "\n[verify]\nchecks = cross_method\n"
     solves = [BASE.replace("tol = 1e-08", "tol = inf"), BASE.replace("tol = 1e-08", "tol = nan")]
-    for text in solves + [verify + "horizon = inf\n", verify + "radii = 4.0, inf\n"]:
+    for text in solves + [verify.replace("tol = 1e-08", "tol = inf")]:
         with pytest.raises(ConfigError, match="not finite"):
             parse_config(text)
     for text in solves:
@@ -126,7 +126,7 @@ def test_round_trip_is_lossless():
         run=RunSettings(mode="verify", seed=3),
         problem=ProblemSettings(),
         numerics=NumericsSettings(),
-        verify=VerifySettings(checks=("uniqueness", "scaling_law"), tol=0.05),
+        verify=VerifySettings(checks=("uniqueness", "scaling_law")),
     )
     assert parse_config(config_to_text(verify_cfg)) == verify_cfg
 
@@ -336,7 +336,6 @@ tol = 1e-08
 
 [verify]
 checks = shift_equivariance, uniqueness
-tol = 0.03
 """
 
 
@@ -362,37 +361,16 @@ def test_verify_values_a_check_would_refuse_are_config_errors(tmp_path, monkeypa
 
     monkeypatch.setattr(cli, "_run_one_check", no_check)
     text = VERIFY.replace("checks = shift_equivariance, uniqueness", "checks = cross_method")
-    lines = [
-        "radii = 4.0, 6.0\n",
-        "radii = 8.0, 4.0, 6.0\n",
-        "radii = 4.0, 4.0, 6.0\n",
-        "radii = 0.01, 4.0, 6.0\n",  # below h = 0.05
-        "eps = 0.1, -0.05\n",
-        "eps = 0.1, 0.0\n",
-        "horizon = -1\n",
-        "horizon = 0\n",
-        "c = 0\n",
-        "q = 1.0\n",
-        "q = 1.06\n",
-        "t_grid = 0.0, 1.5\n",
-        "t_grid = -0.25, 0.5\n",
-        "gap = 0.5\n",
-        "r_primes = -1.0\n",
-        "r_primes = 2.0, -1.0\n",
-        "r_primes = \n",
-    ]
-    bad = [text + line for line in lines] + [
+    bad = [
         text.replace("rhs = power", "rhs = pure_power").replace("alpha = 2.0", "alpha = 0.5"),
+        text.replace("h = 0.05", "h = 3.5"),  # above radius/2, the smallest box verify solves
         text.replace("cross_method", "cross_method, power_supersolution"),  # theta = 2
-        text.replace("theta = 2.0", "theta = 1.5").replace(  # annulus [r_inner, 0.8 R] empty
-            "cross_method", "cross_method, power_supersolution"
-        ) + "r_inner = 7.0\n",
-        text.replace("theta = 2.0", "theta = 1.5")  # annulus [3.1, 3.2] holds no node
-        .replace("radius = 6.0", "radius = 4.0").replace("h = 0.05", "h = 1.0")
-        .replace("cross_method", "cross_method, power_supersolution") + "r_inner = 3.1\n",
-        text.replace("radius = 6.0", "radius = 8.0").replace("h = 0.05", "h = 2.0")  # box 1 < h
-        .replace("cross_method", "cross_method, gradient_estimate") + "r_primes = 0.0\ngap = 1.0\n",
+        text.replace("radius = 6.0", "radius = 1.5")  # gap = radius/2 < 1
+        .replace("cross_method", "cross_method, gradient_estimate"),
         text.replace("cross_method", "cross_method, continuity_bound").replace(
+            "alpha = 2.0", "alpha = 0.5"
+        ),
+        text.replace("cross_method", "cross_method, growth_exponent").replace(
             "alpha = 2.0", "alpha = 0.5"
         ),
     ]
@@ -404,12 +382,23 @@ def test_verify_values_a_check_would_refuse_are_config_errors(tmp_path, monkeypa
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_verify_horizon_before_settling_exits_two(tmp_path, capsys):
-    text = VERIFY.replace("checks = shift_equivariance, uniqueness", "checks = cross_method")
-    text = text.replace("radius = 6.0", "radius = 4.0").replace("h = 0.05", "h = 0.1")
-    cfg = write_cfg(tmp_path, text + "horizon = 0.5\n")
+def test_verify_configs_at_the_guards_run_without_a_traceback(tmp_path, capsys):
+    # h = radius/2, radius = 2 (gap 1) and alpha = 1 are accepted; each check then
+    # passes, fails or stops on a SolverError, never on an error of its inputs
+    text = VERIFY.replace("theta = 2.0", "theta = 1.5").replace("alpha = 2.0", "alpha = 1.0")
+    text = text.replace("radius = 6.0", "radius = 2.0").replace("h = 0.05", "h = 1.0")
+    for name in CHECK_NAMES:
+        cfg = write_cfg(tmp_path, text.replace("shift_equivariance, uniqueness", name))
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 3) or (code == 2 and err.startswith("solver failure:")), (name, err)
+
+
+def test_cli_verify_solver_failure_exits_two(tmp_path, capsys):
+    text = VERIFY.replace("checks = shift_equivariance, uniqueness", "checks = interior_minimum")
+    cfg = write_cfg(tmp_path, text.replace("tol = 1e-08", "tol = 1e-08\nmax_iter = 1"))
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "horizon 0.5" in capsys.readouterr().err
+    assert "did not reach tolerance" in capsys.readouterr().err
 
 
 def test_cli_error_inside_a_check_exits_two(tmp_path, monkeypatch, capsys):
@@ -460,7 +449,7 @@ def test_check_table_calls_checks_by_module_global_name(monkeypatch):
 
 
 def test_cli_verify_failure_exits_three(tmp_path):
-    # the power-supersolution margin is negative inside the well: honest fail
+    # the power-supersolution margin is negative inside the well (annulus [0.375, 0.8]): honest fail
     text = """
 [run]
 mode = verify
@@ -475,14 +464,12 @@ coeff = 0.6666666666666666
 shift = 1.0
 
 [numerics]
-radius = 8.0
+radius = 1.0
 h = 0.02
 tol = 1e-08
 
 [verify]
 checks = power_supersolution
-q = 1.01
-r_inner = 0.5
 """
     cfg = write_cfg(tmp_path, text)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
