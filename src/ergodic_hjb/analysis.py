@@ -59,6 +59,7 @@ GROWTH_WINDOW = (0.375, 0.6)  # fit annulus as fractions of the box radius
 GROWTH_TOL_REL = 0.10
 SHIFT_C = 1.0  # the constant added to f by check_shift_equivariance
 DIRICHLET_BRACKET_TOL = 0.01  # bisection width of the Dirichlet-solvability threshold
+DIRICHLET_BRACKET_DOUBLINGS = 5  # how often a still-solvable upper bracket may double
 DIRICHLET_MARGIN = 0.05  # how far below the critical value a Dirichlet level must lie
 DIRICHLET_MAX_ITER = 80  # Newton iterations per Dirichlet solve
 INTERIOR_MINIMUM_TOL = 1e-6
@@ -489,17 +490,31 @@ def locate_dirichlet_threshold(
     """Bisect the largest lambda at which the zero-data Dirichlet problem still solves.
 
     Newton failure is the (heuristic) unsolvability signal; solves are
-    continued from the last solvable field for robustness.
+    continued from the last solvable field for robustness. While the upper
+    level still solves, it becomes the lower one and the next upper level is
+    c + w 2^k (c, w the midpoint and half-width of [lo, hi], k = 1, 2, ...,
+    at most DIRICHLET_BRACKET_DOUBLINGS times). Every level tried is a row of
+    the table.
     """
     table: list[dict] = []
     solvable_lo, guess = _dirichlet_solvable(spec, lo, tol)
     table.append({"lambda": lo, "solvable": solvable_lo})
     if not solvable_lo:
         raise SolverError(f"lower bracket {lo} is already unsolvable; widen the bracket")
-    solvable_hi, _ = _dirichlet_solvable(spec, hi, tol, initial_guess=guess)
-    table.append({"lambda": hi, "solvable": solvable_hi})
-    if solvable_hi:
-        raise SolverError(f"upper bracket {hi} is still solvable; widen the bracket")
+    c, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    k = 0
+    while True:
+        solvable_hi, phi = _dirichlet_solvable(spec, hi, tol, initial_guess=guess)
+        table.append({"lambda": hi, "solvable": solvable_hi})
+        if not solvable_hi:
+            break
+        k += 1
+        if k > DIRICHLET_BRACKET_DOUBLINGS:
+            raise SolverError(
+                f"upper bracket {hi} is still solvable after {DIRICHLET_BRACKET_DOUBLINGS} "
+                "doublings; widen the bracket"
+            )
+        lo, guess, hi = hi, phi, c + w * 2.0**k
     while hi - lo > DIRICHLET_BRACKET_TOL:
         mid = 0.5 * (lo + hi)
         solvable, phi = _dirichlet_solvable(spec, mid, tol, initial_guess=guess)
@@ -606,10 +621,13 @@ def check_cross_method(
 
     Newton and policy iteration are one iteration with two globalizations;
     relative value iteration and the parabolic march are one march from the
-    zero field with two stopping rules (rate spread <= tol/2, horizon),
-    so both are read off one march. The independent computations are Newton,
-    the march, the discount path and, when given, the oracle. A horizon that
-    ends before the rates settle raises SolverError.
+    zero field, which stops at the horizon or at its rounding floor: the
+    former is read off at the first step whose rate spread is <= tol/2, the
+    latter at the last step. The march's certified enclosure goes to measured
+    as parabolic_lambda_lo and parabolic_lambda_hi (the verdict does not read
+    it). The independent computations are Newton, the march, the discount
+    path and, when given, the oracle. A horizon that ends before the rates
+    settle raises SolverError.
 
     Returns (report, parabolic march, discount rows).
     """
@@ -629,6 +647,8 @@ def check_cross_method(
     passed = worst <= pair_tol
     predicted = {"pairwise_gap": 0.0}
     measured = dict(lams)
+    measured["parabolic_lambda_lo"] = march.lambda_lo
+    measured["parabolic_lambda_hi"] = march.lambda_hi
     measured["max_pairwise_gap"] = worst
     if oracle is not None:
         worst_oracle = max(abs(v - oracle) for v in vals)

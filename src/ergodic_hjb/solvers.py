@@ -21,7 +21,10 @@ Routes implemented here:
                            IMEX: backward Euler for 1/2 Lap, explicit upwind H, with
                            dt <= 0.9 h / (m max(1, max|p|)^(theta-1)); the rate
                            -G_h[u] approaches the critical value, and relative value
-                           iteration is read off it (rate spread <= tol/2)
+                           iteration is read off it (rate spread <= tol/2). Being
+                           monotone, every step certifies min rate <= lambda_h <=
+                           max rate; the march stops at the horizon or once the
+                           intersection of these enclosures stops shrinking
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ BACKTRACK_FLOOR = 2.0**-20
 # 2-d theta=3 instance; 1 takes up to 246 iterations and twice the wall time.
 PTC_TAU0 = 1e-2
 MARCH_RECORD_EVERY = 200  # march steps between trace records and rate statistics
+# The march stops once its certified enclosure of lambda_h has not shrunk for
+# this many steps (counted in steps, not records). On the verify instance it
+# last shrinks at step 6,796 and then stays put through step 31,193.
+MARCH_FLOOR_STEPS = 2000
 # solve_ergodic's budget when max_iter is not given: Newton iterations, policy
 # sweeps, march steps
 METHOD_BUDGETS = {
@@ -141,6 +148,9 @@ class ParabolicMarch:
     profile: Field  # u(., T) - u(anchor, T)
     n_steps: int
     trace: ConvergenceTrace
+    # running max of min rate and min of max rate: lambda_lo <= lambda_h <= lambda_hi
+    lambda_lo: float
+    lambda_hi: float
     settled: Optional[ErgodicSolution] = None  # relative value iteration's pair
 
 
@@ -675,14 +685,22 @@ def parabolic_march(
     constants.
 
     Returns per-sample (t, min, mean, max) of the rate; the mean at the final
-    step is the long-time estimate of the critical value.
+    step is the long-time estimate of the critical value. Since the step is
+    monotone, discrete comparison gives min rate <= lambda_h <= max rate at
+    every step; ``lambda_lo`` and ``lambda_hi`` are the running max of the
+    minima and min of the maxima, a certified enclosure of lambda_h up to
+    rounding. The march stops at the first of: the horizon T (termination
+    "horizon_reached"); the settle step when T = inf ("converged"); and
+    MARCH_FLOOR_STEPS steps after the enclosure last shrank ("floor_reached"),
+    since from there on it only repeats its rounding floor.
     ``settled`` is relative value iteration's pair, read off at the first step
     whose rate spread (a bound on that pair's residual) is <= tol/2, or
-    None if the horizon comes first; with T = inf the march stops there. A
-    non-finite or runaway rate raises SolverError with termination "blow_up":
-    dt follows the gradient at every step, so a blow-up points at the data
-    (right-hand side or initial field), not at the step size. More than
-    max_steps steps raise SolverError.
+    None if the horizon comes first. Reaching the floor before settling means
+    tol/2 lies below the floor: SolverError with termination "rounding_floor".
+    A non-finite or runaway rate raises SolverError with termination
+    "blow_up": dt follows the gradient at every step, so a blow-up points at
+    the data (right-hand side or initial field), not at the step size. More
+    than max_steps steps raise SolverError.
     """
     f = spec.f_field().values
     theta, h, m = spec.theta, spec.h, spec.m
@@ -694,40 +712,52 @@ def parabolic_march(
     stats: list[tuple[float, float, float, float]] = []
     records: list[TraceRecord] = []
     settled: Optional[ErgodicSolution] = None
+    cert_lo, cert_hi = -np.inf, np.inf  # intersection of the per-step enclosures
+    last_shrink = 0
     t = 0.0
     step = 0
     while True:
         lap, mag = laplacian_and_slope(u, h)
         rate = 0.5 * lap - mag**theta / theta + f
-        if not (rate.min() >= -1e14 and rate.max() <= 1e14):  # also catches nan
+        lo, hi = float(rate.min()), float(rate.max())
+        if not (lo >= -1e14 and hi <= 1e14):  # also catches nan
             raise SolverError(
                 "march blew up; check the data",
                 ConvergenceTrace(records=records, termination="blow_up"),
             )
+        if lo > cert_lo or hi < cert_hi:
+            cert_lo, cert_hi = max(cert_lo, lo), min(cert_hi, hi)
+            last_shrink = step
         bound = top / max(1.0, float(mag.max())) ** (theta - 1.0)
         k = 0
         while top * 2.0 ** (-0.5 * k) > bound:
             k += 1
         dt = min(top * 2.0 ** (-0.5 * k), T - t)
-        if settled is None:
-            spread = float(rate.max() - rate.min())
-            if spread <= 0.5 * tol:
-                lam = float(rate.mean())
-                settled = _finalize(
-                    spec, u, lam, records + [TraceRecord(step, spread, lam, None)],
-                    "relative_value_iteration", tol,
-                )
-        stop = dt <= 0.0 or (settled is not None and T == np.inf)
+        if settled is None and hi - lo <= 0.5 * tol:
+            lam = float(rate.mean())
+            settled = _finalize(
+                spec, u, lam, records + [TraceRecord(step, hi - lo, lam, None)],
+                "relative_value_iteration", tol,
+            )
+        floor = step - last_shrink >= MARCH_FLOOR_STEPS
+        stop = dt <= 0.0 or (settled is not None and T == np.inf) or floor
         if stop or step % MARCH_RECORD_EVERY == 0:
-            lo, mean, hi = float(rate.min()), float(rate.mean()), float(rate.max())
+            mean = float(rate.mean())
             stats.append((t, lo, mean, hi))
             records.append(TraceRecord(step, hi - lo, mean, None if stop else dt))
+        if floor and settled is None:
+            raise SolverError(
+                f"march reached its rounding floor at step {step} before its rate spread "
+                f"{hi - lo:.3e} fell to tol/2 = {0.5 * tol:g} (certified width "
+                f"{cert_hi - cert_lo:.3e})",
+                ConvergenceTrace(records=records, termination="rounding_floor"),
+            )
         if stop:
             break
         if step >= max_steps:
             raise SolverError(
                 f"march did not stop within {max_steps} steps (t = {t:.6g}, horizon {T:g}, "
-                f"rate spread {float(rate.max() - rate.min()):.3e} vs tol/2 = {0.5 * tol:g})",
+                f"rate spread {hi - lo:.3e} vs tol/2 = {0.5 * tol:g})",
                 ConvergenceTrace(records=records, termination="max_iterations"),
             )
         if dt not in lus:  # symmetric: minimum degree on A^T + A halves the 2-d fill of COLAMD
@@ -735,13 +765,12 @@ def parabolic_march(
         u = u + lus[dt].solve(rate.ravel()).reshape(u.shape)
         t += dt
         step += 1
-    trace = ConvergenceTrace(
-        records=records, termination="horizon_reached" if dt <= 0.0 else "converged"
-    )
+    termination = "horizon_reached" if dt <= 0.0 else "floor_reached" if floor else "converged"
     profile = Field(spec.grid, u - u[spec.anchor_index])
     return ParabolicMarch(
-        lambda_hat=mean, rate_stats=stats, profile=profile, n_steps=step, trace=trace,
-        settled=settled,
+        lambda_hat=mean, rate_stats=stats, profile=profile, n_steps=step,
+        trace=ConvergenceTrace(records=records, termination=termination),
+        lambda_lo=cert_lo, lambda_hi=cert_hi, settled=settled,
     )
 
 

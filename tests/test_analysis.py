@@ -369,6 +369,14 @@ def test_cross_method_horizon_before_settling_raises():
         check_cross_method(spec, horizon=0.5)
 
 
+def test_cross_method_reports_the_march_enclosure():
+    spec = ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=4.0, h=0.1)
+    report, march, _ = check_cross_method(spec)
+    assert report.measured["parabolic_lambda_lo"] == march.lambda_lo
+    assert report.measured["parabolic_lambda_hi"] == march.lambda_hi
+    assert 0.0 <= march.lambda_hi - march.lambda_lo <= 1e-8
+
+
 def test_uniqueness_check_two_seeds():
     rhs = make_pure_power_rhs(0.5, 2.0, 1.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=6.0, h=0.05)

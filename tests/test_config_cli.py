@@ -394,6 +394,24 @@ def test_verify_configs_at_the_guards_run_without_a_traceback(tmp_path, capsys):
         assert code in (0, 3) or (code == 2 and err.startswith("solver failure:")), (name, err)
 
 
+def test_lambda_star_bracket_grows_on_a_small_box(tmp_path, capsys):
+    # on this box the Dirichlet threshold lies above lambda_R + 1, so the upper
+    # bracket doubles until a level is unsolvable; the check then gives a verdict
+    text = VERIFY.replace("theta = 2.0", "theta = 1.5").replace("alpha = 2.0", "alpha = 1.0")
+    text = text.replace("radius = 6.0", "radius = 4.0").replace("h = 0.05", "h = 1.0")
+    text = text.replace("shift_equivariance, uniqueness", "lambda_star_characterization")
+    out = tmp_path / "o"
+    code = main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(out)])
+    assert code in (0, 3), capsys.readouterr().err
+    rows = (out / "plots" / "dirichlet_bisection.csv").read_text().splitlines()[1:]
+    levels = [float(row.split(",")[0]) for row in rows]
+    lam_r = json.loads((out / "verdicts.json").read_text())[0]["measured"][
+        "lambda_state_constraint"
+    ]
+    assert levels[1] == pytest.approx(lam_r + 1.0)
+    assert levels[2] == pytest.approx(lam_r + 2.0)
+
+
 def test_cli_verify_solver_failure_exits_two(tmp_path, capsys):
     text = VERIFY.replace("checks = shift_equivariance, uniqueness", "checks = interior_minimum")
     cfg = write_cfg(tmp_path, text.replace("tol = 1e-08", "tol = 1e-08\nmax_iter = 1"))

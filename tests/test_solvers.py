@@ -898,6 +898,49 @@ def test_relative_value_iteration_is_read_off_the_march():
     assert short.trace.termination == "horizon_reached"
 
 
+def test_march_stops_at_its_certified_floor():
+    # the horizon lies far beyond the floor: the march stops once the
+    # intersection of its per-step enclosures has not shrunk for
+    # MARCH_FLOOR_STEPS steps, and that intersection holds Newton's lambda_h
+    spec = closed_form_spec(2.0, 1, 4.0, 0.1)
+    march = parabolic_march(spec, T=1e6, tol=1e-7)
+    assert march.trace.termination == "floor_reached"
+    assert march.n_steps <= 5000
+    assert march.settled is not None
+    width = march.lambda_hi - march.lambda_lo
+    assert 0.0 <= width <= 1e-7
+    assert abs(march.lambda_hat - parabolic_march(spec, T=30.0, tol=1e-7).lambda_hat) <= width
+    lam = solve_ergodic(spec, tol=1e-10).lam
+    assert march.lambda_lo - 1e-12 <= lam <= march.lambda_hi + 1e-12
+
+
+def test_relative_value_iteration_below_the_floor_raises():
+    # tol/2 = 5e-15 lies below the march's rounding floor (about 5e-13 here):
+    # the march stops at its floor instead of spending the 2,000,000-step budget
+    spec = closed_form_spec(2.0, 1, 4.0, 0.1)
+    with pytest.raises(SolverError) as info:
+        solve_ergodic(spec, method="relative_value_iteration", tol=1e-14)
+    assert info.value.trace.termination == "rounding_floor"
+    assert info.value.trace.records[-1].iteration < 5000
+    assert "tol/2 = 5e-15" in str(info.value)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    m=st.sampled_from([1, 2]),
+    theta=st.sampled_from([1.5, 2.0, 3.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_lambda_lies_in_the_comparison_enclosure_of_any_field(m, theta, seed):
+    # the scheme is monotone, so for every grid field u discrete comparison
+    # gives min(-G_h[u]) <= lambda_h <= max(-G_h[u])
+    spec = closed_form_spec(theta, m, 2.0, 0.2)
+    lam = solve_ergodic(spec, eikonal_initial_guess(spec), tol=1e-10).lam
+    u = random_smooth_field(spec.grid, seed).values
+    rate = -DiscreteOperator(spec).residual_values(u, 0.0)
+    assert rate.min() - 1e-10 <= lam <= rate.max() + 1e-10
+
+
 def test_march_step_budget_raises():
     spec = closed_form_spec(2.0, 1, 4.0, 0.1)
     with pytest.raises(solvers.SolverError) as info:
