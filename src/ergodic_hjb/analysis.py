@@ -150,18 +150,21 @@ def _lambda_star(spec: ProblemSpec, rhs: RhsFunction, tol: float) -> float:
 
 
 def check_scaling_law(
-    spec: ProblemSpec, alpha: float, c: float, tol_rel: float = 0.05, tol: float = 1e-8
+    spec: ProblemSpec, c: float, tol_rel: float = 0.05, tol: float = 1e-8
 ) -> VerdictReport:
-    """Dilation law of the critical value under f -> c f on spec's box.
+    """Dilation law of the critical value under f -> c f, at the growth exponent of spec.rhs.
 
     For the homogeneous family f = |y|^alpha with alpha >= 1 the law is exact:
     lambda*(c |y|^alpha) = c^(theta*/(theta*+alpha)) lambda*(|y|^alpha). For
     alpha < 1 only the two-sided bound
     0 <= lambda*(c (1+|y|^2)^(alpha/2)) <= c + c^(theta*/(theta*+1)) lambda*(|y|)
-    is available, and that is what gets checked instead. spec.rhs is not read.
+    is available, and that is what gets checked instead.
     """
     if not c > 0:
         raise ValueError(f"scaling constant must be positive, got {c}")
+    alpha = spec.rhs.alpha
+    if alpha is None:
+        raise ValueError("the scaling law needs a right-hand side with a growth exponent")
     theta_star = spec.theta_star
     if alpha >= 1.0:
         lam_base = _lambda_star(spec, make_pure_power_rhs(1.0, alpha), tol)
@@ -201,7 +204,6 @@ def check_scaling_law(
 
 def check_lambda_shape(
     spec: ProblemSpec,
-    f1: RhsFunction,
     f2: RhsFunction,
     t_grid: list[float],
     tol: float = 0.03,
@@ -209,11 +211,12 @@ def check_lambda_shape(
 ) -> list[VerdictReport]:
     """Shift exactness, monotonicity, and concavity of f -> lambda*(f) on spec's box.
 
-    Monotonicity needs an ordered pair. When f1 <= f2 (or f2 <= f1) on the box
-    the given pair is used; otherwise the check falls back to the ordered pair
-    (f1, f1 + 1), whose shift structure also pins the predicted gap to 1.
-    spec.rhs is not read.
+    f1 is spec.rhs. Monotonicity needs an ordered pair. When f1 <= f2 (or
+    f2 <= f1) on the box the given pair is used; otherwise the check falls back
+    to the ordered pair (f1, f1 + 1), whose shift structure also pins the
+    predicted gap to 1.
     """
+    f1 = spec.rhs
     if not isinstance(f1, (PowerRhs, PurePowerRhs)):
         raise ValueError("the shift construction needs a power-family first operand")
     theta, m = spec.theta, spec.m
@@ -290,6 +293,20 @@ def check_lambda_shape(
     return reports
 
 
+def _growth_constant(rhs: RhsFunction, alpha: float, m: int) -> Optional[float]:
+    """Smallest f0 with f0^-1 (t^alpha + 1) <= f <= f0 (t^alpha + 1) on the scan range.
+
+    Valid for the radial families; returns None when f is not strictly
+    positive (the lower bound is then unattainable).
+    """
+    t = np.concatenate([np.linspace(0.0, 20.0, 8001), np.geomspace(20.0, 1e6, 1500)])
+    fv = rhs.radial_value(t, m)
+    if np.min(fv) <= 0:
+        return None
+    base = t**alpha + 1.0
+    return max(float(np.max(fv / base)), float(np.max(base / fv)))
+
+
 def _rhs_gap(f1: RhsFunction, f2: RhsFunction, alpha: float, m: int) -> float:
     """sup |f1 - f2| / (1 + |y|^alpha): dense radial scan plus the tail limit."""
     t = np.concatenate([np.linspace(0.0, 50.0, 20001), np.geomspace(50.0, 1e6, 2000)])
@@ -299,25 +316,26 @@ def _rhs_gap(f1: RhsFunction, f2: RhsFunction, alpha: float, m: int) -> float:
 
 def check_continuity_bound(
     spec: ProblemSpec,
-    f1: RhsFunction,
     f2: RhsFunction,
     tol: float = 0.02,
     solver_tol: float = 1e-8,
 ) -> VerdictReport:
     """|lambda*(f2) - lambda*(f1)| <= f0 g/(1 + f0 g) max(lambda*_1, lambda*_2) + tol,
 
-    where g = sup |f1 - f2|/(1 + |y|^alpha) and f0 is the shared two-sided
-    growth constant (the larger of the two recorded constants). Both lambda*
-    are solved on spec's box; spec.rhs is not read.
+    where f1 is spec.rhs, g = sup |f1 - f2|/(1 + |y|^alpha) and f0 is the
+    shared two-sided growth constant (the larger of the two measured
+    constants). Both lambda* are solved on spec's box.
     """
+    f1 = spec.rhs
     if f1.alpha is None or f2.alpha is None or f1.alpha != f2.alpha:
         raise ValueError("continuity bound needs matching growth exponents")
     if f1.alpha < 1:
         raise ValueError("continuity bound is stated for alpha >= 1")
-    if f1.f0 is None or f2.f0 is None:
-        raise ValueError("both right-hand sides need a recorded growth constant f0")
     alpha = float(f1.alpha)
-    f0 = max(f1.f0, f2.f0)
+    f0s = [_growth_constant(f, alpha, spec.m) for f in (f1, f2)]
+    if None in f0s:
+        raise ValueError("continuity bound needs both right-hand sides positive")
+    f0 = max(f0s)
     gap = _rhs_gap(f1, f2, alpha, spec.m)
     lam1 = _lambda_star(spec, f1, solver_tol)
     lam2 = _lambda_star(spec, f2, solver_tol)
@@ -493,8 +511,8 @@ def locate_dirichlet_threshold(
     continued from the last solvable field for robustness. While the upper
     level still solves, it becomes the lower one and the next upper level is
     c + w 2^k (c, w the midpoint and half-width of [lo, hi], k = 1, 2, ...,
-    at most DIRICHLET_BRACKET_DOUBLINGS times). Every level tried is a row of
-    the table.
+    at most DIRICHLET_BRACKET_DOUBLINGS times). A threshold above every level
+    tried is returned as inf. Every level tried is a row of the table.
     """
     table: list[dict] = []
     solvable_lo, guess = _dirichlet_solvable(spec, lo, tol)
@@ -510,10 +528,7 @@ def locate_dirichlet_threshold(
             break
         k += 1
         if k > DIRICHLET_BRACKET_DOUBLINGS:
-            raise SolverError(
-                f"upper bracket {hi} is still solvable after {DIRICHLET_BRACKET_DOUBLINGS} "
-                "doublings; widen the bracket"
-            )
+            return np.inf, table
         lo, guess, hi = hi, phi, c + w * 2.0**k
     while hi - lo > DIRICHLET_BRACKET_TOL:
         mid = 0.5 * (lo + hi)
@@ -534,6 +549,7 @@ def check_lambda_star_characterization(
 
     Bounded-from-below routes and the solvability supremum single out the same
     lambda; the bisected threshold must match within 5 DIRICHLET_BRACKET_TOL.
+    A threshold the bracket never reaches is inf, and the check fails.
     """
     sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=solver_tol)
     threshold, table = locate_dirichlet_threshold(

@@ -39,7 +39,7 @@ from .config import (
     parse_config,
 )
 from .grid import dump_json, field_to_csv
-from .problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
+from .problem import ProblemSpec, make_pure_power_rhs
 from .scheme import STATE_CONSTRAINT
 from .solvers import (
     ConvergenceTrace,
@@ -192,7 +192,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 # CHECK_TOL is the one check-level tolerance, kept in one place to be split per check.
 CHECK_TOL = 0.03
 SCALING_C = 4.0  # dilation constant of scaling_law
-F2 = (1.0, 4.0, 1.0)  # (coeff, alpha, shift) of the second right-hand side of the pair checks
+F2 = (1.0, 4.0, 1.0)  # (coeff, alpha, shift) of the second rhs; continuity_bound keeps f's family
 T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # blend weights of lambda_shape
 SUPERSOLUTION_Q = 1.01
 
@@ -203,18 +203,13 @@ def _shift_equivariance(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _scaling_law(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep = check_scaling_law(
-        spec, cfg.problem.alpha, SCALING_C, tol_rel=CHECK_TOL, tol=cfg.numerics.tol
-    )
+    rep = check_scaling_law(spec, SCALING_C, tol_rel=CHECK_TOL, tol=cfg.numerics.tol)
     return [rep], {}
 
 
 def _lambda_shape(cfg: ExperimentConfig, spec: ProblemSpec):
-    p = cfg.problem
-    f1 = make_power_rhs(p.coeff, p.alpha, p.shift)
     reps = check_lambda_shape(
-        spec, f1, make_pure_power_rhs(*F2), list(T_GRID), tol=CHECK_TOL,
-        solver_tol=cfg.numerics.tol,
+        spec, make_pure_power_rhs(*F2), list(T_GRID), tol=CHECK_TOL, solver_tol=cfg.numerics.tol
     )
     return reps, {}
 
@@ -230,11 +225,9 @@ def _growth_exponent(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _continuity_bound(cfg: ExperimentConfig, spec: ProblemSpec):
-    p = cfg.problem
-    f1 = make_power_rhs(p.coeff, p.alpha, p.shift)
     coeff2, _, shift2 = F2
-    f2 = make_power_rhs(coeff2, p.alpha, shift2)
-    rep = check_continuity_bound(spec, f1, f2, tol=CHECK_TOL, solver_tol=cfg.numerics.tol)
+    f2 = replace(spec.rhs, coeff=coeff2, shift=shift2)
+    rep = check_continuity_bound(spec, f2, tol=CHECK_TOL, solver_tol=cfg.numerics.tol)
     return [rep], {}
 
 

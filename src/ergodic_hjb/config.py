@@ -280,6 +280,8 @@ def parse_config(text: str) -> ExperimentConfig:
         for name in ("growth_exponent", "continuity_bound"):
             if name in verify.checks and problem.alpha < 1:
                 raise ConfigError(f"[verify] {name} needs [problem] alpha >= 1")
+        if "continuity_bound" in verify.checks and not build_rhs(problem).min_value() > 0:
+            raise ConfigError("[verify] continuity_bound needs f > 0: raise [problem] shift")
     elif "verify" in sections:
         raise ConfigError(f"[verify] section is only valid for mode=verify (mode={run.mode})")
 

@@ -14,7 +14,7 @@ measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,10 +47,7 @@ class RhsFunction:
     across concurrent solver instances.
     """
 
-    form: str = ""
     alpha: Optional[float] = None
-    f0: Optional[float] = None
-    shift: float = 0.0
 
     def evaluate(self, points) -> np.ndarray:
         """Values at an array of points with trailing dimension m.
@@ -92,8 +89,6 @@ class PowerRhs(RhsFunction):
     coeff: float = 1.0
     alpha: float = 2.0
     shift: float = 0.0
-    f0: Optional[float] = None
-    form: str = field(default="power", init=False)
 
     def evaluate(self, points) -> np.ndarray:
         pts = _as_points(points)
@@ -124,8 +119,6 @@ class PurePowerRhs(RhsFunction):
     coeff: float = 1.0
     alpha: float = 2.0
     shift: float = 0.0
-    f0: Optional[float] = None
-    form: str = field(default="pure_power", init=False)
 
     def evaluate(self, points) -> np.ndarray:
         pts = _as_points(points)
@@ -155,9 +148,6 @@ class BlendRhs(RhsFunction):
     f2: RhsFunction = None
     t: float = 0.5
     alpha: Optional[float] = None
-    f0: Optional[float] = None
-    shift: float = 0.0
-    form: str = field(default="blend", init=False)
 
     def evaluate(self, points) -> np.ndarray:
         return self.t * self.f1.evaluate(points) + (1.0 - self.t) * self.f2.evaluate(points)
@@ -178,41 +168,16 @@ class BlendRhs(RhsFunction):
         }
 
 
-# -- hypothesis scans --------------------------------------------------------
-
-
-def _growth_constant(rhs: RhsFunction, alpha: float, m: int = 1) -> Optional[float]:
-    """Smallest f0 with f0^-1 (t^alpha + 1) <= f <= f0 (t^alpha + 1) on the scan range.
-
-    Valid for the radial families; returns None when f is not strictly
-    positive (the lower bound is then unattainable).
-    """
-    t = np.concatenate([np.linspace(0.0, 20.0, 8001), np.geomspace(20.0, 1e6, 1500)])
-    fv = rhs.radial_value(t, m)
-    if np.min(fv) <= 0:
-        return None
-    base = t**alpha + 1.0
-    hi = float(np.max(fv / base))
-    lo = float(np.max(base / fv))
-    return max(hi, lo)
-
-
 # -- factories ----------------------------------------------------------------
 
 
 def make_power_rhs(c: float, alpha: float, shift: float = 0.0) -> PowerRhs:
-    """Smooth power right-hand side c (1 + |y|^2)^(alpha/2) + shift.
-
-    Records the smallest growth constant f0 valid on the scan range whenever
-    f stays positive (always true for shift >= 0).
-    """
+    """Smooth power right-hand side c (1 + |y|^2)^(alpha/2) + shift."""
     if not c > 0:
         raise ValueError(f"coefficient must be positive, got {c}")
     if alpha < 0:
         raise ValueError(f"growth exponent must be >= 0, got {alpha}")
-    rhs = PowerRhs(coeff=float(c), alpha=float(alpha), shift=float(shift))
-    f0 = _growth_constant(rhs, alpha) if alpha > 0 else None
-    return replace(rhs, f0=f0)
+    return PowerRhs(coeff=float(c), alpha=float(alpha), shift=float(shift))
 
 
 def make_pure_power_rhs(c: float, alpha: float, shift: float = 0.0) -> PurePowerRhs:
@@ -221,9 +186,7 @@ def make_pure_power_rhs(c: float, alpha: float, shift: float = 0.0) -> PurePower
         raise ValueError(f"coefficient must be positive, got {c}")
     if alpha < 1:
         raise ValueError(f"pure power form needs alpha >= 1 (got {alpha}); use the smooth form")
-    rhs = PurePowerRhs(coeff=float(c), alpha=float(alpha), shift=float(shift))
-    f0 = _growth_constant(rhs, alpha)
-    return replace(rhs, f0=f0)
+    return PurePowerRhs(coeff=float(c), alpha=float(alpha), shift=float(shift))
 
 
 def blend_rhs(f1: RhsFunction, f2: RhsFunction, t: float) -> RhsFunction:

@@ -37,7 +37,8 @@ from test_scheme import monotonicity_violations
 THETAS = (1.5, 2.0, 3.0)
 GRIDS = {1: (8.0, 0.01), 2: (6.0, 0.05)}
 SOLVER_TOL = 1e-8
-# theta = 2 on [-8, 8] at h = 0.01: the box of the lambda* criteria 4, 5 and 8 (its rhs is unread)
+# theta = 2 on [-8, 8] at h = 0.01: the box of the lambda* criteria 4, 5 and 8; its rhs
+# 1 + |y|^2 is f1 of criteria 5 and 8, and the alpha of criterion 4
 BOX = ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=8.0, h=0.01)
 
 
@@ -116,17 +117,16 @@ def test_criterion_3_radius_monotonicity():
 def test_criterion_4_scaling_law():
     with criterion("4 scaling ratios within 5% of sqrt(c) for c in {1/4, 4}"):
         for c in (0.25, 4.0):
-            rep = check_scaling_law(BOX, 2.0, c, tol_rel=0.05, tol=SOLVER_TOL)
+            rep = check_scaling_law(BOX, c, tol_rel=0.05, tol=SOLVER_TOL)
             assert rep.passed, rep.measured
             assert rep.measured["ratio"] == pytest.approx(c**0.5, rel=0.05)
 
 
 def test_criterion_5_shift_monotone_concave_suite():
     with criterion("5 shift/monotone/concave suite at tolerance 0.03"):
-        f1 = make_power_rhs(1.0, 2.0, 0.0)  # 1 + |y|^2
         f2 = make_pure_power_rhs(1.0, 4.0, 1.0)  # 1 + |y|^4
         reps = check_lambda_shape(
-            BOX, f1, f2, [0.0, 0.25, 0.5, 0.75, 1.0], tol=0.03, solver_tol=SOLVER_TOL
+            BOX, f2, [0.0, 0.25, 0.5, 0.75, 1.0], tol=0.03, solver_tol=SOLVER_TOL
         )
         for rep in reps:
             assert rep.passed, (rep.name, rep.measured)
@@ -161,9 +161,8 @@ def test_criterion_7_uniqueness_up_to_constants():
 
 def test_criterion_8_continuity_bound():
     with criterion("8 continuity bound: gap 0.135 below bound 0.182"):
-        f1 = make_power_rhs(1.0, 2.0, 0.0)
         f2 = make_power_rhs(1.1, 2.0, 0.0)
-        rep = check_continuity_bound(BOX, f1, f2, tol=0.02, solver_tol=SOLVER_TOL)
+        rep = check_continuity_bound(BOX, f2, tol=0.02, solver_tol=SOLVER_TOL)
         assert rep.passed, rep.measured
         assert rep.measured["lambda_gap"] == pytest.approx(0.135, abs=0.01)
         assert rep.predicted["bound"] == pytest.approx(0.182, abs=0.01)

@@ -25,7 +25,7 @@ from ergodic_hjb.analysis import (
     locate_dirichlet_threshold,
 )
 from ergodic_hjb.grid import Field, Grid
-from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
+from ergodic_hjb.problem import BlendRhs, ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.solvers import SolverError, eikonal_initial_guess, solve_ergodic
 
 from oracles import closed_form_lambda, closed_form_spec, quad_ansatz_lambda, smooth_power_lambda
@@ -68,12 +68,12 @@ def test_growth_exponent_instances(theta, alpha, tol_abs):
 
 
 def box(radius, h):
-    """A theta = 2, 1-d spec: the lambda* checks solve on its box and do not read its rhs."""
+    """A theta = 2, 1-d spec with f = 1 + |y|^2: the f1, and the alpha, of the lambda* checks."""
     return ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=radius, h=h)
 
 
 def test_scaling_law_identity_at_c_one():
-    rep = check_scaling_law(box(8.0, 0.02), 2.0, 1.0)
+    rep = check_scaling_law(box(8.0, 0.02), 1.0)
     assert rep.passed
     assert rep.measured["ratio"] == pytest.approx(1.0, abs=1e-9)
     assert rep.predicted["ratio"] == 1.0
@@ -81,7 +81,7 @@ def test_scaling_law_identity_at_c_one():
 
 def test_scaling_law_quadratic_absolute_values():
     # quadratic ansatz: lambda*(|y|^2) = 1/sqrt(2), lambda*(4|y|^2) = sqrt(2)
-    rep = check_scaling_law(box(8.0, 0.02), 2.0, 4.0)
+    rep = check_scaling_law(box(8.0, 0.02), 4.0)
     assert rep.passed
     assert rep.measured["ratio"] == pytest.approx(2.0, rel=0.05)
     assert rep.measured["lambda_base"] == pytest.approx(quad_ansatz_lambda(1.0, 0.0), abs=0.03)
@@ -89,7 +89,8 @@ def test_scaling_law_quadratic_absolute_values():
 
 
 def test_scaling_law_small_alpha_inequality_variant():
-    rep = check_scaling_law(box(8.0, 0.02), 0.5, 2.0)
+    spec = dataclasses.replace(box(8.0, 0.02), rhs=make_power_rhs(1.0, 0.5, 0.0))
+    rep = check_scaling_law(spec, 2.0)
     assert rep.name == "scaling_law"
     assert "upper_bound" in rep.measured
     assert rep.passed
@@ -97,16 +98,21 @@ def test_scaling_law_small_alpha_inequality_variant():
 
 def test_scaling_law_rejects_nonpositive_constant():
     with pytest.raises(ValueError):
-        check_scaling_law(box(8.0, 0.01), 2.0, -1.0)
+        check_scaling_law(box(8.0, 0.01), -1.0)
+
+
+def test_scaling_law_needs_a_growth_exponent():
+    blend = BlendRhs(f1=make_power_rhs(1.0, 2.0, 0.0), f2=make_power_rhs(1.0, 4.0, 0.0))
+    with pytest.raises(ValueError, match="growth exponent"):
+        check_scaling_law(dataclasses.replace(box(4.0, 0.1), rhs=blend), 4.0)
 
 
 # -- shift / monotone / concave -------------------------------------------------------
 
 
 def test_lambda_shape_suite_on_quadratic_quartic_pair():
-    f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_pure_power_rhs(1.0, 4.0, 1.0)
-    reps = check_lambda_shape(box(8.0, 0.02), f1, f2, [0.0, 0.25, 0.5, 0.75, 1.0], tol=0.03)
+    reps = check_lambda_shape(box(8.0, 0.02), f2, [0.0, 0.25, 0.5, 0.75, 1.0], tol=0.03)
     by_name = {r.name: r for r in reps}
     assert by_name["shift_exactness"].passed
     assert by_name["shift_exactness"].measured["lambda_gap"] == pytest.approx(1.0, abs=0.06)
@@ -119,9 +125,8 @@ def test_lambda_shape_suite_on_quadratic_quartic_pair():
 
 
 def test_lambda_shape_uses_given_pair_when_ordered():
-    f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_power_rhs(1.0, 2.0, 0.5)  # f1 + 1/2: pointwise ordered
-    reps = check_lambda_shape(box(6.0, 0.05), f1, f2, [0.0, 0.5, 1.0])
+    reps = check_lambda_shape(box(6.0, 0.05), f2, [0.0, 0.5, 1.0])
     by_name = {r.name: r for r in reps}
     assert by_name["monotonicity"].inputs["pair"] == "(f1, f2)"
     assert by_name["monotonicity"].passed
@@ -142,9 +147,8 @@ def test_shift_equivariance_check():
 def test_continuity_bound_on_scaled_quadratic_pair():
     # closed forms: lambda_1 = 1 + 1/sqrt(2), lambda_2 = 1.1 + sqrt(0.55);
     # gap 0.1345 against bound (0.11/1.11) * lambda_2 = 0.1825
-    f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_power_rhs(1.1, 2.0, 0.0)
-    rep = check_continuity_bound(box(8.0, 0.02), f1, f2)
+    rep = check_continuity_bound(box(8.0, 0.02), f2)
     assert rep.passed
     lam1 = smooth_power_lambda(1.0, 0.0)
     lam2 = smooth_power_lambda(1.1, 0.0)
@@ -156,26 +160,31 @@ def test_continuity_bound_on_scaled_quadratic_pair():
 
 
 def test_continuity_bound_trivial_pair():
-    f1 = make_power_rhs(1.0, 2.0, 0.0)
-    rep = check_continuity_bound(box(6.0, 0.05), f1, f1)
+    spec = box(6.0, 0.05)
+    rep = check_continuity_bound(spec, spec.rhs)
     assert rep.measured["rhs_gap"] == 0.0
     assert rep.predicted["bound"] == 0.0
     assert rep.passed
 
 
 def test_continuity_bound_small_perturbation():
-    f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_power_rhs(1.01, 2.0, 0.0)  # f1 + 0.01 (1 + |y|^2)
-    rep = check_continuity_bound(box(6.0, 0.05), f1, f2)
+    rep = check_continuity_bound(box(6.0, 0.05), f2)
     assert rep.passed
     assert rep.measured["lambda_gap"] <= rep.predicted["bound"] + rep.tolerance
 
 
 def test_continuity_bound_rejects_mismatched_exponents():
-    f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_power_rhs(1.0, 4.0, 0.0)
     with pytest.raises(ValueError):
-        check_continuity_bound(box(8.0, 0.01), f1, f2)
+        check_continuity_bound(box(8.0, 0.01), f2)
+
+
+def test_continuity_bound_measures_f0_of_the_functions_it_is_given():
+    # f + 1 = 2 + |y|^2 has growth constant 2; a constant carried over from f would read 1
+    spec = box(4.0, 0.1)
+    rep = check_continuity_bound(spec, dataclasses.replace(spec.rhs, shift=1.0))
+    assert rep.predicted["f0"] == 2.0
 
 
 # -- radius monotonicity and the critical value ----------------------------------------
@@ -228,14 +237,13 @@ def test_each_lambda_star_is_one_solve_on_the_specs_box(monkeypatch):
 
     monkeypatch.setattr(analysis, "solve_ergodic", counting_solve)
     spec = box(4.0, 0.1)
-    f1 = make_power_rhs(1.0, 2.0, 0.0)
-    check_scaling_law(spec, 2.0, 4.0)
+    check_scaling_law(spec, 4.0)
     assert radii_solved == [spec.radius] * 2
     radii_solved.clear()
-    check_continuity_bound(spec, f1, make_power_rhs(1.1, 2.0, 0.0))
+    check_continuity_bound(spec, make_power_rhs(1.1, 2.0, 0.0))
     assert radii_solved == [spec.radius] * 2
     radii_solved.clear()
-    check_lambda_shape(spec, f1, make_pure_power_rhs(1.0, 4.0, 1.0), [0.0, 0.5, 1.0])
+    check_lambda_shape(spec, make_pure_power_rhs(1.0, 4.0, 1.0), [0.0, 0.5, 1.0])
     assert radii_solved == [spec.radius] * 4  # f1, f2, f1 + 1 and the t = 0.5 blend
     radii_solved.clear()
     radii = (2.0, 3.0, 4.0)
@@ -398,8 +406,7 @@ def test_interior_minimum_verdict_report():
 
 
 def test_verdicts_are_reproducible_bit_for_bit():
-    f1 = make_power_rhs(1.0, 2.0, 0.0)
     f2 = make_power_rhs(1.1, 2.0, 0.0)
-    a = check_continuity_bound(box(6.0, 0.05), f1, f2)
-    b = check_continuity_bound(box(6.0, 0.05), f1, f2)
+    a = check_continuity_bound(box(6.0, 0.05), f2)
+    b = check_continuity_bound(box(6.0, 0.05), f2)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)

@@ -20,9 +20,11 @@ from ergodic_hjb.config import (
     RunSettings,
     SweepSettings,
     VerifySettings,
+    build_spec,
     config_to_text,
     parse_config,
 )
+from ergodic_hjb.solvers import eikonal_initial_guess, solve_ergodic
 
 BASE = """
 [run]
@@ -373,6 +375,13 @@ def test_verify_values_a_check_would_refuse_are_config_errors(tmp_path, monkeypa
         text.replace("cross_method", "cross_method, growth_exponent").replace(
             "alpha = 2.0", "alpha = 0.5"
         ),
+        # f = (1 + |y|^2) - 1 and f = |y|^2 both vanish at the origin
+        text.replace("cross_method", "cross_method, continuity_bound").replace(
+            "shift = 0.0", "shift = -1.0"
+        ),
+        text.replace("cross_method", "cross_method, continuity_bound").replace(
+            "rhs = power", "rhs = pure_power"
+        ),
     ]
     for bad_text in bad:
         with pytest.raises(ConfigError):
@@ -410,6 +419,39 @@ def test_lambda_star_bracket_grows_on_a_small_box(tmp_path, capsys):
     ]
     assert levels[1] == pytest.approx(lam_r + 1.0)
     assert levels[2] == pytest.approx(lam_r + 2.0)
+
+
+def test_unbracketed_lambda_star_threshold_is_a_failed_verdict(tmp_path, capsys):
+    # at h = 0.5 the zero-data Dirichlet problem still solves at lambda_R + 32, the last
+    # level the bracket tries: the threshold lies above every level, and the check fails
+    text = VERIFY.replace("theta = 2.0", "theta = 1.5").replace("alpha = 2.0", "alpha = 1.0")
+    text = text.replace("radius = 6.0", "radius = 2.0").replace("h = 0.05", "h = 0.5")
+    text = text.replace("shift_equivariance, uniqueness", "lambda_star_characterization")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 3
+    assert "lambda_star_characterization" in capsys.readouterr().err
+    (verdict,) = json.loads((out / "verdicts.json").read_text())
+    assert verdict["measured"]["threshold"] == verdict["measured"]["gap"] == "inf"
+    rows = (out / "plots" / "dirichlet_bisection.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1"] * 7
+
+
+def test_pair_checks_judge_the_configured_pure_power_rhs(tmp_path):
+    # f = |y|^2 / 2 + 1 has lambda* = 1.5 in closed form; the smooth power form
+    # (1 + |y|^2) / 2 + 1 would give 2.03
+    text = VERIFY.replace("rhs = power", "rhs = pure_power").replace("coeff = 1.0", "coeff = 0.5")
+    text = text.replace("shift = 0.0", "shift = 1.0").replace("radius = 6.0", "radius = 4.0")
+    text = text.replace("h = 0.05", "h = 0.1")
+    text = text.replace("shift_equivariance, uniqueness", "lambda_shape, continuity_bound")
+    cfg = parse_config(text)
+    spec = build_spec(cfg)
+    lam = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=cfg.numerics.tol).lam
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    measured = {v["name"]: v["measured"] for v in json.loads((out / "verdicts.json").read_text())}
+    assert measured["monotonicity"]["lambda(f1)"] == lam
+    assert measured["continuity_bound"]["lambda_1"] == lam
+    assert lam == pytest.approx(1.5, abs=0.05)
 
 
 def test_cli_verify_solver_failure_exits_two(tmp_path, capsys):

@@ -6,6 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergodic_hjb.analysis import _growth_constant
 from ergodic_hjb.grid import Grid
 from ergodic_hjb.problem import (
     ProblemSpec,
@@ -42,7 +43,7 @@ def test_quadratic_case_matches_symbolic_oracle():
     assert np.allclose(rhs.gradient(np.atleast_2d(y))[0], 2 * y, atol=1e-14)
     assert np.allclose(sympy_power_gradient(1, 2, y), 2 * y, atol=1e-12)
     # two-sided growth constant is exactly 1 for this instance
-    assert rhs.f0 == pytest.approx(1.0, abs=1e-12)
+    assert _growth_constant(rhs, 2.0, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quartic_case_at_unit_diagonal_matches_symbolic_oracle():
@@ -136,8 +137,9 @@ def test_power_minimum_at_origin_and_shell_coercivity():
 @settings(max_examples=60, deadline=None)
 @given(y=st.floats(min_value=-40.0, max_value=40.0))
 def test_recorded_growth_constant_is_valid(y):
+    # the constant continuity_bound measures from the function it is given
     rhs = make_power_rhs(1.3, 3.0, 0.7)
-    f0 = rhs.f0
+    f0 = _growth_constant(rhs, 3.0, 1)
     base = abs(y) ** 3 + 1.0
     val = rhs.value_at([y])
     assert val <= f0 * base * (1 + 1e-9)
