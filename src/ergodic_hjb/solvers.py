@@ -25,6 +25,13 @@ Routes implemented here:
                            monotone, every step certifies min rate <= lambda_h <=
                            max rate; the march stops at the horizon or once the
                            intersection of these enclosures stops shrinking
+
+Every Newton-type step (Newton, pseudo-time, policy, Dirichlet, discount)
+solves one linear system with the Jacobian (_linear_step). On a 1-d grid that
+matrix is tridiagonal and LAPACK's ?gttrf/?gttrs solve it (_tridiagonal_step);
+on larger dimensions a sparse LU in nested-dissection order does, and may be
+reused (_nd_step). Likewise each march rung's I/dt - 1/2 Lap_h is factored once
+by ?pttrf in 1-d and by a sparse LU otherwise (_rung_solver).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.ndimage import uniform_filter
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from .grid import Field, Grid, dump_json
@@ -66,7 +73,7 @@ PTC_TAU0 = 1e-2
 MARCH_RECORD_EVERY = 200  # march steps between trace records and rate statistics
 # The march stops once its certified enclosure of lambda_h has not shrunk for
 # this many steps (counted in steps, not records). On the verify instance it
-# last shrinks at step 6,796 and then stays put through step 31,193.
+# last shrinks at step 6,771 and then stays put through step 31,193.
 MARCH_FLOOR_STEPS = 2000
 # solve_ergodic's budget when max_iter is not given: Newton iterations, policy
 # sweeps, march steps
@@ -79,8 +86,8 @@ DISCOUNTED_MAX_ITER = 200  # Newton iterations of one discounted solve
 ND_LEAF = 16  # nested dissection stops at blocks of at most this many nodes
 ND_LAYOUTS = 8  # _nd_matrix keeps the layouts of this many (grid, unknowns, anchor) keys
 _LAYOUTS: dict = {}  # oldest first
-# Reuse of the last LU (_nd_step). Fill per unknown is about 6 in 1-d and 44-71
-# in 2-d, so 1-d steps always factor afresh.
+# Reuse of the last LU (_nd_step, m >= 2). Fill per unknown is 44-71 in 2-d. 1-d
+# steps never reach _nd_step: _tridiagonal_step factors afresh at every step.
 REUSE_FILL = 16
 REUSE_CONTRACTION = 0.1  # try the held LU only after a step that cut |F|_2 tenfold
 REUSE_ITERATIONS = 10  # GMRES iterations on a held LU before it is dropped
@@ -117,7 +124,7 @@ class TraceRecord:
 class ConvergenceTrace:
     records: list[TraceRecord] = field(default_factory=list)
     termination: str = ""
-    # Newton and policy steps solved by a fresh LU and by the held one (_nd_step),
+    # Newton and policy steps solved by a fresh factor and by the held LU (_nd_step),
     # and the coarser grids solved first, coarsest first (_coarse_start); written
     # to meta.json, not to trace.jsonl
     factorizations: int = 0
@@ -156,6 +163,81 @@ class ParabolicMarch:
 
 def _sup(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
+
+
+def _linear_step(
+    spec: ProblemSpec, jacobian_fn: Callable, keep: np.ndarray, ones_at: Optional[int] = None
+):
+    """step(x, shift, rhs, tol) of a Newton-type route: _tridiagonal_step in 1-d, else _nd_step."""
+    return (_tridiagonal_step if spec.m == 1 else _nd_step)(spec, jacobian_fn, keep, ones_at)
+
+
+def _bands(jac: sp.csr_matrix) -> np.ndarray:
+    """(n, 3) rows (J[i, i-1], J[i, i], J[i, i+1]) of a 1-d operator matrix, 0 outside it.
+
+    The assembler's canonical CSR holds every in-grid arm, so its data is these
+    rows with the two out-of-grid arms left out.
+    """
+    return np.concatenate(([0.0], jac.data, [0.0])).reshape(-1, 3)
+
+
+def _tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^(-1) b for the tridiagonal A of at least one row, row i = bands[i] as in _bands.
+
+    bands[0, 0] and bands[-1, 2] lie outside A and do not enter the result.
+    ?gttrf's LU with partial pivoting; NaN if a pivot is exactly zero. A
+    system of fewer than 3 rows is padded by identity rows with right-hand
+    side 0, since the LAPACK wrappers need 3.
+    """
+    n = len(bands)
+    if n < 3:
+        bands = np.vstack([bands, [(0.0, 1.0, 0.0)] * (3 - n)])
+        b = np.concatenate([b, np.zeros((3 - n,) + b.shape[1:])])
+    dl, d, du, du2, ipiv, info = dgttrf(bands[1:, 0], bands[:, 1], bands[:-1, 2])
+    if info > 0:
+        return np.full(b[:n].shape, np.nan)
+    return dgttrs(dl, d, du, du2, ipiv, b)[0][:n]
+
+
+def _tridiagonal_step(
+    spec: ProblemSpec, jacobian_fn: Callable, keep: np.ndarray, ones_at: Optional[int] = None
+):
+    """1-d twin of _nd_step: the same step(x, shift, rhs, tol) and counts, by ?gttrf/?gttrs.
+
+    In 1-d keep is a run of consecutive nodes, so J is tridiagonal; its bands
+    are read from jacobian_fn(x, shift) (_bands) and factored afresh at every
+    step (a factorization; there is no held LU). Node ones_at (an interior
+    unknown: the anchor is the middle node) has a column of ones, which is
+    eliminated by one Schur complement: with a its row and r the
+    others, J_rr [x1 x2] = [b_r 1], then d_a = (b_a - J_ar x1) / (1 - J_ar x2)
+    and d_r = x1 - d_a x2. The pivot 1 - J_ar x2 >= 1 is the one the ND factor
+    takes last (_lu_solve).
+    """
+    counts = {"factorizations": 0, "reused_steps": 0}
+    rows = slice(keep[0], keep[-1] + 1)
+    a = None if ones_at is None else ones_at - keep[0]
+    if a is not None and not 0 < a < keep.size - 1:
+        raise ValueError(f"the column of ones must belong to an interior unknown, got {ones_at}")
+
+    def step(x: np.ndarray, shift: float, rhs: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        bands = _bands(jacobian_fn(x, shift))[rows]
+        counts["factorizations"] += 1
+        if a is None:
+            return _tridiagonal_solve(bands, rhs)
+        row = bands[a].copy()  # (J[a, a-1], J[a, a], J[a, a+1])
+        bands[a] = (0.0, 1.0, 0.0)  # J_rr, and an identity row that decouples node a
+        bands[a - 1, 2] = bands[a + 1, 0] = 0.0
+        b = np.ones((rhs.size, 2))
+        b[:, 0] = rhs
+        xs = _tridiagonal_solve(bands, b)  # [x1 x2] off row a, which is decoupled
+        j1, j2 = row[0] * xs[a - 1] + row[2] * xs[a + 1]  # J_ar [x1 x2]
+        da = (rhs[a] - j1) / (1.0 - j2)
+        d = xs[:, 0] - da * xs[:, 1]
+        d[a] = da
+        return d
+
+    step.counts = counts
+    return step
 
 
 def _nd_order(shape: tuple[int, ...], last: Optional[int] = None) -> np.ndarray:
@@ -318,13 +400,14 @@ def _damped_newton(
     needs no stall window.
 
     step_fn(x, shift, -F, tol) solves with the Jacobian at x plus shift (0
-    without tau) on the diagonal of its residual rows (_nd_step): by a fresh
-    LU, or by the last one when that solve is as good as a direct one or
-    leaves a linear residual below tol/4, which cannot hold up convergence. With a
-    pseudo-time step tau every step solves (J + I/tau) d = -F and is taken
-    whole: pseudo-transient continuation, with tau grown by switched evolution
-    relaxation, tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau =
-    inf is the plain full Newton step, which on the ergodic system is Howard's
+    without tau) on the diagonal of its residual rows (_linear_step): by a
+    fresh factor, or, for m >= 2, by the last LU when that solve is as good as
+    a direct one or leaves a linear residual below tol/4, which cannot hold up
+    convergence. With a pseudo-time step tau every step solves
+    (J + I/tau) d = -F and is taken whole: pseudo-transient continuation,
+    with tau grown by switched evolution relaxation,
+    tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau = inf is
+    the plain full Newton step, which on the ergodic system is Howard's
     policy iteration. Under PTC a non-finite step raises SolverError with
     termination "non_finite_step".
 
@@ -434,7 +517,7 @@ def solve_dirichlet(
     def residual_fn(x: np.ndarray) -> np.ndarray:
         return op.residual_values(assemble(x), lam)[interior]
 
-    step = _nd_step(spec, lambda x, s: op.jacobian(assemble(x), s), unknowns)
+    step = _linear_step(spec, lambda x, s: op.jacobian(assemble(x), s), unknowns)
     x, _ = _damped_newton(residual_fn, step, full[interior], tol, max_iter)
     return Field(grid, assemble(x))
 
@@ -463,7 +546,7 @@ def solve_discounted(
         return (op.residual_values(vals, 0.0) + epsilon * vals).ravel()
 
     x0 = initial_guess.values.ravel() if initial_guess is not None else np.zeros(nodes.size)
-    step = _nd_step(spec, lambda x, s: op.jacobian(x.reshape(grid.shape), epsilon + s), nodes)
+    step = _linear_step(spec, lambda x, s: op.jacobian(x.reshape(grid.shape), epsilon + s), nodes)
     x, _ = _damped_newton(residual_fn, step, x0, tol, DISCOUNTED_MAX_ITER)
     return Field(grid, x.reshape(grid.shape))
 
@@ -473,8 +556,11 @@ def discounted_lambda_path(
     eps_list: list[float],
     tol: float = 1e-8,
 ) -> tuple[list[dict], float]:
-    """eps*phi_eps(anchor) along a discount schedule plus the linear extrapolation to eps=0.
+    """eps*phi_eps(anchor) along a discount schedule plus its extrapolation to eps=0.
 
+    The extrapolation is the intercept of the least-squares polynomial of
+    degree min(2, solves - 1) in eps: through three solves the quadratic
+    cancels the O(eps) term as well as the O(1) one (Richardson in eps).
     Successive solves are warm-started through the 1/eps scaling of the fields.
     """
     anchor = spec.anchor_index
@@ -496,7 +582,7 @@ def discounted_lambda_path(
         return rows, float(rows[-1]["lambda"])
     eps_arr = np.array([r["epsilon"] for r in rows])
     lam_arr = np.array([r["lambda"] for r in rows])
-    return rows, float(np.polyfit(eps_arr, lam_arr, 1)[1])  # the intercept
+    return rows, float(np.polyfit(eps_arr, lam_arr, min(2, len(rows) - 1))[-1])  # the intercept
 
 
 # -- state-constraint ergodic routes --------------------------------------------
@@ -572,7 +658,9 @@ def _solve_square(
     guess = initial_guess.values if initial_guess is not None else np.zeros(grid.shape)
     guess, levels = _coarse_start(spec, guess, tol, max_iter, method)
     z0 = (guess - guess[spec.anchor_index]).ravel()  # lambda starts at 0
-    step_fn = _nd_step(spec, lambda z, s: op.jacobian(split(z)[0], s), np.arange(z0.size), anchor)
+    step_fn = _linear_step(
+        spec, lambda z, s: op.jacobian(split(z)[0], s), np.arange(z0.size), anchor
+    )
     try:
         z, records = _damped_newton(
             lambda z: op.residual_values(*split(z)).ravel(), step_fn, z0, 0.5 * tol, max_iter,
@@ -679,10 +767,10 @@ def parabolic_march(
     (I/dt - 1/2 Lap_h)^(-1) rate. dt is the largest rung (0.9 h/m) 2^(-k/2)
     with dt <= 0.9 h / (m max(1, max|p|)^(theta-1)), cut at T: the explicit
     part u + dt (f - H) is then monotone, and I - dt/2 Lap_h is an M-matrix,
-    so the step is. One LU per rung is kept for the march. The step takes
-    u = phi + lambda t to phi + lambda (t + dt) exactly when G_h[phi] +
-    lambda = 0, whatever dt is, because the implicit Laplacian annihilates
-    constants.
+    so the step is. Each rung's matrix is factored once per march
+    (_rung_solver). The step takes u = phi + lambda t to phi + lambda (t + dt)
+    exactly when G_h[phi] + lambda = 0, whatever dt is, because the implicit
+    Laplacian annihilates constants.
 
     Returns per-sample (t, min, mean, max) of the rate; the mean at the final
     step is the long-time estimate of the critical value. Since the step is
@@ -708,7 +796,7 @@ def parabolic_march(
     u = u0.values.astype(float).copy() if u0 is not None else np.zeros(spec.grid.shape)
     zeros = np.zeros(u.shape)
     top = 0.9 * h / m
-    lus = {}  # dt -> LU of I/dt - 1/2 Lap_h
+    rungs = {}  # dt -> solver of I/dt - 1/2 Lap_h
     stats: list[tuple[float, float, float, float]] = []
     records: list[TraceRecord] = []
     settled: Optional[ErgodicSolution] = None
@@ -760,9 +848,9 @@ def parabolic_march(
                 f"rate spread {hi - lo:.3e} vs tol/2 = {0.5 * tol:g})",
                 ConvergenceTrace(records=records, termination="max_iterations"),
             )
-        if dt not in lus:  # symmetric: minimum degree on A^T + A halves the 2-d fill of COLAMD
-            lus[dt] = splu(op.jacobian(zeros, 1.0 / dt).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        u = u + lus[dt].solve(rate.ravel()).reshape(u.shape)
+        if dt not in rungs:
+            rungs[dt] = _rung_solver(op.jacobian(zeros, 1.0 / dt), m)
+        u = u + rungs[dt](rate.ravel()).reshape(u.shape)
         t += dt
         step += 1
     termination = "horizon_reached" if dt <= 0.0 else "floor_reached" if floor else "converged"
@@ -772,6 +860,20 @@ def parabolic_march(
         trace=ConvergenceTrace(records=records, termination=termination),
         lambda_lo=cert_lo, lambda_hi=cert_hi, settled=settled,
     )
+
+
+def _rung_solver(a: sp.csr_matrix, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """b -> a^(-1) b for a march rung's a = I/dt - 1/2 Lap_h in m dimensions, factored once.
+
+    a is symmetric positive definite. In 1-d it is tridiagonal: L D L^T by
+    ?pttrf, solved by ?pttrs. Otherwise a sparse LU in minimum degree order on
+    A^T + A, which halves the 2-d fill of COLAMD.
+    """
+    if m > 1:
+        return splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    bands = _bands(a)
+    d, e, _ = dpttrf(bands[:, 1], bands[:-1, 2])
+    return lambda b: dpttrs(d, e, b)[0]
 
 
 # -- initial guesses ---------------------------------------------------------------
@@ -792,12 +894,26 @@ def eikonal_initial_guess(spec: ProblemSpec) -> Field:
     return Field(grid, vals)
 
 
+def _box_filter(v: np.ndarray) -> np.ndarray:
+    """Mean over 5 nodes along each axis in turn, the edge values extended.
+
+    A running sum, divided at each node: scipy.ndimage's
+    uniform_filter(v, size=5, mode="nearest") bit for bit.
+    """
+    for axis in range(v.ndim):
+        x = np.moveaxis(v, axis, 0)
+        padded = np.concatenate([x[:1], x[:1], x, x[-1:], x[-1:]])
+        window = np.cumsum(np.concatenate([padded[:5], padded[5:] - padded[:-5]]), axis=0)[4:]
+        v = np.moveaxis(window / 5.0, 0, axis)
+    return v
+
+
 def random_smooth_field(grid: Grid, seed: int) -> Field:
     """Smoothed seeded noise of unit standard deviation; an independent initial guess."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(grid.shape)
     for _ in range(3):
-        v = uniform_filter(v, size=5, mode="nearest")
+        v = _box_filter(v)
     scale = float(np.std(v))
     if scale > 0:
         v = v * (1.0 / scale)

@@ -24,12 +24,13 @@ def test_every_name_in_all_resolves(module):
 
 
 def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
-    """They cost import time on every run and the package uses neither."""
+    """They cost import time on every run and the package uses neither; nor scipy.ndimage."""
     src = str(Path(ergodic_hjb.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, ergodic_hjb.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.ndimage') "
+        "if m in sys.modules))"
     )
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False

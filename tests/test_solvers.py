@@ -213,6 +213,21 @@ def test_discounted_path_approaches_ergodic_level():
     assert rows[0]["epsilon"] == 0.1
 
 
+def test_discounted_extrapolation_is_the_quadratic_intercept():
+    # the quadratic through the three (eps, eps phi_eps(0)) points also cancels
+    # the O(eps) term, which the least-squares line leaves at about 2e-4
+    spec = closed_form_spec(2.0, 1, 6.0, 0.05)
+    rows, extrapolated = discounted_lambda_path(spec, [0.1, 0.05, 0.025])
+    eps = [r["epsilon"] for r in rows]
+    lams = [r["lambda"] for r in rows]
+    assert extrapolated == np.polyfit(eps, lams, 2)[-1]
+    lam_h = solve_ergodic(spec, tol=1e-10).lam
+    assert abs(extrapolated - lam_h) <= 1e-6
+    assert abs(np.polyfit(eps, lams, 1)[-1] - lam_h) >= 1e-4
+    (row,), single = discounted_lambda_path(spec, [0.1])
+    assert single == row["lambda"]
+
+
 def test_discounted_rejects_nonpositive_rate():
     spec = closed_form_spec(2.0, 1, 2.0, 0.25)
     with pytest.raises(ValueError):
@@ -304,13 +319,13 @@ def test_ergodic_unknown_method_rejected():
 
 def test_ergodic_normalization_and_trace_invariants(monkeypatch):
     linear_solves = []
-    lu_solve = solvers._lu_solve
+    tridiagonal_solve = solvers._tridiagonal_solve
 
-    def counting_lu_solve(a, b):
-        linear_solves.append(a.shape)
-        return lu_solve(a, b)
+    def counting_solve(bands, b):
+        linear_solves.append(bands.shape)
+        return tridiagonal_solve(bands, b)
 
-    monkeypatch.setattr(solvers, "_lu_solve", counting_lu_solve)
+    monkeypatch.setattr(solvers, "_tridiagonal_solve", counting_solve)
     spec = closed_form_spec(3.0, 1, 6.0, 0.05)
     # from this field the line search stalls and pseudo-time steps take over
     cold = closed_form_spec(6.0, 1, 8.0, 0.02)
@@ -328,7 +343,8 @@ def test_ergodic_normalization_and_trace_invariants(monkeypatch):
         assert sol.trace.termination == "converged"
         # one record per iteration, counting up across any switch of globalization
         assert [r.iteration for r in records] == list(range(len(records)))
-        assert records[-1].iteration == len(linear_solves)
+        assert records[-1].iteration == len(linear_solves) == sol.trace.factorizations
+        assert sol.trace.reused_steps == 0
         # jsonl serialization is parseable, one record per line plus the footer
         lines = sol.trace.to_jsonl().strip().splitlines()
         parsed = [json.loads(ln) for ln in lines]
@@ -463,10 +479,12 @@ def test_reused_solve_meets_the_componentwise_bar_or_declines():
 def test_held_lu_forced_on_in_1d_keeps_the_hard_solves(monkeypatch):
     """A reused solve must be as good as a direct one, componentwise.
 
-    The held LU is tried at every step of three hard 1-d solves, whose
-    records are those of the fresh-factor path. Accepting a reused solve on a
-    small 2-norm residual alone makes policy iteration diverge here.
+    The held LU is tried at every step of three hard 1-d solves, put on the
+    ND step, whose records are those of the fresh-factor path. Accepting a
+    reused solve on a small 2-norm residual alone makes policy iteration
+    diverge here.
     """
+    monkeypatch.setattr(solvers, "_tridiagonal_step", solvers._nd_step)
     monkeypatch.setattr(solvers, "REUSE_FILL", 0)
     monkeypatch.setattr(solvers, "REUSE_CONTRACTION", np.inf)
     spec = closed_form_spec(6.0, 1, 8.0, 0.02)
@@ -516,7 +534,7 @@ def test_nd_layout_is_built_once_per_grid_from_the_steps_own_jacobians(monkeypat
     monkeypatch.setattr(solvers, "_nd_order", counting_order)
     monkeypatch.setattr(DiscreteOperator, "jacobian", counting_jacobian)
     monkeypatch.setattr(solvers, "_LAYOUTS", {})
-    spec = closed_form_spec(2.0, 1, 4.0, 0.05)
+    spec = closed_form_spec(2.0, 2, 2.0, 0.2)
     for method in ("newton_augmented", "policy_iteration"):
         jacobians.clear()
         sol = solve_ergodic(spec, method=method, tol=1e-8)
@@ -527,9 +545,99 @@ def test_nd_layout_is_built_once_per_grid_from_the_steps_own_jacobians(monkeypat
     solve_dirichlet(spec, 0.1 * phi.values[spec.anchor_index], phi)
     assert len(orders) == 3
     for k in range(solvers.ND_LAYOUTS + 2):  # the cache stays bounded
-        solve_ergodic(closed_form_spec(2.0, 1, 1.0 + 0.1 * k, 0.1), tol=1e-8)
+        solve_ergodic(closed_form_spec(2.0, 2, 1.0 + 0.2 * k, 0.2), tol=1e-8)
     assert len(solvers._LAYOUTS) == solvers.ND_LAYOUTS
 
+
+def tridiagonal_route(spec, route):
+    """(diagonal shift, keep, ones_at) of one 1-d route's step: the discount adds eps = 0.1."""
+    n = spec.grid.n_nodes
+    return {
+        "square": (0.0, np.arange(n), n // 2),
+        "dirichlet": (0.0, np.arange(1, n - 1), None),
+        "discount": (0.1, np.arange(n), None),
+    }[route]
+
+
+@pytest.mark.parametrize("route", ["square", "dirichlet", "discount"])
+@pytest.mark.parametrize("shift", [0.0, 1.0 / PTC_TAU0])
+@pytest.mark.parametrize("theta", [1.1, 6.0])
+def test_tridiagonal_step_agrees_with_the_nd_step(theta, shift, route):
+    """The 1-d step is backward stable and agrees with the ND step to cond(A) eps.
+
+    At theta = 6 and shift 0 a random field's matrix can be singular in
+    floating point (cond 1e27): there the step is NaN, as the driver expects
+    of a singular factor.
+    """
+    spec = closed_form_spec(theta, 1, 4.0, 0.05)
+    op = DiscreteOperator(spec)
+    base, keep, ones_at = tridiagonal_route(spec, route)
+    for seed in (1, 2):
+        phi = random_smooth_field(spec.grid, seed).values
+
+        def jacobian_fn(x, s):
+            return op.jacobian(phi, base + s)
+
+        rhs = -op.residual_values(phi, 0.7).ravel()[keep]
+        d = solvers._tridiagonal_step(spec, jacobian_fn, keep, ones_at)(None, shift, rhs)
+        a = jacobian_fn(None, shift)[keep][:, keep].toarray()
+        if ones_at is not None:
+            a[:, ones_at] = 1.0
+        cond = np.linalg.cond(a, np.inf)
+        if not np.all(np.isfinite(d)):
+            assert np.all(np.isnan(d)) and cond * np.finfo(float).eps > 1.0
+            continue
+        size = np.abs(a).sum(axis=1).max() * np.abs(d).max() + np.abs(rhs).max()
+        assert np.abs(a @ d - rhs).max() <= 1e-14 * size
+        for ref in (
+            solvers._nd_step(spec, jacobian_fn, keep, ones_at)(None, shift, rhs),
+            spsolve(sp.csc_matrix(a), rhs),
+        ):
+            assert np.abs(d - ref).max() <= 10.0 * cond * np.finfo(float).eps * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("route", ["square", "dirichlet", "discount"])
+def test_singular_tridiagonal_factor_gives_a_nan_step(route):
+    spec = closed_form_spec(2.0, 1, 2.0, 0.25)
+    base, keep, ones_at = tridiagonal_route(spec, route)
+    zero = DiscreteOperator(spec).jacobian(np.zeros(spec.grid.shape))
+    zero.data[:] = 0.0  # the pattern stays, every entry is 0
+    step = solvers._tridiagonal_step(spec, lambda x, s: zero, keep, ones_at)
+    assert np.all(np.isnan(step(None, 0.0, np.ones(keep.size))))
+    assert step.counts == {"factorizations": 1, "reused_steps": 0}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tridiagonal_solve_on_systems_of_one_to_four_rows(n):
+    rng = np.random.default_rng(n)
+    bands = rng.uniform(-1.0, 1.0, (n, 3))
+    bands[:, 1] += 3.0
+    a = np.diag(bands[:, 1]) + np.diag(bands[1:, 0], -1) + np.diag(bands[:-1, 2], 1)
+    b = rng.standard_normal((n, 2))
+    assert np.allclose(solvers._tridiagonal_solve(bands, b), np.linalg.solve(a, b), rtol=1e-14)
+    assert np.allclose(solvers._tridiagonal_solve(bands, b[:, 0]), np.linalg.solve(a, b[:, 0]))
+
+
+@pytest.mark.parametrize(
+    "method", ["newton_augmented", "policy_iteration", "relative_value_iteration"]
+)
+def test_every_route_runs_on_the_three_node_grid(method):
+    # h = radius: the square step's J_rr has two rows, the Dirichlet interior one node
+    spec = closed_form_spec(2.0, 1, 1.0, 1.0)
+    op = DiscreteOperator(spec)
+    assert spec.grid.n_nodes == 3
+    sol = solve_ergodic(spec, method=method, tol=1e-10)
+    assert sol.residual_sup <= 1e-10
+    if method == "newton_augmented":
+        assert sol.trace.factorizations == sol.trace.records[-1].iteration
+    phi = solve_discounted(spec, 0.5).values
+    assert np.max(np.abs(op.residual_values(phi, 0.0) + 0.5 * phi)) <= 1e-8
+    data = Field(spec.grid, np.array([1.0, 0.0, 1.0]))
+    inner = solve_dirichlet(spec, sol.lam - 0.5, data)
+    assert inner.values[[0, 2]].tolist() == [1.0, 1.0]
+    assert abs(op.residual_values(inner.values, sol.lam - 0.5)[1]) <= 1e-8
+    march = parabolic_march(spec, T=5.0)
+    assert march.lambda_lo <= sol.lam + 1e-9 and sol.lam - 1e-9 <= march.lambda_hi
 
 
 def level_sizes(sol):
@@ -871,6 +979,17 @@ def test_imex_step_is_monotone(m, theta, scale, seed):
     assert np.all(imex_step(spec, u, dt) <= imex_step(spec, v, dt) + 1e-12)
 
 
+@pytest.mark.parametrize("m, radius, h", [(1, 1.0, 1.0), (1, 8.0, 0.02), (2, 2.0, 0.2)])
+def test_rung_solver_agrees_with_spsolve(m, radius, h):
+    spec = closed_form_spec(2.0, m, radius, h)
+    rhs = random_smooth_field(spec.grid, 4).values.ravel()
+    for dt in (0.9 * h / m, 1e-3):
+        a = DiscreteOperator(spec).jacobian(np.zeros(spec.grid.shape), 1.0 / dt)
+        ref = spsolve(a.tocsc(), rhs)
+        got = solvers._rung_solver(a, m)(rhs)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)) * a.shape[0]
+
+
 def test_parabolic_long_run_matches_ergodic_solve():
     rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=6.0, h=0.05)
@@ -972,6 +1091,18 @@ def test_march_step_budget_reports_the_current_rate_spread(monkeypatch):
     assert last.residual_sup < 0.5 * tol
     quoted = float(str(info.value).split("rate spread ")[1].split()[0])
     assert quoted == pytest.approx(last.residual_sup, rel=1e-3)
+
+
+@pytest.mark.parametrize("shape", [(801,), (61, 61), (13, 17, 9), (3,)])
+def test_box_filter_is_scipys_uniform_filter_bit_for_bit(shape):
+    from scipy.ndimage import uniform_filter
+
+    for seed in range(3):
+        ours = theirs = np.random.default_rng(seed).standard_normal(shape)
+        for _ in range(3):
+            ours = solvers._box_filter(ours)
+            theirs = uniform_filter(theirs, size=5, mode="nearest")
+            assert np.array_equal(ours, theirs)
 
 
 def test_eikonal_guess_matches_asymptotics_on_closed_form():
