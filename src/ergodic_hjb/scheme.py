@@ -8,12 +8,12 @@ and the sign of the difference it came from, which for the radial convex
 Hamiltonian H(p) = (1/theta)|p|^theta is the exact Godunov flux per axis and
 yields a monotone (degenerate-elliptic) scheme.
 
-Boundary handling is the state constraint: at boundary nodes every stencil
-arm that would leave the grid is dropped, from both the Laplacian and the
-Hamiltonian, so only interior information enters. This is the discrete
-counterpart of "no data prescribed on the boundary". At interior nodes both
-arms exist, so the Dirichlet problem uses the same operator restricted to the
-interior rows (``solvers.solve_dirichlet``).
+Boundary handling is the state constraint, written once (``_one_sided``): a
+stencil arm that would leave the grid is a zero, in the Laplacian, the
+Hamiltonian and the Jacobian alike, so only interior information enters. This
+is the discrete counterpart of "no data prescribed on the boundary". At
+interior nodes both arms exist, so the Dirichlet problem uses the same
+operator restricted to the interior rows (``solvers.solve_dirichlet``).
 """
 
 from __future__ import annotations
@@ -42,10 +42,19 @@ GRADIENT_CLAMP = 1e-10
 STATE_CONSTRAINT = "state_constraint"
 
 
-def _axis_slice(m: int, axis: int, sl: slice) -> tuple:
-    out = [slice(None)] * m
-    out[axis] = sl
-    return tuple(out)
+def _one_sided(values: np.ndarray, h: float):
+    """Per axis, (D^- u, D^+ u) at every node, with 0 on an arm that leaves the grid.
+
+    Both are views of one buffer, the differences along the axis padded by a
+    zero at each end, so a caller must not write to them.
+    """
+    for a in range(values.ndim):
+        shape = list(values.shape)
+        shape[a] += 1
+        u, e = values.swapaxes(0, a), np.zeros(shape).swapaxes(0, a)
+        np.subtract(u[1:], u[:-1], out=e[1:-1])
+        e[1:-1] /= h
+        yield e[:-1].swapaxes(0, a), e[1:].swapaxes(0, a)
 
 
 @dataclass
@@ -63,48 +72,30 @@ class UpwindState:
 
 
 def upwind_state(values: np.ndarray, h: float) -> UpwindState:
-    """Godunov upwind slopes at every node; out-of-grid arms are excluded."""
-    m = values.ndim
-    shape = values.shape
-    p = np.empty((m,) + shape)
-    for a in range(m):
-        d = np.diff(values, axis=a) / h
-        pad = list(shape)
-        pad[a] = 1
-        ninf = np.full(pad, -np.inf)
-        cb = np.concatenate([ninf, d], axis=a)  # backward difference
-        cf = np.concatenate([-d, ninf], axis=a)  # minus forward difference
-        p[a] = np.where((cb >= cf) & (cb > 0), cb, np.where((cf > cb) & (cf > 0), -cf, 0.0))
+    """Godunov upwind slopes at every node; an out-of-grid arm is a zero candidate."""
+    p = np.empty((values.ndim,) + values.shape)
+    for a, (back, fwd) in enumerate(_one_sided(values, h)):
+        nf = -fwd
+        g = np.maximum(np.maximum(back, nf), 0.0)
+        # ties go backward; where an arm is NaN neither test holds and p is 0
+        p[a] = np.where(back >= nf, g, np.where(back < nf, -g, 0.0))
     return UpwindState(p=p, mag=np.sqrt(np.sum(p**2, axis=0)))
 
 
 def laplacian_and_slope(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Discrete Laplacian and Godunov slope magnitude |p| from one difference per axis.
 
-    The Laplacian drops out-of-grid arms at boundary nodes: interior nodes get
-    the central second difference, a boundary node only the inward
-    contributions (u(x +- h e) - u(x)) / h^2. Per axis |p_a| = max(D^- u,
-    -D^+ u, 0), so |p| equals upwind_state(values, h).mag bit for bit.
+    Per axis the Laplacian adds (D^+ u - D^- u) / h: the central second
+    difference at interior nodes, only the inward arm at a boundary node.
+    |p_a| = max(D^- u, -D^+ u, 0), so |p| equals upwind_state(values, h).mag
+    bit for bit on finite fields.
     """
-    m = values.ndim
-    shape = values.shape
-    lap = np.zeros(shape)
-    sq = np.zeros(shape)
-    for a in range(m):
-        lo = _axis_slice(m, a, slice(None, -1))
-        hi = _axis_slice(m, a, slice(1, None))
-        d = np.diff(values, axis=a) / h
-        term = np.zeros(shape)
-        term[lo] = d
-        term[hi] -= d
-        term /= h
-        lap += term
-        g = np.zeros(shape)  # an out-of-grid arm is a zero candidate
-        g[hi] = d  # backward difference
-        np.maximum(g[lo], -d, out=g[lo])  # minus forward difference
-        np.maximum(g, 0.0, out=g)
-        g *= g
-        sq += g
+    lap = np.zeros(values.shape)
+    sq = np.zeros(values.shape)
+    for back, fwd in _one_sided(values, h):
+        lap += (fwd - back) / h
+        g = np.maximum(np.maximum(back, -fwd), 0.0)
+        sq += g * g
     return lap, np.sqrt(sq)
 
 
@@ -141,49 +132,38 @@ class DiscreteOperator:
         differentiate through the backward branch; for theta < 2 the
         gradient-magnitude factor is clamped below at GRADIENT_CLAMP.
 
-        Each entry is written once, in canonical CSR. Every in-grid arm holds
-        a Laplacian coupling, so the pattern depends on the grid alone. The
-        diagonal sums, axis by axis, the two Laplacian arms and |b[a]|/h, then
-        the shift.
+        The matrix is built from its diagonals, at offsets 0 and +-stride of
+        each axis. Per axis, the minus- and plus-neighbour couplings are
+        grid-shaped, with 0 on an arm that leaves the grid; the diagonal sums,
+        axis by axis, the in-grid Laplacian arms and |b[a]|/h, then the shift.
+        The CSR conversion drops exactly the off-grid zeros: an in-grid
+        coupling is <= -1/(2h^2) or NaN, and the diagonal >= 1/(2h^2) for
+        shift >= 0. So the canonical CSR pattern depends on the grid alone,
+        which the cached layout of solvers._nd_matrix relies on.
         """
         h = self.spec.h
-        shape = values.shape
-        m = values.ndim
         n = values.size
-        flat = np.arange(n).reshape(shape)
         b = drift_field(values, h, self.spec.theta)
         arm = 0.5 * (1.0 / h**2)  # weight of one Laplacian arm
-        # per node, in column order: minus neighbours along axes 0..m-1, the
-        # node, plus neighbours along axes m-1..0
-        k = 2 * m + 1
-        data = np.empty(shape + (k,))
-        cols = np.empty(shape + (k,), dtype=flat.dtype)
-        keep = np.ones(shape + (k,), dtype=bool)
-        diag = np.zeros(shape)
-        for a in range(m):
-            lo = _axis_slice(m, a, slice(None, -1))
-            hi = _axis_slice(m, a, slice(1, None))
-            stride = flat.strides[a] // flat.itemsize
+        diag = np.zeros(values.shape)
+        bands = {}  # offset: diagonal
+        for a in range(values.ndim):
+            stride = int(np.prod(values.shape[a + 1:]))
             ba = b[a]
-            diag[lo] += arm
-            diag[hi] += arm
+            on_axis = diag.swapaxes(0, a)
+            on_axis[:-1] += arm
+            on_axis[1:] += arm
             diag += np.abs(ba) / h
             # d/dp (1/theta)|p|^theta = b goes through the one-sided difference
-            # that produced p: the minus arm where b > 0, the plus arm where
-            # b < 0 (never an out-of-grid arm)
-            data[..., a] = -arm - np.maximum(ba, 0.0) / h
-            cols[..., a] = flat - stride
-            keep[..., a][_axis_slice(m, a, slice(None, 1))] = False
-            data[..., k - 1 - a] = -arm + np.minimum(ba, 0.0) / h
-            cols[..., k - 1 - a] = flat + stride
-            keep[..., k - 1 - a][_axis_slice(m, a, slice(-1, None))] = False
-        data[..., m] = diag + shift
-        cols[..., m] = flat
-        keep = keep.reshape(n, k)
-        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-        return sp.csr_matrix(
-            (data.reshape(n, k)[keep], cols.reshape(n, k)[keep], indptr), shape=(n, n)
-        )
+            # that produced p: the minus arm where b > 0, the plus arm where b < 0
+            minus = -arm - np.maximum(ba, 0.0) / h
+            plus = -arm + np.minimum(ba, 0.0) / h
+            minus.swapaxes(0, a)[0] = 0.0
+            plus.swapaxes(0, a)[-1] = 0.0
+            bands[-stride], bands[stride] = minus.ravel()[stride:], plus.ravel()[: n - stride]
+        bands[0] = (diag + shift).ravel()
+        offsets = sorted(bands)  # each row's columns in order, however scipy converts
+        return sp.diags([bands[k] for k in offsets], offsets, shape=(n, n), format="csr")
 
 
 def drift_field(values: np.ndarray, h: float, theta: float) -> np.ndarray:
@@ -207,25 +187,16 @@ def hopf_cole_residual(phi: Field, lam: float, spec: ProblemSpec) -> Field:
             "exp(-phi) overflows for min(phi) < -700; renormalize phi by adding a constant"
         )
     z = -np.exp(-vals)
-    h = spec.h
-    m = spec.m
-    grid = spec.grid
-    interior = grid.interior_mask()
-
     lap = np.zeros_like(z)
-    dz = np.zeros((m,) + z.shape)
-    for a in range(m):
-        up = _axis_slice(m, a, slice(2, None))
-        mid = _axis_slice(m, a, slice(1, -1))
-        dn = _axis_slice(m, a, slice(None, -2))
-        lap[mid] += (z[up] - 2.0 * z[mid] + z[dn]) / h**2
-        dz[a][mid] = (z[up] - z[dn]) / (2.0 * h)
-    grad_sq = np.sum(dz**2, axis=0)
+    grad_sq = np.zeros_like(z)
+    for back, fwd in _one_sided(z, spec.h):  # central differences at interior nodes
+        lap += (fwd - back) / spec.h
+        grad_sq += (0.5 * (back + fwd)) ** 2
 
-    f = spec.f_field().values
     q = np.sqrt(grad_sq) / np.abs(z)  # |Dz/z|
     theta = spec.theta
-    res = -0.5 * lap + z * (0.5 * q**2 - q**theta / theta + f - lam)
+    res = -0.5 * lap + z * (0.5 * q**2 - q**theta / theta + spec.f_field().values - lam)
+    interior = spec.grid.interior_mask()
     out = np.zeros_like(res)
     out[interior] = res[interior]
-    return Field(grid, out)
+    return Field(spec.grid, out)

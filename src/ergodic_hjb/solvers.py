@@ -86,9 +86,8 @@ DISCOUNTED_MAX_ITER = 200  # Newton iterations of one discounted solve
 ND_LEAF = 16  # nested dissection stops at blocks of at most this many nodes
 ND_LAYOUTS = 8  # _nd_matrix keeps the layouts of this many (grid, unknowns, anchor) keys
 _LAYOUTS: dict = {}  # oldest first
-# Reuse of the last LU (_nd_step, m >= 2). Fill per unknown is 44-71 in 2-d. 1-d
-# steps never reach _nd_step: _tridiagonal_step factors afresh at every step.
-REUSE_FILL = 16
+# Reuse of the last LU (_nd_step, m >= 2). 1-d steps never reach _nd_step:
+# _tridiagonal_step factors afresh at every step.
 REUSE_CONTRACTION = 0.1  # try the held LU only after a step that cut |F|_2 tenfold
 REUSE_ITERATIONS = 10  # GMRES iterations on a held LU before it is dropped
 REUSE_BACKWARD_ERROR = 1e-10  # a fresh diagonal-pivot LU reaches 4e-16 to 5e-11 here
@@ -293,11 +292,10 @@ def _nd_step(
     """step(x, shift, rhs, tol) = J^(-1) rhs, J the rows and columns keep of jacobian_fn(x, shift).
 
     keep is sorted; J is written in _nd_order, node ones_at's column replaced by
-    ones and last (_nd_matrix). The step keeps its last LU when that factor is
-    expensive (more than REUSE_FILL entries per unknown). After a step that cut
-    |rhs|_2 by REUSE_CONTRACTION or more, the next one first tries the held LU
-    (_reused_solve) and factors J afresh by _lu_solve only if that solve is
-    not as good as a direct one; only one LU is held at any time.
+    ones and last (_nd_matrix). The step holds every fresh LU. After a step
+    that cut |rhs|_2 by REUSE_CONTRACTION or more, the next one first tries the
+    held LU (_reused_solve) and factors J afresh by _lu_solve only if that
+    solve is not as good as a direct one; only one LU is held at any time.
     step.counts holds the number of each kind of step.
     """
     held = None
@@ -316,10 +314,8 @@ def _nd_step(
                 counts["reused_steps"] += 1
                 return d[back]
         held = None  # dropped before the fresh factor is built
-        d, lu = _lu_solve(a, b)
+        d, held = _lu_solve(a, b)
         counts["factorizations"] += 1
-        if lu is not None and lu.nnz > REUSE_FILL * b.size:
-            held = lu
         return d[back]
 
     step.counts = counts  # step never names itself: no reference cycle keeps held alive

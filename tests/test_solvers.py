@@ -450,7 +450,7 @@ def test_held_lu_saves_factors_and_agrees_with_fresh_factors(theta, method, monk
     guess = eikonal_initial_guess(spec)
     tol = 1e-8
     reused = solve_ergodic(spec, initial_guess=guess, method=method, tol=tol)
-    monkeypatch.setattr(solvers, "REUSE_FILL", np.inf)  # every step factors afresh
+    monkeypatch.setattr(solvers, "REUSE_CONTRACTION", 0.0)  # every step factors afresh
     fresh = solve_ergodic(spec, initial_guess=guess, method=method, tol=tol)
     iterations = reused.trace.records[-1].iteration
     assert reused.trace.factorizations < iterations
@@ -485,7 +485,6 @@ def test_held_lu_forced_on_in_1d_keeps_the_hard_solves(monkeypatch):
     diverge here.
     """
     monkeypatch.setattr(solvers, "_tridiagonal_step", solvers._nd_step)
-    monkeypatch.setattr(solvers, "REUSE_FILL", 0)
     monkeypatch.setattr(solvers, "REUSE_CONTRACTION", np.inf)
     spec = closed_form_spec(6.0, 1, 8.0, 0.02)
     runs = [
