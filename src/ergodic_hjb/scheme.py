@@ -19,6 +19,7 @@ operator restricted to the interior rows (``solvers.solve_dirichlet``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,19 +43,29 @@ GRADIENT_CLAMP = 1e-10
 STATE_CONSTRAINT = "state_constraint"
 
 
-def _one_sided(values: np.ndarray, h: float):
-    """Per axis, (D^- u, D^+ u) at every node, with 0 on an arm that leaves the grid.
+def _one_sided(values: np.ndarray, h: float) -> Callable[[], list[tuple[np.ndarray, np.ndarray]]]:
+    """differences() -> per axis (D^- u, D^+ u) at every node, 0 on an arm that leaves the grid.
 
-    Both are views of one buffer, the differences along the axis padded by a
-    zero at each end, so a caller must not write to them.
+    Each call differences the entries values holds then, so values may
+    change in place between calls. Per axis the pair are views of one held
+    buffer, the differences along the axis padded by a zero at each end, and
+    are overwritten by the next call; a caller must not write to them.
     """
+    axes, pairs = [], []
     for a in range(values.ndim):
         shape = list(values.shape)
         shape[a] += 1
         u, e = values.swapaxes(0, a), np.zeros(shape).swapaxes(0, a)
-        np.subtract(u[1:], u[:-1], out=e[1:-1])
-        e[1:-1] /= h
-        yield e[:-1].swapaxes(0, a), e[1:].swapaxes(0, a)
+        axes.append((u[1:], u[:-1], e[1:-1]))
+        pairs.append((e[:-1].swapaxes(0, a), e[1:].swapaxes(0, a)))
+
+    def differences() -> list[tuple[np.ndarray, np.ndarray]]:
+        for hi, lo, inner in axes:
+            np.subtract(hi, lo, out=inner)
+            inner /= h
+        return pairs
+
+    return differences
 
 
 @dataclass
@@ -74,11 +85,10 @@ class UpwindState:
 def upwind_state(values: np.ndarray, h: float) -> UpwindState:
     """Godunov upwind slopes at every node; an out-of-grid arm is a zero candidate."""
     p = np.empty((values.ndim,) + values.shape)
-    for a, (back, fwd) in enumerate(_one_sided(values, h)):
+    for a, (back, fwd) in enumerate(_one_sided(values, h)()):
         nf = -fwd
         g = np.maximum(np.maximum(back, nf), 0.0)
-        # ties go backward; where an arm is NaN neither test holds and p is 0
-        p[a] = np.where(back >= nf, g, np.where(back < nf, -g, 0.0))
+        p[a] = np.where(back >= nf, g, -g)  # ties go backward; a NaN arm makes g and p NaN
     return UpwindState(p=p, mag=np.sqrt(np.sum(p**2, axis=0)))
 
 
@@ -88,15 +98,37 @@ def laplacian_and_slope(values: np.ndarray, h: float) -> tuple[np.ndarray, np.nd
     Per axis the Laplacian adds (D^+ u - D^- u) / h: the central second
     difference at interior nodes, only the inward arm at a boundary node.
     |p_a| = max(D^- u, -D^+ u, 0), so |p| equals upwind_state(values, h).mag
-    bit for bit on finite fields.
+    bit for bit, NaN where an arm is NaN.
     """
-    lap = np.zeros(values.shape)
-    sq = np.zeros(values.shape)
-    for back, fwd in _one_sided(values, h):
-        lap += (fwd - back) / h
-        g = np.maximum(np.maximum(back, -fwd), 0.0)
-        sq += g * g
-    return lap, np.sqrt(sq)
+    return _slope_kernel(values, h)()
+
+
+def _slope_kernel(values: np.ndarray, h: float) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+    """kernel() -> (lap, |p|) of the entries values holds then, as laplacian_and_slope.
+
+    The kernel holds its buffers: the differences (_one_sided), lap, |p| and
+    a scratch array, which every call overwrites. A march that updates
+    values in place builds one kernel and allocates nothing per step.
+    """
+    differences = _one_sided(values, h)
+    lap, mag, work = np.empty(values.shape), np.empty(values.shape), np.empty(values.shape)
+
+    def kernel() -> tuple[np.ndarray, np.ndarray]:
+        lap.fill(0.0)
+        mag.fill(0.0)  # the sum of the squared slopes until the root
+        for back, fwd in differences():
+            np.subtract(fwd, back, out=work)
+            np.divide(work, h, out=work)
+            np.add(lap, work, out=lap)
+            np.negative(fwd, out=work)
+            np.maximum(back, work, out=work)
+            np.maximum(work, 0.0, out=work)
+            np.multiply(work, work, out=work)
+            np.add(mag, work, out=mag)
+        np.sqrt(mag, out=mag)
+        return lap, mag
+
+    return kernel
 
 
 @dataclass
@@ -132,14 +164,26 @@ class DiscreteOperator:
         differentiate through the backward branch; for theta < 2 the
         gradient-magnitude factor is clamped below at GRADIENT_CLAMP.
 
-        The matrix is built from its diagonals, at offsets 0 and +-stride of
-        each axis. Per axis, the minus- and plus-neighbour couplings are
-        grid-shaped, with 0 on an arm that leaves the grid; the diagonal sums,
-        axis by axis, the in-grid Laplacian arms and |b[a]|/h, then the shift.
-        The CSR conversion drops exactly the off-grid zeros: an in-grid
-        coupling is <= -1/(2h^2) or NaN, and the diagonal >= 1/(2h^2) for
-        shift >= 0. So the canonical CSR pattern depends on the grid alone,
-        which the cached layout of solvers._nd_matrix relies on.
+        The matrix is built from its diagonals (_diagonals). The CSR
+        conversion drops exactly the off-grid zeros: an in-grid coupling is
+        <= -1/(2h^2) or NaN, and the diagonal >= 1/(2h^2) for shift >= 0. So
+        the canonical CSR pattern depends on the grid alone, which the cached
+        layout of solvers._nd_matrix relies on.
+        """
+        n = values.size
+        diagonals = self._diagonals(values, shift)
+        offsets = sorted(diagonals)  # each row's columns in order, however scipy converts
+        return sp.diags([diagonals[k] for k in offsets], offsets, shape=(n, n), format="csr")
+
+    def _diagonals(self, values: np.ndarray, shift: float) -> dict[int, np.ndarray]:
+        """{offset: diagonal} of jacobian(values, shift), fresh arrays a caller may write to.
+
+        The offsets are 0 and +-stride of each axis, and the diagonal at
+        offset k has n - |k| entries, as sp.diags takes them; in 1-d the
+        offsets -1, 0, 1 are ?gttrf's dl, d and du. Per axis, the minus- and
+        plus-neighbour couplings are grid-shaped, with 0 on an arm that
+        leaves the grid; the diagonal sums, axis by axis, the in-grid
+        Laplacian arms and |b[a]|/h, then the shift.
         """
         h = self.spec.h
         n = values.size
@@ -162,8 +206,7 @@ class DiscreteOperator:
             plus.swapaxes(0, a)[-1] = 0.0
             bands[-stride], bands[stride] = minus.ravel()[stride:], plus.ravel()[: n - stride]
         bands[0] = (diag + shift).ravel()
-        offsets = sorted(bands)  # each row's columns in order, however scipy converts
-        return sp.diags([bands[k] for k in offsets], offsets, shape=(n, n), format="csr")
+        return bands
 
 
 def drift_field(values: np.ndarray, h: float, theta: float) -> np.ndarray:
@@ -189,7 +232,7 @@ def hopf_cole_residual(phi: Field, lam: float, spec: ProblemSpec) -> Field:
     z = -np.exp(-vals)
     lap = np.zeros_like(z)
     grad_sq = np.zeros_like(z)
-    for back, fwd in _one_sided(z, spec.h):  # central differences at interior nodes
+    for back, fwd in _one_sided(z, spec.h)():  # central differences at interior nodes
         lap += (fwd - back) / spec.h
         grad_sq += (0.5 * (back + fwd)) ** 2
 

@@ -28,10 +28,11 @@ Routes implemented here:
 
 Every Newton-type step (Newton, pseudo-time, policy, Dirichlet, discount)
 solves one linear system with the Jacobian (_linear_step). On a 1-d grid that
-matrix is tridiagonal and LAPACK's ?gttrf/?gttrs solve it (_tridiagonal_step);
-on larger dimensions a sparse LU in nested-dissection order does, and may be
-reused (_nd_step). Likewise each march rung's I/dt - 1/2 Lap_h is factored once
-by ?pttrf in 1-d and by a sparse LU otherwise (_rung_solver).
+matrix is tridiagonal: LAPACK's ?gttrf/?gttrs solve it from the operator's
+three diagonals, with no sparse matrix built (_tridiagonal_step). On larger
+dimensions a sparse LU in nested-dissection order does, and may be reused
+(_nd_step). Likewise each march rung's I/dt - 1/2 Lap_h is factored once, by
+?pttrf from its diagonals in 1-d and by a sparse LU otherwise (_rung_solver).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from scipy.sparse.linalg import splu
 
 from .grid import Field, Grid, dump_json
 from .problem import ProblemSpec
-from .scheme import DiscreteOperator, laplacian_and_slope
+from .scheme import DiscreteOperator, _slope_kernel
 
 __all__ = [
     "SolverError",
@@ -165,75 +166,73 @@ def _sup(v: np.ndarray) -> float:
 
 
 def _linear_step(
-    spec: ProblemSpec, jacobian_fn: Callable, keep: np.ndarray, ones_at: Optional[int] = None
+    op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """step(x, shift, rhs, tol) of a Newton-type route: _tridiagonal_step in 1-d, else _nd_step."""
-    return (_tridiagonal_step if spec.m == 1 else _nd_step)(spec, jacobian_fn, keep, ones_at)
+    """step(x, shift, rhs, tol) of a Newton-type route: _tridiagonal_step in 1-d, else _nd_step.
 
-
-def _bands(jac: sp.csr_matrix) -> np.ndarray:
-    """(n, 3) rows (J[i, i-1], J[i, i], J[i, i+1]) of a 1-d operator matrix, 0 outside it.
-
-    The assembler's canonical CSR holds every in-grid arm, so its data is these
-    rows with the two out-of-grid arms left out.
+    Its matrix is op's Jacobian at at(x, shift) = (values, shift), restricted
+    to the rows and columns keep.
     """
-    return np.concatenate(([0.0], jac.data, [0.0])).reshape(-1, 3)
+    return (_tridiagonal_step if op.spec.m == 1 else _nd_step)(op, at, keep, ones_at)
 
 
-def _tridiagonal_solve(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^(-1) b for the tridiagonal A of at least one row, row i = bands[i] as in _bands.
+def _tridiagonal_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^(-1) b for the tridiagonal A of at least one row, with diagonal d and off-diagonals dl, du.
 
-    bands[0, 0] and bands[-1, 2] lie outside A and do not enter the result.
-    ?gttrf's LU with partial pivoting; NaN if a pivot is exactly zero. A
-    system of fewer than 3 rows is padded by identity rows with right-hand
-    side 0, since the LAPACK wrappers need 3.
+    dl[i] = A[i+1, i] and du[i] = A[i, i+1], as ?gttrf takes them. ?gttrf's
+    LU with partial pivoting; NaN if a pivot is exactly zero. A system of
+    fewer than 3 rows is padded by identity rows with right-hand side 0,
+    since the LAPACK wrappers need 3.
     """
-    n = len(bands)
+    n = d.size
     if n < 3:
-        bands = np.vstack([bands, [(0.0, 1.0, 0.0)] * (3 - n)])
+        zeros = np.zeros(3 - n)
+        dl, d, du = np.append(dl, zeros), np.append(d, np.ones(3 - n)), np.append(du, zeros)
         b = np.concatenate([b, np.zeros((3 - n,) + b.shape[1:])])
-    dl, d, du, du2, ipiv, info = dgttrf(bands[1:, 0], bands[:, 1], bands[:-1, 2])
+    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
     if info > 0:
         return np.full(b[:n].shape, np.nan)
     return dgttrs(dl, d, du, du2, ipiv, b)[0][:n]
 
 
 def _tridiagonal_step(
-    spec: ProblemSpec, jacobian_fn: Callable, keep: np.ndarray, ones_at: Optional[int] = None
+    op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
     """1-d twin of _nd_step: the same step(x, shift, rhs, tol) and counts, by ?gttrf/?gttrs.
 
-    In 1-d keep is a run of consecutive nodes, so J is tridiagonal; its bands
-    are read from jacobian_fn(x, shift) (_bands) and factored afresh at every
-    step (a factorization; there is no held LU). Node ones_at (an interior
-    unknown: the anchor is the middle node) has a column of ones, which is
-    eliminated by one Schur complement: with a its row and r the
+    In 1-d keep is a run of consecutive nodes, so J is tridiagonal; its three
+    diagonals are read from op._diagonals(*at(x, shift)) and factored afresh
+    at every step (a factorization; there is no held LU). Node ones_at (an
+    interior unknown: the anchor is the middle node) has a column of ones,
+    which is eliminated by one Schur complement: with a its row and r the
     others, J_rr [x1 x2] = [b_r 1], then d_a = (b_a - J_ar x1) / (1 - J_ar x2)
     and d_r = x1 - d_a x2. The pivot 1 - J_ar x2 >= 1 is the one the ND factor
     takes last (_lu_solve).
     """
     counts = {"factorizations": 0, "reused_steps": 0}
-    rows = slice(keep[0], keep[-1] + 1)
-    a = None if ones_at is None else ones_at - keep[0]
+    first, last = keep[0], keep[-1]
+    a = None if ones_at is None else ones_at - first
     if a is not None and not 0 < a < keep.size - 1:
         raise ValueError(f"the column of ones must belong to an interior unknown, got {ones_at}")
 
     def step(x: np.ndarray, shift: float, rhs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        bands = _bands(jacobian_fn(x, shift))[rows]
+        diagonals = op._diagonals(*at(x, shift))
+        dl, du = diagonals[-1][first:last], diagonals[1][first:last]
+        d = diagonals[0][first:last + 1]
         counts["factorizations"] += 1
         if a is None:
-            return _tridiagonal_solve(bands, rhs)
-        row = bands[a].copy()  # (J[a, a-1], J[a, a], J[a, a+1])
-        bands[a] = (0.0, 1.0, 0.0)  # J_rr, and an identity row that decouples node a
-        bands[a - 1, 2] = bands[a + 1, 0] = 0.0
+            return _tridiagonal_solve(dl, d, du, rhs)
+        ja = dl[a - 1], du[a]  # J_ar: J[a, a-1] and J[a, a+1]
+        dl[a - 1:a + 1] = du[a - 1:a + 1] = 0.0  # J_rr, and an identity row that decouples node a
+        d[a] = 1.0
         b = np.ones((rhs.size, 2))
         b[:, 0] = rhs
-        xs = _tridiagonal_solve(bands, b)  # [x1 x2] off row a, which is decoupled
-        j1, j2 = row[0] * xs[a - 1] + row[2] * xs[a + 1]  # J_ar [x1 x2]
+        xs = _tridiagonal_solve(dl, d, du, b)  # [x1 x2] off row a, which is decoupled
+        j1, j2 = ja[0] * xs[a - 1] + ja[1] * xs[a + 1]  # J_ar [x1 x2]
         da = (rhs[a] - j1) / (1.0 - j2)
-        d = xs[:, 0] - da * xs[:, 1]
-        d[a] = da
-        return d
+        delta = xs[:, 0] - da * xs[:, 1]
+        delta[a] = da
+        return delta
 
     step.counts = counts
     return step
@@ -287,15 +286,16 @@ def _nd_matrix(
 
 
 def _nd_step(
-    spec: ProblemSpec, jacobian_fn: Callable, keep: np.ndarray, ones_at: Optional[int] = None
+    op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """step(x, shift, rhs, tol) = J^(-1) rhs, J the rows and columns keep of jacobian_fn(x, shift).
+    """step(x, shift, rhs, tol) = J^(-1) rhs, J the rows and columns keep of op's Jacobian.
 
-    keep is sorted; J is written in _nd_order, node ones_at's column replaced by
-    ones and last (_nd_matrix). The step holds every fresh LU. After a step
-    that cut |rhs|_2 by REUSE_CONTRACTION or more, the next one first tries the
-    held LU (_reused_solve) and factors J afresh by _lu_solve only if that
-    solve is not as good as a direct one; only one LU is held at any time.
+    J is op.jacobian(*at(x, shift)), and keep is sorted. J is written in
+    _nd_order, node ones_at's column replaced by ones and last (_nd_matrix).
+    The step holds every fresh LU. After a step that cut |rhs|_2 by
+    REUSE_CONTRACTION or more, the next one first tries the held LU
+    (_reused_solve) and factors J afresh by _lu_solve only if that solve is
+    not as good as a direct one; only one LU is held at any time.
     step.counts holds the number of each kind of step.
     """
     held = None
@@ -304,7 +304,7 @@ def _nd_step(
 
     def step(x: np.ndarray, shift: float, rhs: np.ndarray, tol: float = 0.0) -> np.ndarray:
         nonlocal held, last_norm
-        a, pick, back = _nd_matrix(jacobian_fn(x, shift), spec.grid.shape, keep, ones_at)
+        a, pick, back = _nd_matrix(op.jacobian(*at(x, shift)), op.spec.grid.shape, keep, ones_at)
         b = rhs[pick]
         norm = np.linalg.norm(b)
         contracted, last_norm = norm <= REUSE_CONTRACTION * last_norm, norm
@@ -513,7 +513,7 @@ def solve_dirichlet(
     def residual_fn(x: np.ndarray) -> np.ndarray:
         return op.residual_values(assemble(x), lam)[interior]
 
-    step = _linear_step(spec, lambda x, s: op.jacobian(assemble(x), s), unknowns)
+    step = _linear_step(op, lambda x, s: (assemble(x), s), unknowns)
     x, _ = _damped_newton(residual_fn, step, full[interior], tol, max_iter)
     return Field(grid, assemble(x))
 
@@ -542,7 +542,7 @@ def solve_discounted(
         return (op.residual_values(vals, 0.0) + epsilon * vals).ravel()
 
     x0 = initial_guess.values.ravel() if initial_guess is not None else np.zeros(nodes.size)
-    step = _linear_step(spec, lambda x, s: op.jacobian(x.reshape(grid.shape), epsilon + s), nodes)
+    step = _linear_step(op, lambda x, s: (x.reshape(grid.shape), epsilon + s), nodes)
     x, _ = _damped_newton(residual_fn, step, x0, tol, DISCOUNTED_MAX_ITER)
     return Field(grid, x.reshape(grid.shape))
 
@@ -654,9 +654,7 @@ def _solve_square(
     guess = initial_guess.values if initial_guess is not None else np.zeros(grid.shape)
     guess, levels = _coarse_start(spec, guess, tol, max_iter, method)
     z0 = (guess - guess[spec.anchor_index]).ravel()  # lambda starts at 0
-    step_fn = _linear_step(
-        spec, lambda z, s: op.jacobian(split(z)[0], s), np.arange(z0.size), anchor
-    )
+    step_fn = _linear_step(op, lambda z, s: (split(z)[0], s), np.arange(z0.size), anchor)
     try:
         z, records = _damped_newton(
             lambda z: op.residual_values(*split(z)).ravel(), step_fn, z0, 0.5 * tol, max_iter,
@@ -764,9 +762,11 @@ def parabolic_march(
     with dt <= 0.9 h / (m max(1, max|p|)^(theta-1)), cut at T: the explicit
     part u + dt (f - H) is then monotone, and I - dt/2 Lap_h is an M-matrix,
     so the step is. Each rung's matrix is factored once per march
-    (_rung_solver). The step takes u = phi + lambda t to phi + lambda (t + dt)
-    exactly when G_h[phi] + lambda = 0, whatever dt is, because the implicit
-    Laplacian annihilates constants.
+    (_rung_solver), and the work arrays are allocated once (_slope_kernel):
+    every step writes into them and updates u in place. The step takes
+    u = phi + lambda t to phi + lambda (t + dt) exactly when
+    G_h[phi] + lambda = 0, whatever dt is, because the implicit Laplacian
+    annihilates constants.
 
     Returns per-sample (t, min, mean, max) of the rate; the mean at the final
     step is the long-time estimate of the critical value. Since the step is
@@ -790,7 +790,9 @@ def parabolic_march(
     theta, h, m = spec.theta, spec.h, spec.m
     op = DiscreteOperator(spec)
     u = u0.values.astype(float).copy() if u0 is not None else np.zeros(spec.grid.shape)
-    zeros = np.zeros(u.shape)
+    # held for the whole march: every step writes into them and updates u in place
+    slopes = _slope_kernel(u, h)
+    ham, rate = np.empty(u.shape), np.empty(u.shape)
     top = 0.9 * h / m
     rungs = {}  # dt -> solver of I/dt - 1/2 Lap_h
     stats: list[tuple[float, float, float, float]] = []
@@ -801,8 +803,13 @@ def parabolic_march(
     t = 0.0
     step = 0
     while True:
-        lap, mag = laplacian_and_slope(u, h)
-        rate = 0.5 * lap - mag**theta / theta + f
+        lap, mag = slopes()
+        np.multiply(lap, 0.5, out=rate)  # rate = 1/2 lap - |p|^theta / theta + f
+        np.copyto(ham, mag)
+        ham **= theta  # in place, as mag**theta computes it, scalar fast paths included
+        ham /= theta
+        rate -= ham
+        rate += f
         lo, hi = float(rate.min()), float(rate.max())
         if not (lo >= -1e14 and hi <= 1e14):  # also catches nan
             raise SolverError(
@@ -845,8 +852,8 @@ def parabolic_march(
                 ConvergenceTrace(records=records, termination="max_iterations"),
             )
         if dt not in rungs:
-            rungs[dt] = _rung_solver(op.jacobian(zeros, 1.0 / dt), m)
-        u = u + rungs[dt](rate.ravel()).reshape(u.shape)
+            rungs[dt] = _rung_solver(op, dt)
+        u += rungs[dt](rate.ravel()).reshape(u.shape)
         t += dt
         step += 1
     termination = "horizon_reached" if dt <= 0.0 else "floor_reached" if floor else "converged"
@@ -858,17 +865,19 @@ def parabolic_march(
     )
 
 
-def _rung_solver(a: sp.csr_matrix, m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """b -> a^(-1) b for a march rung's a = I/dt - 1/2 Lap_h in m dimensions, factored once.
+def _rung_solver(op: DiscreteOperator, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+    """b -> a^(-1) b for a march rung's a = I/dt - 1/2 Lap_h, factored once.
 
-    a is symmetric positive definite. In 1-d it is tridiagonal: L D L^T by
-    ?pttrf, solved by ?pttrs. Otherwise a sparse LU in minimum degree order on
+    a is op's Jacobian at the zero field shifted by 1/dt, symmetric positive
+    definite. In 1-d it is tridiagonal: L D L^T of its diagonals by ?pttrf,
+    solved by ?pttrs. Otherwise a sparse LU in minimum degree order on
     A^T + A, which halves the 2-d fill of COLAMD.
     """
-    if m > 1:
-        return splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-    bands = _bands(a)
-    d, e, _ = dpttrf(bands[:, 1], bands[:-1, 2])
+    zeros = np.zeros(op.spec.grid.shape)
+    if op.spec.m > 1:
+        return splu(op.jacobian(zeros, 1.0 / dt).tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    diagonals = op._diagonals(zeros, 1.0 / dt)
+    d, e, _ = dpttrf(diagonals[0], diagonals[1])
     return lambda b: dpttrs(d, e, b)[0]
 
 

@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergodic_hjb import solvers
 from ergodic_hjb.grid import Field, Grid
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.scheme import (
@@ -111,6 +112,22 @@ def test_fused_kernel_equals_the_separate_formulas_bitwise(m):
             lap, mag = laplacian_and_slope(u, h)
             assert np.array_equal(lap, separate_laplacian(u, h))
             assert np.array_equal(mag, upwind_state(u, h).mag)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_and_upwind_state_agree_next_to_nan_nodes(m):
+    # a NaN arm makes the slope NaN in both: NaN residual and NaN Jacobian rows
+    n = {1: 41, 2: 17, 3: 9}[m]
+    rng = np.random.default_rng(10 + m)
+    for _ in range(5):
+        u = rng.standard_normal((n,) * m)
+        u.flat[rng.choice(u.size, 3, replace=False)] = np.nan
+        for h in (1.0, 0.1):
+            state = upwind_state(u, h)
+            mag = laplacian_and_slope(u, h)[1]
+            assert np.isnan(mag).sum() > 3  # the NaN nodes and their neighbours
+            assert np.array_equal(state.mag, mag, equal_nan=True)
+            assert np.array_equal(np.isnan(state.p).any(axis=0), np.isnan(mag))
 
 
 def test_godunov_boundary_uses_only_interior_information():
@@ -433,17 +450,13 @@ def test_jacobian_shift_is_added_to_the_diagonal(m):
         assert shifted.data.tobytes() == expected.data.tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_jacobian_pattern_is_independent_of_the_field(m):
-    # 2m+1 arms per node less the out-of-grid ones, whatever the drift
-    spec = closed_form_spec(3.0, m, 1.0, 0.25)
-    op = DiscreteOperator(spec)
+def jacobian_fields(spec):
+    """Zero, eikonal, rough, one-NaN-node, 1e150- and 1e-300-scaled fields on spec's grid."""
     g = spec.grid
-    k = g.shape[0]
     rough = np.random.default_rng(15).standard_normal(g.shape)
     nan_node = rough.copy()
     nan_node.flat[g.n_nodes // 3] = np.nan
-    fields = [
+    return [
         np.zeros(g.shape),
         eikonal_initial_guess(spec).values,
         rough,
@@ -451,10 +464,43 @@ def test_jacobian_pattern_is_independent_of_the_field(m):
         1e150 * rough,
         1e-300 * rough,
     ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_jacobian_pattern_is_independent_of_the_field(m):
+    # 2m+1 arms per node less the out-of-grid ones, whatever the drift
+    spec = closed_form_spec(3.0, m, 1.0, 0.25)
+    op = DiscreteOperator(spec)
+    g = spec.grid
+    k = g.shape[0]
     # the conversion from diagonals drops zeros: none of these may lose an arm
+    fields = jacobian_fields(spec)
     jacs = [op.jacobian(v, shift) for v in fields for shift in (0.0, 1.0 / PTC_TAU0)]
     for jac in jacs:
         assert jac.has_canonical_format
         assert jac.nnz == g.n_nodes + 2 * m * (k - 1) * k ** (m - 1)
         assert np.array_equal(jac.indptr, jacs[0].indptr)
         assert np.array_equal(jac.indices, jacs[0].indices)
+
+
+def test_tridiagonal_step_reads_the_jacobians_diagonals(monkeypatch):
+    # a 1-d step factors the operator's diagonals without building the CSR
+    # matrix: they must be the matrix's, byte for byte
+    spec = closed_form_spec(3.0, 1, 1.0, 0.25)
+    op = DiscreteOperator(spec)
+    n = spec.grid.n_nodes
+    read = []
+    tridiagonal_solve = solvers._tridiagonal_solve
+
+    def recording_solve(dl, d, du, b):
+        read.append((dl.copy(), d.copy(), du.copy()))
+        return tridiagonal_solve(dl, d, du, b)
+
+    monkeypatch.setattr(solvers, "_tridiagonal_solve", recording_solve)
+    for v in jacobian_fields(spec):
+        for shift in (0.0, 1.0 / PTC_TAU0):
+            step = solvers._tridiagonal_step(op, lambda x, s: (v, s), np.arange(n))
+            step(None, shift, np.ones(n))
+            jac = op.jacobian(v, shift)
+            for diagonal, k in zip(read.pop(), (-1, 0, 1)):
+                assert diagonal.tobytes() == jac.diagonal(k).tobytes()

@@ -3,6 +3,7 @@
 import gc
 import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from ergodic_hjb import solvers
 from ergodic_hjb.analysis import check_interior_minimum
+from ergodic_hjb.config import build_spec, parse_config
 from ergodic_hjb.grid import Field
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.scheme import DiscreteOperator, laplacian_and_slope, upwind_state
@@ -321,9 +323,9 @@ def test_ergodic_normalization_and_trace_invariants(monkeypatch):
     linear_solves = []
     tridiagonal_solve = solvers._tridiagonal_solve
 
-    def counting_solve(bands, b):
-        linear_solves.append(bands.shape)
-        return tridiagonal_solve(bands, b)
+    def counting_solve(dl, d, du, b):
+        linear_solves.append(d.shape)
+        return tridiagonal_solve(dl, d, du, b)
 
     monkeypatch.setattr(solvers, "_tridiagonal_solve", counting_solve)
     spec = closed_form_spec(3.0, 1, 6.0, 0.05)
@@ -378,7 +380,7 @@ def square_step(spec, phi, lam, shift):
     n = spec.grid.n_nodes
     anchor = int(np.ravel_multi_index(spec.anchor_index, spec.grid.shape))
     op = DiscreteOperator(spec)
-    step_fn = solvers._nd_step(spec, lambda z, s: op.jacobian(phi, s), np.arange(n), anchor)
+    step_fn = solvers._nd_step(op, lambda z, s: (phi, s), np.arange(n), anchor)
     step = step_fn(None, shift, -op.residual_values(phi, lam).ravel())
     x = np.append(step, step[anchor])  # lambda rides in the anchor's slot
     x[anchor] = 0.0
@@ -574,12 +576,12 @@ def test_tridiagonal_step_agrees_with_the_nd_step(theta, shift, route):
     for seed in (1, 2):
         phi = random_smooth_field(spec.grid, seed).values
 
-        def jacobian_fn(x, s):
-            return op.jacobian(phi, base + s)
+        def at(x, s):
+            return phi, base + s
 
         rhs = -op.residual_values(phi, 0.7).ravel()[keep]
-        d = solvers._tridiagonal_step(spec, jacobian_fn, keep, ones_at)(None, shift, rhs)
-        a = jacobian_fn(None, shift)[keep][:, keep].toarray()
+        d = solvers._tridiagonal_step(op, at, keep, ones_at)(None, shift, rhs)
+        a = op.jacobian(*at(None, shift))[keep][:, keep].toarray()
         if ones_at is not None:
             a[:, ones_at] = 1.0
         cond = np.linalg.cond(a, np.inf)
@@ -589,19 +591,20 @@ def test_tridiagonal_step_agrees_with_the_nd_step(theta, shift, route):
         size = np.abs(a).sum(axis=1).max() * np.abs(d).max() + np.abs(rhs).max()
         assert np.abs(a @ d - rhs).max() <= 1e-14 * size
         for ref in (
-            solvers._nd_step(spec, jacobian_fn, keep, ones_at)(None, shift, rhs),
+            solvers._nd_step(op, at, keep, ones_at)(None, shift, rhs),
             spsolve(sp.csc_matrix(a), rhs),
         ):
             assert np.abs(d - ref).max() <= 10.0 * cond * np.finfo(float).eps * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("route", ["square", "dirichlet", "discount"])
-def test_singular_tridiagonal_factor_gives_a_nan_step(route):
+def test_singular_tridiagonal_factor_gives_a_nan_step(route, monkeypatch):
     spec = closed_form_spec(2.0, 1, 2.0, 0.25)
     base, keep, ones_at = tridiagonal_route(spec, route)
-    zero = DiscreteOperator(spec).jacobian(np.zeros(spec.grid.shape))
-    zero.data[:] = 0.0  # the pattern stays, every entry is 0
-    step = solvers._tridiagonal_step(spec, lambda x, s: zero, keep, ones_at)
+    op = DiscreteOperator(spec)
+    n = spec.grid.n_nodes
+    monkeypatch.setattr(op, "_diagonals", lambda v, s: {k: np.zeros(n - abs(k)) for k in (-1, 0, 1)})
+    step = solvers._tridiagonal_step(op, lambda x, s: (x, s), keep, ones_at)
     assert np.all(np.isnan(step(None, 0.0, np.ones(keep.size))))
     assert step.counts == {"factorizations": 1, "reused_steps": 0}
 
@@ -613,8 +616,9 @@ def test_tridiagonal_solve_on_systems_of_one_to_four_rows(n):
     bands[:, 1] += 3.0
     a = np.diag(bands[:, 1]) + np.diag(bands[1:, 0], -1) + np.diag(bands[:-1, 2], 1)
     b = rng.standard_normal((n, 2))
-    assert np.allclose(solvers._tridiagonal_solve(bands, b), np.linalg.solve(a, b), rtol=1e-14)
-    assert np.allclose(solvers._tridiagonal_solve(bands, b[:, 0]), np.linalg.solve(a, b[:, 0]))
+    diagonals = bands[1:, 0], bands[:, 1], bands[:-1, 2]  # dl, d, du
+    assert np.allclose(solvers._tridiagonal_solve(*diagonals, b), np.linalg.solve(a, b), rtol=1e-14)
+    assert np.allclose(solvers._tridiagonal_solve(*diagonals, b[:, 0]), np.linalg.solve(a, b[:, 0]))
 
 
 @pytest.mark.parametrize(
@@ -982,11 +986,70 @@ def test_imex_step_is_monotone(m, theta, scale, seed):
 def test_rung_solver_agrees_with_spsolve(m, radius, h):
     spec = closed_form_spec(2.0, m, radius, h)
     rhs = random_smooth_field(spec.grid, 4).values.ravel()
+    op = DiscreteOperator(spec)
     for dt in (0.9 * h / m, 1e-3):
-        a = DiscreteOperator(spec).jacobian(np.zeros(spec.grid.shape), 1.0 / dt)
+        a = op.jacobian(np.zeros(spec.grid.shape), 1.0 / dt)
         ref = spsolve(a.tocsc(), rhs)
-        got = solvers._rung_solver(a, m)(rhs)
+        got = solvers._rung_solver(op, dt)(rhs)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)) * a.shape[0]
+
+
+def test_verify_march_is_pinned_and_holds_no_state(monkeypatch):
+    """The march of the verify instance (801 nodes, T = 50) to its rounding floor.
+
+    The step count and the read-offs are pinned bit for bit. Two marches in
+    one process agree byte for byte, so no state survives in the arrays a
+    march holds, and nothing a march returns shares memory with them.
+    """
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "verify_suite.cfg"
+    spec = build_spec(parse_config(shipped.read_text()))
+    work = {}  # the march's field, lap, |p| and rate
+    slope_kernel, rung_solver = solvers._slope_kernel, solvers._rung_solver
+
+    def recording_kernel(values, h):
+        kernel = slope_kernel(values, h)
+
+        def recorded():
+            lap, mag = kernel()
+            work.update(u=values, lap=lap, mag=mag)
+            return lap, mag
+
+        return recorded
+
+    def recording_rung_solver(op, dt):
+        solve = rung_solver(op, dt)
+
+        def recorded(b):
+            work["rate"] = b
+            return solve(b)
+
+        return recorded
+
+    monkeypatch.setattr(solvers, "_slope_kernel", recording_kernel)
+    monkeypatch.setattr(solvers, "_rung_solver", recording_rung_solver)
+    runs = []
+    for _ in range(2):
+        work.clear()
+        march = parabolic_march(spec, T=50.0, tol=1e-8)
+        returned = (march.profile.values, march.settled.phi.values)
+        assert len(work) == 4
+        assert not any(np.shares_memory(r, w) for r in returned for w in work.values())
+        read_offs = (march.lambda_hat, march.lambda_lo, march.lambda_hi, march.settled.lam)
+        runs.append((
+            march.n_steps,
+            [x.hex() for x in read_offs],
+            np.array(march.rate_stats).tobytes(),
+            march.profile.values.tobytes(),
+            march.settled.phi.values.tobytes(),
+        ))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 8771
+    assert runs[0][1] == [
+        "0x1.b772abbf6512ep+0",  # lambda_hat
+        "0x1.b772abbf60005p+0",  # lambda_lo
+        "0x1.b772abbf75500p+0",  # lambda_hi
+        "0x1.b772abc66c80dp+0",  # settled.lam
+    ]
 
 
 def test_parabolic_long_run_matches_ergodic_solve():
