@@ -38,7 +38,7 @@ from .config import (
     build_spec,
     parse_config,
 )
-from .grid import dump_json, field_to_csv
+from .grid import _fmt, dump_json, field_to_csv
 from .problem import ProblemSpec, make_pure_power_rhs
 from .scheme import STATE_CONSTRAINT
 from .solvers import (
@@ -70,10 +70,6 @@ def _write_meta(out: Path, wall_s: float, extra: dict | None = None) -> None:
 
 def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-
-
-def _f(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # -- solve ------------------------------------------------------------------------
@@ -164,14 +160,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 
     header = [axis, "lambda", "residual_sup", "status"]
     body = [
-        [_f(r["value"]),
-         _f(r["lambda"]) if r["lambda"] is not None else "",
-         _f(r["residual"]) if r["residual"] is not None else "",
+        [_fmt(r["value"]),
+         _fmt(r["lambda"]) if r["lambda"] is not None else "",
+         _fmt(r["residual"]) if r["residual"] is not None else "",
          r["status"]]
         for r in rows
     ]
     _write(out / "sweep.csv", _csv(header, body))
-    timing = [[_f(r["value"]), _f(r["wall_s"])] for r in rows]
+    timing = [[_fmt(r["value"]), _fmt(r["wall_s"])] for r in rows]
     _write(out / "sweep_timing.csv", _csv([axis, "wall_time_s"], timing))
     _write_meta(out, time.perf_counter() - start, {"axis": axis, "n_rows": len(rows)})
     ok = all(r["status"] == "ok" for r in rows)
@@ -220,7 +216,7 @@ def _growth_exponent(cfg: ExperimentConfig, spec: ProblemSpec):
     rr = sol.phi.grid.radii().ravel()
     shifted = (sol.phi.values - sol.phi.values.min() + 1.0).ravel()
     mask = rr > 0
-    rows = [[_f(r), _f(val)] for r, val in zip(rr[mask], shifted[mask])]
+    rows = [[_fmt(r), _fmt(val)] for r, val in zip(rr[mask], shifted[mask])]
     return [rep], {"growth_loglog.csv": (["abs_y", "phi_shifted"], rows)}
 
 
@@ -238,8 +234,8 @@ def _uniqueness(cfg: ExperimentConfig, spec: ProblemSpec):
 
 def _cross_method(cfg: ExperimentConfig, spec: ProblemSpec):
     rep, march, drows = check_cross_method(spec, pair_tol=CHECK_TOL, solver_tol=cfg.numerics.tol)
-    rates = [[_f(t), _f(a), _f(b), _f(c)] for t, a, b, c in march.rate_stats]
-    path = [[_f(r["epsilon"]), _f(r["lambda"])] for r in drows]
+    rates = [[_fmt(t), _fmt(a), _fmt(b), _fmt(c)] for t, a, b, c in march.rate_stats]
+    path = [[_fmt(r["epsilon"]), _fmt(r["lambda"])] for r in drows]
     return [rep], {
         "parabolic_rate.csv": (["t", "rate_min", "rate_mean", "rate_max"], rates),
         "discount_path.csv": (["epsilon", "lambda"], path),
@@ -251,13 +247,13 @@ def _radius_monotonicity(cfg: ExperimentConfig, spec: ProblemSpec):
     rep, table = check_radius_monotonicity(
         spec, radii=(big / 2, 3 * big / 4, big), slack=CHECK_TOL, solver_tol=cfg.numerics.tol
     )
-    rows = [[_f(r["radius"]), _f(r["lambda"])] for r in table]
+    rows = [[_fmt(r["radius"]), _fmt(r["lambda"])] for r in table]
     return [rep], {"lambda_vs_radius.csv": (["radius", "lambda"], rows)}
 
 
 def _lambda_star_characterization(cfg: ExperimentConfig, spec: ProblemSpec):
     rep, table = check_lambda_star_characterization(spec, solver_tol=cfg.numerics.tol)
-    rows = [[_f(r["lambda"]), "1" if r["solvable"] else "0"] for r in table]
+    rows = [[_fmt(r["lambda"]), "1" if r["solvable"] else "0"] for r in table]
     return [rep], {"dirichlet_bisection.csv": (["lambda", "solvable"], rows)}
 
 
@@ -331,10 +327,10 @@ def run_verify(cfg: ExperimentConfig, out_dir: str) -> int:
     _write(out / "verdicts.json", dump_json([asdict(r) for r in verdicts]) + "\n")
     summary_rows = []
     for r in verdicts:
-        measured = ";".join(f"{k}={_f(val)}" for k, val in r.measured.items())
-        predicted = ";".join(f"{k}={_f(val)}" for k, val in r.predicted.items())
+        measured = ";".join(f"{k}={_fmt(val)}" for k, val in r.measured.items())
+        predicted = ";".join(f"{k}={_fmt(val)}" for k, val in r.predicted.items())
         summary_rows.append(
-            [r.name, "pass" if r.passed else "fail", measured, predicted, _f(r.tolerance)]
+            [r.name, "pass" if r.passed else "fail", measured, predicted, _fmt(r.tolerance)]
         )
     _write(
         out / "verdicts.csv",

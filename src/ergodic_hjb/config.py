@@ -219,26 +219,20 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"[run] seed must be nonnegative, got {run.seed}")
 
     problem = ProblemSettings(**typed("problem"))
-    if not problem.theta > 1:
-        raise ConfigError(f"[problem] theta must exceed 1, got {problem.theta}")
     if problem.dim not in (1, 2, 3):
         raise ConfigError(f"[problem] dim must be 1, 2, or 3, got {problem.dim}")
     if problem.rhs not in RHS_FORMS:
         raise ConfigError(f"[problem] rhs must be one of {tuple(RHS_FORMS)}, got {problem.rhs!r}")
-    if problem.coeff <= 0:
-        raise ConfigError(f"[problem] coeff must be positive, got {problem.coeff}")
-    if problem.alpha < 0:
-        raise ConfigError(f"[problem] alpha must be >= 0, got {problem.alpha}")
-    if problem.rhs == "pure_power" and problem.alpha < 1:
-        raise ConfigError(f"[problem] rhs = pure_power needs alpha >= 1, got {problem.alpha}")
 
     numerics = NumericsSettings(**typed("numerics"))
-    if numerics.radius <= 0 or numerics.h <= 0 or numerics.h > numerics.radius:
-        raise ConfigError("[numerics] need radius > 0 and 0 < h <= radius")
     if numerics.tol <= 0 or (numerics.max_iter is not None and numerics.max_iter <= 0):
         raise ConfigError("[numerics] need tol > 0 and max_iter > 0")
     if numerics.method not in METHODS:
         raise ConfigError(f"[numerics] method must be one of {METHODS}, got {numerics.method!r}")
+    try:  # ProblemSpec, Grid and the rhs factories refuse theta, the box and the rhs values
+        spec = build_spec(ExperimentConfig(problem=problem, numerics=numerics))
+    except ValueError as exc:
+        raise ConfigError(f"[problem]/[numerics] (rhs = {problem.rhs}): {exc}") from exc
 
     out_dir = typed("output").get("dir", "out")
 
@@ -280,7 +274,7 @@ def parse_config(text: str) -> ExperimentConfig:
         for name in ("growth_exponent", "continuity_bound"):
             if name in verify.checks and problem.alpha < 1:
                 raise ConfigError(f"[verify] {name} needs [problem] alpha >= 1")
-        if "continuity_bound" in verify.checks and not build_rhs(problem).min_value() > 0:
+        if "continuity_bound" in verify.checks and not spec.rhs.min_value() > 0:
             raise ConfigError("[verify] continuity_bound needs f > 0: raise [problem] shift")
     elif "verify" in sections:
         raise ConfigError(f"[verify] section is only valid for mode=verify (mode={run.mode})")

@@ -180,7 +180,7 @@ class DiscreteOperator:
 
         The offsets are 0 and +-stride of each axis, and the diagonal at
         offset k has n - |k| entries, as sp.diags takes them; in 1-d the
-        offsets -1, 0, 1 are ?gttrf's dl, d and du. Per axis, the minus- and
+        offsets -1, 0, 1 are ?gtsv's dl, d and du. Per axis, the minus- and
         plus-neighbour couplings are grid-shaped, with 0 on an arm that
         leaves the grid; the diagonal sums, axis by axis, the in-grid
         Laplacian arms and |b[a]|/h, then the shift.

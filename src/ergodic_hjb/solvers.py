@@ -28,8 +28,8 @@ Routes implemented here:
 
 Every Newton-type step (Newton, pseudo-time, policy, Dirichlet, discount)
 solves one linear system with the Jacobian (_linear_step). On a 1-d grid that
-matrix is tridiagonal: LAPACK's ?gttrf/?gttrs solve it from the operator's
-three diagonals, with no sparse matrix built (_tridiagonal_step). On larger
+matrix is tridiagonal: LAPACK's ?gtsv solves it from the operator's three
+diagonals, with no sparse matrix built (_tridiagonal_step). On larger
 dimensions a sparse LU in nested-dissection order does, and may be reused
 (_nd_step). Likewise each march rung's I/dt - 1/2 Lap_h is factored once, by
 ?pttrf from its diagonals in 1-d and by a sparse LU otherwise (_rung_solver).
@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from .grid import Field, Grid, dump_json
@@ -179,26 +179,20 @@ def _linear_step(
 def _tridiagonal_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A^(-1) b for the tridiagonal A of at least one row, with diagonal d and off-diagonals dl, du.
 
-    dl[i] = A[i+1, i] and du[i] = A[i, i+1], as ?gttrf takes them. ?gttrf's
-    LU with partial pivoting; NaN if a pivot is exactly zero. A system of
-    fewer than 3 rows is padded by identity rows with right-hand side 0,
-    since the LAPACK wrappers need 3.
+    dl[i] = A[i+1, i] and du[i] = A[i, i+1], as ?gtsv takes them. ?gtsv's
+    elimination with partial pivoting; NaN if a pivot is exactly zero. Its
+    wrapper needs 2 rows, so a 1-row system is divided out.
     """
-    n = d.size
-    if n < 3:
-        zeros = np.zeros(3 - n)
-        dl, d, du = np.append(dl, zeros), np.append(d, np.ones(3 - n)), np.append(du, zeros)
-        b = np.concatenate([b, np.zeros((3 - n,) + b.shape[1:])])
-    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
-    if info > 0:
-        return np.full(b[:n].shape, np.nan)
-    return dgttrs(dl, d, du, du2, ipiv, b)[0][:n]
+    if d.size == 1:
+        return b / d[0] if d[0] != 0.0 else np.full(b.shape, np.nan)
+    *_, x, info = dgtsv(dl, d, du, b)
+    return np.full(b.shape, np.nan) if info > 0 else x
 
 
 def _tridiagonal_step(
     op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """1-d twin of _nd_step: the same step(x, shift, rhs, tol) and counts, by ?gttrf/?gttrs.
+    """1-d twin of _nd_step: the same step(x, shift, rhs, tol) and counts, by ?gtsv.
 
     In 1-d keep is a run of consecutive nodes, so J is tridiagonal; its three
     diagonals are read from op._diagonals(*at(x, shift)) and factored afresh
@@ -574,8 +568,6 @@ def discounted_lambda_path(
         res = _sup(op.residual_values(phi.values, 0.0) + eps * phi.values)
         rows.append({"epsilon": eps, "lambda": lam_eps, "residual_sup": res})
         guess, lam_prev, eps_prev = phi, lam_eps, eps
-    if len(rows) < 2:
-        return rows, float(rows[-1]["lambda"])
     eps_arr = np.array([r["epsilon"] for r in rows])
     lam_arr = np.array([r["lambda"] for r in rows])
     return rows, float(np.polyfit(eps_arr, lam_arr, min(2, len(rows) - 1))[-1])  # the intercept
@@ -585,15 +577,16 @@ def discounted_lambda_path(
 
 
 def _finalize(
-    spec: ProblemSpec,
+    op: DiscreteOperator,
     values: np.ndarray,
     lam: float,
     records: list[TraceRecord],
     method: str,
     tol: float,
 ) -> ErgodicSolution:
+    spec = op.spec
     vals = values - values[spec.anchor_index]
-    res = _sup(DiscreteOperator(spec).residual_values(vals, lam))
+    res = _sup(op.residual_values(vals, lam))
     records = records[:-1] + [replace(records[-1], residual_sup=res)]
     trace = ConvergenceTrace(records=records, termination="converged")
     if not np.all(np.isfinite(vals)):
@@ -661,7 +654,7 @@ def _solve_square(
             lambda z: split(z)[1], tau=np.inf if method == "policy_iteration" else None,
             stall_tau=PTC_TAU0,
         )
-        sol = _finalize(spec, *split(z), records, method, tol)
+        sol = _finalize(op, *split(z), records, method, tol)
     except SolverError as exc:
         exc.trace = replace(exc.trace, **step_fn.counts, coarse_levels=levels)
         raise
@@ -786,9 +779,8 @@ def parabolic_march(
     the data (right-hand side or initial field), not at the step size. More
     than max_steps steps raise SolverError.
     """
-    f = spec.f_field().values
-    theta, h, m = spec.theta, spec.h, spec.m
     op = DiscreteOperator(spec)
+    f, theta, h, m = op._f, spec.theta, spec.h, spec.m
     u = u0.values.astype(float).copy() if u0 is not None else np.zeros(spec.grid.shape)
     # held for the whole march: every step writes into them and updates u in place
     slopes = _slope_kernel(u, h)
@@ -827,7 +819,7 @@ def parabolic_march(
         if settled is None and hi - lo <= 0.5 * tol:
             lam = float(rate.mean())
             settled = _finalize(
-                spec, u, lam, records + [TraceRecord(step, hi - lo, lam, None)],
+                op, u, lam, records + [TraceRecord(step, hi - lo, lam, None)],
                 "relative_value_iteration", tol,
             )
         floor = step - last_shrink >= MARCH_FLOOR_STEPS

@@ -85,6 +85,24 @@ def test_invalid_values_are_rejected():
         parse_config(BASE.replace("rhs = power", "rhs = pure_power"))  # alpha = 0 < 1
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("theta = 2.0", "theta = 1.0", "exponent theta must exceed 1, got 1.0"),
+        ("coeff = 1.0", "coeff = 0.0", "coefficient must be positive, got 0.0"),
+        ("alpha = 0.0", "alpha = -1.0", "growth exponent must be >= 0, got -1.0"),
+        ("radius = 2.0", "radius = -2.0", "radius must be positive, got -2.0"),
+        ("h = 0.1", "h = 2.5", "spacing must lie in (0, radius], got 2.5"),
+    ],
+)
+def test_refused_problem_values_report_the_constructors_message(tmp_path, old, new, message):
+    text = BASE.replace(old, new)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == f"[problem]/[numerics] (rhs = power): {message}"
+    assert main(["solve", "--config", write_cfg(tmp_path, text)]) == 1
+
+
 def test_non_finite_floats_are_rejected(tmp_path, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a config with a non-finite float must not reach a solve")

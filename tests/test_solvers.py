@@ -1,5 +1,6 @@
 """Solver routes: Dirichlet, discounted, state-constraint ergodic, parabolic."""
 
+import functools
 import gc
 import json
 import weakref
@@ -11,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu, spsolve
 
 from ergodic_hjb import solvers
@@ -301,6 +303,49 @@ def test_ergodic_extreme_exponents(theta, method):
     spec = closed_form_spec(theta, 1, 8.0, 0.02)
     sol = solve_ergodic(spec, method=method, tol=1e-8)
     assert sol.lam == pytest.approx(closed_form_lambda(1), abs=0.02)
+
+
+HARD_GRIDS = {1: (8.0, 0.02), 2: (3.0, 0.1)}  # m -> (radius, h) of the hard-case matrix
+# (theta, m) on which Howard's full step from random_smooth_field seed 0 overflows
+HOWARD_OVERFLOWS = {(2.0, 1), (6.0, 1), (6.0, 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def eikonal_newton(theta, m):
+    spec = closed_form_spec(theta, m, *HARD_GRIDS[m])
+    return solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=1e-8)
+
+
+@pytest.mark.parametrize("start", ["zero", "eikonal", "random"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("theta", [1.1, 2.0, 6.0])
+@pytest.mark.parametrize("method", ["newton_augmented", "policy_iteration"])
+def test_hard_case_matrix_reaches_the_eikonal_newton_pair(method, theta, m, start):
+    """Both square-system methods, three exponents, two grids and three starts at tol 1e-8.
+
+    Each converged solve meets tol and agrees with the eikonal-start Newton
+    solve in lambda and, up to 10 tol, in phi less a constant. Policy
+    iteration from the random field on HOWARD_OVERFLOWS raises SolverError
+    with termination non_finite_step instead, and is pinned so.
+    """
+    tol = 1e-8
+    ref = eikonal_newton(theta, m)
+    spec = ref.spec
+    guess = {
+        "zero": None,
+        "eikonal": eikonal_initial_guess(spec),
+        "random": random_smooth_field(spec.grid, 0),
+    }[start]
+    if method == "policy_iteration" and start == "random" and (theta, m) in HOWARD_OVERFLOWS:
+        with pytest.raises(SolverError) as info:
+            solve_ergodic(spec, initial_guess=guess, method=method, tol=tol)
+        assert info.value.trace.termination == "non_finite_step"
+        return
+    sol = solve_ergodic(spec, initial_guess=guess, method=method, tol=tol)
+    diff = sol.phi.values - ref.phi.values
+    assert sol.residual_sup <= tol
+    assert abs(sol.lam - ref.lam) <= tol
+    assert diff.max() - diff.min() <= 10.0 * tol
 
 
 def test_ergodic_methods_agree_2d():
@@ -609,16 +654,42 @@ def test_singular_tridiagonal_factor_gives_a_nan_step(route, monkeypatch):
     assert step.counts == {"factorizations": 1, "reused_steps": 0}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def gttrf_gttrs_solve(dl, d, du, b):
+    """The reference solve: ?gttrf's LU, then ?gttrs. A system of fewer than 3
+    rows is padded by identity rows with right-hand side 0, since those
+    wrappers need 3."""
+    n = d.size
+    if n < 3:
+        zeros = np.zeros(3 - n)
+        dl, d, du = np.append(dl, zeros), np.append(d, np.ones(3 - n)), np.append(du, zeros)
+        b = np.concatenate([b, np.zeros((3 - n,) + b.shape[1:])])
+    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
+    if info > 0:
+        return np.full(b[:n].shape, np.nan)
+    return dgttrs(dl, d, du, du2, ipiv, b)[0][:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 801])
 def test_tridiagonal_solve_on_systems_of_one_to_four_rows(n):
+    """?gtsv, and the division of a 1-row system, equal the ?gttrf/?gttrs pair byte for byte."""
     rng = np.random.default_rng(n)
-    bands = rng.uniform(-1.0, 1.0, (n, 3))
-    bands[:, 1] += 3.0
-    a = np.diag(bands[:, 1]) + np.diag(bands[1:, 0], -1) + np.diag(bands[:-1, 2], 1)
     b = rng.standard_normal((n, 2))
-    diagonals = bands[1:, 0], bands[:, 1], bands[:-1, 2]  # dl, d, du
-    assert np.allclose(solvers._tridiagonal_solve(*diagonals, b), np.linalg.solve(a, b), rtol=1e-14)
-    assert np.allclose(solvers._tridiagonal_solve(*diagonals, b[:, 0]), np.linalg.solve(a, b[:, 0]))
+    for boost in (3.0, 0.0):  # diagonally dominant, then rows that pivot
+        bands = rng.uniform(-1.0, 1.0, (n, 3))
+        bands[:, 1] += boost
+        a = np.diag(bands[:, 1]) + np.diag(bands[1:, 0], -1) + np.diag(bands[:-1, 2], 1)
+        diagonals = bands[1:, 0], bands[:, 1], bands[:-1, 2]  # dl, d, du
+        bound = 100.0 * np.linalg.cond(a, 1) * np.finfo(float).eps
+        for rhs in (b, b[:, 0]):
+            x = solvers._tridiagonal_solve(*diagonals, rhs)
+            assert x.shape == rhs.shape
+            assert x.tobytes() == gttrf_gttrs_solve(*diagonals, rhs).tobytes()
+            assert np.abs(x - np.linalg.solve(a, rhs)).max() <= bound * np.abs(x).max()
+    dl, d, du = (np.array(v) for v in diagonals)
+    d[0] = dl[:1] = 0.0  # a zero first column: the first pivot is exactly zero
+    for rhs in (b, b[:, 0]):
+        assert np.isnan(solvers._tridiagonal_solve(dl, d, du, rhs)).all()
+        assert np.isnan(gttrf_gttrs_solve(dl, d, du, rhs)).all()
 
 
 @pytest.mark.parametrize(
