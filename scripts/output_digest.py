@@ -36,7 +36,7 @@ def main():
 
     worst = 0
     for cfg in args.configs or sorted(CONFIGS.glob("*.cfg")):
-        mode = parse_config(cfg.read_text()).run.mode
+        mode = parse_config(cfg.read_text()).mode
         with tempfile.TemporaryDirectory() as tmp:
             with contextlib.redirect_stdout(sys.stderr):  # verify prints its verdicts
                 code = cli_main([mode, "--config", str(cfg), "--out", tmp])

@@ -14,8 +14,8 @@ from ergodic_hjb.cli import main as cli_main
 from ergodic_hjb.config import (
     ExperimentConfig,
     NumericsSettings,
+    OutputSettings,
     ProblemSettings,
-    RunSettings,
     SweepSettings,
     config_to_text,
 )
@@ -34,13 +34,12 @@ def main():
 
     out = Path(args.out)
     cfg = ExperimentConfig(
-        run=RunSettings(mode="sweep"),
         problem=ProblemSettings(
             theta=args.theta, dim=args.dim, rhs="pure_power", alpha=args.alpha, coeff=args.coeff
         ),
         numerics=NumericsSettings(radius=max(args.radii), h=args.h),
         sweep=SweepSettings(axis="radius", values=tuple(sorted(args.radii))),
-        out_dir=str(out),
+        output=OutputSettings(dir=str(out)),
     )
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "sweep.cfg"

@@ -61,7 +61,6 @@ SHIFT_C = 1.0  # the constant added to f by check_shift_equivariance
 DIRICHLET_BRACKET_TOL = 0.01  # bisection width of the Dirichlet-solvability threshold
 DIRICHLET_BRACKET_DOUBLINGS = 5  # how often a still-solvable upper bracket may double
 DIRICHLET_MARGIN = 0.05  # how far below the critical value a Dirichlet level must lie
-DIRICHLET_MAX_ITER = 80  # Newton iterations per Dirichlet solve
 INTERIOR_MINIMUM_TOL = 1e-6
 ORACLE_TOL = 0.05
 
@@ -459,9 +458,7 @@ def _dirichlet_solvable(
     grid = spec.grid
     data = Field(grid, np.zeros(grid.shape))
     try:
-        phi = solve_dirichlet(
-            spec, lam, data, initial_guess=initial_guess, tol=tol, max_iter=DIRICHLET_MAX_ITER
-        )
+        phi = solve_dirichlet(spec, lam, data, initial_guess=initial_guess, tol=tol)
         return True, phi
     except SolverError:
         return False, None

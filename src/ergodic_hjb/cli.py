@@ -211,8 +211,7 @@ def _lambda_shape(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _growth_exponent(cfg: ExperimentConfig, spec: ProblemSpec):
-    p = cfg.problem
-    rep, sol = check_growth_exponent(p.theta, p.alpha, m=p.dim, tol=cfg.numerics.tol)
+    rep, sol = check_growth_exponent(spec.theta, spec.rhs.alpha, m=spec.m, tol=cfg.numerics.tol)
     rr = sol.phi.grid.radii().ravel()
     shifted = (sol.phi.values - sol.phi.values.min() + 1.0).ravel()
     mask = rr > 0
@@ -377,9 +376,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         cfg = parse_config(text)
-        if cfg.run.mode != args.command:
+        if cfg.mode != args.command:
             raise ConfigError(
-                f"config mode {cfg.run.mode!r} does not match subcommand {args.command!r}"
+                f"subcommand {args.command!r} needs a {args.command} config; this one is for "
+                f"{cfg.mode!r} ([sweep] means sweep, [verify] verify, neither solve)"
             )
         if args.seed is not None:
             if args.seed < 0:
@@ -388,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out_dir = args.out or cfg.out_dir
+    out_dir = args.out or cfg.output.dir
     try:
         if args.command == "solve":
             return run_solve(cfg, out_dir)

@@ -3,7 +3,6 @@
 The format is diffable and easy to generate from sweep scripts:
 
     [run]
-    mode = solve
     seed = 0
 
     [problem]
@@ -21,26 +20,24 @@ The format is diffable and easy to generate from sweep scripts:
     max_iter = 300
     method = newton_augmented
 
-Each section's keys are the fields of its settings dataclass, and each
-value is parsed as its field's annotation; [output] dir is
-ExperimentConfig.out_dir. Without max_iter each method keeps its own budget.
-Unknown sections or keys are rejected (no silent typos), so are the values a
-check would refuse before any solve, and a config round-trips losslessly
-through config_to_text/parse_config.
+The settings dataclasses are the whole schema: each section is a field of
+ExperimentConfig, its keys are the fields of its settings dataclass, and each
+value is parsed as its field's annotation. A section or key is required when
+its field has no default. The sections a config carries name its mode:
+[sweep] sweep, [verify] verify, neither solve (ExperimentConfig.mode); a
+config with both is refused. Without max_iter each method keeps its own
+budget. Unknown sections or keys are rejected (no silent typos), so are the
+values a check would refuse before any solve, and a config round-trips
+losslessly through config_to_text/parse_config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
-from .problem import (
-    ProblemSpec,
-    RhsFunction,
-    make_power_rhs,
-    make_pure_power_rhs,
-)
+from .problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from .solvers import METHOD_BUDGETS
 
 __all__ = [
@@ -48,16 +45,15 @@ __all__ = [
     "RunSettings",
     "ProblemSettings",
     "NumericsSettings",
+    "OutputSettings",
     "SweepSettings",
     "VerifySettings",
     "ExperimentConfig",
     "parse_config",
     "config_to_text",
-    "build_rhs",
     "build_spec",
 ]
 
-MODES = ("solve", "sweep", "verify")
 RHS_FORMS = {"power": make_power_rhs, "pure_power": make_pure_power_rhs}
 METHODS = tuple(METHOD_BUDGETS)
 SWEEP_AXES = ("radius", "epsilon", "coeff")
@@ -85,14 +81,13 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunSettings:
-    mode: str = "solve"
     seed: int = 0
 
 
 @dataclass(frozen=True)
 class ProblemSettings:
-    theta: float = 2.0
-    dim: int = 1
+    theta: float
+    dim: int
     rhs: str = "power"
     alpha: float = 2.0
     coeff: float = 1.0
@@ -109,49 +104,57 @@ class NumericsSettings:
 
 
 @dataclass(frozen=True)
+class OutputSettings:
+    dir: str = "out"
+
+
+@dataclass(frozen=True)
 class SweepSettings:
-    axis: str = "radius"
-    values: tuple[float, ...] = ()
+    axis: str
+    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class VerifySettings:
-    checks: tuple[str, ...] = ()
+    checks: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    problem: ProblemSettings
     run: RunSettings = field(default_factory=RunSettings)
-    problem: ProblemSettings = field(default_factory=ProblemSettings)
     numerics: NumericsSettings = field(default_factory=NumericsSettings)
+    output: OutputSettings = field(default_factory=OutputSettings)
     sweep: Optional[SweepSettings] = None
     verify: Optional[VerifySettings] = None
-    out_dir: str = "out"
+
+    @property
+    def mode(self) -> str:
+        """The subcommand this config is for, named by the section it carries."""
+        if self.sweep is not None:
+            return "sweep"
+        return "verify" if self.verify is not None else "solve"
 
 
 _SECTIONS = {
     "run": RunSettings,
     "problem": ProblemSettings,
     "numerics": NumericsSettings,
-    "output": None,  # its one key, dir, is ExperimentConfig.out_dir
+    "output": OutputSettings,
     "sweep": SweepSettings,
     "verify": VerifySettings,
-}
-# keys a config must give even though their field has a default
-_REQUIRED = {
-    "run": ("mode",),
-    "problem": ("theta", "dim"),
-    "sweep": ("axis", "values"),
-    "verify": ("checks",),
 }
 _SCALARS = {"float": float, "int": int, "Optional[int]": int, "str": str}
 
 
 def _kinds(section: str) -> dict[str, str]:
     """Key -> value kind of a section: its settings fields and their annotations."""
-    if _SECTIONS[section] is None:
-        return {"dir": "str"}
     return {f.name: f.type for f in fields(_SECTIONS[section])}
+
+
+def _required(cls) -> list[str]:
+    """The fields of a dataclass without a default: the sections or keys a config must give."""
+    return [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
 
 
 def _parse_value(raw: str, kind: str, where: str):
@@ -197,71 +200,62 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
 
 def parse_config(text: str) -> ExperimentConfig:
     sections = _parse_sections(text)
-    for name in ("run", "problem"):
+    for name in _required(ExperimentConfig):
         if name not in sections:
             raise ConfigError(f"missing required section [{name}]")
-    for name, keys in _REQUIRED.items():
-        for key in keys:
-            if name in sections and key not in sections[name]:
+    for name, keys in sections.items():
+        for key in _required(_SECTIONS[name]):
+            if key not in keys:
                 raise ConfigError(f"missing required key {key!r} in [{name}]")
+    if "sweep" in sections and "verify" in sections:
+        raise ConfigError("a config carries [sweep] or [verify], not both")
 
-    def typed(section: str) -> dict:
+    def settings(section: str):
         kinds = _kinds(section)
-        return {
+        return _SECTIONS[section](**{
             key: _parse_value(raw, kinds[key], f"[{section}] {key}")
-            for key, raw in sections.get(section, {}).items()
-        }
+            for key, raw in sections[section].items()
+        })
 
-    run = RunSettings(**typed("run"))
-    if run.mode not in MODES:
-        raise ConfigError(f"[run] mode must be one of {MODES}, got {run.mode!r}")
+    cfg = ExperimentConfig(**{name: settings(name) for name in sections})
+    run, problem, numerics = cfg.run, cfg.problem, cfg.numerics
     if run.seed < 0:
         raise ConfigError(f"[run] seed must be nonnegative, got {run.seed}")
 
-    problem = ProblemSettings(**typed("problem"))
     if problem.dim not in (1, 2, 3):
         raise ConfigError(f"[problem] dim must be 1, 2, or 3, got {problem.dim}")
     if problem.rhs not in RHS_FORMS:
         raise ConfigError(f"[problem] rhs must be one of {tuple(RHS_FORMS)}, got {problem.rhs!r}")
 
-    numerics = NumericsSettings(**typed("numerics"))
     if numerics.tol <= 0 or (numerics.max_iter is not None and numerics.max_iter <= 0):
         raise ConfigError("[numerics] need tol > 0 and max_iter > 0")
     if numerics.method not in METHODS:
         raise ConfigError(f"[numerics] method must be one of {METHODS}, got {numerics.method!r}")
     try:  # ProblemSpec, Grid and the rhs factories refuse theta, the box and the rhs values
-        spec = build_spec(ExperimentConfig(problem=problem, numerics=numerics))
+        spec = build_spec(cfg)
     except ValueError as exc:
         raise ConfigError(f"[problem]/[numerics] (rhs = {problem.rhs}): {exc}") from exc
 
-    out_dir = typed("output").get("dir", "out")
-
-    sweep = None
-    if run.mode == "sweep":
-        if "sweep" not in sections:
-            raise ConfigError("mode=sweep requires a [sweep] section")
-        sweep = SweepSettings(**typed("sweep"))
+    sweep = cfg.sweep
+    if sweep is not None:
         if sweep.axis not in SWEEP_AXES:
             raise ConfigError(f"[sweep] axis must be one of {SWEEP_AXES}, got {sweep.axis!r}")
         if not sweep.values:
             raise ConfigError("[sweep] values must be a nonempty list")
         if any(v <= 0 or (sweep.axis == "radius" and v < numerics.h) for v in sweep.values):
             raise ConfigError(f"[sweep] {sweep.axis} values must be > 0, radii >= [numerics] h")
-    elif "sweep" in sections:
-        raise ConfigError(f"[sweep] section is only valid for mode=sweep (mode={run.mode})")
 
-    verify = None
-    if run.mode == "verify":
-        if "verify" not in sections:
-            raise ConfigError("mode=verify requires a [verify] section")
-        verify = VerifySettings(**typed("verify"))
+    verify = cfg.verify
+    if verify is not None:
         if not verify.checks:
             raise ConfigError("[verify] checks must be a nonempty list")
-        for name in verify.checks:
+        for i, name in enumerate(verify.checks):
             if name not in CHECK_NAMES:
                 raise ConfigError(
                     f"[verify] unknown check {name!r}; known checks: {', '.join(CHECK_NAMES)}"
                 )
+            if name in verify.checks[:i]:
+                raise ConfigError(f"[verify] check {name!r} is listed twice")
         # the checks guard these too, but only once the checks before them have run. Every
         # box verify solves is at least radius/2 wide, and h <= radius/2 also puts an axis
         # node in power_supersolution's annulus [0.375, 0.8] * radius
@@ -276,12 +270,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"[verify] {name} needs [problem] alpha >= 1")
         if "continuity_bound" in verify.checks and not spec.rhs.min_value() > 0:
             raise ConfigError("[verify] continuity_bound needs f > 0: raise [problem] shift")
-    elif "verify" in sections:
-        raise ConfigError(f"[verify] section is only valid for mode=verify (mode={run.mode})")
 
-    return ExperimentConfig(
-        run=run, problem=problem, numerics=numerics, sweep=sweep, verify=verify, out_dir=out_dir
-    )
+    return cfg
 
 
 def _format_value(value) -> str:
@@ -296,27 +286,21 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     """Canonical text rendering; parse_config(config_to_text(c)) == c."""
     lines: list[str] = []
     for section in _SECTIONS:
-        if section == "output":
-            values = {"dir": cfg.out_dir}
-        elif getattr(cfg, section) is not None:
-            values = asdict(getattr(cfg, section))
-        else:
+        if getattr(cfg, section) is None:
             continue
         lines.append(f"[{section}]")
+        values = asdict(getattr(cfg, section))
         lines.extend(f"{k} = {_format_value(v)}" for k, v in values.items() if v is not None)
         lines.append("")
     return "\n".join(lines)
 
 
-def build_rhs(problem: ProblemSettings) -> RhsFunction:
-    return RHS_FORMS[problem.rhs](problem.coeff, problem.alpha, problem.shift)
-
-
 def build_spec(cfg: ExperimentConfig) -> ProblemSpec:
+    p = cfg.problem
     return ProblemSpec(
-        theta=cfg.problem.theta,
-        m=cfg.problem.dim,
-        rhs=build_rhs(cfg.problem),
+        theta=p.theta,
+        m=p.dim,
+        rhs=RHS_FORMS[p.rhs](p.coeff, p.alpha, p.shift),
         radius=cfg.numerics.radius,
         h=cfg.numerics.h,
     )

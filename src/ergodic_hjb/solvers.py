@@ -84,6 +84,7 @@ METHOD_BUDGETS = {
     "relative_value_iteration": 2_000_000,
 }
 DISCOUNTED_MAX_ITER = 200  # Newton iterations of one discounted solve
+DIRICHLET_MAX_ITER = 80  # Newton iterations of one Dirichlet solve
 ND_LEAF = 16  # nested dissection stops at blocks of at most this many nodes
 ND_LAYOUTS = 8  # _nd_matrix keeps the layouts of this many (grid, unknowns, anchor) keys
 _LAYOUTS: dict = {}  # oldest first
@@ -479,7 +480,7 @@ def solve_dirichlet(
     data: Field,
     initial_guess: Optional[Field] = None,
     tol: float = 1e-8,
-    max_iter: int = 150,
+    max_iter: int = DIRICHLET_MAX_ITER,
 ) -> Field:
     """Solve G_h[phi] + lambda = 0 at interior nodes with phi = data on the boundary.
 
@@ -745,7 +746,7 @@ def parabolic_march(
     u0: Optional[Field] = None,
     T: float = 50.0,
     tol: float = 1e-8,
-    max_steps: int = 2_000_000,
+    max_steps: int = METHOD_BUDGETS["relative_value_iteration"],
 ) -> ParabolicMarch:
     """IMEX monotone march of u_t = 1/2 Lap u - H(Du) + f to time T.
 

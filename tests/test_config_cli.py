@@ -16,6 +16,7 @@ from ergodic_hjb.config import (
     ConfigError,
     ExperimentConfig,
     NumericsSettings,
+    OutputSettings,
     ProblemSettings,
     RunSettings,
     SweepSettings,
@@ -28,7 +29,6 @@ from ergodic_hjb.solvers import eikonal_initial_guess, solve_ergodic
 
 BASE = """
 [run]
-mode = solve
 seed = 0
 
 [problem]
@@ -50,7 +50,7 @@ method = newton_augmented
 
 def test_parse_minimal_config():
     cfg = parse_config(BASE)
-    assert cfg.run.mode == "solve"
+    assert cfg.mode == "solve"
     assert cfg.problem.theta == 2.0
     assert cfg.numerics.h == 0.1
     assert cfg.sweep is None and cfg.verify is None
@@ -77,8 +77,6 @@ def test_invalid_values_are_rejected():
         parse_config(BASE.replace("theta = 2.0", "theta = one"))
     with pytest.raises(ConfigError):
         parse_config(BASE.replace("theta = 2.0", "theta = 0.5"))
-    with pytest.raises(ConfigError):
-        parse_config(BASE.replace("mode = solve", "mode = dance"))
     with pytest.raises(ConfigError):
         parse_config(BASE.replace("method = newton_augmented", "method = bogus"))
     with pytest.raises(ConfigError, match="pure_power"):
@@ -108,7 +106,7 @@ def test_non_finite_floats_are_rejected(tmp_path, monkeypatch):
         raise AssertionError("a config with a non-finite float must not reach a solve")
 
     monkeypatch.setattr(cli, "solve_ergodic", no_solve)
-    verify = BASE.replace("mode = solve", "mode = verify") + "\n[verify]\nchecks = cross_method\n"
+    verify = BASE + "\n[verify]\nchecks = cross_method\n"
     solves = [BASE.replace("tol = 1e-08", "tol = inf"), BASE.replace("tol = 1e-08", "tol = nan")]
     for text in solves + [verify.replace("tol = 1e-08", "tol = inf")]:
         with pytest.raises(ConfigError, match="not finite"):
@@ -117,34 +115,89 @@ def test_non_finite_floats_are_rejected(tmp_path, monkeypatch):
         assert main(["solve", "--config", write_cfg(tmp_path, text)]) == 1
 
 
-def test_sweep_requires_section_and_values():
-    text = BASE.replace("mode = solve", "mode = sweep")
-    with pytest.raises(ConfigError, match="sweep"):
-        parse_config(text)
+def test_sweep_requires_section_and_values(tmp_path):
+    assert main(["sweep", "--config", write_cfg(tmp_path, BASE)]) == 1
     with pytest.raises(ConfigError, match="values"):
-        parse_config(text + "\n[sweep]\naxis = radius\nvalues = \n")
+        parse_config(BASE + "\n[sweep]\naxis = radius\nvalues = \n")
 
 
 def test_verify_rejects_unknown_check():
-    text = BASE.replace("mode = solve", "mode = verify")
     with pytest.raises(ConfigError, match="no_such_check"):
-        parse_config(text + "\n[verify]\nchecks = no_such_check\n")
+        parse_config(BASE + "\n[verify]\nchecks = no_such_check\n")
+
+
+def test_verify_rejects_a_repeated_check(tmp_path):
+    text = VERIFY.replace("checks = shift_equivariance, uniqueness", "checks = uniqueness, uniqueness")
+    with pytest.raises(ConfigError, match="'uniqueness' is listed twice"):
+        parse_config(text)
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (BASE[BASE.index("[problem]") : BASE.index("[numerics]")], "", "missing required section [problem]"),
+        ("theta = 2.0\n", "", "missing required key 'theta' in [problem]"),
+        ("dim = 1\n", "", "missing required key 'dim' in [problem]"),
+    ],
+)
+def test_required_sections_and_keys_are_the_fields_without_a_default(tmp_path, old, new, message):
+    text = BASE.replace(old, new, 1)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+    assert main(["solve", "--config", write_cfg(tmp_path, text)]) == 1
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ("[sweep]\nvalues = 1.0", "missing required key 'axis' in [sweep]"),
+        ("[sweep]\naxis = radius", "missing required key 'values' in [sweep]"),
+        ("[verify]", "missing required key 'checks' in [verify]"),
+        (
+            "[sweep]\naxis = radius\nvalues = 1.0\n[verify]\nchecks = uniqueness",
+            "a config carries [sweep] or [verify], not both",
+        ),
+    ],
+)
+def test_sweep_and_verify_sections_are_checked_without_a_mode(tmp_path, section, message):
+    text = f"{BASE}\n{section}\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+    for command in ("sweep", "verify"):
+        assert main([command, "--config", write_cfg(tmp_path, text)]) == 1
+
+
+def test_the_mode_is_the_section_a_config_carries(tmp_path, capsys):
+    assert parse_config(BASE.replace("[run]\nseed = 0\n", "")).run == RunSettings(seed=0)
+    assert parse_config(BASE + "\n[sweep]\naxis = radius\nvalues = 1.0\n").mode == "sweep"
+    assert parse_config(BASE + "\n[verify]\nchecks = uniqueness\n").mode == "verify"
+    with pytest.raises(ConfigError, match="unknown key 'mode' in \\[run\\]"):
+        parse_config(BASE.replace("seed = 0", "mode = solve\nseed = 0"))
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "solve_quadratic_1d.cfg"
+    assert main(["sweep", "--config", str(shipped), "--out", str(tmp_path / "o")]) == 1
+    assert "for 'solve'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_round_trip_is_lossless():
     cfg = parse_config(BASE)
     assert parse_config(config_to_text(cfg)) == cfg
     sweep_cfg = ExperimentConfig(
-        run=RunSettings(mode="sweep", seed=7),
+        run=RunSettings(seed=7),
         problem=ProblemSettings(theta=1.5, dim=2, rhs="pure_power", alpha=1.5, coeff=2.0 / 3.0),
         numerics=NumericsSettings(radius=6.0, h=0.05, tol=1e-9, max_iter=42, method="policy_iteration"),
         sweep=SweepSettings(axis="epsilon", values=(0.1, 0.05, 0.025)),
-        out_dir="results",
+        output=OutputSettings(dir="results"),
     )
     assert parse_config(config_to_text(sweep_cfg)) == sweep_cfg
     verify_cfg = ExperimentConfig(
-        run=RunSettings(mode="verify", seed=3),
-        problem=ProblemSettings(),
+        run=RunSettings(seed=3),
+        problem=ProblemSettings(theta=2.0, dim=1),
         numerics=NumericsSettings(),
         verify=VerifySettings(checks=("uniqueness", "scaling_law")),
     )
@@ -160,8 +213,8 @@ def test_round_trip_is_lossless():
 )
 def test_round_trip_property(theta, h, seed, method):
     cfg = ExperimentConfig(
-        run=RunSettings(mode="solve", seed=seed),
-        problem=ProblemSettings(theta=theta),
+        run=RunSettings(seed=seed),
+        problem=ProblemSettings(theta=theta, dim=1),
         numerics=NumericsSettings(radius=1.0, h=h, method=method),
     )
     assert parse_config(config_to_text(cfg)) == cfg
@@ -248,7 +301,6 @@ def test_cli_rvi_without_max_iter_uses_the_method_budget(tmp_path):
 
 SWEEP = """
 [run]
-mode = sweep
 seed = 0
 
 [problem]
@@ -338,7 +390,6 @@ def test_cli_deterministic_outputs_modulo_metadata(tmp_path):
 
 VERIFY = """
 [run]
-mode = verify
 seed = 0
 
 [problem]
@@ -530,7 +581,6 @@ def test_cli_verify_failure_exits_three(tmp_path):
     # the power-supersolution margin is negative inside the well (annulus [0.375, 0.8]): honest fail
     text = """
 [run]
-mode = verify
 seed = 0
 
 [problem]
