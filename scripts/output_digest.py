@@ -3,8 +3,8 @@
 
 Each config runs through the package CLI, in its own mode, into a temporary
 directory. One line per file, `<sha256>  <config name>/<path>`, skipping the
-wall-time files meta.json and sweep_timing.csv. Without arguments the four
-configs in configs/ run. Two checkouts give the same output exactly when
+wall-time files meta.json and sweep_timing.csv. Without arguments every
+config in configs/ runs. Two checkouts give the same output exactly when
 their lines agree:
 
     python scripts/output_digest.py > before.txt   # then, on the other checkout

@@ -45,7 +45,6 @@ __all__ = [
     "gradient_estimate_ratio",
     "check_gradient_estimate",
     "check_dirichlet_family",
-    "locate_dirichlet_threshold",
     "check_lambda_star_characterization",
     "check_shift_equivariance",
     "check_uniqueness",
@@ -58,8 +57,7 @@ __all__ = [
 GROWTH_WINDOW = (0.375, 0.6)  # fit annulus as fractions of the box radius
 GROWTH_TOL_REL = 0.10
 SHIFT_C = 1.0  # the constant added to f by check_shift_equivariance
-DIRICHLET_BRACKET_TOL = 0.01  # bisection width of the Dirichlet-solvability threshold
-DIRICHLET_BRACKET_DOUBLINGS = 5  # how often a still-solvable upper bracket may double
+DIRICHLET_DELTA = 2.0**-7  # distance of the two tested Dirichlet levels from lambda_R
 DIRICHLET_MARGIN = 0.05  # how far below the critical value a Dirichlet level must lie
 INTERIOR_MINIMUM_TOL = 1e-6
 ORACLE_TOL = 0.05
@@ -499,66 +497,35 @@ def check_dirichlet_family(
     )
 
 
-def locate_dirichlet_threshold(
-    spec: ProblemSpec, lo: float, hi: float, tol: float = 1e-8
-) -> tuple[float, list[dict]]:
-    """Bisect the largest lambda at which the zero-data Dirichlet problem still solves.
-
-    Newton failure is the (heuristic) unsolvability signal; solves are
-    continued from the last solvable field for robustness. While the upper
-    level still solves, it becomes the lower one and the next upper level is
-    c + w 2^k (c, w the midpoint and half-width of [lo, hi], k = 1, 2, ...,
-    at most DIRICHLET_BRACKET_DOUBLINGS times). A threshold above every level
-    tried is returned as inf. Every level tried is a row of the table.
-    """
-    table: list[dict] = []
-    solvable_lo, guess = _dirichlet_solvable(spec, lo, tol)
-    table.append({"lambda": lo, "solvable": solvable_lo})
-    if not solvable_lo:
-        raise SolverError(f"lower bracket {lo} is already unsolvable; widen the bracket")
-    c, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    k = 0
-    while True:
-        solvable_hi, phi = _dirichlet_solvable(spec, hi, tol, initial_guess=guess)
-        table.append({"lambda": hi, "solvable": solvable_hi})
-        if not solvable_hi:
-            break
-        k += 1
-        if k > DIRICHLET_BRACKET_DOUBLINGS:
-            return np.inf, table
-        lo, guess, hi = hi, phi, c + w * 2.0**k
-    while hi - lo > DIRICHLET_BRACKET_TOL:
-        mid = 0.5 * (lo + hi)
-        solvable, phi = _dirichlet_solvable(spec, mid, tol, initial_guess=guess)
-        table.append({"lambda": mid, "solvable": solvable})
-        if solvable:
-            lo = mid
-            guess = phi
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), table
-
-
 def check_lambda_star_characterization(
     spec: ProblemSpec, solver_tol: float = 1e-8
 ) -> tuple[VerdictReport, list[dict]]:
     """The Dirichlet-solvability threshold coincides with the state-constraint level.
 
     Bounded-from-below routes and the solvability supremum single out the same
-    lambda; the bisected threshold must match within 5 DIRICHLET_BRACKET_TOL.
-    A threshold the bracket never reaches is inf, and the check fails.
+    lambda_R: the zero-data Dirichlet problem, solved from the zero field, must
+    solve at lambda_R - DIRICHLET_DELTA and fail at lambda_R + DIRICHLET_DELTA.
+    Newton failure is the (heuristic) unsolvability signal. The two levels are
+    the rows of the table.
     """
     sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=solver_tol)
-    threshold, table = locate_dirichlet_threshold(
-        spec, sol.lam - 1.0, sol.lam + 1.0, tol=solver_tol
-    )
-    gap = abs(threshold - sol.lam)
+    table = [
+        {"lambda": lam, "solvable": _dirichlet_solvable(spec, lam, solver_tol)[0]}
+        for lam in (sol.lam - DIRICHLET_DELTA, sol.lam + DIRICHLET_DELTA)
+    ]
+    below, above = table
     report = VerdictReport(
         name="lambda_star_characterization",
-        passed=bool(gap <= 5.0 * DIRICHLET_BRACKET_TOL),
-        measured={"threshold": threshold, "lambda_state_constraint": sol.lam, "gap": gap},
-        predicted={"gap": 0.0},
-        tolerance=5.0 * DIRICHLET_BRACKET_TOL,
+        passed=below["solvable"] and not above["solvable"],
+        measured={
+            "lambda_below": below["lambda"],
+            "lambda_above": above["lambda"],
+            "solvable_below": float(below["solvable"]),
+            "solvable_above": float(above["solvable"]),
+            "lambda_state_constraint": sol.lam,
+        },
+        predicted={"solvable_below": 1.0, "solvable_above": 0.0},
+        tolerance=DIRICHLET_DELTA,
         provenance="bounded-from-below solutions exist only at the critical value",
         inputs={"theta": spec.theta, "m": spec.m, "radius": spec.radius, "h": spec.h},
     )

@@ -253,7 +253,7 @@ def _radius_monotonicity(cfg: ExperimentConfig, spec: ProblemSpec):
 def _lambda_star_characterization(cfg: ExperimentConfig, spec: ProblemSpec):
     rep, table = check_lambda_star_characterization(spec, solver_tol=cfg.numerics.tol)
     rows = [[_fmt(r["lambda"]), "1" if r["solvable"] else "0"] for r in table]
-    return [rep], {"dirichlet_bisection.csv": (["lambda", "solvable"], rows)}
+    return [rep], {"dirichlet_bracket.csv": (["lambda", "solvable"], rows)}
 
 
 def _interior_minimum(cfg: ExperimentConfig, spec: ProblemSpec):

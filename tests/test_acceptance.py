@@ -175,7 +175,8 @@ def test_criterion_9_lambda_star_characterization():
         spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.01)
         rep, _ = check_lambda_star_characterization(spec, solver_tol=SOLVER_TOL)
         assert rep.passed, rep.measured
-        assert rep.measured["gap"] <= 0.05
+        assert rep.measured["solvable_below"] == 1 and rep.measured["solvable_above"] == 0
+        assert rep.tolerance == 2**-7
 
 
 def test_criterion_10_scheme_unit_suite():

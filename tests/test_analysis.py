@@ -22,7 +22,6 @@ from ergodic_hjb.analysis import (
     check_uniqueness,
     fit_growth_exponent,
     gradient_estimate_ratio,
-    locate_dirichlet_threshold,
 )
 from ergodic_hjb.grid import Field, Grid
 from ergodic_hjb.problem import BlendRhs, ProblemSpec, make_power_rhs, make_pure_power_rhs
@@ -355,15 +354,38 @@ def test_dirichlet_family_rejects_levels_near_threshold(quadratic_spec):
 def test_threshold_bisection_matches_state_constraint_level(quadratic_spec):
     rep, table = check_lambda_star_characterization(quadratic_spec)
     assert rep.passed
-    assert rep.measured["gap"] <= 0.05
-    assert any(not row["solvable"] for row in table)
-    assert any(row["solvable"] for row in table)
+    assert rep.measured["solvable_below"] == 1 and rep.measured["solvable_above"] == 0
+    assert rep.tolerance == 2**-7
+    assert [row["solvable"] for row in table] == [True, False]
 
 
-def test_threshold_bisection_validates_bracket(quadratic_spec):
-    sol = solve_ergodic(quadratic_spec, tol=1e-8)
-    with pytest.raises(SolverError):
-        locate_dirichlet_threshold(quadratic_spec, sol.lam + 0.5, sol.lam + 1.0)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProblemSpec(theta=2.0, m=1, rhs=make_pure_power_rhs(0.5, 2.0, 0.0), radius=8.0, h=0.02),
+        closed_form_spec(2.0, 2, 3.0, 0.1),
+    ],
+    ids=["1d", "2d"],
+)
+def test_lambda_star_characterization_is_two_dirichlet_solves(monkeypatch, spec):
+    ergodic_calls, levels = [], []
+    solve, solve_dirichlet = analysis.solve_ergodic, analysis.solve_dirichlet
+
+    def counting_solve(spec, *args, **kwargs):
+        ergodic_calls.append(spec)
+        return solve(spec, *args, **kwargs)
+
+    def counting_dirichlet(spec, lam, *args, **kwargs):
+        levels.append(lam)
+        return solve_dirichlet(spec, lam, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_ergodic", counting_solve)
+    monkeypatch.setattr(analysis, "solve_dirichlet", counting_dirichlet)
+    rep, _ = check_lambda_star_characterization(spec)
+    assert rep.passed, rep.measured
+    lam_r = rep.measured["lambda_state_constraint"]
+    assert len(ergodic_calls) == 1
+    assert levels == [lam_r - 2**-7, lam_r + 2**-7]
 
 
 # -- uniqueness and interior minimum -------------------------------------------------------

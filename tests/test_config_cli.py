@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodic_hjb import cli, config
+from ergodic_hjb import analysis, cli, config
 from ergodic_hjb.cli import main
 from ergodic_hjb.config import (
     CHECK_NAMES,
@@ -25,7 +25,7 @@ from ergodic_hjb.config import (
     config_to_text,
     parse_config,
 )
-from ergodic_hjb.solvers import eikonal_initial_guess, solve_ergodic
+from ergodic_hjb.solvers import SolverError, eikonal_initial_guess, solve_ergodic
 
 BASE = """
 [run]
@@ -472,27 +472,9 @@ def test_verify_configs_at_the_guards_run_without_a_traceback(tmp_path, capsys):
         assert code in (0, 3) or (code == 2 and err.startswith("solver failure:")), (name, err)
 
 
-def test_lambda_star_bracket_grows_on_a_small_box(tmp_path, capsys):
-    # on this box the Dirichlet threshold lies above lambda_R + 1, so the upper
-    # bracket doubles until a level is unsolvable; the check then gives a verdict
-    text = VERIFY.replace("theta = 2.0", "theta = 1.5").replace("alpha = 2.0", "alpha = 1.0")
-    text = text.replace("radius = 6.0", "radius = 4.0").replace("h = 0.05", "h = 1.0")
-    text = text.replace("shift_equivariance, uniqueness", "lambda_star_characterization")
-    out = tmp_path / "o"
-    code = main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(out)])
-    assert code in (0, 3), capsys.readouterr().err
-    rows = (out / "plots" / "dirichlet_bisection.csv").read_text().splitlines()[1:]
-    levels = [float(row.split(",")[0]) for row in rows]
-    lam_r = json.loads((out / "verdicts.json").read_text())[0]["measured"][
-        "lambda_state_constraint"
-    ]
-    assert levels[1] == pytest.approx(lam_r + 1.0)
-    assert levels[2] == pytest.approx(lam_r + 2.0)
-
-
 def test_unbracketed_lambda_star_threshold_is_a_failed_verdict(tmp_path, capsys):
-    # at h = 0.5 the zero-data Dirichlet problem still solves at lambda_R + 32, the last
-    # level the bracket tries: the threshold lies above every level, and the check fails
+    # at h = 0.5 the zero-data Dirichlet problem still solves above lambda_R, so the
+    # bracket does not hold and the check fails
     text = VERIFY.replace("theta = 2.0", "theta = 1.5").replace("alpha = 2.0", "alpha = 1.0")
     text = text.replace("radius = 6.0", "radius = 2.0").replace("h = 0.05", "h = 0.5")
     text = text.replace("shift_equivariance, uniqueness", "lambda_star_characterization")
@@ -500,9 +482,27 @@ def test_unbracketed_lambda_star_threshold_is_a_failed_verdict(tmp_path, capsys)
     assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 3
     assert "lambda_star_characterization" in capsys.readouterr().err
     (verdict,) = json.loads((out / "verdicts.json").read_text())
-    assert verdict["measured"]["threshold"] == verdict["measured"]["gap"] == "inf"
-    rows = (out / "plots" / "dirichlet_bisection.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[1] for row in rows] == ["1"] * 7
+    assert verdict["measured"]["solvable_above"] == 1
+    rows = (out / "plots" / "dirichlet_bracket.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1", "1"]
+
+
+def test_unsolvable_lower_dirichlet_level_exits_three(tmp_path, monkeypatch, capsys):
+    # an unsolvable level below lambda_R contradicts the property: a failed
+    # verdict, not a solver failure
+    def unsolvable(*args, **kwargs):
+        raise SolverError("Dirichlet solve did not converge")
+
+    monkeypatch.setattr(analysis, "solve_dirichlet", unsolvable)
+    text = VERIFY.replace("shift_equivariance, uniqueness", "lambda_star_characterization")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 3
+    assert "lambda_star_characterization" in capsys.readouterr().err
+    (verdict,) = json.loads((out / "verdicts.json").read_text())
+    assert not verdict["passed"]
+    assert verdict["measured"]["solvable_below"] == verdict["measured"]["solvable_above"] == 0
+    rows = (out / "plots" / "dirichlet_bracket.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["0", "0"]
 
 
 def test_pair_checks_judge_the_configured_pure_power_rhs(tmp_path):
