@@ -53,7 +53,8 @@ __all__ = [
     "check_interior_minimum",
 ]
 
-# Each property is checked at one fixed constant.
+# Each property is checked at one fixed constant, so a library call and verify judge alike.
+CHECK_TOL = 0.03  # verdict tolerance of the six lambda* comparisons; each docstring says how
 GROWTH_WINDOW = (0.375, 0.6)  # fit annulus as fractions of the box radius
 GROWTH_TOL_REL = 0.10
 SHIFT_C = 1.0  # the constant added to f by check_shift_equivariance
@@ -61,6 +62,8 @@ DIRICHLET_DELTA = 2.0**-7  # distance of the two tested Dirichlet levels from la
 DIRICHLET_MARGIN = 0.05  # how far below the critical value a Dirichlet level must lie
 INTERIOR_MINIMUM_TOL = 1e-6
 ORACLE_TOL = 0.05
+MARCH_HORIZON = 50.0  # pseudo-time at which cross_method's march stops, unless at its floor first
+DISCOUNT_EPS = (0.1, 0.05, 0.025)  # cross_method's discount schedule
 
 
 @dataclass
@@ -107,7 +110,7 @@ def fit_growth_exponent(phi: Field, r0: float, r1: float) -> tuple[float, float]
 
 
 def check_growth_exponent(
-    theta: float, alpha: float, m: int = 1, tol: float = 1e-8
+    theta: float, alpha: float, m: int = 1, solver_tol: float = 1e-8
 ) -> tuple[VerdictReport, ErgodicSolution]:
     """Measured growth exponent of phi against alpha/theta + 1.
 
@@ -121,7 +124,7 @@ def check_growth_exponent(
     h = 0.02 if m == 1 else 0.1
     rhs = make_pure_power_rhs(1.0, alpha, shift=1.0)
     spec = ProblemSpec(theta=theta, m=m, rhs=rhs, radius=radius, h=h)
-    sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol)
+    sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=solver_tol)
     fitted, slope = fit_growth_exponent(sol.phi, *(w * radius for w in GROWTH_WINDOW))
     gamma = alpha / theta + 1.0
     passed = abs(fitted - gamma) <= GROWTH_TOL_REL * gamma
@@ -146,16 +149,15 @@ def _lambda_star(spec: ProblemSpec, rhs: RhsFunction, tol: float) -> float:
     return solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol).lam
 
 
-def check_scaling_law(
-    spec: ProblemSpec, c: float, tol_rel: float = 0.05, tol: float = 1e-8
-) -> VerdictReport:
+def check_scaling_law(spec: ProblemSpec, c: float, solver_tol: float = 1e-8) -> VerdictReport:
     """Dilation law of the critical value under f -> c f, at the growth exponent of spec.rhs.
 
     For the homogeneous family f = |y|^alpha with alpha >= 1 the law is exact:
     lambda*(c |y|^alpha) = c^(theta*/(theta*+alpha)) lambda*(|y|^alpha). For
     alpha < 1 only the two-sided bound
     0 <= lambda*(c (1+|y|^2)^(alpha/2)) <= c + c^(theta*/(theta*+1)) lambda*(|y|)
-    is available, and that is what gets checked instead.
+    is available, and that is what gets checked instead. The tolerance is
+    CHECK_TOL relative to the predicted ratio, or to max(1, upper bound).
     """
     if not c > 0:
         raise ValueError(f"scaling constant must be positive, got {c}")
@@ -164,11 +166,11 @@ def check_scaling_law(
         raise ValueError("the scaling law needs a right-hand side with a growth exponent")
     theta_star = spec.theta_star
     if alpha >= 1.0:
-        lam_base = _lambda_star(spec, make_pure_power_rhs(1.0, alpha), tol)
-        lam_scaled = _lambda_star(spec, make_pure_power_rhs(c, alpha), tol)
+        lam_base = _lambda_star(spec, make_pure_power_rhs(1.0, alpha), solver_tol)
+        lam_scaled = _lambda_star(spec, make_pure_power_rhs(c, alpha), solver_tol)
         predicted_ratio = c ** (theta_star / (theta_star + alpha))
         measured_ratio = lam_scaled / lam_base
-        passed = abs(measured_ratio - predicted_ratio) <= tol_rel * predicted_ratio
+        passed = abs(measured_ratio - predicted_ratio) <= CHECK_TOL * predicted_ratio
         return VerdictReport(
             name="scaling_law",
             passed=bool(passed),
@@ -178,22 +180,22 @@ def check_scaling_law(
                 "lambda_scaled": lam_scaled,
             },
             predicted={"ratio": predicted_ratio},
-            tolerance=tol_rel * predicted_ratio,
+            tolerance=CHECK_TOL * predicted_ratio,
             provenance="lambda*(c|y|^a) = c^(theta*/(theta*+a)) lambda*(|y|^a) for a >= 1",
             inputs={"theta": spec.theta, "alpha": alpha, "c": c, "m": spec.m},
         )
     # alpha < 1: inequality variant with the smooth regularization
-    lam_smooth = _lambda_star(spec, make_power_rhs(c, alpha), tol)
-    lam_lin = _lambda_star(spec, make_pure_power_rhs(1.0, 1.0), tol)
+    lam_smooth = _lambda_star(spec, make_power_rhs(c, alpha), solver_tol)
+    lam_lin = _lambda_star(spec, make_pure_power_rhs(1.0, 1.0), solver_tol)
     upper = c + c ** (theta_star / (theta_star + 1.0)) * lam_lin
     slack = min(lam_smooth - 0.0, upper - lam_smooth)
-    passed = slack >= -tol_rel * max(1.0, upper)
+    passed = slack >= -CHECK_TOL * max(1.0, upper)
     return VerdictReport(
         name="scaling_law",
         passed=bool(passed),
         measured={"lambda_smooth": lam_smooth, "upper_bound": upper, "slack": slack},
         predicted={"lower": 0.0, "upper": upper},
-        tolerance=tol_rel * max(1.0, upper),
+        tolerance=CHECK_TOL * max(1.0, upper),
         provenance="0 <= lambda*(c(1+|y|^2)^(a/2)) <= c + c^(theta*/(theta*+1)) lambda*(|y|) for a < 1",
         inputs={"theta": spec.theta, "alpha": alpha, "c": c, "m": spec.m},
     )
@@ -203,7 +205,6 @@ def check_lambda_shape(
     spec: ProblemSpec,
     f2: RhsFunction,
     t_grid: list[float],
-    tol: float = 0.03,
     solver_tol: float = 1e-8,
 ) -> list[VerdictReport]:
     """Shift exactness, monotonicity, and concavity of f -> lambda*(f) on spec's box.
@@ -211,7 +212,8 @@ def check_lambda_shape(
     f1 is spec.rhs. Monotonicity needs an ordered pair. When f1 <= f2 (or
     f2 <= f1) on the box the given pair is used; otherwise the check falls back
     to the ordered pair (f1, f1 + 1), whose shift structure also pins the
-    predicted gap to 1.
+    predicted gap to 1. Shift exactness is judged at 2 CHECK_TOL, the other
+    two at CHECK_TOL.
     """
     f1 = spec.rhs
     if not isinstance(f1, (PowerRhs, PurePowerRhs)):
@@ -229,10 +231,10 @@ def check_lambda_shape(
     reports.append(
         VerdictReport(
             name="shift_exactness",
-            passed=bool(abs(gap - 1.0) <= 2.0 * tol),
+            passed=bool(abs(gap - 1.0) <= 2.0 * CHECK_TOL),
             measured={"lambda_gap": gap},
             predicted={"lambda_gap": 1.0},
-            tolerance=2.0 * tol,
+            tolerance=2.0 * CHECK_TOL,
             provenance="lambda*(f + c) = lambda*(f) + c",
             inputs={"theta": theta, "m": m},
         )
@@ -254,10 +256,10 @@ def check_lambda_shape(
     reports.append(
         VerdictReport(
             name="monotonicity",
-            passed=bool(lo <= hi + tol),
+            passed=bool(lo <= hi + CHECK_TOL),
             measured={f"lambda({lo_name})": lo, f"lambda({hi_name})": hi},
             predicted={"ordering": 0.0},
-            tolerance=tol,
+            tolerance=CHECK_TOL,
             provenance="f_lo <= f_hi pointwise implies lambda*(f_lo) <= lambda*(f_hi)",
             inputs={"pair": pair, "theta": theta, "m": m},
         )
@@ -279,10 +281,10 @@ def check_lambda_shape(
     reports.append(
         VerdictReport(
             name="concavity",
-            passed=bool(worst >= -tol),
+            passed=bool(worst >= -CHECK_TOL),
             measured=measured,
             predicted={"min_slack": 0.0},
-            tolerance=tol,
+            tolerance=CHECK_TOL,
             provenance="lambda*(t f1 + (1-t) f2) >= t lambda*(f1) + (1-t) lambda*(f2)",
             inputs={"t_grid": list(t_grid), "theta": theta, "m": m},
         )
@@ -312,12 +314,9 @@ def _rhs_gap(f1: RhsFunction, f2: RhsFunction, alpha: float, m: int) -> float:
 
 
 def check_continuity_bound(
-    spec: ProblemSpec,
-    f2: RhsFunction,
-    tol: float = 0.02,
-    solver_tol: float = 1e-8,
+    spec: ProblemSpec, f2: RhsFunction, solver_tol: float = 1e-8
 ) -> VerdictReport:
-    """|lambda*(f2) - lambda*(f1)| <= f0 g/(1 + f0 g) max(lambda*_1, lambda*_2) + tol,
+    """|lambda*(f2) - lambda*(f1)| <= f0 g/(1 + f0 g) max(lambda*_1, lambda*_2) + CHECK_TOL,
 
     where f1 is spec.rhs, g = sup |f1 - f2|/(1 + |y|^alpha) and f0 is the
     shared two-sided growth constant (the larger of the two measured
@@ -340,10 +339,10 @@ def check_continuity_bound(
     bound = (f0 * gap / (1.0 + f0 * gap)) * max(lam1, lam2)
     return VerdictReport(
         name="continuity_bound",
-        passed=bool(measured_gap <= bound + tol),
+        passed=bool(measured_gap <= bound + CHECK_TOL),
         measured={"lambda_gap": measured_gap, "rhs_gap": gap, "lambda_1": lam1, "lambda_2": lam2},
         predicted={"bound": bound, "f0": f0},
-        tolerance=tol,
+        tolerance=CHECK_TOL,
         provenance="|lambda*_2 - lambda*_1| <= f0 g/(1+f0 g) max(lambda*_1, lambda*_2)",
         inputs={"theta": spec.theta, "m": spec.m, "alpha": alpha},
     )
@@ -413,7 +412,7 @@ def check_gradient_estimate(
     spec: ProblemSpec,
     r_primes: tuple[float, ...] = (2.0, 3.0, 4.0),
     gap: float = 4.0,
-    tol: float = 1e-8,
+    solver_tol: float = 1e-8,
 ) -> VerdictReport:
     """The interior gradient bound constant stays in a factor-2 band as R grows.
 
@@ -424,7 +423,7 @@ def check_gradient_estimate(
     ratios = {}
     for rp in r_primes:
         sub = replace(spec, radius=rp + gap)
-        sol = solve_ergodic(sub, initial_guess=eikonal_initial_guess(sub), tol=tol)
+        sol = solve_ergodic(sub, initial_guess=eikonal_initial_guess(sub), tol=solver_tol)
         ratios[f"K_r{rp:g}"] = gradient_estimate_ratio(sol, rp)
     vals = np.array(list(ratios.values()))
     if np.max(vals) <= 1e-12:
@@ -466,7 +465,7 @@ def check_dirichlet_family(
     spec: ProblemSpec,
     lambdas: list[float],
     lambda_star_hint: float,
-    tol: float = 1e-8,
+    solver_tol: float = 1e-8,
 ) -> VerdictReport:
     """Solvability of the Dirichlet problem at every level below the critical value.
 
@@ -481,7 +480,7 @@ def check_dirichlet_family(
             raise ValueError(
                 f"level {lam} is not below the critical-value hint minus the margin"
             )
-        solvable, phi = _dirichlet_solvable(spec, lam, tol, initial_guess=guess)
+        solvable, phi = _dirichlet_solvable(spec, lam, solver_tol, initial_guess=guess)
         results[f"solved_lambda={lam:g}"] = 1.0 if solvable else 0.0
         ok = ok and solvable
         if phi is not None:
@@ -535,10 +534,8 @@ def check_lambda_star_characterization(
 # -- invariance-style checks ----------------------------------------------------------
 
 
-def check_shift_equivariance(
-    spec: ProblemSpec, tol: float = 0.03, solver_tol: float = 1e-8
-) -> VerdictReport:
-    """lambda*(f + c) = lambda*(f) + c and the normalized profiles agree."""
+def check_shift_equivariance(spec: ProblemSpec, solver_tol: float = 1e-8) -> VerdictReport:
+    """lambda*(f + c) = lambda*(f) + c and the normalized profiles agree, within 2 CHECK_TOL."""
     if not isinstance(spec.rhs, (PowerRhs, PurePowerRhs)):
         raise ValueError("shift equivariance check needs a power-family right-hand side")
     sol = solve_ergodic(spec, tol=solver_tol)
@@ -546,13 +543,13 @@ def check_shift_equivariance(
     sol_c = solve_ergodic(shifted_spec, tol=solver_tol)
     lam_gap = sol_c.lam - sol.lam
     phi_gap = float(np.max(np.abs(sol_c.phi.values - sol.phi.values)))
-    passed = abs(lam_gap - SHIFT_C) <= 2.0 * tol and phi_gap <= 2.0 * tol
+    passed = abs(lam_gap - SHIFT_C) <= 2.0 * CHECK_TOL and phi_gap <= 2.0 * CHECK_TOL
     return VerdictReport(
         name="shift_equivariance",
         passed=bool(passed),
         measured={"lambda_gap": lam_gap, "phi_sup_gap": phi_gap},
         predicted={"lambda_gap": SHIFT_C, "phi_sup_gap": 0.0},
-        tolerance=2.0 * tol,
+        tolerance=2.0 * CHECK_TOL,
         provenance="adding a constant to f shifts the critical value by that constant",
         inputs={"c": SHIFT_C, "theta": spec.theta, "m": spec.m},
     )
@@ -590,41 +587,37 @@ def check_uniqueness(
 
 
 def check_cross_method(
-    spec: ProblemSpec,
-    horizon: float = 50.0,
-    eps_list: tuple[float, ...] = (0.1, 0.05, 0.025),
-    pair_tol: float = 0.05,
-    solver_tol: float = 1e-8,
-    oracle: Optional[float] = None,
+    spec: ProblemSpec, solver_tol: float = 1e-8, oracle: Optional[float] = None
 ) -> tuple:
     """Agreement of the five routes to the critical value on one instance.
 
     Newton and policy iteration are one iteration with two globalizations;
     relative value iteration and the parabolic march are one march from the
-    zero field, which stops at the horizon or at its rounding floor: the
-    former is read off at the first step whose rate spread is <= tol/2, the
-    latter at the last step. The march's certified enclosure goes to measured
+    zero field, which stops at MARCH_HORIZON or at its rounding floor: the
+    former is read off at the first step whose rate spread is <= solver_tol/2,
+    the latter at the last step. The march's certified enclosure goes to measured
     as parabolic_lambda_lo and parabolic_lambda_hi (the verdict does not read
     it). The independent computations are Newton, the march, the discount
-    path and, when given, the oracle. A horizon that ends before the rates
-    settle raises SolverError.
+    path over DISCOUNT_EPS and, when given, the oracle. The routes must agree
+    pairwise within CHECK_TOL, and with the oracle within ORACLE_TOL. A
+    horizon that ends before the rates settle raises SolverError.
 
     Returns (report, parabolic march, discount rows).
     """
     lams: dict[str, float] = {}
     for meth in ("newton_augmented", "policy_iteration"):
         lams[meth] = solve_ergodic(spec, method=meth, tol=solver_tol).lam
-    march = parabolic_march(spec, T=horizon, tol=solver_tol)
+    march = parabolic_march(spec, T=MARCH_HORIZON, tol=solver_tol)
     if march.settled is None:
-        msg = f"relative value iteration did not settle within the horizon {horizon:g}"
+        msg = f"relative value iteration did not settle within the horizon {MARCH_HORIZON:g}"
         raise SolverError(msg, march.trace)
     lams["relative_value_iteration"] = march.settled.lam
     lams["parabolic_march"] = march.lambda_hat
-    rows, extrap = discounted_lambda_path(spec, list(eps_list), tol=solver_tol)
+    rows, extrap = discounted_lambda_path(spec, list(DISCOUNT_EPS), tol=solver_tol)
     lams["discounted_extrapolation"] = extrap
     vals = list(lams.values())
     worst = max(abs(a - b) for a in vals for b in vals)
-    passed = worst <= pair_tol
+    passed = worst <= CHECK_TOL
     predicted = {"pairwise_gap": 0.0}
     measured = dict(lams)
     measured["parabolic_lambda_lo"] = march.lambda_lo
@@ -640,9 +633,11 @@ def check_cross_method(
         passed=bool(passed),
         measured=measured,
         predicted=predicted,
-        tolerance=pair_tol,
+        tolerance=CHECK_TOL,
         provenance="all approximation routes converge to the same critical value",
-        inputs={"theta": spec.theta, "m": spec.m, "horizon": horizon, "eps": list(eps_list)},
+        inputs={
+            "theta": spec.theta, "m": spec.m, "horizon": MARCH_HORIZON, "eps": list(DISCOUNT_EPS)
+        },
     )
     return report, march, rows
 
@@ -650,10 +645,9 @@ def check_cross_method(
 def check_radius_monotonicity(
     spec: ProblemSpec,
     radii: tuple[float, ...] = (4.0, 6.0, 8.0),
-    slack: float = 0.02,
     solver_tol: float = 1e-8,
 ) -> tuple[VerdictReport, list[dict]]:
-    """lambda_R is non-increasing in the box radius, within discretization slack.
+    """lambda_R is non-increasing in the box radius, within a discretization slack of CHECK_TOL.
 
     Every box keeps the spacing spec.h and starts from eikonal_initial_guess.
     Returns the report and one row {radius, lambda} per box. At least three
@@ -671,10 +665,10 @@ def check_radius_monotonicity(
     lams = [row["lambda"] for row in rows]
     report = VerdictReport(
         name="radius_monotonicity",
-        passed=all(l2 <= l1 + slack for l1, l2 in zip(lams, lams[1:])),
+        passed=all(l2 <= l1 + CHECK_TOL for l1, l2 in zip(lams, lams[1:])),
         measured={f"lambda_R{r:g}": l for r, l in zip(radii, lams)},
         predicted={"non_increasing": 1.0},
-        tolerance=slack,
+        tolerance=CHECK_TOL,
         provenance="state-constraint levels decrease toward the critical value as R grows",
         inputs={"radii": list(radii), "theta": spec.theta, "m": spec.m},
     )

@@ -185,8 +185,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 # Each property is stated for one problem, so the battery checks the config's problem on its
 # box at fixed inputs: the constants below, and boxes and radii that are fractions of
 # R = [numerics] radius. The checks were calibrated at R = 8, where each fraction is exact.
-# CHECK_TOL is the one check-level tolerance, kept in one place to be split per check.
-CHECK_TOL = 0.03
+# How strictly each verdict is judged is analysis's to decide (analysis.CHECK_TOL).
 SCALING_C = 4.0  # dilation constant of scaling_law
 F2 = (1.0, 4.0, 1.0)  # (coeff, alpha, shift) of the second rhs; continuity_bound keeps f's family
 T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # blend weights of lambda_shape
@@ -194,24 +193,24 @@ SUPERSOLUTION_Q = 1.01
 
 
 def _shift_equivariance(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep = check_shift_equivariance(spec, tol=CHECK_TOL, solver_tol=cfg.numerics.tol)
+    rep = check_shift_equivariance(spec, solver_tol=cfg.numerics.tol)
     return [rep], {}
 
 
 def _scaling_law(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep = check_scaling_law(spec, SCALING_C, tol_rel=CHECK_TOL, tol=cfg.numerics.tol)
+    rep = check_scaling_law(spec, SCALING_C, solver_tol=cfg.numerics.tol)
     return [rep], {}
 
 
 def _lambda_shape(cfg: ExperimentConfig, spec: ProblemSpec):
-    reps = check_lambda_shape(
-        spec, make_pure_power_rhs(*F2), list(T_GRID), tol=CHECK_TOL, solver_tol=cfg.numerics.tol
-    )
-    return reps, {}
+    f2 = make_pure_power_rhs(*F2)
+    return check_lambda_shape(spec, f2, list(T_GRID), solver_tol=cfg.numerics.tol), {}
 
 
 def _growth_exponent(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep, sol = check_growth_exponent(spec.theta, spec.rhs.alpha, m=spec.m, tol=cfg.numerics.tol)
+    rep, sol = check_growth_exponent(
+        spec.theta, spec.rhs.alpha, m=spec.m, solver_tol=cfg.numerics.tol
+    )
     rr = sol.phi.grid.radii().ravel()
     shifted = (sol.phi.values - sol.phi.values.min() + 1.0).ravel()
     mask = rr > 0
@@ -222,7 +221,7 @@ def _growth_exponent(cfg: ExperimentConfig, spec: ProblemSpec):
 def _continuity_bound(cfg: ExperimentConfig, spec: ProblemSpec):
     coeff2, _, shift2 = F2
     f2 = replace(spec.rhs, coeff=coeff2, shift=shift2)
-    rep = check_continuity_bound(spec, f2, tol=CHECK_TOL, solver_tol=cfg.numerics.tol)
+    rep = check_continuity_bound(spec, f2, solver_tol=cfg.numerics.tol)
     return [rep], {}
 
 
@@ -232,7 +231,7 @@ def _uniqueness(cfg: ExperimentConfig, spec: ProblemSpec):
 
 
 def _cross_method(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep, march, drows = check_cross_method(spec, pair_tol=CHECK_TOL, solver_tol=cfg.numerics.tol)
+    rep, march, drows = check_cross_method(spec, solver_tol=cfg.numerics.tol)
     rates = [[_fmt(t), _fmt(a), _fmt(b), _fmt(c)] for t, a, b, c in march.rate_stats]
     path = [[_fmt(r["epsilon"]), _fmt(r["lambda"])] for r in drows]
     return [rep], {
@@ -243,9 +242,8 @@ def _cross_method(cfg: ExperimentConfig, spec: ProblemSpec):
 
 def _radius_monotonicity(cfg: ExperimentConfig, spec: ProblemSpec):
     big = spec.radius
-    rep, table = check_radius_monotonicity(
-        spec, radii=(big / 2, 3 * big / 4, big), slack=CHECK_TOL, solver_tol=cfg.numerics.tol
-    )
+    radii = (big / 2, 3 * big / 4, big)
+    rep, table = check_radius_monotonicity(spec, radii=radii, solver_tol=cfg.numerics.tol)
     rows = [[_fmt(r["radius"]), _fmt(r["lambda"])] for r in table]
     return [rep], {"lambda_vs_radius.csv": (["radius", "lambda"], rows)}
 
@@ -265,7 +263,7 @@ def _interior_minimum(cfg: ExperimentConfig, spec: ProblemSpec):
 def _gradient_estimate(cfg: ExperimentConfig, spec: ProblemSpec):
     big = spec.radius  # boxes r_prime + gap of 3/4, 7/8 and all of it
     rep = check_gradient_estimate(
-        spec, r_primes=(big / 4, 3 * big / 8, big / 2), gap=big / 2, tol=cfg.numerics.tol
+        spec, r_primes=(big / 4, 3 * big / 8, big / 2), gap=big / 2, solver_tol=cfg.numerics.tol
     )
     return [rep], {}
 
@@ -283,9 +281,10 @@ def _power_supersolution(cfg: ExperimentConfig, spec: ProblemSpec):
 
 def _dirichlet_family(cfg: ExperimentConfig, spec: ProblemSpec):
     sol = _warm_solve(cfg, spec)
-    low = spec.rhs.min_value()
-    lambdas = [low, 0.5 * (low + sol.lam - 0.1), sol.lam - 0.1]
-    return [check_dirichlet_family(spec, lambdas, sol.lam, tol=cfg.numerics.tol)], {}
+    top = sol.lam - 0.1  # at least DIRICHLET_MARGIN below lambda_R; min f may lie above it
+    low = min(spec.rhs.min_value(), top - 0.1)
+    lambdas = [low, 0.5 * (low + sol.lam - 0.1), top]
+    return [check_dirichlet_family(spec, lambdas, sol.lam, solver_tol=cfg.numerics.tol)], {}
 
 
 _CHECKS = {

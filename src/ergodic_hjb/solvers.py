@@ -480,7 +480,6 @@ def solve_dirichlet(
     data: Field,
     initial_guess: Optional[Field] = None,
     tol: float = 1e-8,
-    max_iter: int = DIRICHLET_MAX_ITER,
 ) -> Field:
     """Solve G_h[phi] + lambda = 0 at interior nodes with phi = data on the boundary.
 
@@ -509,7 +508,7 @@ def solve_dirichlet(
         return op.residual_values(assemble(x), lam)[interior]
 
     step = _linear_step(op, lambda x, s: (assemble(x), s), unknowns)
-    x, _ = _damped_newton(residual_fn, step, full[interior], tol, max_iter)
+    x, _ = _damped_newton(residual_fn, step, full[interior], tol, DIRICHLET_MAX_ITER)
     return Field(grid, assemble(x))
 
 

@@ -84,14 +84,11 @@ def test_criterion_1_closed_form_family(closed_form_solutions):
 
 
 def test_criterion_2_cross_route_agreement():
-    with criterion("2 five routes pairwise within 0.05 and within 0.05 of 1 + 1/sqrt(2)"):
+    with criterion("2 five routes pairwise within 0.03 and within 0.05 of 1 + 1/sqrt(2)"):
         rhs = make_power_rhs(1.0, 2.0, 0.0)  # f = 1 + |y|^2
         spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.025)
         report, _, _ = check_cross_method(
             spec,
-            horizon=50.0,
-            eps_list=(0.1, 0.05, 0.025),
-            pair_tol=0.05,
             solver_tol=SOLVER_TOL,
             oracle=1.0 + 2.0**-0.5,  # quadratic ansatz: a = 1/sqrt(2), lambda = 1 + a
         )
@@ -105,9 +102,7 @@ def test_criterion_3_radius_monotonicity():
         for theta in THETAS:
             for m, h in ((1, 0.01), (2, 0.1)):
                 spec = closed_form_spec(theta, m, radii[-1], h)
-                report, rows = check_radius_monotonicity(
-                    spec, radii, slack=slack, solver_tol=SOLVER_TOL
-                )
+                report, rows = check_radius_monotonicity(spec, radii, solver_tol=SOLVER_TOL)
                 lams = [row["lambda"] for row in rows]
                 assert report.passed, (theta, m, lams)
                 for l1, l2 in zip(lams, lams[1:]):
@@ -115,19 +110,17 @@ def test_criterion_3_radius_monotonicity():
 
 
 def test_criterion_4_scaling_law():
-    with criterion("4 scaling ratios within 5% of sqrt(c) for c in {1/4, 4}"):
+    with criterion("4 scaling ratios within 3% of sqrt(c) for c in {1/4, 4}"):
         for c in (0.25, 4.0):
-            rep = check_scaling_law(BOX, c, tol_rel=0.05, tol=SOLVER_TOL)
+            rep = check_scaling_law(BOX, c, solver_tol=SOLVER_TOL)
             assert rep.passed, rep.measured
-            assert rep.measured["ratio"] == pytest.approx(c**0.5, rel=0.05)
+            assert rep.measured["ratio"] == pytest.approx(c**0.5, rel=0.03)
 
 
 def test_criterion_5_shift_monotone_concave_suite():
     with criterion("5 shift/monotone/concave suite at tolerance 0.03"):
         f2 = make_pure_power_rhs(1.0, 4.0, 1.0)  # 1 + |y|^4
-        reps = check_lambda_shape(
-            BOX, f2, [0.0, 0.25, 0.5, 0.75, 1.0], tol=0.03, solver_tol=SOLVER_TOL
-        )
+        reps = check_lambda_shape(BOX, f2, [0.0, 0.25, 0.5, 0.75, 1.0], solver_tol=SOLVER_TOL)
         for rep in reps:
             assert rep.passed, (rep.name, rep.measured)
 
@@ -135,7 +128,7 @@ def test_criterion_5_shift_monotone_concave_suite():
 def test_criterion_6_growth_exponents():
     with criterion("6 growth exponents within 10% of alpha/theta + 1"):
         for theta, alpha in ((2.0, 2.0), (2.0, 4.0), (1.5, 1.5)):
-            rep, _ = check_growth_exponent(theta, alpha, tol=SOLVER_TOL)
+            rep, _ = check_growth_exponent(theta, alpha, solver_tol=SOLVER_TOL)
             gamma = alpha / theta + 1.0
             fitted = rep.measured["gamma_fit"]
             assert abs(fitted - gamma) <= 0.10 * gamma, (theta, alpha, rep.measured)
@@ -162,7 +155,7 @@ def test_criterion_7_uniqueness_up_to_constants():
 def test_criterion_8_continuity_bound():
     with criterion("8 continuity bound: gap 0.135 below bound 0.182"):
         f2 = make_power_rhs(1.1, 2.0, 0.0)
-        rep = check_continuity_bound(BOX, f2, tol=0.02, solver_tol=SOLVER_TOL)
+        rep = check_continuity_bound(BOX, f2, solver_tol=SOLVER_TOL)
         assert rep.passed, rep.measured
         assert rep.measured["lambda_gap"] == pytest.approx(0.135, abs=0.01)
         assert rep.predicted["bound"] == pytest.approx(0.182, abs=0.01)

@@ -111,7 +111,7 @@ def test_scaling_law_needs_a_growth_exponent():
 
 def test_lambda_shape_suite_on_quadratic_quartic_pair():
     f2 = make_pure_power_rhs(1.0, 4.0, 1.0)
-    reps = check_lambda_shape(box(8.0, 0.02), f2, [0.0, 0.25, 0.5, 0.75, 1.0], tol=0.03)
+    reps = check_lambda_shape(box(8.0, 0.02), f2, [0.0, 0.25, 0.5, 0.75, 1.0])
     by_name = {r.name: r for r in reps}
     assert by_name["shift_exactness"].passed
     assert by_name["shift_exactness"].measured["lambda_gap"] == pytest.approx(1.0, abs=0.06)
@@ -134,7 +134,7 @@ def test_lambda_shape_uses_given_pair_when_ordered():
 def test_shift_equivariance_check():
     rhs = make_power_rhs(1.0, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=6.0, h=0.05)
-    rep = check_shift_equivariance(spec, tol=0.03)
+    rep = check_shift_equivariance(spec)
     assert rep.passed
     assert rep.measured["lambda_gap"] == pytest.approx(1.0, abs=1e-8)
     assert rep.measured["phi_sup_gap"] <= 1e-8
@@ -170,7 +170,7 @@ def test_continuity_bound_small_perturbation():
     f2 = make_power_rhs(1.01, 2.0, 0.0)  # f1 + 0.01 (1 + |y|^2)
     rep = check_continuity_bound(box(6.0, 0.05), f2)
     assert rep.passed
-    assert rep.measured["lambda_gap"] <= rep.predicted["bound"] + rep.tolerance
+    assert rep.measured["lambda_gap"] <= rep.predicted["bound"] + 0.02
 
 
 def test_continuity_bound_rejects_mismatched_exponents():
@@ -191,7 +191,7 @@ def test_continuity_bound_measures_f0_of_the_functions_it_is_given():
 
 def test_radius_monotonicity_closed_form():
     spec = closed_form_spec(2.0, 1, 8.0, 0.02)
-    rep, rows = check_radius_monotonicity(spec, (4.0, 6.0, 8.0), slack=0.02, solver_tol=1e-8)
+    rep, rows = check_radius_monotonicity(spec, (4.0, 6.0, 8.0), solver_tol=1e-8)
     assert rep.passed
     assert [sorted(row) for row in rows] == [["lambda", "radius"]] * 3
     assert [row["radius"] for row in rows] == [4.0, 6.0, 8.0]
@@ -215,6 +215,8 @@ def test_radius_monotonicity_smooth_quadratic_oracle():
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.01)
     rep, rows = check_radius_monotonicity(spec, (4.0, 6.0, 8.0), solver_tol=1e-8)
     assert rep.passed
+    lams = [row["lambda"] for row in rows]
+    assert all(l2 <= l1 + 0.02 for l1, l2 in zip(lams, lams[1:]))
     assert rows[-1]["lambda"] == pytest.approx(smooth_power_lambda(1.0, 0.0), abs=0.03)
 
 
@@ -391,12 +393,13 @@ def test_lambda_star_characterization_is_two_dirichlet_solves(monkeypatch, spec)
 # -- uniqueness and interior minimum -------------------------------------------------------
 
 
-def test_cross_method_horizon_before_settling_raises():
+def test_cross_method_horizon_before_settling_raises(monkeypatch):
     # relative value iteration is read off the march, so a march that ends
     # before its rates settle has no value to compare
+    monkeypatch.setattr(analysis, "MARCH_HORIZON", 0.5)
     spec = ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=4.0, h=0.1)
     with pytest.raises(SolverError, match="horizon 0.5"):
-        check_cross_method(spec, horizon=0.5)
+        check_cross_method(spec)
 
 
 def test_cross_method_reports_the_march_enclosure():

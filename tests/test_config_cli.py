@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from ergodic_hjb.config import (
     config_to_text,
     parse_config,
 )
+from ergodic_hjb.problem import make_pure_power_rhs
 from ergodic_hjb.solvers import SolverError, eikonal_initial_guess, solve_ergodic
 
 BASE = """
@@ -503,6 +505,43 @@ def test_unsolvable_lower_dirichlet_level_exits_three(tmp_path, monkeypatch, cap
     assert verdict["measured"]["solvable_below"] == verdict["measured"]["solvable_above"] == 0
     rows = (out / "plots" / "dirichlet_bracket.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["0", "0"]
+
+
+@pytest.mark.parametrize("coeff", ["0.004", "0.001"])
+def test_dirichlet_family_levels_stay_below_a_critical_value_near_min_f(tmp_path, coeff):
+    # at coeff 0.004, f = coeff (1 + |y|^2) has lambda_R = 0.048 on this box, so min f = coeff
+    # lies above lambda_R - 0.1; the lowest level moves down instead of tripping the margin
+    text = VERIFY.replace("coeff = 1.0", f"coeff = {coeff}").replace("radius = 6.0", "radius = 8.0")
+    text = text.replace("shift_equivariance, uniqueness", "dirichlet_family")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    (verdict,) = json.loads((out / "verdicts.json").read_text())
+    top = verdict["inputs"]["lambda_star_hint"] - 0.1
+    assert verdict["inputs"]["lambdas"] == pytest.approx([top - 0.1, top - 0.05, top])
+
+
+def test_verify_judges_at_the_library_tolerances(tmp_path):
+    # the strictness of each verdict is decided in analysis alone: a library call
+    # without a tolerance argument reports the tolerance verify judges at
+    checks = "shift_equivariance, scaling_law, lambda_shape, continuity_bound, cross_method, "
+    text = VERIFY.replace("radius = 6.0", "radius = 4.0").replace("h = 0.05", "h = 0.1")
+    text = text.replace("shift_equivariance, uniqueness", checks + "radius_monotonicity")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    spec = build_spec(parse_config(text))
+    coeff2, _, shift2 = cli.F2
+    library = [
+        analysis.check_shift_equivariance(spec),
+        analysis.check_scaling_law(spec, cli.SCALING_C),
+        *analysis.check_lambda_shape(spec, make_pure_power_rhs(*cli.F2), list(cli.T_GRID)),
+        analysis.check_continuity_bound(spec, replace(spec.rhs, coeff=coeff2, shift=shift2)),
+        analysis.check_cross_method(spec)[0],
+        analysis.check_radius_monotonicity(spec, (2.0, 3.0, 4.0))[0],
+    ]
+    assert [(v["name"], v["tolerance"]) for v in verdicts] == [
+        (r.name, r.tolerance) for r in library
+    ]
 
 
 def test_pair_checks_judge_the_configured_pure_power_rhs(tmp_path):

@@ -22,15 +22,6 @@ def test_closed_form_suite_prints_its_table(monkeypatch, capsys):
     assert len(rows) == 6  # theta in (1.5, 2, 3) times m in (1, 2)
 
 
-def test_radius_sweep_prints_its_table(tmp_path, monkeypatch, capsys):
-    argv = ["--radii", "2", "3", "4", "--h", "0.1", "--out", str(tmp_path)]
-    assert run_script("run_radius_sweep.py", argv, monkeypatch) == 0
-    header, *rows = capsys.readouterr().out.strip().splitlines()
-    assert header == "radius,lambda,residual_sup,status"
-    assert [row.split(",")[0] for row in rows] == ["2", "3", "4"]
-    assert all(row.endswith(",ok") for row in rows)
-
-
 def test_output_digest_is_stable_across_runs(monkeypatch, capsys):
     cfg = str(SCRIPTS.parent / "configs" / "solve_quadratic_1d.cfg")
     runs = []

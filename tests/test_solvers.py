@@ -174,7 +174,7 @@ def test_dirichlet_above_critical_value_is_suspected_unsolvable():
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=4.0, h=0.05)
     lam_hat = solve_ergodic(spec, tol=1e-8).lam  # about 1/2
     with pytest.raises(SolverError) as info:
-        solve_dirichlet(spec, lam_hat + 5.0, zero_field(spec.grid), max_iter=60)
+        solve_dirichlet(spec, lam_hat + 5.0, zero_field(spec.grid))
     trace = info.value.trace
     assert trace.termination in {"stagnated", "max_iterations"}
     assert trace.records[-1].residual_sup > 1e3 * 1e-8  # far from the default tolerance
@@ -184,7 +184,7 @@ def test_dirichlet_stall_without_a_hand_off_raises_stagnated():
     # the Dirichlet route passes no stall_tau, so a line-search stall ends the solve
     spec = ProblemSpec(2.0, 1, make_pure_power_rhs(0.5, 2.0, 0.0), 4.0, 0.05)
     with pytest.raises(SolverError) as info:
-        solve_dirichlet(spec, 1.0, zero_field(spec.grid), max_iter=60)
+        solve_dirichlet(spec, 1.0, zero_field(spec.grid))
     trace = info.value.trace
     assert trace.termination == "stagnated"
     assert trace.records[-1].step_size == 0.0
