@@ -2,10 +2,10 @@
 """Print a sha256 digest of every output file that the given configs produce.
 
 Each config runs through the package CLI, in its own mode, into a temporary
-directory. One line per file, `<sha256>  <config name>/<path>`, skipping the
-wall-time files meta.json and sweep_timing.csv. Without arguments every
-config in configs/ runs. Two checkouts give the same output exactly when
-their lines agree:
+directory. One line per file, `<sha256>  <config name>/<path>`, skipping
+meta.json, the one file with wall times and timestamps. Without arguments
+every config in configs/ runs. Two checkouts give the same output exactly
+when their lines agree:
 
     python scripts/output_digest.py > before.txt   # then, on the other checkout
     python scripts/output_digest.py | diff before.txt -
@@ -26,7 +26,7 @@ from ergodic_hjb.cli import main as cli_main
 from ergodic_hjb.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-TIMED_FILES = {"meta.json", "sweep_timing.csv"}
+TIMED_FILES = {"meta.json"}
 
 
 def main():

@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 configuration error, 2 solver failure (any error
 raised once the config is accepted), 3 verification failure. Result files are
 deterministic for a fixed config; wall times and timestamps live only in
-meta.json / sweep_timing.csv.
+meta.json (per sweep row in row_wall_s, per check in check_wall_s). verify
+runs analysis.check_<name>(spec, solver_tol) for each configured check, with
+the run's seed for uniqueness: every other input of a check is its default in
+analysis. method and max_iter of [numerics] apply to solve and sweep only.
 """
 
 from __future__ import annotations
@@ -16,22 +19,7 @@ from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
-from .analysis import (
-    check_cross_method,
-    check_continuity_bound,
-    check_dirichlet_family,
-    check_gradient_estimate,
-    check_growth_exponent,
-    check_interior_minimum,
-    check_lambda_shape,
-    check_lambda_star_characterization,
-    check_power_supersolution,
-    check_radius_monotonicity,
-    check_scaling_law,
-    check_shift_equivariance,
-    check_uniqueness,
-)
+from . import __version__, analysis
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -39,13 +27,11 @@ from .config import (
     parse_config,
 )
 from .grid import _fmt, dump_json, field_to_csv
-from .problem import ProblemSpec, make_pure_power_rhs
 from .scheme import STATE_CONSTRAINT
 from .solvers import (
     ConvergenceTrace,
     SolverError,
     discounted_lambda_path,
-    eikonal_initial_guess,
     solve_ergodic,
 )
 
@@ -167,9 +153,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         for r in rows
     ]
     _write(out / "sweep.csv", _csv(header, body))
-    timing = [[_fmt(r["value"]), _fmt(r["wall_s"])] for r in rows]
-    _write(out / "sweep_timing.csv", _csv([axis, "wall_time_s"], timing))
-    _write_meta(out, time.perf_counter() - start, {"axis": axis, "n_rows": len(rows)})
+    meta = {
+        "axis": axis, "n_rows": len(rows), "row_wall_s": [[r["value"], r["wall_s"]] for r in rows]
+    }
+    _write_meta(out, time.perf_counter() - start, meta)
     ok = all(r["status"] == "ok" for r in rows)
     if not ok:
         failed = [r for r in rows if r["status"] != "ok"]
@@ -179,135 +166,16 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 
 # -- verify -----------------------------------------------------------------------
 
-# Each entry maps (cfg, spec) to (verdicts, plot tables as {filename: (header, rows)}) and
-# calls its check by module-global name, so a wrapper installed on that name sees the call.
-
-# Each property is stated for one problem, so the battery checks the config's problem on its
-# box at fixed inputs: the constants below, and boxes and radii that are fractions of
-# R = [numerics] radius. The checks were calibrated at R = 8, where each fraction is exact.
-# How strictly each verdict is judged is analysis's to decide (analysis.CHECK_TOL).
-SCALING_C = 4.0  # dilation constant of scaling_law
-F2 = (1.0, 4.0, 1.0)  # (coeff, alpha, shift) of the second rhs; continuity_bound keeps f's family
-T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # blend weights of lambda_shape
-SUPERSOLUTION_Q = 1.01
-
-
-def _shift_equivariance(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep = check_shift_equivariance(spec, solver_tol=cfg.numerics.tol)
-    return [rep], {}
-
-
-def _scaling_law(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep = check_scaling_law(spec, SCALING_C, solver_tol=cfg.numerics.tol)
-    return [rep], {}
-
-
-def _lambda_shape(cfg: ExperimentConfig, spec: ProblemSpec):
-    f2 = make_pure_power_rhs(*F2)
-    return check_lambda_shape(spec, f2, list(T_GRID), solver_tol=cfg.numerics.tol), {}
-
-
-def _growth_exponent(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep, sol = check_growth_exponent(
-        spec.theta, spec.rhs.alpha, m=spec.m, solver_tol=cfg.numerics.tol
-    )
-    rr = sol.phi.grid.radii().ravel()
-    shifted = (sol.phi.values - sol.phi.values.min() + 1.0).ravel()
-    mask = rr > 0
-    rows = [[_fmt(r), _fmt(val)] for r, val in zip(rr[mask], shifted[mask])]
-    return [rep], {"growth_loglog.csv": (["abs_y", "phi_shifted"], rows)}
-
-
-def _continuity_bound(cfg: ExperimentConfig, spec: ProblemSpec):
-    coeff2, _, shift2 = F2
-    f2 = replace(spec.rhs, coeff=coeff2, shift=shift2)
-    rep = check_continuity_bound(spec, f2, solver_tol=cfg.numerics.tol)
-    return [rep], {}
-
-
-def _uniqueness(cfg: ExperimentConfig, spec: ProblemSpec):
-    seeds = (cfg.run.seed + 1, cfg.run.seed + 2)
-    return [check_uniqueness(spec, seeds=seeds, solver_tol=cfg.numerics.tol)], {}
-
-
-def _cross_method(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep, march, drows = check_cross_method(spec, solver_tol=cfg.numerics.tol)
-    rates = [[_fmt(t), _fmt(a), _fmt(b), _fmt(c)] for t, a, b, c in march.rate_stats]
-    path = [[_fmt(r["epsilon"]), _fmt(r["lambda"])] for r in drows]
-    return [rep], {
-        "parabolic_rate.csv": (["t", "rate_min", "rate_mean", "rate_max"], rates),
-        "discount_path.csv": (["epsilon", "lambda"], path),
-    }
-
-
-def _radius_monotonicity(cfg: ExperimentConfig, spec: ProblemSpec):
-    big = spec.radius
-    radii = (big / 2, 3 * big / 4, big)
-    rep, table = check_radius_monotonicity(spec, radii=radii, solver_tol=cfg.numerics.tol)
-    rows = [[_fmt(r["radius"]), _fmt(r["lambda"])] for r in table]
-    return [rep], {"lambda_vs_radius.csv": (["radius", "lambda"], rows)}
-
-
-def _lambda_star_characterization(cfg: ExperimentConfig, spec: ProblemSpec):
-    rep, table = check_lambda_star_characterization(spec, solver_tol=cfg.numerics.tol)
-    rows = [[_fmt(r["lambda"]), "1" if r["solvable"] else "0"] for r in table]
-    return [rep], {"dirichlet_bracket.csv": (["lambda", "solvable"], rows)}
-
-
-def _interior_minimum(cfg: ExperimentConfig, spec: ProblemSpec):
-    n = cfg.numerics
-    sol = solve_ergodic(spec, method=n.method, tol=n.tol, max_iter=n.max_iter)
-    return [check_interior_minimum(sol)], {}
-
-
-def _gradient_estimate(cfg: ExperimentConfig, spec: ProblemSpec):
-    big = spec.radius  # boxes r_prime + gap of 3/4, 7/8 and all of it
-    rep = check_gradient_estimate(
-        spec, r_primes=(big / 4, 3 * big / 8, big / 2), gap=big / 2, solver_tol=cfg.numerics.tol
-    )
-    return [rep], {}
-
-
-def _warm_solve(cfg: ExperimentConfig, spec: ProblemSpec):
-    n = cfg.numerics
-    guess = eikonal_initial_guess(spec)
-    return solve_ergodic(spec, initial_guess=guess, tol=n.tol, max_iter=n.max_iter)
-
-
-def _power_supersolution(cfg: ExperimentConfig, spec: ProblemSpec):
-    sol = _warm_solve(cfg, spec)
-    return [check_power_supersolution(sol, q=SUPERSOLUTION_Q, r_inner=0.375 * spec.radius)], {}
-
-
-def _dirichlet_family(cfg: ExperimentConfig, spec: ProblemSpec):
-    sol = _warm_solve(cfg, spec)
-    top = sol.lam - 0.1  # at least DIRICHLET_MARGIN below lambda_R; min f may lie above it
-    low = min(spec.rhs.min_value(), top - 0.1)
-    lambdas = [low, 0.5 * (low + sol.lam - 0.1), top]
-    return [check_dirichlet_family(spec, lambdas, sol.lam, solver_tol=cfg.numerics.tol)], {}
-
-
-_CHECKS = {
-    "shift_equivariance": _shift_equivariance,
-    "scaling_law": _scaling_law,
-    "lambda_shape": _lambda_shape,
-    "growth_exponent": _growth_exponent,
-    "continuity_bound": _continuity_bound,
-    "uniqueness": _uniqueness,
-    "cross_method": _cross_method,
-    "radius_monotonicity": _radius_monotonicity,
-    "lambda_star_characterization": _lambda_star_characterization,
-    "interior_minimum": _interior_minimum,
-    "gradient_estimate": _gradient_estimate,
-    "power_supersolution": _power_supersolution,
-    "dirichlet_family": _dirichlet_family,
-}
-
 
 def _run_one_check(name: str, cfg: ExperimentConfig):
-    """One check's (verdicts, plots), and [name, wall seconds] for meta.json."""
+    """One check's (verdicts, plot tables), and [name, wall seconds] for meta.json.
+
+    The check is looked up on analysis at call time, so a wrapper installed there sees the call.
+    """
     t0 = time.perf_counter()
-    result = _CHECKS[name](cfg, build_spec(cfg))
+    seed = {"seed": cfg.run.seed} if name == "uniqueness" else {}
+    check = getattr(analysis, f"check_{name}")
+    result = check(build_spec(cfg), solver_tol=cfg.numerics.tol, **seed)
     return result, [name, time.perf_counter() - t0]
 
 
@@ -317,10 +185,11 @@ def run_verify(cfg: ExperimentConfig, out_dir: str) -> int:
     results = [_run_one_check(nm, cfg) for nm in cfg.verify.checks]
 
     verdicts = []
-    for (reps, plots), _ in results:
+    for (reps, tables), _ in results:
         verdicts.extend(reps)
-        for fname, (header, rows) in plots.items():
-            _write(out / "plots" / fname, _csv(header, rows))
+        for fname, rows in tables.items():
+            body = [[_fmt(value) for value in row.values()] for row in rows]
+            _write(out / "plots" / fname, _csv(list(rows[0]), body))
 
     _write(out / "verdicts.json", dump_json([asdict(r) for r in verdicts]) + "\n")
     summary_rows = []

@@ -37,6 +37,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
+from .analysis import CHECKS
 from .problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from .solvers import METHOD_BUDGETS
 
@@ -57,22 +58,6 @@ __all__ = [
 RHS_FORMS = {"power": make_power_rhs, "pure_power": make_pure_power_rhs}
 METHODS = tuple(METHOD_BUDGETS)
 SWEEP_AXES = ("radius", "epsilon", "coeff")
-
-CHECK_NAMES = (
-    "shift_equivariance",
-    "scaling_law",
-    "lambda_shape",
-    "growth_exponent",
-    "continuity_bound",
-    "uniqueness",
-    "cross_method",
-    "radius_monotonicity",
-    "lambda_star_characterization",
-    "interior_minimum",
-    "gradient_estimate",
-    "power_supersolution",
-    "dirichlet_family",
-)
 
 
 class ConfigError(Exception):
@@ -250,9 +235,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if not verify.checks:
             raise ConfigError("[verify] checks must be a nonempty list")
         for i, name in enumerate(verify.checks):
-            if name not in CHECK_NAMES:
+            if name not in CHECKS:
                 raise ConfigError(
-                    f"[verify] unknown check {name!r}; known checks: {', '.join(CHECK_NAMES)}"
+                    f"[verify] unknown check {name!r}; known checks: {', '.join(CHECKS)}"
                 )
             if name in verify.checks[:i]:
                 raise ConfigError(f"[verify] check {name!r} is listed twice")

@@ -87,7 +87,7 @@ def test_criterion_2_cross_route_agreement():
     with criterion("2 five routes pairwise within 0.03 and within 0.05 of 1 + 1/sqrt(2)"):
         rhs = make_power_rhs(1.0, 2.0, 0.0)  # f = 1 + |y|^2
         spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.025)
-        report, _, _ = check_cross_method(
+        (report,), _ = check_cross_method(
             spec,
             solver_tol=SOLVER_TOL,
             oracle=1.0 + 2.0**-0.5,  # quadratic ansatz: a = 1/sqrt(2), lambda = 1 + a
@@ -98,11 +98,12 @@ def test_criterion_2_cross_route_agreement():
 def test_criterion_3_radius_monotonicity():
     with criterion("3 lambda_R non-increasing over radii {4,6,8} within slack 0.02"):
         slack = 0.02
-        radii = [4.0, 6.0, 8.0]
         for theta in THETAS:
             for m, h in ((1, 0.01), (2, 0.1)):
-                spec = closed_form_spec(theta, m, radii[-1], h)
-                report, rows = check_radius_monotonicity(spec, radii, solver_tol=SOLVER_TOL)
+                spec = closed_form_spec(theta, m, 8.0, h)  # boxes R/2, 3R/4, R = 4, 6, 8
+                (report,), tables = check_radius_monotonicity(spec, solver_tol=SOLVER_TOL)
+                rows = tables["lambda_vs_radius.csv"]
+                assert [row["radius"] for row in rows] == [4.0, 6.0, 8.0]
                 lams = [row["lambda"] for row in rows]
                 assert report.passed, (theta, m, lams)
                 for l1, l2 in zip(lams, lams[1:]):
@@ -112,7 +113,7 @@ def test_criterion_3_radius_monotonicity():
 def test_criterion_4_scaling_law():
     with criterion("4 scaling ratios within 3% of sqrt(c) for c in {1/4, 4}"):
         for c in (0.25, 4.0):
-            rep = check_scaling_law(BOX, c, solver_tol=SOLVER_TOL)
+            (rep,), _ = check_scaling_law(BOX, solver_tol=SOLVER_TOL, c=c)
             assert rep.passed, rep.measured
             assert rep.measured["ratio"] == pytest.approx(c**0.5, rel=0.03)
 
@@ -120,7 +121,9 @@ def test_criterion_4_scaling_law():
 def test_criterion_5_shift_monotone_concave_suite():
     with criterion("5 shift/monotone/concave suite at tolerance 0.03"):
         f2 = make_pure_power_rhs(1.0, 4.0, 1.0)  # 1 + |y|^4
-        reps = check_lambda_shape(BOX, f2, [0.0, 0.25, 0.5, 0.75, 1.0], solver_tol=SOLVER_TOL)
+        reps, _ = check_lambda_shape(
+            BOX, solver_tol=SOLVER_TOL, f2=f2, t_grid=(0.0, 0.25, 0.5, 0.75, 1.0)
+        )
         for rep in reps:
             assert rep.passed, (rep.name, rep.measured)
 
@@ -128,7 +131,9 @@ def test_criterion_5_shift_monotone_concave_suite():
 def test_criterion_6_growth_exponents():
     with criterion("6 growth exponents within 10% of alpha/theta + 1"):
         for theta, alpha in ((2.0, 2.0), (2.0, 4.0), (1.5, 1.5)):
-            rep, _ = check_growth_exponent(theta, alpha, solver_tol=SOLVER_TOL)
+            rhs = make_pure_power_rhs(1.0, alpha, shift=1.0)
+            spec = ProblemSpec(theta=theta, m=1, rhs=rhs, radius=16.0, h=0.02)
+            (rep,), _ = check_growth_exponent(spec, solver_tol=SOLVER_TOL)
             gamma = alpha / theta + 1.0
             fitted = rep.measured["gamma_fit"]
             assert abs(fitted - gamma) <= 0.10 * gamma, (theta, alpha, rep.measured)
@@ -155,7 +160,7 @@ def test_criterion_7_uniqueness_up_to_constants():
 def test_criterion_8_continuity_bound():
     with criterion("8 continuity bound: gap 0.135 below bound 0.182"):
         f2 = make_power_rhs(1.1, 2.0, 0.0)
-        rep = check_continuity_bound(BOX, f2, solver_tol=SOLVER_TOL)
+        (rep,), _ = check_continuity_bound(BOX, solver_tol=SOLVER_TOL, f2=f2)
         assert rep.passed, rep.measured
         assert rep.measured["lambda_gap"] == pytest.approx(0.135, abs=0.01)
         assert rep.predicted["bound"] == pytest.approx(0.182, abs=0.01)
@@ -166,7 +171,7 @@ def test_criterion_9_lambda_star_characterization():
     with criterion("9 Dirichlet-solvability threshold matches the state-constraint level"):
         rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
         spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.01)
-        rep, _ = check_lambda_star_characterization(spec, solver_tol=SOLVER_TOL)
+        (rep,), _ = check_lambda_star_characterization(spec, solver_tol=SOLVER_TOL)
         assert rep.passed, rep.measured
         assert rep.measured["solvable_below"] == 1 and rep.measured["solvable_above"] == 0
         assert rep.tolerance == 2**-7

@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ergodic_hjb import analysis, cli, config
 from ergodic_hjb.cli import main
 from ergodic_hjb.config import (
-    CHECK_NAMES,
     ConfigError,
     ExperimentConfig,
     NumericsSettings,
@@ -26,7 +25,7 @@ from ergodic_hjb.config import (
     config_to_text,
     parse_config,
 )
-from ergodic_hjb.problem import make_pure_power_rhs
+from ergodic_hjb.grid import dump_json
 from ergodic_hjb.solvers import SolverError, eikonal_initial_guess, solve_ergodic
 
 BASE = """
@@ -335,9 +334,10 @@ def test_cli_radius_sweep_rows_and_monotonicity(tmp_path):
     for l1, l2 in zip(lams, lams[1:]):
         assert l2 <= l1 + 0.02  # non-increasing within slack
     assert all(ln.endswith("ok") for ln in lines[1:])
-    timing = (out / "sweep_timing.csv").read_text().strip().splitlines()
-    assert timing[0] == "radius,wall_time_s"
-    assert len(timing) == 4
+    assert not (out / "sweep_timing.csv").exists()  # wall times live in meta.json only
+    timing = json.loads((out / "meta.json").read_text())["row_wall_s"]
+    assert [value for value, _ in timing] == [4.0, 6.0, 8.0]
+    assert all(wall >= 0.0 for _, wall in timing)
 
 
 def test_radius_sweep_values_below_h_are_config_errors(tmp_path):
@@ -467,7 +467,7 @@ def test_verify_configs_at_the_guards_run_without_a_traceback(tmp_path, capsys):
     # passes, fails or stops on a SolverError, never on an error of its inputs
     text = VERIFY.replace("theta = 2.0", "theta = 1.5").replace("alpha = 2.0", "alpha = 1.0")
     text = text.replace("radius = 6.0", "radius = 2.0").replace("h = 0.05", "h = 1.0")
-    for name in CHECK_NAMES:
+    for name in analysis.CHECKS:
         cfg = write_cfg(tmp_path, text.replace("shift_equivariance, uniqueness", name))
         code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
@@ -530,18 +530,34 @@ def test_verify_judges_at_the_library_tolerances(tmp_path):
     assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
     verdicts = json.loads((out / "verdicts.json").read_text())
     spec = build_spec(parse_config(text))
-    coeff2, _, shift2 = cli.F2
     library = [
-        analysis.check_shift_equivariance(spec),
-        analysis.check_scaling_law(spec, cli.SCALING_C),
-        *analysis.check_lambda_shape(spec, make_pure_power_rhs(*cli.F2), list(cli.T_GRID)),
-        analysis.check_continuity_bound(spec, replace(spec.rhs, coeff=coeff2, shift=shift2)),
-        analysis.check_cross_method(spec)[0],
-        analysis.check_radius_monotonicity(spec, (2.0, 3.0, 4.0))[0],
+        *analysis.check_shift_equivariance(spec)[0],
+        *analysis.check_scaling_law(spec)[0],
+        *analysis.check_lambda_shape(spec)[0],
+        *analysis.check_continuity_bound(spec)[0],
+        *analysis.check_cross_method(spec)[0],
+        *analysis.check_radius_monotonicity(spec)[0],
     ]
     assert [(v["name"], v["tolerance"]) for v in verdicts] == [
         (r.name, r.tolerance) for r in library
     ]
+
+
+def test_verify_verdicts_are_the_library_calls_with_spec_and_solver_tol(tmp_path):
+    # every input of a check is its analysis default, so verify's verdicts are the
+    # library calls with the problem and the solver tolerance alone (and the seed)
+    text = VERIFY.replace("theta = 2.0", "theta = 1.5").replace("radius = 6.0", "radius = 4.0")
+    text = text.replace("h = 0.05", "h = 0.1").replace("seed = 0", "seed = 3")
+    text = text.replace("shift_equivariance, uniqueness", ", ".join(analysis.CHECKS))
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) in (0, 3)
+    cfg = parse_config(text)
+    spec, tol = build_spec(cfg), cfg.numerics.tol
+    library = []
+    for name in analysis.CHECKS:
+        seed = {"seed": cfg.run.seed} if name == "uniqueness" else {}
+        library.extend(getattr(analysis, f"check_{name}")(spec, solver_tol=tol, **seed)[0])
+    assert (out / "verdicts.json").read_text() == dump_json([asdict(r) for r in library]) + "\n"
 
 
 def test_pair_checks_judge_the_configured_pure_power_rhs(tmp_path):
@@ -564,7 +580,7 @@ def test_pair_checks_judge_the_configured_pure_power_rhs(tmp_path):
 
 def test_cli_verify_solver_failure_exits_two(tmp_path, capsys):
     text = VERIFY.replace("checks = shift_equivariance, uniqueness", "checks = interior_minimum")
-    cfg = write_cfg(tmp_path, text.replace("tol = 1e-08", "tol = 1e-08\nmax_iter = 1"))
+    cfg = write_cfg(tmp_path, text.replace("tol = 1e-08", "tol = 1e-15"))
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "did not reach tolerance" in capsys.readouterr().err
 
@@ -575,14 +591,10 @@ def test_cli_error_inside_a_check_exits_two(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("inconsistent state inside the check")
 
-    monkeypatch.setattr(cli, "check_uniqueness", broken)
+    monkeypatch.setattr(analysis, "check_uniqueness", broken)
     cfg = write_cfg(tmp_path, VERIFY.replace("shift_equivariance, uniqueness", "uniqueness"))
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "inconsistent state inside the check" in capsys.readouterr().err
-
-
-def test_check_table_matches_check_names():
-    assert tuple(cli._CHECKS) == CHECK_NAMES
 
 
 def test_readme_lists_the_parser_keys_and_check_names():
@@ -597,12 +609,12 @@ def test_readme_lists_the_parser_keys_and_check_names():
             section = re.fullmatch(r"`\[(\w+)\]`", cells[0].strip()).group(1)
         pairs |= {(section, key) for key in re.findall(r"`(\w+)`", cells[1])}
     assert pairs == {(s, k) for s in config._SECTIONS for k in config._kinds(s)}
-    assert tuple(re.findall(r"`(\w+)`", names.split(".\n", 1)[0])) == CHECK_NAMES
+    assert tuple(re.findall(r"`(\w+)`", names.split(".\n", 1)[0])) == analysis.CHECKS
 
 
 def test_check_table_calls_checks_by_module_global_name(monkeypatch):
-    # run-time wrappers replace module attributes; a table entry that held the
-    # function object itself would bypass them
+    # run-time wrappers replace module attributes; verify looks each check up on
+    # analysis at call time, since holding the function object would bypass them
     class Called(Exception):
         pass
 
@@ -610,15 +622,14 @@ def test_check_table_calls_checks_by_module_global_name(monkeypatch):
         raise Called
 
     cfg = parse_config(VERIFY)
-    for name in CHECK_NAMES:
-        monkeypatch.setattr(cli, f"check_{name}", stub)
+    for name in analysis.CHECKS:
+        monkeypatch.setattr(analysis, f"check_{name}", stub)
         with pytest.raises(Called):
             cli._run_one_check(name, cfg)
 
 
-def test_cli_verify_failure_exits_three(tmp_path):
-    # the power-supersolution margin is negative inside the well (annulus [0.375, 0.8]): honest fail
-    text = """
+# the power-supersolution margin is negative inside the well (annulus [0.375, 0.8]): honest fail
+SUPERSOLUTION_FAIL = """
 [run]
 seed = 0
 
@@ -638,7 +649,10 @@ tol = 1e-08
 [verify]
 checks = power_supersolution
 """
-    cfg = write_cfg(tmp_path, text)
+
+
+def test_cli_verify_failure_exits_three(tmp_path):
+    cfg = write_cfg(tmp_path, SUPERSOLUTION_FAIL)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_config_cli import SUPERSOLUTION_FAIL
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -50,4 +52,16 @@ def test_output_digest_runs_from_a_checkout_without_an_install(tmp_path):
         "solve_quadratic_1d/solution.csv",
         "solve_quadratic_1d/solution.json",
         "solve_quadratic_1d/trace.jsonl",
+    ]
+
+
+def test_output_digest_exits_nonzero_when_a_run_does(tmp_path, monkeypatch, capsys):
+    # verify exits 3 on this config's failed verdict; every file it wrote is still digested
+    cfg = tmp_path / "honest_fail.cfg"
+    cfg.write_text(SUPERSOLUTION_FAIL)
+    assert run_script("output_digest.py", [str(cfg)], monkeypatch) == 3
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split("  ")[1] for line in lines] == [
+        "honest_fail/verdicts.csv",
+        "honest_fail/verdicts.json",
     ]

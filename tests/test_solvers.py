@@ -921,8 +921,7 @@ def test_ergodic_rejects_unbounded_rhs():
 def test_interior_minimum_at_origin():
     rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=6.0, h=0.05)
-    sol = solve_ergodic(spec, tol=1e-8)
-    rep = check_interior_minimum(sol)
+    (rep,), _ = check_interior_minimum(spec, solver_tol=1e-8)
     assert rep.passed
     assert rep.inputs["location"][0] == pytest.approx(0.0, abs=0.1)
     assert rep.measured["f_at_argmin"] <= rep.measured["lambda"] + 1e-6
@@ -941,8 +940,7 @@ def test_interior_minimum_shifted_well():
 
     rhs = Shifted(coeff=0.5, alpha=2.0, shift=0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=8.0, h=0.05)
-    sol = solve_ergodic(spec, tol=1e-8)
-    rep = check_interior_minimum(sol)
+    (rep,), _ = check_interior_minimum(spec, solver_tol=1e-8)
     assert rep.passed
     assert rep.inputs["location"][0] == pytest.approx(2.0, abs=0.2)
 
