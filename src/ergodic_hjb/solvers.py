@@ -20,11 +20,14 @@ Routes implemented here:
 * ``parabolic_march``      the one monotone march of u_t = 1/2 Lap u - H(Du) + f,
                            IMEX: backward Euler for 1/2 Lap, explicit upwind H, with
                            dt <= 0.9 h / (m max(1, max|p|)^(theta-1)); the rate
-                           -G_h[u] approaches the critical value, and relative value
-                           iteration is read off it (rate spread <= tol/2). Being
-                           monotone, every step certifies min rate <= lambda_h <=
-                           max rate; the march stops at the horizon or once the
-                           intersection of these enclosures stops shrinking
+                           -G_h[u] approaches the critical value. With T = inf it is
+                           relative value iteration: each iterate is the Anderson
+                           type-II combination of its last plain steps' images
+                           (Anderson 1965; Walker & Ni 2011), stopped once the rate
+                           spread is <= tol/2. The scheme is monotone, so every
+                           iterate certifies min rate <= lambda_h <= max rate; the
+                           march stops at the horizon, on settling when T = inf, or
+                           once the intersection of these enclosures stops shrinking
 
 Every Newton-type step (Newton, pseudo-time, policy, Dirichlet, discount)
 solves one linear system with the Jacobian (_linear_step). On a 1-d grid that
@@ -37,6 +40,7 @@ dimensions a sparse LU in nested-dissection order does, and may be reused
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
@@ -76,6 +80,17 @@ MARCH_RECORD_EVERY = 200  # march steps between trace records and rate statistic
 # this many steps (counted in steps, not records). On the verify instance it
 # last shrinks at step 6,771 and then stays put through step 31,193.
 MARCH_FLOOR_STEPS = 2000
+# Relative value iteration mixes its last ANDERSON_DEPTH + 1 plain images. From
+# the zero start at tol 1e-8, on 16 1-d boxes (theta 1.5, 2, 2.5, 3; R 6, 8;
+# h 0.02, 0.025) and 4 2-d closed forms, depth 3 settles in a median of 756
+# iterations (at most 2,800), against 5,003 (at most 14,289) for plain steps.
+# Depths 2, 4 and 5 take medians of 1,047, 995 and 745 (at most 2,753, 4,044
+# and 3,528).
+ANDERSON_DEPTH = 3
+# _anderson_weights drops a difference whose Schur pivot is at most this share
+# of its squared norm; any value from 1e-14 to 1e-6 gives the same iterations
+# on those 20 instances, and a pivot of 0 (repeated residuals) is never divided by
+ANDERSON_PIVOT = 1e-10
 # solve_ergodic's budget when max_iter is not given: Newton iterations, policy
 # sweeps, march steps
 METHOD_BUDGETS = {
@@ -152,7 +167,8 @@ class ErgodicSolution:
 @dataclass
 class ParabolicMarch:
     lambda_hat: float
-    rate_stats: list[tuple[float, float, float, float]]  # (t, min, mean, max)
+    # (t, min, mean, max) of the rate per sample; t is the iteration when T = inf
+    rate_stats: list[tuple[float, float, float, float]]
     profile: Field  # u(., T) - u(anchor, T)
     n_steps: int
     trace: ConvergenceTrace
@@ -761,10 +777,24 @@ def parabolic_march(
     G_h[phi] + lambda = 0, whatever dt is, because the implicit Laplacian
     annihilates constants.
 
-    Returns per-sample (t, min, mean, max) of the rate; the mean at the final
-    step is the long-time estimate of the critical value. Since the step is
-    monotone, discrete comparison gives min rate <= lambda_h <= max rate at
-    every step; ``lambda_lo`` and ``lambda_hi`` are the running max of the
+    With T = inf the march is relative value iteration, a fixed-point
+    iteration rather than a time integrator. The plain image of an iterate u
+    is g(u) = normalize(u + (I/dt - 1/2 Lap_h)^(-1) rate(u)), with dt the rung
+    at u and normalize subtracting the anchor value; a fixed point of g
+    solves G_h[u] + lambda = 0. The next iterate is the Anderson type-II
+    combination of the last ANDERSON_DEPTH + 1 plain images, not the newest
+    image alone (Anderson 1965; Walker & Ni 2011; _AndersonHistory). Its
+    weights minimize the 2-norm of the combined centred rates, the residual
+    that the stop test reads. The history is cleared when the rung changes,
+    since g changes with it. A combination whose rate is non-finite or
+    runaway is replaced by the plain image it was mixed from, and the history
+    is cleared. Steps and rate_stats then count iterations, not time.
+
+    Returns per-sample (t, min, mean, max) of the rate, t the iteration when
+    T = inf; the mean at the final step is the long-time estimate of the
+    critical value. Since the scheme is monotone, discrete comparison gives
+    min rate <= lambda_h <= max rate at every iterate, however it was
+    produced; ``lambda_lo`` and ``lambda_hi`` are the running max of the
     minima and min of the maxima, a certified enclosure of lambda_h up to
     rounding. The march stops at the first of: the horizon T (termination
     "horizon_reached"); the settle step when T = inf ("converged"); and
@@ -774,10 +804,10 @@ def parabolic_march(
     whose rate spread (a bound on that pair's residual) is <= tol/2, or
     None if the horizon comes first. Reaching the floor before settling means
     tol/2 lies below the floor: SolverError with termination "rounding_floor".
-    A non-finite or runaway rate raises SolverError with termination
-    "blow_up": dt follows the gradient at every step, so a blow-up points at
-    the data (right-hand side or initial field), not at the step size. More
-    than max_steps steps raise SolverError.
+    A non-finite or runaway rate of a plain step raises SolverError with
+    termination "blow_up": dt follows the gradient at every step, so a
+    blow-up points at the data (right-hand side or initial field), not at the
+    step size. More than max_steps steps raise SolverError.
     """
     op = DiscreteOperator(spec)
     f, theta, h, m = op._f, spec.theta, spec.h, spec.m
@@ -794,60 +824,78 @@ def parabolic_march(
     last_shrink = 0
     t = 0.0
     step = 0
-    while True:
-        lap, mag = slopes()
-        np.multiply(lap, 0.5, out=rate)  # rate = 1/2 lap - |p|^theta / theta + f
-        np.copyto(ham, mag)
-        ham **= theta  # in place, as mag**theta computes it, scalar fast paths included
-        ham /= theta
-        rate -= ham
-        rate += f
-        lo, hi = float(rate.min()), float(rate.max())
-        if not (lo >= -1e14 and hi <= 1e14):  # also catches nan
-            raise SolverError(
-                "march blew up; check the data",
-                ConvergenceTrace(records=records, termination="blow_up"),
-            )
-        if lo > cert_lo or hi < cert_hi:
-            cert_lo, cert_hi = max(cert_lo, lo), min(cert_hi, hi)
-            last_shrink = step
-        bound = top / max(1.0, float(mag.max())) ** (theta - 1.0)
-        k = 0
-        while top * 2.0 ** (-0.5 * k) > bound:
-            k += 1
-        dt = min(top * 2.0 ** (-0.5 * k), T - t)
-        if settled is None and hi - lo <= 0.5 * tol:
-            lam = float(rate.mean())
-            settled = _finalize(
-                op, u, lam, records + [TraceRecord(step, hi - lo, lam, None)],
-                "relative_value_iteration", tol,
-            )
-        floor = step - last_shrink >= MARCH_FLOOR_STEPS
-        stop = dt <= 0.0 or (settled is not None and T == np.inf) or floor
-        if stop or step % MARCH_RECORD_EVERY == 0:
-            mean = float(rate.mean())
-            stats.append((t, lo, mean, hi))
-            records.append(TraceRecord(step, hi - lo, mean, None if stop else dt))
-        if floor and settled is None:
-            raise SolverError(
-                f"march reached its rounding floor at step {step} before its rate spread "
-                f"{hi - lo:.3e} fell to tol/2 = {0.5 * tol:g} (certified width "
-                f"{cert_hi - cert_lo:.3e})",
-                ConvergenceTrace(records=records, termination="rounding_floor"),
-            )
-        if stop:
-            break
-        if step >= max_steps:
-            raise SolverError(
-                f"march did not stop within {max_steps} steps (t = {t:.6g}, horizon {T:g}, "
-                f"rate spread {hi - lo:.3e} vs tol/2 = {0.5 * tol:g})",
-                ConvergenceTrace(records=records, termination="max_iterations"),
-            )
-        if dt not in rungs:
-            rungs[dt] = _rung_solver(op, dt)
-        u += rungs[dt](rate.ravel()).reshape(u.shape)
-        t += dt
-        step += 1
+    accelerate = T == np.inf
+    if accelerate:
+        anchor = int(np.ravel_multi_index(spec.anchor_index, spec.grid.shape))
+        history = _AndersonHistory(u.reshape(-1), anchor)
+    mixed = False  # u is an Anderson combination, not a plain image
+    # with T = inf a combination may overflow, and so may |p|^theta at it: its
+    # non-finite rate is caught below, and at a plain iterate it is a blow-up
+    quiet = {"over": "ignore", "invalid": "ignore"} if accelerate else {}
+    with np.errstate(**quiet):
+        while True:
+            lap, mag = slopes()
+            np.multiply(lap, 0.5, out=rate)  # rate = 1/2 lap - |p|^theta / theta + f
+            np.copyto(ham, mag)
+            ham **= theta  # in place, as mag**theta computes it, scalar fast paths included
+            ham /= theta
+            rate -= ham
+            rate += f
+            lo, hi = float(rate.min()), float(rate.max())
+            if not (lo >= -1e14 and hi <= 1e14):  # also catches nan
+                if mixed:  # back to the plain image the combination replaced
+                    history.fall_back()
+                    mixed = False
+                    continue
+                raise SolverError(
+                    "march blew up; check the data",
+                    ConvergenceTrace(records=records, termination="blow_up"),
+                )
+            if lo > cert_lo or hi < cert_hi:
+                cert_lo, cert_hi = max(cert_lo, lo), min(cert_hi, hi)
+                last_shrink = step
+            bound = top / max(1.0, float(mag.max())) ** (theta - 1.0)
+            k = 0
+            while top * 2.0 ** (-0.5 * k) > bound:
+                k += 1
+            dt = min(top * 2.0 ** (-0.5 * k), T - t)
+            if settled is None and hi - lo <= 0.5 * tol:
+                lam = float(rate.mean())
+                settled = _finalize(
+                    op, u, lam, records + [TraceRecord(step, hi - lo, lam, None)],
+                    "relative_value_iteration", tol,
+                )
+            floor = step - last_shrink >= MARCH_FLOOR_STEPS
+            stop = dt <= 0.0 or (settled is not None and accelerate) or floor
+            if stop or step % MARCH_RECORD_EVERY == 0:
+                mean = float(rate.mean())
+                stats.append((step if accelerate else t, lo, mean, hi))
+                records.append(TraceRecord(step, hi - lo, mean, None if stop else dt))
+            if floor and settled is None:
+                raise SolverError(
+                    f"march reached its rounding floor at step {step} before its rate spread "
+                    f"{hi - lo:.3e} fell to tol/2 = {0.5 * tol:g} (certified width "
+                    f"{cert_hi - cert_lo:.3e})",
+                    ConvergenceTrace(records=records, termination="rounding_floor"),
+                )
+            if stop:
+                break
+            if step >= max_steps:
+                where = "relative value iteration" if accelerate else f"t = {t:.6g}, horizon {T:g}"
+                raise SolverError(
+                    f"march did not stop within {max_steps} steps ({where}, "
+                    f"rate spread {hi - lo:.3e} vs tol/2 = {0.5 * tol:g})",
+                    ConvergenceTrace(records=records, termination="max_iterations"),
+                )
+            if dt not in rungs:
+                rungs[dt] = _rung_solver(op, dt)
+            if accelerate:
+                history.push(rungs[dt](rate.ravel()), rate.ravel(), dt)
+                mixed = history.mix()
+            else:
+                u += rungs[dt](rate.ravel()).reshape(u.shape)
+                t += dt
+            step += 1
     termination = "horizon_reached" if dt <= 0.0 else "floor_reached" if floor else "converged"
     profile = Field(spec.grid, u - u[spec.anchor_index])
     return ParabolicMarch(
@@ -855,6 +903,112 @@ def parabolic_march(
         trace=ConvergenceTrace(records=records, termination=termination),
         lambda_lo=cert_lo, lambda_hi=cert_hi, settled=settled,
     )
+
+
+class _AndersonHistory:
+    """Relative value iteration's last ANDERSON_DEPTH + 1 plain images, and its next iterate.
+
+    x is the iterate, a flat view of the march's u, which mix() and
+    fall_back() overwrite in place. push(step, rate, dt) takes the rung's
+    step and the rate at x and stores, in preallocated (ANDERSON_DEPTH + 1, n) rings
+    whose oldest row is overwritten first, the plain image
+    g = x + step - (x + step)[anchor] and the centred rate r = rate - mean
+    rate, the residual of G_h[x] + lambda = 0 at lambda = mean rate. The Gram
+    matrix of the held residuals gains one row per push. A step on another
+    rung than the last clears the history first. mix() writes the next
+    iterate into x: sum_i w_i g_i with w from _anderson_weights, or the newest
+    image while only one is held; it says whether x is a combination.
+    fall_back() writes the newest image into x and clears the history.
+    """
+
+    def __init__(self, x: np.ndarray, anchor: int):
+        self.x, self.anchor = x, anchor
+        rows = ANDERSON_DEPTH + 1
+        self.images, self.residuals = np.zeros((rows, x.size)), np.zeros((rows, x.size))
+        self.products, self.work = np.empty((rows, x.size)), np.empty(x.size)
+        self.gram = [[0.0] * rows for _ in range(rows)]
+        self.order: list[int] = []  # ring slots, oldest first
+        self.dt = None
+        self.head = 0  # the next slot written
+
+    def push(self, step: np.ndarray, rate: np.ndarray, dt: float) -> None:
+        if dt != self.dt:
+            self.order, self.dt = [], dt
+        slot, self.head = self.head, (self.head + 1) % len(self.images)
+        if slot in self.order:  # the oldest
+            self.order.remove(slot)
+        g, r = self.images[slot], self.residuals[slot]
+        np.add(self.x, step, out=g)
+        g -= g[self.anchor]
+        np.subtract(rate, np.add.reduce(rate) / rate.size, out=r)
+        self.order.append(slot)
+        np.multiply(self.residuals, r, out=self.products)
+        dots = self.products.sum(axis=1).tolist()
+        for j in self.order:
+            self.gram[slot][j] = self.gram[j][slot] = dots[j]
+
+    def mix(self) -> bool:
+        if len(self.order) == 1:
+            np.copyto(self.x, self.images[self.order[0]])
+            return False
+        weights = _anderson_weights(self.gram, self.order)
+        np.multiply(self.images[self.order[0]], weights[0], out=self.x)
+        for slot, w in zip(self.order[1:], weights[1:]):
+            np.multiply(self.images[slot], w, out=self.work)
+            self.x += self.work
+        return True
+
+    def fall_back(self) -> None:
+        np.copyto(self.x, self.images[self.order[-1]])
+        self.order = []
+
+
+def _anderson_weights(gram: list[list[float]], order: list[int]) -> list[float]:
+    """Weights w, summing to 1, that minimize |sum_i w_i r_i|_2; one per slot of order.
+
+    gram[i][j] = r_i . r_j for the residuals r in the ring slots order,
+    oldest first. With d_i = r_i - r_n for the newest residual r_n this is
+    the type-II least squares min |r_n + sum_i b_i d_i|_2 (Walker & Ni 2011),
+    solved by Cholesky of its normal equations, the newest d_i first. A d_i
+    whose Schur pivot is at most ANDERSON_PIVOT of its own squared norm lies
+    nearly in the span of the newer ones and gets weight 0. At most
+    ANDERSON_DEPTH unknowns: plain Python floats, no LAPACK call.
+    """
+    n = order[-1]
+    gn = gram[n]
+    rn = gn[n]
+    kept: list[int] = []  # slots of the kept d_i, newest first
+    factor: list[list[float]] = []  # their rows of the Cholesky factor L
+    y: list[float] = []  # L y = -(d_i . r_n)
+    for i in order[-2::-1]:
+        gi = gram[i]
+        row: list[float] = []
+        for p, j in enumerate(kept):
+            v = gi[j] - gn[i] - gn[j] + rn  # d_i . d_j
+            lp = factor[p]
+            for q in range(p):
+                v -= row[q] * lp[q]
+            row.append(v / lp[p])
+        pivot = norm = gi[i] - 2.0 * gn[i] + rn  # |d_i|^2 less its part in the kept span
+        for v in row:
+            pivot -= v * v
+        if pivot > ANDERSON_PIVOT * norm:
+            diag = math.sqrt(pivot)
+            v = rn - gn[i]
+            for q, yq in enumerate(y):
+                v -= row[q] * yq
+            y.append(v / diag)
+            row.append(diag)
+            kept.append(i)
+            factor.append(row)
+    b = y[:]  # L^T b = y
+    for p in reversed(range(len(kept))):
+        v = b[p]
+        for s in range(p + 1, len(kept)):
+            v -= factor[s][p] * b[s]
+        b[p] = v / factor[p][p]
+    coef = dict(zip(kept, b))
+    return [coef.get(i, 0.0) for i in order[:-1]] + [1.0 - sum(b)]
 
 
 def _rung_solver(op: DiscreteOperator, dt: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -399,20 +399,25 @@ def test_lambda_star_characterization_is_two_dirichlet_solves(monkeypatch, spec)
 
 
 def test_cross_method_horizon_before_settling_raises(monkeypatch):
-    # relative value iteration is read off the march, so a march that ends
-    # before its rates settle has no value to compare
-    monkeypatch.setattr(analysis, "MARCH_HORIZON", 0.5)
+    # relative value iteration is the iteration's settled pair, so an
+    # iteration that cannot settle (here: a 10-step budget) has no value to
+    # compare, and the check raises instead of reporting a verdict
+    def short_march(spec, **kwargs):
+        return parabolic_march(spec, max_steps=10, **kwargs)
+
+    monkeypatch.setattr(analysis, "parabolic_march", short_march)
     spec = ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=4.0, h=0.1)
-    with pytest.raises(SolverError, match="horizon 0.5"):
+    with pytest.raises(SolverError, match="within 10 steps"):
         check_cross_method(spec)
 
 
 def test_cross_method_reports_the_march_enclosure():
     spec = ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=4.0, h=0.1)
     (report,), _ = check_cross_method(spec)
-    march = parabolic_march(spec, T=analysis.MARCH_HORIZON)
+    march = parabolic_march(spec, T=np.inf)
     assert report.measured["parabolic_lambda_lo"] == march.lambda_lo
     assert report.measured["parabolic_lambda_hi"] == march.lambda_hi
+    assert report.measured["march_iterations"] == march.n_steps
     assert 0.0 <= march.lambda_hi - march.lambda_lo <= 1e-8
 
 

@@ -1121,6 +1121,111 @@ def test_verify_march_is_pinned_and_holds_no_state(monkeypatch):
     ]
 
 
+def test_verify_relative_value_iteration_is_pinned_and_holds_no_state(monkeypatch):
+    """The accelerated relative value iteration of the verify instance (T = inf).
+
+    The iteration count is pinned exactly and the read-offs to 1e-12
+    relative: the Anderson weights are sums over the grid, and numpy builds
+    other than this one may round them differently. Two runs in one process
+    agree byte for byte, and nothing a run returns shares memory with the
+    kernel's arrays or with the history rings.
+    """
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "verify_suite.cfg"
+    spec = build_spec(parse_config(shipped.read_text()))
+    held = {}  # the kernel's field, lap and |p|, and the history's arrays
+    slope_kernel, history = solvers._slope_kernel, solvers._AndersonHistory
+
+    def recording_kernel(values, h):
+        kernel = slope_kernel(values, h)
+
+        def recorded():
+            lap, mag = kernel()
+            held.update(u=values, lap=lap, mag=mag)
+            return lap, mag
+
+        return recorded
+
+    class RecordingHistory(history):
+        def __init__(self, x, anchor):
+            super().__init__(x, anchor)
+            held.update(x=x, images=self.images, residuals=self.residuals)
+            held.update(products=self.products, work=self.work)
+
+    monkeypatch.setattr(solvers, "_slope_kernel", recording_kernel)
+    monkeypatch.setattr(solvers, "_AndersonHistory", RecordingHistory)
+    runs = []
+    for _ in range(2):
+        held.clear()
+        march = parabolic_march(spec, T=np.inf, tol=1e-8)
+        returned = (march.profile.values, march.settled.phi.values)
+        assert len(held) == 8
+        assert not any(np.shares_memory(r, w) for r in returned for w in held.values())
+        read_offs = (march.lambda_hat, march.lambda_lo, march.lambda_hi, march.settled.lam)
+        runs.append((
+            march.n_steps,
+            [x.hex() for x in read_offs],
+            np.array(march.rate_stats).tobytes(),
+            march.profile.values.tobytes(),
+            march.settled.phi.values.tobytes(),
+        ))
+    assert runs[0] == runs[1]
+    assert march.trace.termination == "converged"
+    assert runs[0][0] == 800  # plain steps: 5,275
+    pinned = [
+        "0x1.b772abc703b72p+0",  # lambda_hat, the settled iterate's mean rate
+        "0x1.b772abbf465f3p+0",  # lambda_lo
+        "0x1.b772abc14cf02p+0",  # lambda_hi
+        "0x1.b772abc703b72p+0",  # settled.lam
+    ]
+    for got, want in zip(read_offs, pinned):
+        assert got == pytest.approx(float.fromhex(want), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("start", ["zero", "random"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("theta", [1.5, 2.0, 3.0])
+def test_every_accelerated_iterate_certifies_newtons_lambda(monkeypatch, theta, m, start):
+    # the Anderson combinations are not images of the monotone step, yet
+    # each is a grid field, so its rates enclose lambda_h by comparison
+    monkeypatch.setattr(solvers, "MARCH_RECORD_EVERY", 1)
+    spec = closed_form_spec(theta, 1, 4.0, 0.1) if m == 1 else closed_form_spec(theta, 2, 2.0, 0.2)
+    tol = 1e-10
+    newton = solve_ergodic(spec, eikonal_initial_guess(spec), tol=tol)
+    u0 = None if start == "zero" else random_smooth_field(spec.grid, 3)
+    march = parabolic_march(spec, u0, T=np.inf, tol=tol)
+    assert len(march.rate_stats) == march.n_steps + 1
+    for _, lo, _, hi in march.rate_stats:
+        assert lo - 1e-12 <= newton.lam <= hi + 1e-12
+    assert march.lambda_lo - 1e-12 <= newton.lam <= march.lambda_hi + 1e-12
+    assert abs(march.settled.lam - newton.lam) <= tol
+    d = march.settled.phi.values - newton.phi.values
+    assert d.max() - d.min() <= 10.0 * tol
+
+
+def test_wild_anderson_weights_fall_back_to_plain_images(monkeypatch):
+    # a combination so wrong that its rate overflows is replaced by the plain
+    # image it was mixed from: the iteration settles as the plain one does
+    spec = closed_form_spec(2.0, 1, 4.0, 0.1)
+    tol = 1e-7
+    good = parabolic_march(spec, T=np.inf, tol=tol)
+    calls = []
+
+    def wild(gram, order):
+        calls.append(len(order))
+        return [1e200] * (len(order) - 1) + [-1e200]
+
+    monkeypatch.setattr(solvers, "_anderson_weights", wild)
+    bad = parabolic_march(spec, T=np.inf, tol=tol)
+    assert calls and set(calls) == {2}  # cleared after every fall-back
+    assert bad.trace.termination == "converged"
+    assert abs(bad.settled.lam - good.settled.lam) <= tol
+    assert bad.lambda_lo <= good.settled.lam + tol and good.settled.lam - tol <= bad.lambda_hi
+    # every other iterate is a fall-back to a plain image, so it takes about
+    # as many plain images as the time march does steps
+    plain = parabolic_march(spec, T=30.0, tol=tol).settled.trace.records[-1].iteration
+    assert bad.n_steps == pytest.approx(plain, rel=0.01)
+
+
 def test_parabolic_long_run_matches_ergodic_solve():
     rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=6.0, h=0.05)
@@ -1138,11 +1243,13 @@ def test_relative_value_iteration_is_read_off_the_march():
     march = parabolic_march(spec, T=30.0, tol=tol)
     rvi = solve_ergodic(spec, method="relative_value_iteration", tol=tol)
     assert march.settled is not None
-    assert march.settled.lam == rvi.lam
-    assert np.array_equal(march.settled.phi.values, rvi.phi.values)
-    assert march.settled.residual_sup == rvi.residual_sup <= tol
-    # the march goes on to its horizon past the settle step
-    assert rvi.trace.records[-1].iteration < march.n_steps
+    # relative value iteration is the accelerated march with T = inf: the
+    # pair it settles on is the time march's within tol, and sooner
+    assert abs(march.settled.lam - rvi.lam) <= tol
+    d = march.settled.phi.values - rvi.phi.values
+    assert d.max() - d.min() <= 10.0 * tol
+    assert march.settled.residual_sup <= tol and rvi.residual_sup <= tol
+    assert rvi.trace.records[-1].iteration < march.settled.trace.records[-1].iteration
     short = parabolic_march(spec, T=0.5, tol=tol)
     assert short.settled is None
     assert short.trace.termination == "horizon_reached"
@@ -1200,13 +1307,16 @@ def test_march_step_budget_raises():
 
 def test_march_blow_up_raises_solver_error():
     # H = |p|^2/2 of 1e10 y^2 reaches 3.2e21 at the box edge: past the march's
-    # 1e14 runaway bound, yet finite, so no floating-point warning comes first
+    # 1e14 runaway bound, yet finite, so no floating-point warning comes
+    # first; with T = inf the start is a plain iterate, not a combination,
+    # so it raises as well instead of falling back
     spec = ProblemSpec(2.0, 1, make_pure_power_rhs(0.5, 2.0, 1.0), 4.0, 0.1)
     y = spec.grid.axis_coords()
-    with pytest.raises(solvers.SolverError) as info:
-        parabolic_march(spec, Field(spec.grid, 1e10 * y**2), T=1.0)
-    assert info.value.trace.termination == "blow_up"
-    assert "blew up" in str(info.value)
+    for horizon in (1.0, np.inf):
+        with pytest.raises(solvers.SolverError) as info:
+            parabolic_march(spec, Field(spec.grid, 1e10 * y**2), T=horizon)
+        assert info.value.trace.termination == "blow_up"
+        assert "blew up" in str(info.value)
 
 
 def test_march_step_budget_reports_the_current_rate_spread(monkeypatch):
