@@ -639,10 +639,10 @@ def check_cross_method(
 
     Newton and policy iteration are one iteration with two globalizations;
     relative value iteration and the parabolic march are both read from one
-    run of parabolic_march with T = inf from the zero field, a relative value
-    iteration with Anderson mixing (Anderson 1965; Walker & Ni 2011), at its
-    last iterate, the first whose rate spread is <= solver_tol/2: the former
-    is its settled pair's lambda, the latter its mean rate. Its
+    run of parabolic_march from the zero field, a relative value iteration
+    with Anderson mixing (Anderson 1965; Walker & Ni 2011), at its last
+    iterate, the first whose rate spread is <= solver_tol/2: both are its
+    settled pair's lambda, the mean rate there. Its
     certified enclosure goes to measured as parabolic_lambda_lo and
     parabolic_lambda_hi (the verdict does not read it), and its iteration
     count as march_iterations. The independent computations are Newton, the
@@ -657,9 +657,8 @@ def check_cross_method(
     lams: dict[str, float] = {}
     for meth in ("newton_augmented", "policy_iteration"):
         lams[meth] = solve_ergodic(spec, method=meth, tol=solver_tol).lam
-    march = parabolic_march(spec, T=np.inf, tol=solver_tol)
-    lams["relative_value_iteration"] = march.settled.lam
-    lams["parabolic_march"] = march.lambda_hat
+    march = parabolic_march(spec, tol=solver_tol)
+    lams["relative_value_iteration"] = lams["parabolic_march"] = march.settled.lam
     rows, extrap = discounted_lambda_path(spec, list(DISCOUNT_EPS), tol=solver_tol)
     lams["discounted_extrapolation"] = extrap
     vals = list(lams.values())

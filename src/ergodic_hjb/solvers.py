@@ -17,17 +17,15 @@ Routes implemented here:
                            than COARSE_MIN_NODES nodes both first solve the same
                            problem at spacing 2h and start from that solution
                            (nested iteration)
-* ``parabolic_march``      the one monotone march of u_t = 1/2 Lap u - H(Du) + f,
-                           IMEX: backward Euler for 1/2 Lap, explicit upwind H, with
-                           dt <= 0.9 h / (m max(1, max|p|)^(theta-1)); the rate
-                           -G_h[u] approaches the critical value. With T = inf it is
-                           relative value iteration: each iterate is the Anderson
-                           type-II combination of its last plain steps' images
-                           (Anderson 1965; Walker & Ni 2011), stopped once the rate
-                           spread is <= tol/2. The scheme is monotone, so every
-                           iterate certifies min rate <= lambda_h <= max rate; the
-                           march stops at the horizon, on settling when T = inf, or
-                           once the intersection of these enclosures stops shrinking
+* ``parabolic_march``      the one march of u_t = 1/2 Lap u - H(Du) + f, run as
+                           relative value iteration: a plain step is IMEX (backward
+                           Euler for 1/2 Lap, explicit upwind H) with
+                           dt <= 0.9 h / (m max(1, max|p|)^(theta-1)), and each
+                           iterate is the Anderson type-II combination of its last
+                           plain steps' images (Anderson 1965; Walker & Ni 2011),
+                           stopped once the rate spread -G_h[u] is <= tol/2. The
+                           scheme is monotone, so every iterate certifies
+                           min rate <= lambda_h <= max rate
 
 Every Newton-type step (Newton, pseudo-time, policy, Dirichlet, discount)
 solves one linear system with the Jacobian (_linear_step). On a 1-d grid that
@@ -76,9 +74,10 @@ BACKTRACK_FLOOR = 2.0**-20
 # 2-d theta=3 instance; 1 takes up to 246 iterations and twice the wall time.
 PTC_TAU0 = 1e-2
 MARCH_RECORD_EVERY = 200  # march steps between trace records and rate statistics
-# The march stops once its certified enclosure of lambda_h has not shrunk for
-# this many steps (counted in steps, not records). On the verify instance it
-# last shrinks at step 6,771 and then stays put through step 31,193.
+# Relative value iteration stops at its rounding floor once its certified
+# enclosure of lambda_h has not shrunk for this many iterations (not records).
+# On the verify instance it last shrinks at iteration 1,874 and then stays put
+# through iteration 21,874.
 MARCH_FLOOR_STEPS = 2000
 # Relative value iteration mixes its last ANDERSON_DEPTH + 1 plain images. From
 # the zero start at tol 1e-8, on 16 1-d boxes (theta 1.5, 2, 2.5, 3; R 6, 8;
@@ -166,16 +165,12 @@ class ErgodicSolution:
 
 @dataclass
 class ParabolicMarch:
-    lambda_hat: float
-    # (t, min, mean, max) of the rate per sample; t is the iteration when T = inf
-    rate_stats: list[tuple[float, float, float, float]]
-    profile: Field  # u(., T) - u(anchor, T)
+    rate_stats: list[tuple[int, float, float, float]]  # (iteration, min, mean, max) of the rate
     n_steps: int
-    trace: ConvergenceTrace
     # running max of min rate and min of max rate: lambda_lo <= lambda_h <= lambda_hi
     lambda_lo: float
     lambda_hi: float
-    settled: Optional[ErgodicSolution] = None  # relative value iteration's pair
+    settled: ErgodicSolution  # relative value iteration's pair
 
 
 def _sup(v: np.ndarray) -> float:
@@ -742,8 +737,8 @@ def solve_ergodic(
     in robustness and cost. ``newton_augmented`` and ``policy_iteration`` share
     the square system and the Newton driver and differ only in globalization
     (backtracking, and on a stall pseudo-transient continuation, vs full
-    steps); relative value iteration is ``parabolic_march`` with T = inf, read
-    off at the first step whose rate spread is <= tol/2. The returned
+    steps); relative value iteration is ``parabolic_march``, read off at the
+    first iterate whose rate spread is <= tol/2. The returned
     residual_sup is the sup norm of the operator applied to the normalized solution.
     """
     if not np.isfinite(spec.rhs.min_value()):
@@ -752,62 +747,53 @@ def solve_ergodic(
         raise ValueError(f"unknown method {method!r}")
     budget = METHOD_BUDGETS[method] if max_iter is None else max_iter
     if method == "relative_value_iteration":
-        return parabolic_march(spec, initial_guess, np.inf, tol, budget).settled
+        return parabolic_march(spec, initial_guess, tol, budget).settled
     return _solve_square(spec, initial_guess, tol, budget, method)
 
 
 def parabolic_march(
     spec: ProblemSpec,
     u0: Optional[Field] = None,
-    T: float = 50.0,
     tol: float = 1e-8,
     max_steps: int = METHOD_BUDGETS["relative_value_iteration"],
 ) -> ParabolicMarch:
-    """IMEX monotone march of u_t = 1/2 Lap u - H(Du) + f to time T.
+    """Relative value iteration for u_t = 1/2 Lap u - H(Du) + f, Anderson-accelerated.
 
-    The rate is rate = -G_h[u], the right-hand side at u. The Laplacian is
-    taken backward in time and H forward, so u advances by
-    (I/dt - 1/2 Lap_h)^(-1) rate. dt is the largest rung (0.9 h/m) 2^(-k/2)
-    with dt <= 0.9 h / (m max(1, max|p|)^(theta-1)), cut at T: the explicit
-    part u + dt (f - H) is then monotone, and I - dt/2 Lap_h is an M-matrix,
-    so the step is. Each rung's matrix is factored once per march
-    (_rung_solver), and the work arrays are allocated once (_slope_kernel):
-    every step writes into them and updates u in place. The step takes
-    u = phi + lambda t to phi + lambda (t + dt) exactly when
-    G_h[phi] + lambda = 0, whatever dt is, because the implicit Laplacian
-    annihilates constants.
+    The rate is rate = -G_h[u], the right-hand side at u. The plain image of
+    an iterate u is one IMEX step, normalized:
+    g(u) = normalize(u + (I/dt - 1/2 Lap_h)^(-1) rate(u)), with the Laplacian
+    backward in time and H forward, and normalize subtracting the anchor
+    value. dt is the largest rung (0.9 h/m) 2^(-k/2) with
+    dt <= 0.9 h / (m max(1, max|p|)^(theta-1)) at u: the explicit part
+    u + dt (f - H) is then monotone, and I - dt/2 Lap_h is an M-matrix, so
+    the step is. Each rung's matrix is factored once per run (_rung_solver),
+    and the work arrays are allocated once (_slope_kernel). The step takes
+    phi + lambda t to phi + lambda (t + dt) exactly when G_h[phi] + lambda = 0,
+    whatever dt is, because the implicit Laplacian annihilates constants; so
+    a fixed point of g solves G_h[u] + lambda = 0.
 
-    With T = inf the march is relative value iteration, a fixed-point
-    iteration rather than a time integrator. The plain image of an iterate u
-    is g(u) = normalize(u + (I/dt - 1/2 Lap_h)^(-1) rate(u)), with dt the rung
-    at u and normalize subtracting the anchor value; a fixed point of g
-    solves G_h[u] + lambda = 0. The next iterate is the Anderson type-II
-    combination of the last ANDERSON_DEPTH + 1 plain images, not the newest
-    image alone (Anderson 1965; Walker & Ni 2011; _AndersonHistory). Its
-    weights minimize the 2-norm of the combined centred rates, the residual
-    that the stop test reads. The history is cleared when the rung changes,
-    since g changes with it. A combination whose rate is non-finite or
-    runaway is replaced by the plain image it was mixed from, and the history
-    is cleared. Steps and rate_stats then count iterations, not time.
+    The next iterate is the Anderson type-II combination of the last
+    ANDERSON_DEPTH + 1 plain images, not the newest image alone (Anderson
+    1965; Walker & Ni 2011; _AndersonHistory). Its weights minimize the
+    2-norm of the combined centred rates, the residual that the stop test
+    reads. The history is cleared when the rung changes, since g changes with
+    it. A combination whose rate is non-finite or runaway is replaced by the
+    plain image it was mixed from, and the history is cleared.
 
-    Returns per-sample (t, min, mean, max) of the rate, t the iteration when
-    T = inf; the mean at the final step is the long-time estimate of the
-    critical value. Since the scheme is monotone, discrete comparison gives
+    rate_stats holds per-sample (iteration, min, mean, max) of the rate.
+    Since the scheme is monotone, discrete comparison gives
     min rate <= lambda_h <= max rate at every iterate, however it was
     produced; ``lambda_lo`` and ``lambda_hi`` are the running max of the
     minima and min of the maxima, a certified enclosure of lambda_h up to
-    rounding. The march stops at the first of: the horizon T (termination
-    "horizon_reached"); the settle step when T = inf ("converged"); and
-    MARCH_FLOOR_STEPS steps after the enclosure last shrank ("floor_reached"),
-    since from there on it only repeats its rounding floor.
-    ``settled`` is relative value iteration's pair, read off at the first step
-    whose rate spread (a bound on that pair's residual) is <= tol/2, or
-    None if the horizon comes first. Reaching the floor before settling means
-    tol/2 lies below the floor: SolverError with termination "rounding_floor".
-    A non-finite or runaway rate of a plain step raises SolverError with
-    termination "blow_up": dt follows the gradient at every step, so a
-    blow-up points at the data (right-hand side or initial field), not at the
-    step size. More than max_steps steps raise SolverError.
+    rounding. ``settled`` is the pair read off at the first iterate whose
+    rate spread (a bound on that pair's residual) is <= tol/2, lambda its
+    mean rate. An enclosure that has not shrunk for MARCH_FLOOR_STEPS
+    iterations before that means tol/2 lies below the rounding floor:
+    SolverError with termination "rounding_floor". A non-finite or runaway
+    rate of a plain iterate raises SolverError with termination "blow_up":
+    dt follows the gradient at every step, so a blow-up points at the data
+    (right-hand side or initial field), not at the step size. More than
+    max_steps steps raise SolverError.
     """
     op = DiscreteOperator(spec)
     f, theta, h, m = op._f, spec.theta, spec.h, spec.m
@@ -817,22 +803,17 @@ def parabolic_march(
     ham, rate = np.empty(u.shape), np.empty(u.shape)
     top = 0.9 * h / m
     rungs = {}  # dt -> solver of I/dt - 1/2 Lap_h
-    stats: list[tuple[float, float, float, float]] = []
+    stats: list[tuple[int, float, float, float]] = []
     records: list[TraceRecord] = []
-    settled: Optional[ErgodicSolution] = None
     cert_lo, cert_hi = -np.inf, np.inf  # intersection of the per-step enclosures
     last_shrink = 0
-    t = 0.0
     step = 0
-    accelerate = T == np.inf
-    if accelerate:
-        anchor = int(np.ravel_multi_index(spec.anchor_index, spec.grid.shape))
-        history = _AndersonHistory(u.reshape(-1), anchor)
+    anchor = int(np.ravel_multi_index(spec.anchor_index, spec.grid.shape))
+    history = _AndersonHistory(u.reshape(-1), anchor)
     mixed = False  # u is an Anderson combination, not a plain image
-    # with T = inf a combination may overflow, and so may |p|^theta at it: its
-    # non-finite rate is caught below, and at a plain iterate it is a blow-up
-    quiet = {"over": "ignore", "invalid": "ignore"} if accelerate else {}
-    with np.errstate(**quiet):
+    # a combination may overflow, and so may |p|^theta at it: its non-finite
+    # rate is caught below, and at a plain iterate it is a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
         while True:
             lap, mag = slopes()
             np.multiply(lap, 0.5, out=rate)  # rate = 1/2 lap - |p|^theta / theta + f
@@ -858,50 +839,36 @@ def parabolic_march(
             k = 0
             while top * 2.0 ** (-0.5 * k) > bound:
                 k += 1
-            dt = min(top * 2.0 ** (-0.5 * k), T - t)
-            if settled is None and hi - lo <= 0.5 * tol:
-                lam = float(rate.mean())
-                settled = _finalize(
-                    op, u, lam, records + [TraceRecord(step, hi - lo, lam, None)],
-                    "relative_value_iteration", tol,
-                )
-            floor = step - last_shrink >= MARCH_FLOOR_STEPS
-            stop = dt <= 0.0 or (settled is not None and accelerate) or floor
+            dt = top * 2.0 ** (-0.5 * k)
+            settled = hi - lo <= 0.5 * tol
+            stop = settled or step - last_shrink >= MARCH_FLOOR_STEPS
             if stop or step % MARCH_RECORD_EVERY == 0:
-                mean = float(rate.mean())
-                stats.append((step if accelerate else t, lo, mean, hi))
-                records.append(TraceRecord(step, hi - lo, mean, None if stop else dt))
-            if floor and settled is None:
+                lam = float(rate.mean())
+                stats.append((step, lo, lam, hi))
+                records.append(TraceRecord(step, hi - lo, lam, None if stop else dt))
+            if settled:
+                break
+            if stop:
                 raise SolverError(
                     f"march reached its rounding floor at step {step} before its rate spread "
                     f"{hi - lo:.3e} fell to tol/2 = {0.5 * tol:g} (certified width "
                     f"{cert_hi - cert_lo:.3e})",
                     ConvergenceTrace(records=records, termination="rounding_floor"),
                 )
-            if stop:
-                break
             if step >= max_steps:
-                where = "relative value iteration" if accelerate else f"t = {t:.6g}, horizon {T:g}"
                 raise SolverError(
-                    f"march did not stop within {max_steps} steps ({where}, "
-                    f"rate spread {hi - lo:.3e} vs tol/2 = {0.5 * tol:g})",
+                    f"march did not settle within {max_steps} steps (rate spread "
+                    f"{hi - lo:.3e} vs tol/2 = {0.5 * tol:g})",
                     ConvergenceTrace(records=records, termination="max_iterations"),
                 )
             if dt not in rungs:
                 rungs[dt] = _rung_solver(op, dt)
-            if accelerate:
-                history.push(rungs[dt](rate.ravel()), rate.ravel(), dt)
-                mixed = history.mix()
-            else:
-                u += rungs[dt](rate.ravel()).reshape(u.shape)
-                t += dt
+            history.push(rungs[dt](rate.ravel()), rate.ravel(), dt)
+            mixed = history.mix()
             step += 1
-    termination = "horizon_reached" if dt <= 0.0 else "floor_reached" if floor else "converged"
-    profile = Field(spec.grid, u - u[spec.anchor_index])
     return ParabolicMarch(
-        lambda_hat=mean, rate_stats=stats, profile=profile, n_steps=step,
-        trace=ConvergenceTrace(records=records, termination=termination),
-        lambda_lo=cert_lo, lambda_hi=cert_hi, settled=settled,
+        rate_stats=stats, n_steps=step, lambda_lo=cert_lo, lambda_hi=cert_hi,
+        settled=_finalize(op, u, lam, records, "relative_value_iteration", tol),
     )
 
 

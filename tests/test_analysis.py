@@ -398,10 +398,10 @@ def test_lambda_star_characterization_is_two_dirichlet_solves(monkeypatch, spec)
 # -- uniqueness and interior minimum -------------------------------------------------------
 
 
-def test_cross_method_horizon_before_settling_raises(monkeypatch):
+def test_cross_method_step_budget_before_settling_raises(monkeypatch):
     # relative value iteration is the iteration's settled pair, so an
-    # iteration that cannot settle (here: a 10-step budget) has no value to
-    # compare, and the check raises instead of reporting a verdict
+    # iteration that cannot settle within its budget (here 10 steps) has no
+    # value to compare, and the check raises instead of reporting a verdict
     def short_march(spec, **kwargs):
         return parabolic_march(spec, max_steps=10, **kwargs)
 
@@ -414,7 +414,7 @@ def test_cross_method_horizon_before_settling_raises(monkeypatch):
 def test_cross_method_reports_the_march_enclosure():
     spec = ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=4.0, h=0.1)
     (report,), _ = check_cross_method(spec)
-    march = parabolic_march(spec, T=np.inf)
+    march = parabolic_march(spec)
     assert report.measured["parabolic_lambda_lo"] == march.lambda_lo
     assert report.measured["parabolic_lambda_hi"] == march.lambda_hi
     assert report.measured["march_iterations"] == march.n_steps
