@@ -88,7 +88,6 @@ T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # blend weights of check_lambda_shape
 SUPERSOLUTION_Q = 1.01
 DIRICHLET_DELTA = 2.0**-7  # distance of the two tested Dirichlet levels from lambda_R
 INTERIOR_MINIMUM_TOL = 1e-6
-ORACLE_TOL = 0.05
 DISCOUNT_EPS = (0.1, 0.05, 0.025)  # cross_method's discount schedule
 
 
@@ -632,9 +631,7 @@ def check_uniqueness(spec: ProblemSpec, solver_tol: float = 1e-8, seed: int = 0)
     )], {}
 
 
-def check_cross_method(
-    spec: ProblemSpec, solver_tol: float = 1e-8, oracle: Optional[float] = None
-) -> CheckResult:
+def check_cross_method(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckResult:
     """Agreement of the five routes to the critical value on one instance.
 
     Newton and policy iteration are one iteration with two globalizations;
@@ -646,9 +643,8 @@ def check_cross_method(
     certified enclosure goes to measured as parabolic_lambda_lo and
     parabolic_lambda_hi (the verdict does not read it), and its iteration
     count as march_iterations. The independent computations are Newton, the
-    iteration, the discount path over DISCOUNT_EPS and, when given, the
-    oracle. The routes must agree pairwise within CHECK_TOL, and with the
-    oracle within ORACLE_TOL. An iteration that cannot settle raises
+    iteration and the discount path over DISCOUNT_EPS. The routes must agree
+    pairwise within CHECK_TOL. An iteration that cannot settle raises
     SolverError.
 
     The tables are the iteration's rate spread by iteration
@@ -663,23 +659,16 @@ def check_cross_method(
     lams["discounted_extrapolation"] = extrap
     vals = list(lams.values())
     worst = max(abs(a - b) for a in vals for b in vals)
-    passed = worst <= CHECK_TOL
-    predicted = {"pairwise_gap": 0.0}
     measured = dict(lams)
     measured["parabolic_lambda_lo"] = march.lambda_lo
     measured["parabolic_lambda_hi"] = march.lambda_hi
     measured["march_iterations"] = march.n_steps
     measured["max_pairwise_gap"] = worst
-    if oracle is not None:
-        worst_oracle = max(abs(v - oracle) for v in vals)
-        measured["max_oracle_gap"] = worst_oracle
-        predicted["oracle"] = oracle
-        passed = passed and worst_oracle <= ORACLE_TOL
     report = VerdictReport(
         name="cross_method",
-        passed=bool(passed),
+        passed=bool(worst <= CHECK_TOL),
         measured=measured,
-        predicted=predicted,
+        predicted={"pairwise_gap": 0.0},
         tolerance=CHECK_TOL,
         provenance="all approximation routes converge to the same critical value",
         inputs={"theta": spec.theta, "m": spec.m, "eps": list(DISCOUNT_EPS)},

@@ -19,21 +19,21 @@ Routes implemented here:
                            (nested iteration)
 * ``parabolic_march``      the one march of u_t = 1/2 Lap u - H(Du) + f, run as
                            relative value iteration: a plain step is IMEX (backward
-                           Euler for 1/2 Lap, explicit upwind H) with
-                           dt <= 0.9 h / (m max(1, max|p|)^(theta-1)), and each
-                           iterate is the Anderson type-II combination of its last
-                           plain steps' images (Anderson 1965; Walker & Ni 2011),
-                           stopped once the rate spread -G_h[u] is <= tol/2. The
-                           scheme is monotone, so every iterate certifies
-                           min rate <= lambda_h <= max rate
+                           Euler for 1/2 Lap, split by axes when m >= 2, explicit
+                           upwind H) with dt <= 0.9 h / (m max(1, max|p|)^(theta-1)),
+                           and each iterate is the Anderson type-II combination of
+                           its last plain steps' images (Anderson 1965; Walker & Ni
+                           2011), stopped once the rate spread -G_h[u] is <= tol/2.
+                           The scheme is monotone, so every iterate, a grid field,
+                           certifies min rate <= lambda_h <= max rate
 
 Every Newton-type step (Newton, pseudo-time, policy, Dirichlet, discount)
 solves one linear system with the Jacobian (_linear_step). On a 1-d grid that
 matrix is tridiagonal: LAPACK's ?gtsv solves it from the operator's three
 diagonals, with no sparse matrix built (_tridiagonal_step). On larger
 dimensions a sparse LU in nested-dissection order does, and may be reused
-(_nd_step). Likewise each march rung's I/dt - 1/2 Lap_h is factored once, by
-?pttrf from its diagonals in 1-d and by a sparse LU otherwise (_rung_solver).
+(_nd_step). A march rung factors the 1-d I/dt - 1/2 L once by ?pttrf and solves
+along every axis in turn (_rung_solver); the march builds no sparse matrix.
 """
 
 from __future__ import annotations
@@ -760,17 +760,18 @@ def parabolic_march(
     """Relative value iteration for u_t = 1/2 Lap u - H(Du) + f, Anderson-accelerated.
 
     The rate is rate = -G_h[u], the right-hand side at u. The plain image of
-    an iterate u is one IMEX step, normalized:
-    g(u) = normalize(u + (I/dt - 1/2 Lap_h)^(-1) rate(u)), with the Laplacian
-    backward in time and H forward, and normalize subtracting the anchor
-    value. dt is the largest rung (0.9 h/m) 2^(-k/2) with
-    dt <= 0.9 h / (m max(1, max|p|)^(theta-1)) at u: the explicit part
-    u + dt (f - H) is then monotone, and I - dt/2 Lap_h is an M-matrix, so
-    the step is. Each rung's matrix is factored once per run (_rung_solver),
-    and the work arrays are allocated once (_slope_kernel). The step takes
-    phi + lambda t to phi + lambda (t + dt) exactly when G_h[phi] + lambda = 0,
-    whatever dt is, because the implicit Laplacian annihilates constants; so
-    a fixed point of g solves G_h[u] + lambda = 0.
+    an iterate u is one IMEX step, normalized: g(u) = normalize(u + P rate(u)),
+    with the Laplacian backward in time and H forward, and normalize
+    subtracting the anchor value. P is (I/dt - 1/2 Lap_h)^(-1) in 1-d and
+    its splitting by axes otherwise (_rung_solver, factored once per rung).
+    dt is the largest rung (0.9 h/m) 2^(-k/2) with
+    dt <= 0.9 h / (m max(1, max|p|)^(theta-1)) at u: u + dt (f - H) is then
+    monotone, and so is the 1-d step, I - dt/2 Lap_h being an M-matrix; for
+    m >= 2 P^(-1) adds (dt/4) L_1 L_2, and the step need not be monotone.
+    Nothing below relies on it. The work arrays are allocated once
+    (_slope_kernel). The step takes phi + lambda t to phi + lambda (t + dt)
+    exactly when G_h[phi] + lambda = 0, whatever dt is, because P 1 = dt 1;
+    so a fixed point of g solves G_h[u] + lambda = 0.
 
     The next iterate is the Anderson type-II combination of the last
     ANDERSON_DEPTH + 1 plain images, not the newest image alone (Anderson
@@ -781,7 +782,7 @@ def parabolic_march(
     plain image it was mixed from, and the history is cleared.
 
     rate_stats holds per-sample (iteration, min, mean, max) of the rate.
-    Since the scheme is monotone, discrete comparison gives
+    Since the scheme G_h is monotone, discrete comparison gives
     min rate <= lambda_h <= max rate at every iterate, however it was
     produced; ``lambda_lo`` and ``lambda_hi`` are the running max of the
     minima and min of the maxima, a certified enclosure of lambda_h up to
@@ -802,7 +803,7 @@ def parabolic_march(
     slopes = _slope_kernel(u, h)
     ham, rate = np.empty(u.shape), np.empty(u.shape)
     top = 0.9 * h / m
-    rungs = {}  # dt -> solver of I/dt - 1/2 Lap_h
+    rungs = {}  # dt -> the rung's P (_rung_solver)
     stats: list[tuple[int, float, float, float]] = []
     records: list[TraceRecord] = []
     cert_lo, cert_hi = -np.inf, np.inf  # intersection of the per-step enclosures
@@ -979,19 +980,28 @@ def _anderson_weights(gram: list[list[float]], order: list[int]) -> list[float]:
 
 
 def _rung_solver(op: DiscreteOperator, dt: float) -> Callable[[np.ndarray], np.ndarray]:
-    """b -> a^(-1) b for a march rung's a = I/dt - 1/2 Lap_h, factored once.
+    """b -> P b for a march rung, P = c^(m-1) prod_k (c I - 1/2 L_k)^(-1) with c = 1/dt.
 
-    a is op's Jacobian at the zero field shifted by 1/dt, symmetric positive
-    definite. In 1-d it is tridiagonal: L D L^T of its diagonals by ?pttrf,
-    solved by ?pttrs. Otherwise a sparse LU in minimum degree order on
-    A^T + A, which halves the 2-d fill of COLAMD.
+    Lap_h is the Kronecker sum of the 1-d reflecting Laplacians L_k, so P is
+    (I/dt - 1/2 Lap_h)^(-1) in 1-d and its splitting by axes otherwise
+    (Douglas & Rachford 1956; Peaceman & Rachford 1955); P 1 = dt 1. ?pttrf
+    factors c I - 1/2 L, op's Jacobian at a zero axis shifted by c, once; P b
+    is one ?pttrs per axis, the other axes as right-hand sides.
     """
-    zeros = np.zeros(op.spec.grid.shape)
-    if op.spec.m > 1:
-        return splu(op.jacobian(zeros, 1.0 / dt).tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-    diagonals = op._diagonals(zeros, 1.0 / dt)
+    n, m = op.spec.grid.n_per_axis, op.spec.m
+    diagonals = op._diagonals(np.zeros(n), 1.0 / dt)
     d, e, _ = dpttrf(diagonals[0], diagonals[1])
-    return lambda b: dpttrs(d, e, b)[0]
+    if m == 1:  # one factor: b goes to ?pttrs as it is, with no reshape or scaling per step
+        return lambda b: dpttrs(d, e, b)[0]
+    scale = dt ** (1 - m)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = b.reshape(n, -1)
+        for _ in range(m):  # along the leading axis, which then goes last
+            x = dpttrs(d, e, x)[0].T.reshape(n, -1)
+        return scale * x.reshape(b.shape)
+
+    return solve
 
 
 # -- initial guesses ---------------------------------------------------------------

@@ -1019,7 +1019,12 @@ def test_parabolic_time_step_respects_cfl_at_every_step(monkeypatch):
 
 
 def imex_step(spec, u, dt):
-    """u + (I/dt - 1/2 Lap_h)^(-1) (1/2 Lap_h u - H(Du) + f), the march's step."""
+    """u + (I/dt - 1/2 Lap_h)^(-1) (1/2 Lap_h u - H(Du) + f), the exact IMEX step.
+
+    In 1-d it is the march's plain step. For m >= 2 the march splits the
+    implicit part by axes (solvers._rung_solver), and its step need not be
+    monotone.
+    """
     lap, mag = laplacian_and_slope(u, spec.h)
     rate = 0.5 * lap - mag**spec.theta / spec.theta + spec.f_field().values
     shifted = DiscreteOperator(spec).jacobian(np.zeros(u.shape), 1.0 / dt)
@@ -1051,15 +1056,46 @@ def test_imex_step_is_monotone(m, theta, scale, seed):
 
 
 @pytest.mark.parametrize("m, radius, h", [(1, 1.0, 1.0), (1, 8.0, 0.02), (2, 2.0, 0.2)])
-def test_rung_solver_agrees_with_spsolve(m, radius, h):
+def test_rung_solver_is_the_axis_split_preconditioner(m, radius, h):
+    # P = c^(m-1) kron(A^-1, ..., A^-1) with c = 1/dt and A = c I - 1/2 L, L the
+    # 1-d reflecting Laplacian: in 1-d the exact (I/dt - 1/2 Lap_h)^(-1), since
+    # Lap_h is the Kronecker sum of the L; and P 1 = dt 1 in every dimension
     spec = closed_form_spec(2.0, m, radius, h)
+    n, size = spec.grid.n_per_axis, spec.grid.n_nodes
     rhs = random_smooth_field(spec.grid, 4).values.ravel()
     op = DiscreteOperator(spec)
+    lap = np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)
+    lap[0, 0] = lap[-1, -1] = -1.0
+    lap /= h**2
+    kron_sum = sum(functools.reduce(np.kron, [lap if k == j else np.eye(n) for k in range(m)])
+                   for j in range(m))
+    assert np.array_equal(op.jacobian(np.zeros(spec.grid.shape)).toarray(), -0.5 * kron_sum)
     for dt in (0.9 * h / m, 1e-3):
-        a = op.jacobian(np.zeros(spec.grid.shape), 1.0 / dt)
-        ref = spsolve(a.tocsc(), rhs)
-        got = solvers._rung_solver(op, dt)(rhs)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)) * a.shape[0]
+        solve = solvers._rung_solver(op, dt)
+        if m == 1:
+            a = op.jacobian(np.zeros(spec.grid.shape), 1.0 / dt)
+            ref = spsolve(a.tocsc(), rhs)
+        else:
+            inv = np.linalg.inv(np.eye(n) / dt - 0.5 * lap)
+            ref = dt ** (1 - m) * functools.reduce(np.kron, [inv] * m) @ rhs
+        got = solve(rhs)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)) * size
+        assert np.max(np.abs(solve(np.ones(size)) - dt)) <= 1e-14 * dt
+
+
+def test_two_dimensional_march_assembles_no_jacobian_and_no_sparse_lu(monkeypatch):
+    spec = closed_form_spec(2.0, 2, 2.0, 0.2)
+    tol = 1e-10
+    newton = solve_ergodic(spec, eikonal_initial_guess(spec), tol=tol)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the march assembled a sparse matrix")
+
+    monkeypatch.setattr(DiscreteOperator, "jacobian", forbidden)
+    monkeypatch.setattr(solvers, "splu", forbidden)
+    march = parabolic_march(spec, tol=tol)
+    assert march.lambda_lo - 1e-12 <= newton.lam <= march.lambda_hi + 1e-12
+    assert abs(march.settled.lam - newton.lam) <= tol
 
 
 def test_verify_relative_value_iteration_is_pinned_and_holds_no_state(monkeypatch):
