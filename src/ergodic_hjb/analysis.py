@@ -639,13 +639,13 @@ def check_cross_method(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckResu
     run of parabolic_march from the zero field, a relative value iteration
     with Anderson mixing (Anderson 1965; Walker & Ni 2011), at its last
     iterate, the first whose rate spread is <= solver_tol/2: both are its
-    settled pair's lambda, the mean rate there. Its
-    certified enclosure goes to measured as parabolic_lambda_lo and
-    parabolic_lambda_hi (the verdict does not read it), and its iteration
-    count as march_iterations. The independent computations are Newton, the
-    iteration and the discount path over DISCOUNT_EPS. The routes must agree
-    pairwise within CHECK_TOL. An iteration that cannot settle raises
-    SolverError.
+    settled pair's lambda, the mean rate there clipped to the iteration's
+    certified enclosure. That enclosure goes to measured as
+    parabolic_lambda_lo and parabolic_lambda_hi (the verdict does not read
+    it), and its iteration count as march_iterations. The independent
+    computations are Newton, the iteration and the discount path over
+    DISCOUNT_EPS. The routes must agree pairwise within CHECK_TOL. An
+    iteration that cannot settle raises SolverError.
 
     The tables are the iteration's rate spread by iteration
     (parabolic_rate.csv) and the discount path (discount_path.csv).

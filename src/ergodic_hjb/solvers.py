@@ -66,7 +66,12 @@ __all__ = [
     "random_smooth_field",
 ]
 
-BACKTRACK_FLOOR = 2.0**-20
+# A line-search step cut below this fraction is a stall, as a non-finite step is.
+# At 2^-20, random fields 8 and 9 on the verify instance took 35 and 53 steps cut
+# to between 2^-19 and 2^-1 while |F|_inf stayed above 1.1e3; at 2^-10 both stall
+# at iteration 1 and finish in pseudo-time. At 2^-4 solvable Dirichlet levels of
+# verify_suite.cfg stall; 2^-10 keeps six halvings of margin.
+BACKTRACK_FLOOR = 2.0**-10
 # First pseudo-time step of the continuation that takes over when the line search
 # stalls. From 60 random fields on the 1-d closed forms (h=0.01, theta 1.5/2/3),
 # 1e-3 leaves 7 solves short of tolerance within the iteration budget; 1e-2 and
@@ -398,8 +403,8 @@ def _damped_newton(
     decreases (the Newton direction is always a descent direction for it,
     unlike for the sup norm, which jams at upwind kinks); convergence is still
     declared on the sup norm. A line-search step is taken only if it cuts
-    |F|_2 by a relative 1e-4 s >= 1e-4 BACKTRACK_FLOOR, so the line search
-    needs no stall window.
+    |F|_2 by a relative 1e-4 s >= 1e-4 BACKTRACK_FLOOR (about 9.8e-8), so the
+    line search needs no stall window.
 
     step_fn(x, shift, -F, tol) solves with the Jacobian at x plus shift (0
     without tau) on the diagonal of its residual rows (_linear_step): by a
@@ -598,7 +603,7 @@ def _finalize(
     spec = op.spec
     vals = values - values[spec.anchor_index]
     res = _sup(op.residual_values(vals, lam))
-    records = records[:-1] + [replace(records[-1], residual_sup=res)]
+    records = records[:-1] + [replace(records[-1], residual_sup=res, lambda_estimate=float(lam))]
     trace = ConvergenceTrace(records=records, termination="converged")
     if not np.all(np.isfinite(vals)):
         raise SolverError("solution contains non-finite values", trace)
@@ -788,13 +793,14 @@ def parabolic_march(
     minima and min of the maxima, a certified enclosure of lambda_h up to
     rounding. ``settled`` is the pair read off at the first iterate whose
     rate spread (a bound on that pair's residual) is <= tol/2, lambda its
-    mean rate. An enclosure that has not shrunk for MARCH_FLOOR_STEPS
-    iterations before that means tol/2 lies below the rounding floor:
-    SolverError with termination "rounding_floor". A non-finite or runaway
-    rate of a plain iterate raises SolverError with termination "blow_up":
-    dt follows the gradient at every step, so a blow-up points at the data
-    (right-hand side or initial field), not at the step size. More than
-    max_steps steps raise SolverError.
+    mean rate clipped to [lambda_lo, lambda_hi]: the mean need not lie in the
+    running intersection of earlier iterates' ranges. An enclosure that has
+    not shrunk for MARCH_FLOOR_STEPS iterations before that means tol/2 lies
+    below the rounding floor: SolverError with termination "rounding_floor".
+    A non-finite or runaway rate of a plain iterate raises SolverError with
+    termination "blow_up": dt follows the gradient at every step, so a
+    blow-up points at the data (right-hand side or initial field), not at
+    the step size. More than max_steps steps raise SolverError.
     """
     op = DiscreteOperator(spec)
     f, theta, h, m = op._f, spec.theta, spec.h, spec.m
@@ -869,7 +875,9 @@ def parabolic_march(
             step += 1
     return ParabolicMarch(
         rate_stats=stats, n_steps=step, lambda_lo=cert_lo, lambda_hi=cert_hi,
-        settled=_finalize(op, u, lam, records, "relative_value_iteration", tol),
+        settled=_finalize(
+            op, u, min(max(lam, cert_lo), cert_hi), records, "relative_value_iteration", tol
+        ),
     )
 
 

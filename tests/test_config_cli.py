@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -666,3 +666,59 @@ def test_cli_verify_emits_plot_data(tmp_path):
     plot = (out / "plots" / "lambda_vs_radius.csv").read_text().strip().splitlines()
     assert plot[0] == "radius,lambda"
     assert len(plot) == 4
+
+
+# verify on 24 correct 1-d problems off its calibration point (theta 2, f = 1 + |y|^2,
+# R 8): three exponents, four right-hand sides (rhs, alpha, coeff, shift) and two boxes,
+# h 0.02, with power_supersolution added at theta 1.5
+SPECIFICITY_RHS = {
+    "alpha2": ("power", 2.0, 1.0, 0.0),
+    "alpha1": ("power", 1.0, 1.0, 1.0),
+    "alpha3": ("power", 3.0, 0.5, 1.0),
+    "quartic": ("pure_power", 4.0, 1.0, 1.0),
+}
+# (theta, rhs, radius) -> (exit code, failing checks) of the configs that do not exit 0,
+# pinned as they stand; exit 2 is growth_exponent's R 16 Newton solve stopping at
+# max_iterations just above its tolerance, below the rounding floor of quartic f
+VERIFY_REJECTS_CORRECT = {
+    (1.5, "alpha2", 4.0): (3, {"radius_monotonicity"}),
+    (1.5, "alpha1", 4.0): (3, {"radius_monotonicity"}),
+    (1.5, "alpha3", 4.0): (3, {"radius_monotonicity"}),
+    (2.0, "alpha1", 4.0): (3, {"radius_monotonicity"}),
+    (3.0, "alpha1", 4.0): (3, {"radius_monotonicity"}),
+    (1.5, "alpha3", 8.0): (3, {"gradient_estimate"}),
+    (2.0, "quartic", 4.0): (3, {"gradient_estimate"}),
+    (2.0, "quartic", 8.0): (3, {"gradient_estimate"}),
+    (1.5, "quartic", 4.0): (2, set()),
+    (1.5, "quartic", 8.0): (2, set()),
+    (3.0, "quartic", 4.0): (2, set()),
+    (3.0, "quartic", 8.0): (2, set()),
+}
+
+
+@pytest.mark.parametrize("radius", [4.0, 8.0])
+@pytest.mark.parametrize("rhs", list(SPECIFICITY_RHS))
+@pytest.mark.parametrize("theta", [1.5, 2.0, 3.0])
+def test_verify_specificity_matrix_is_pinned(tmp_path, capsys, theta, rhs, radius):
+    form, alpha, coeff, shift = SPECIFICITY_RHS[rhs]
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "verify_suite.cfg"
+    cfg = parse_config(shipped.read_text())
+    checks = cfg.verify.checks + (("power_supersolution",) if theta < 2 else ())
+    cfg = replace(
+        cfg,
+        problem=replace(
+            cfg.problem, theta=theta, rhs=form, alpha=alpha, coeff=coeff, shift=shift
+        ),
+        numerics=replace(cfg.numerics, radius=radius),
+        verify=replace(cfg.verify, checks=checks),
+    )
+    path, out = write_cfg(tmp_path, config_to_text(cfg)), tmp_path / "out"
+    code = main(["verify", "--config", path, "--out", str(out)])
+    want = VERIFY_REJECTS_CORRECT.get((theta, rhs, radius), (0, set()))
+    failed = set()
+    if code == 3:
+        verdicts = json.loads((out / "verdicts.json").read_text())
+        failed = {v["name"] for v in verdicts if not v["passed"]}
+    assert (code, failed) == want
+    if code == 2:
+        assert "did not reach tolerance" in capsys.readouterr().err
