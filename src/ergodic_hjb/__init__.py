@@ -22,7 +22,6 @@ from .solvers import (
     ConvergenceTrace,
     ErgodicSolution,
     SolverError,
-    parabolic_march,
     solve_dirichlet,
     solve_discounted,
     solve_ergodic,
@@ -42,7 +41,6 @@ __all__ = [
     "ConvergenceTrace",
     "ErgodicSolution",
     "SolverError",
-    "parabolic_march",
     "solve_dirichlet",
     "solve_discounted",
     "solve_ergodic",

@@ -34,7 +34,6 @@ from .solvers import (
     SolverError,
     discounted_lambda_path,
     eikonal_initial_guess,
-    parabolic_march,
     random_smooth_field,
     solve_dirichlet,
     solve_ergodic,
@@ -158,7 +157,7 @@ def check_growth_exponent(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckR
     h = 0.02 if m == 1 else 0.1
     rhs = make_pure_power_rhs(1.0, alpha, shift=1.0)
     box = ProblemSpec(theta=theta, m=m, rhs=rhs, radius=radius, h=h)
-    sol = solve_ergodic(box, initial_guess=eikonal_initial_guess(box), tol=solver_tol)
+    sol = _eikonal_solve(box, solver_tol)
     fitted, slope = fit_growth_exponent(sol.phi, *(w * radius for w in GROWTH_WINDOW))
     gamma = alpha / theta + 1.0
     passed = abs(fitted - gamma) <= GROWTH_TOL_REL * gamma
@@ -181,10 +180,10 @@ def check_growth_exponent(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckR
 # -- scaling and continuity -------------------------------------------------------
 
 
-def _lambda_star(spec: ProblemSpec, rhs: RhsFunction, tol: float) -> float:
-    """lambda* of rhs: lambda on spec's box, from the eikonal guess."""
-    spec = replace(spec, rhs=rhs)
-    return solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol).lam
+def _eikonal_solve(spec: ProblemSpec, tol: float, **changes) -> ErgodicSolution:
+    """Newton's pair on spec with the given fields replaced, from the eikonal guess."""
+    spec = replace(spec, **changes)
+    return solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol)
 
 
 def check_scaling_law(
@@ -206,8 +205,8 @@ def check_scaling_law(
         raise ValueError("the scaling law needs a right-hand side with a growth exponent")
     theta_star = spec.theta_star
     if alpha >= 1.0:
-        lam_base = _lambda_star(spec, make_pure_power_rhs(1.0, alpha), solver_tol)
-        lam_scaled = _lambda_star(spec, make_pure_power_rhs(c, alpha), solver_tol)
+        lam_base = _eikonal_solve(spec, solver_tol, rhs=make_pure_power_rhs(1.0, alpha)).lam
+        lam_scaled = _eikonal_solve(spec, solver_tol, rhs=make_pure_power_rhs(c, alpha)).lam
         predicted_ratio = c ** (theta_star / (theta_star + alpha))
         measured_ratio = lam_scaled / lam_base
         passed = abs(measured_ratio - predicted_ratio) <= CHECK_TOL * predicted_ratio
@@ -225,8 +224,8 @@ def check_scaling_law(
             inputs={"theta": spec.theta, "alpha": alpha, "c": c, "m": spec.m},
         )], {}
     # alpha < 1: inequality variant with the smooth regularization
-    lam_smooth = _lambda_star(spec, make_power_rhs(c, alpha), solver_tol)
-    lam_lin = _lambda_star(spec, make_pure_power_rhs(1.0, 1.0), solver_tol)
+    lam_smooth = _eikonal_solve(spec, solver_tol, rhs=make_power_rhs(c, alpha)).lam
+    lam_lin = _eikonal_solve(spec, solver_tol, rhs=make_pure_power_rhs(1.0, 1.0)).lam
     upper = c + c ** (theta_star / (theta_star + 1.0)) * lam_lin
     slack = min(lam_smooth - 0.0, upper - lam_smooth)
     passed = slack >= -CHECK_TOL * max(1.0, upper)
@@ -260,13 +259,13 @@ def check_lambda_shape(
         raise ValueError("the shift construction needs a power-family first operand")
     theta, m = spec.theta, spec.m
     grid_pts = spec.grid.points()
-    lam1 = _lambda_star(spec, f1, solver_tol)
-    lam2 = _lambda_star(spec, f2, solver_tol)
+    lam1 = _eikonal_solve(spec, solver_tol, rhs=f1).lam
+    lam2 = _eikonal_solve(spec, solver_tol, rhs=f2).lam
     reports: list[VerdictReport] = []
 
     # shift exactness: lambda*(f + 1) = lambda*(f) + 1
     shifted = replace(f1, shift=f1.shift + 1.0)
-    lam_shift = _lambda_star(spec, shifted, solver_tol)
+    lam_shift = _eikonal_solve(spec, solver_tol, rhs=shifted).lam
     gap = lam_shift - lam1
     reports.append(
         VerdictReport(
@@ -314,7 +313,7 @@ def check_lambda_shape(
         elif t == 1.0:
             lam_t = lam1
         else:
-            lam_t = _lambda_star(spec, blend_rhs(f1, f2, t), solver_tol)
+            lam_t = _eikonal_solve(spec, solver_tol, rhs=blend_rhs(f1, f2, t)).lam
         slack = lam_t - (t * lam1 + (1.0 - t) * lam2)
         worst = min(worst, slack)
         measured[f"slack_t={t:g}"] = slack
@@ -376,8 +375,8 @@ def check_continuity_bound(
         raise ValueError("continuity bound needs both right-hand sides positive")
     f0 = max(f0s)
     gap = _rhs_gap(f1, f2, alpha, spec.m)
-    lam1 = _lambda_star(spec, f1, solver_tol)
-    lam2 = _lambda_star(spec, f2, solver_tol)
+    lam1 = _eikonal_solve(spec, solver_tol, rhs=f1).lam
+    lam2 = _eikonal_solve(spec, solver_tol, rhs=f2).lam
     measured_gap = abs(lam2 - lam1)
     bound = (f0 * gap / (1.0 + f0 * gap)) * max(lam1, lam2)
     return [VerdictReport(
@@ -417,7 +416,7 @@ def check_power_supersolution(
     mask = (rr >= r_inner) & (rr <= 0.8 * spec.radius)
     if not np.any(mask):
         raise ValueError(f"annulus [{r_inner}, {0.8 * spec.radius}] contains no nodes")
-    sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=solver_tol)
+    sol = _eikonal_solve(spec, solver_tol)
     shifted = sol.phi.values - sol.phi.values.min() + 1.0
     q_res = DiscreteOperator(spec).residual_values(shifted**q, sol.lam)
     margin = float(np.min(q_res[mask]))
@@ -472,8 +471,7 @@ def check_gradient_estimate(
     gap = big / 2 if gap is None else gap
     ratios = {}
     for rp in r_primes:
-        sub = replace(spec, radius=rp + gap)
-        sol = solve_ergodic(sub, initial_guess=eikonal_initial_guess(sub), tol=solver_tol)
+        sol = _eikonal_solve(spec, solver_tol, radius=rp + gap)
         ratios[f"K_r{rp:g}"] = gradient_estimate_ratio(sol, rp)
     vals = np.array(list(ratios.values()))
     if np.max(vals) <= 1e-12:
@@ -519,7 +517,7 @@ def check_dirichlet_family(spec: ProblemSpec, solver_tol: float = 1e-8) -> Check
     min f and top - 0.1. Boundary data is the constant 0: constants are
     subsolutions at lambda = min f, so each level should admit a solution.
     """
-    lam_r = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=solver_tol).lam
+    lam_r = _eikonal_solve(spec, solver_tol).lam
     top = lam_r - 0.1
     low = min(spec.rhs.min_value(), top - 0.1)
     lambdas = [low, 0.5 * (low + lam_r - 0.1), top]  # 0.5 * (low + top) rounds differently
@@ -554,7 +552,7 @@ def check_lambda_star_characterization(
     Newton failure is the (heuristic) unsolvability signal. The two levels are
     the rows of the table dirichlet_bracket.csv.
     """
-    sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=solver_tol)
+    sol = _eikonal_solve(spec, solver_tol)
     table = [
         {"lambda": lam, "solvable": _dirichlet_solvable(spec, lam, solver_tol)[0]}
         for lam in (sol.lam - DIRICHLET_DELTA, sol.lam + DIRICHLET_DELTA)
@@ -634,35 +632,31 @@ def check_uniqueness(spec: ProblemSpec, solver_tol: float = 1e-8, seed: int = 0)
 def check_cross_method(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckResult:
     """Agreement of the five routes to the critical value on one instance.
 
-    Newton and policy iteration are one iteration with two globalizations;
-    relative value iteration and the parabolic march are both read from one
-    run of parabolic_march from the zero field, a relative value iteration
-    with Anderson mixing (Anderson 1965; Walker & Ni 2011), at its last
-    iterate, the first whose rate spread is <= solver_tol/2: both are its
-    settled pair's lambda, the mean rate there clipped to the iteration's
-    certified enclosure. That enclosure goes to measured as
-    parabolic_lambda_lo and parabolic_lambda_hi (the verdict does not read
-    it), and its iteration count as march_iterations. The independent
-    computations are Newton, the iteration and the discount path over
-    DISCOUNT_EPS. The routes must agree pairwise within CHECK_TOL. An
-    iteration that cannot settle raises SolverError.
+    The routes are the three solve_ergodic methods, relative value iteration
+    (from the zero field, Anderson-accelerated: Anderson 1965; Walker & Ni
+    2011) counting also as the parabolic march, and the discount path over
+    DISCOUNT_EPS. Newton and policy iteration are one iteration with two
+    globalizations, so the independent computations are Newton, the march
+    and the discount path. They must agree pairwise within CHECK_TOL. The
+    march's certified enclosure goes to measured as parabolic_lambda_lo and
+    parabolic_lambda_hi (the verdict does not read it), and its iteration
+    count as march_iterations. A march that cannot settle raises SolverError.
 
     The tables are the iteration's rate spread by iteration
     (parabolic_rate.csv) and the discount path (discount_path.csv).
     """
-    lams: dict[str, float] = {}
-    for meth in ("newton_augmented", "policy_iteration"):
-        lams[meth] = solve_ergodic(spec, method=meth, tol=solver_tol).lam
-    march = parabolic_march(spec, tol=solver_tol)
-    lams["relative_value_iteration"] = lams["parabolic_march"] = march.settled.lam
+    methods = ("newton_augmented", "policy_iteration", "relative_value_iteration")
+    sols = {meth: solve_ergodic(spec, method=meth, tol=solver_tol) for meth in methods}
+    march = sols["relative_value_iteration"]
+    lams = {meth: sol.lam for meth, sol in sols.items()}
+    lams["parabolic_march"] = march.lam
     rows, extrap = discounted_lambda_path(spec, list(DISCOUNT_EPS), tol=solver_tol)
     lams["discounted_extrapolation"] = extrap
-    vals = list(lams.values())
-    worst = max(abs(a - b) for a in vals for b in vals)
+    worst = max(lams.values()) - min(lams.values())
     measured = dict(lams)
     measured["parabolic_lambda_lo"] = march.lambda_lo
     measured["parabolic_lambda_hi"] = march.lambda_hi
-    measured["march_iterations"] = march.n_steps
+    measured["march_iterations"] = march.trace.records[-1].iteration
     measured["max_pairwise_gap"] = worst
     report = VerdictReport(
         name="cross_method",
@@ -675,7 +669,7 @@ def check_cross_method(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckResu
     )
     rates = [
         {"iteration": k, "rate_min": lo, "rate_mean": mean, "rate_max": hi}
-        for k, lo, mean, hi in march.rate_stats
+        for k, lo, mean, hi in march.trace.rate_stats
     ]
     path = [{"epsilon": row["epsilon"], "lambda": row["lambda"]} for row in rows]
     return [report], {"parabolic_rate.csv": rates, "discount_path.csv": path}
@@ -692,8 +686,7 @@ def check_radius_monotonicity(spec: ProblemSpec, solver_tol: float = 1e-8) -> Ch
     radii = (big / 2, 3 * big / 4, big)
     rows = []
     for r in radii:
-        sub = replace(spec, radius=float(r))
-        sol = solve_ergodic(sub, initial_guess=eikonal_initial_guess(sub), tol=solver_tol)
+        sol = _eikonal_solve(spec, solver_tol, radius=float(r))
         rows.append({"radius": float(r), "lambda": sol.lam})
     lams = [row["lambda"] for row in rows]
     report = VerdictReport(

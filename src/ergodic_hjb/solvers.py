@@ -8,7 +8,9 @@ Routes implemented here:
                            estimates the critical value as eps -> 0
 * ``solve_ergodic``        state-constraint problem on the box; three methods:
                            augmented Newton, relative value iteration, policy
-                           iteration (all fixed points of the same discrete system).
+                           iteration (all fixed points of the same discrete system),
+                           each solution carrying a certified enclosure
+                           lambda_lo <= lambda_h <= lambda_hi (_finalize).
                            Newton and policy iteration are one route function on one
                            square system, lambda in the anchor's slot, with two
                            globalizations (line search, and on a stall
@@ -16,16 +18,15 @@ Routes implemented here:
                            agreement is not independent evidence. On a grid of more
                            than COARSE_MIN_NODES nodes both first solve the same
                            problem at spacing 2h and start from that solution
-                           (nested iteration)
-* ``parabolic_march``      the one march of u_t = 1/2 Lap u - H(Du) + f, run as
-                           relative value iteration: a plain step is IMEX (backward
-                           Euler for 1/2 Lap, split by axes when m >= 2, explicit
-                           upwind H) with dt <= 0.9 h / (m max(1, max|p|)^(theta-1)),
-                           and each iterate is the Anderson type-II combination of
-                           its last plain steps' images (Anderson 1965; Walker & Ni
-                           2011), stopped once the rate spread -G_h[u] is <= tol/2.
-                           The scheme is monotone, so every iterate, a grid field,
-                           certifies min rate <= lambda_h <= max rate
+                           (nested iteration). Relative value iteration
+                           (_relative_value_iteration) is the one march of
+                           u_t = 1/2 Lap u - H(Du) + f: a plain step is IMEX
+                           (backward Euler for 1/2 Lap, split by axes when m >= 2,
+                           explicit upwind H) with
+                           dt <= 0.9 h / (m max(1, max|p|)^(theta-1)), and each
+                           iterate is the Anderson type-II combination of its last
+                           plain steps' images (Anderson 1965; Walker & Ni 2011),
+                           stopped once the rate spread -G_h[u] is <= tol/2
 
 Every Newton-type step (Newton, pseudo-time, policy, Dirichlet, discount)
 solves one linear system with the Jacobian (_linear_step). On a 1-d grid that
@@ -56,11 +57,9 @@ __all__ = [
     "TraceRecord",
     "ConvergenceTrace",
     "ErgodicSolution",
-    "ParabolicMarch",
     "solve_dirichlet",
     "solve_discounted",
     "solve_ergodic",
-    "parabolic_march",
     "discounted_lambda_path",
     "eikonal_initial_guess",
     "random_smooth_field",
@@ -150,6 +149,9 @@ class ConvergenceTrace:
     factorizations: int = 0
     reused_steps: int = 0
     coarse_levels: list[dict] = field(default_factory=list)
+    # relative value iteration's (iteration, min, mean, max) of the rate at every
+    # record; written to neither file
+    rate_stats: list[tuple[int, float, float, float]] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
         lines = [dump_json(asdict(r)) for r in self.records]
@@ -162,20 +164,13 @@ class ErgodicSolution:
     lam: float
     phi: Field
     residual_sup: float
+    # lambda_lo <= lambda_h <= lambda_hi up to rounding, by discrete comparison (_finalize)
+    lambda_lo: float
+    lambda_hi: float
     trace: ConvergenceTrace
     method: str
     spec: ProblemSpec
     tol: float = 0.0
-
-
-@dataclass
-class ParabolicMarch:
-    rate_stats: list[tuple[int, float, float, float]]  # (iteration, min, mean, max) of the rate
-    n_steps: int
-    # running max of min rate and min of max rate: lambda_lo <= lambda_h <= lambda_hi
-    lambda_lo: float
-    lambda_hi: float
-    settled: ErgodicSolution  # relative value iteration's pair
 
 
 def _sup(v: np.ndarray) -> float:
@@ -599,18 +594,29 @@ def _finalize(
     records: list[TraceRecord],
     method: str,
     tol: float,
+    enclosure: Optional[tuple[float, float]] = None,
 ) -> ErgodicSolution:
+    """The solution at values less their anchor value, and lambda lam.
+
+    The scheme is monotone, so the range of the rate lam - res = -G_h[phi]
+    encloses lambda_h by discrete comparison; that is the enclosure unless
+    one is given (relative value iteration's running intersection).
+    """
     spec = op.spec
     vals = values - values[spec.anchor_index]
-    res = _sup(op.residual_values(vals, lam))
-    records = records[:-1] + [replace(records[-1], residual_sup=res, lambda_estimate=float(lam))]
+    res = op.residual_values(vals, lam)
+    sup = _sup(res)
+    records = records[:-1] + [replace(records[-1], residual_sup=sup, lambda_estimate=float(lam))]
     trace = ConvergenceTrace(records=records, termination="converged")
     if not np.all(np.isfinite(vals)):
         raise SolverError("solution contains non-finite values", trace)
+    lo, hi = enclosure or (lam - float(res.max()), lam - float(res.min()))
     return ErgodicSolution(
         lam=float(lam),
         phi=Field(spec.grid, vals),
-        residual_sup=res,
+        residual_sup=sup,
+        lambda_lo=float(lo),
+        lambda_hi=float(hi),
         trace=trace,
         method=method,
         spec=spec,
@@ -742,9 +748,11 @@ def solve_ergodic(
     in robustness and cost. ``newton_augmented`` and ``policy_iteration`` share
     the square system and the Newton driver and differ only in globalization
     (backtracking, and on a stall pseudo-transient continuation, vs full
-    steps); relative value iteration is ``parabolic_march``, read off at the
-    first iterate whose rate spread is <= tol/2. The returned
-    residual_sup is the sup norm of the operator applied to the normalized solution.
+    steps); ``relative_value_iteration`` is read off at the first iterate
+    whose rate spread is <= tol/2 (_relative_value_iteration). max_iter counts
+    Newton iterations, policy sweeps or march steps. The returned residual_sup
+    is the sup norm of the operator applied to the normalized solution, and
+    [lambda_lo, lambda_hi] is a certified enclosure of lambda_h (_finalize).
     """
     if not np.isfinite(spec.rhs.min_value()):
         raise ValueError("right-hand side must be bounded from below on the box")
@@ -752,16 +760,13 @@ def solve_ergodic(
         raise ValueError(f"unknown method {method!r}")
     budget = METHOD_BUDGETS[method] if max_iter is None else max_iter
     if method == "relative_value_iteration":
-        return parabolic_march(spec, initial_guess, tol, budget).settled
+        return _relative_value_iteration(spec, initial_guess, tol, budget)
     return _solve_square(spec, initial_guess, tol, budget, method)
 
 
-def parabolic_march(
-    spec: ProblemSpec,
-    u0: Optional[Field] = None,
-    tol: float = 1e-8,
-    max_steps: int = METHOD_BUDGETS["relative_value_iteration"],
-) -> ParabolicMarch:
+def _relative_value_iteration(
+    spec: ProblemSpec, u0: Optional[Field], tol: float, max_steps: int
+) -> ErgodicSolution:
     """Relative value iteration for u_t = 1/2 Lap u - H(Du) + f, Anderson-accelerated.
 
     The rate is rate = -G_h[u], the right-hand side at u. The plain image of
@@ -786,15 +791,15 @@ def parabolic_march(
     it. A combination whose rate is non-finite or runaway is replaced by the
     plain image it was mixed from, and the history is cleared.
 
-    rate_stats holds per-sample (iteration, min, mean, max) of the rate.
-    Since the scheme G_h is monotone, discrete comparison gives
+    trace.rate_stats holds per-record (iteration, min, mean, max) of the
+    rate. Since the scheme G_h is monotone, discrete comparison gives
     min rate <= lambda_h <= max rate at every iterate, however it was
     produced; ``lambda_lo`` and ``lambda_hi`` are the running max of the
     minima and min of the maxima, a certified enclosure of lambda_h up to
-    rounding. ``settled`` is the pair read off at the first iterate whose
-    rate spread (a bound on that pair's residual) is <= tol/2, lambda its
-    mean rate clipped to [lambda_lo, lambda_hi]: the mean need not lie in the
-    running intersection of earlier iterates' ranges. An enclosure that has
+    rounding. The pair is read off at the first iterate whose rate spread
+    (a bound on that pair's residual) is <= tol/2, lambda its mean rate
+    clipped to [lambda_lo, lambda_hi]: the mean need not lie in the running
+    intersection of earlier iterates' ranges. An enclosure that has
     not shrunk for MARCH_FLOOR_STEPS iterations before that means tol/2 lies
     below the rounding floor: SolverError with termination "rounding_floor".
     A non-finite or runaway rate of a plain iterate raises SolverError with
@@ -873,12 +878,9 @@ def parabolic_march(
             history.push(rungs[dt](rate.ravel()), rate.ravel(), dt)
             mixed = history.mix()
             step += 1
-    return ParabolicMarch(
-        rate_stats=stats, n_steps=step, lambda_lo=cert_lo, lambda_hi=cert_hi,
-        settled=_finalize(
-            op, u, min(max(lam, cert_lo), cert_hi), records, "relative_value_iteration", tol
-        ),
-    )
+    lam = min(max(lam, cert_lo), cert_hi)
+    sol = _finalize(op, u, lam, records, "relative_value_iteration", tol, (cert_lo, cert_hi))
+    return replace(sol, trace=replace(sol.trace, rate_stats=stats))
 
 
 class _AndersonHistory:

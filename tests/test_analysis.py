@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ergodic_hjb import analysis
+from ergodic_hjb import analysis, solvers
 from ergodic_hjb.analysis import (
     check_continuity_bound,
     check_cross_method,
@@ -25,7 +25,7 @@ from ergodic_hjb.analysis import (
 )
 from ergodic_hjb.grid import Field, Grid
 from ergodic_hjb.problem import BlendRhs, ProblemSpec, make_power_rhs, make_pure_power_rhs
-from ergodic_hjb.solvers import SolverError, parabolic_march, solve_ergodic
+from ergodic_hjb.solvers import SolverError, solve_ergodic
 
 from oracles import closed_form_lambda, closed_form_spec, quad_ansatz_lambda, smooth_power_lambda
 
@@ -402,10 +402,7 @@ def test_cross_method_step_budget_before_settling_raises(monkeypatch):
     # relative value iteration is the iteration's settled pair, so an
     # iteration that cannot settle within its budget (here 10 steps) has no
     # value to compare, and the check raises instead of reporting a verdict
-    def short_march(spec, **kwargs):
-        return parabolic_march(spec, max_steps=10, **kwargs)
-
-    monkeypatch.setattr(analysis, "parabolic_march", short_march)
+    monkeypatch.setitem(solvers.METHOD_BUDGETS, "relative_value_iteration", 10)
     spec = ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=4.0, h=0.1)
     with pytest.raises(SolverError, match="within 10 steps"):
         check_cross_method(spec)
@@ -414,10 +411,10 @@ def test_cross_method_step_budget_before_settling_raises(monkeypatch):
 def test_cross_method_reports_the_march_enclosure():
     spec = ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=4.0, h=0.1)
     (report,), _ = check_cross_method(spec)
-    march = parabolic_march(spec)
+    march = solve_ergodic(spec, method="relative_value_iteration")
     assert report.measured["parabolic_lambda_lo"] == march.lambda_lo
     assert report.measured["parabolic_lambda_hi"] == march.lambda_hi
-    assert report.measured["march_iterations"] == march.n_steps
+    assert report.measured["march_iterations"] == march.trace.records[-1].iteration
     assert 0.0 <= march.lambda_hi - march.lambda_lo <= 1e-8
 
 

@@ -25,7 +25,6 @@ from ergodic_hjb.solvers import (
     SolverError,
     discounted_lambda_path,
     eikonal_initial_guess,
-    parabolic_march,
     random_smooth_field,
     solve_dirichlet,
     solve_discounted,
@@ -714,7 +713,7 @@ def test_every_route_runs_on_the_three_node_grid(method):
     inner = solve_dirichlet(spec, sol.lam - 0.5, data)
     assert inner.values[[0, 2]].tolist() == [1.0, 1.0]
     assert abs(op.residual_values(inner.values, sol.lam - 0.5)[1]) <= 1e-8
-    march = parabolic_march(spec)
+    march = solve_ergodic(spec, method="relative_value_iteration")
     assert march.lambda_lo <= sol.lam + 1e-9 and sol.lam - 1e-9 <= march.lambda_hi
 
 
@@ -981,13 +980,13 @@ def test_parabolic_constant_f_is_exact():
     c = 1.3
     rhs = make_power_rhs(c, 0.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=2.0, h=0.1)
-    march = parabolic_march(spec)
-    assert march.n_steps == 0
-    ((_, lo, _, hi),) = march.rate_stats
+    march = solve_ergodic(spec, method="relative_value_iteration")
+    assert march.trace.records[-1].iteration == 0
+    ((_, lo, _, hi),) = march.trace.rate_stats
     assert lo == pytest.approx(c, abs=1e-12)
     assert hi == pytest.approx(c, abs=1e-12)
-    assert march.settled.lam == pytest.approx(c, abs=1e-12)
-    assert np.allclose(march.settled.phi.values, 0.0, atol=1e-12)
+    assert march.lam == pytest.approx(c, abs=1e-12)
+    assert np.allclose(march.phi.values, 0.0, atol=1e-12)
 
 
 def test_parabolic_stationary_from_exact_profile():
@@ -996,14 +995,14 @@ def test_parabolic_stationary_from_exact_profile():
     spec = closed_form_spec(2.0, 1, 6.0, 0.05)
     g = spec.grid
     u0 = Field(g, 0.5 * g.axis_coords() ** 2)
-    march = parabolic_march(spec, u0=u0)
-    assert march.settled.lam == pytest.approx(closed_form_lambda(1), abs=0.05)
+    march = solve_ergodic(spec, u0, method="relative_value_iteration")
+    assert march.lam == pytest.approx(closed_form_lambda(1), abs=0.05)
     bulk = g.radii() <= 3.0
-    drift = (march.settled.phi.values - (u0.values - u0.values[spec.anchor_index]))[bulk]
+    drift = (march.phi.values - (u0.values - u0.values[spec.anchor_index]))[bulk]
     assert np.max(np.abs(drift)) <= 0.05
     # interior rates equal the critical value from the very first iterate,
     # up to the upwind bias (at most R h / 2 at the box edge)
-    first_max = march.rate_stats[0][3]
+    first_max = march.trace.rate_stats[0][3]
     assert first_max == pytest.approx(closed_form_lambda(1), abs=0.5 * 6.0 * g.h + 0.02)
 
 
@@ -1031,7 +1030,9 @@ def test_parabolic_time_step_respects_cfl_at_every_step(monkeypatch):
     monkeypatch.setattr(solvers, "_slope_kernel", recording_kernel)
     monkeypatch.setattr(solvers, "MARCH_RECORD_EVERY", 1)
     with pytest.raises(SolverError) as info:
-        parabolic_march(spec, u0=random_smooth_field(spec.grid, 1), max_steps=500)
+        solve_ergodic(
+            spec, random_smooth_field(spec.grid, 1), method="relative_value_iteration", max_iter=500
+        )
     assert info.value.trace.termination == "max_iterations"
     records = info.value.trace.records
     assert len(records) == len(maxp) == 501  # no fall-back: one kernel call per record
@@ -1121,9 +1122,9 @@ def test_two_dimensional_march_assembles_no_jacobian_and_no_sparse_lu(monkeypatc
 
     monkeypatch.setattr(DiscreteOperator, "jacobian", forbidden)
     monkeypatch.setattr(solvers, "splu", forbidden)
-    march = parabolic_march(spec, tol=tol)
+    march = solve_ergodic(spec, method="relative_value_iteration", tol=tol)
     assert march.lambda_lo - 1e-12 <= newton.lam <= march.lambda_hi + 1e-12
-    assert abs(march.settled.lam - newton.lam) <= tol
+    assert abs(march.lam - newton.lam) <= tol
 
 
 def test_verify_relative_value_iteration_is_pinned_and_holds_no_state(monkeypatch):
@@ -1171,15 +1172,15 @@ def test_verify_relative_value_iteration_is_pinned_and_holds_no_state(monkeypatc
     runs = []
     for _ in range(2):
         held.clear()
-        march = parabolic_march(spec, tol=1e-8)
-        phi = march.settled.phi.values
+        march = solve_ergodic(spec, method="relative_value_iteration", tol=1e-8)
+        phi = march.phi.values
         assert len(held) == 9
         assert not any(np.shares_memory(phi, w) for w in held.values())
-        read_offs = (march.lambda_lo, march.lambda_hi, march.settled.lam)
+        read_offs = (march.lambda_lo, march.lambda_hi, march.lam)
         runs.append((
-            march.n_steps,
+            march.trace.records[-1].iteration,
             [x.hex() for x in read_offs],
-            np.array(march.rate_stats).tobytes(),
+            np.array(march.trace.rate_stats).tobytes(),
             phi.tobytes(),
         ))
     assert runs[0] == runs[1]
@@ -1187,7 +1188,7 @@ def test_verify_relative_value_iteration_is_pinned_and_holds_no_state(monkeypatc
     pinned = [
         "0x1.b772abbf465f3p+0",  # lambda_lo
         "0x1.b772abc14cf02p+0",  # lambda_hi
-        "0x1.b772abc14cf02p+0",  # settled.lam, the mean rate clipped to lambda_hi
+        "0x1.b772abc14cf02p+0",  # lam, the mean rate clipped to lambda_hi
     ]
     for got, want in zip(read_offs, pinned):
         assert got == pytest.approx(float.fromhex(want), rel=1e-12, abs=0.0)
@@ -1199,11 +1200,28 @@ def test_settled_lambda_lies_in_the_certified_enclosure(instance):
     # of earlier iterates' rate ranges (by 1.3e-9 on the verify instance), so it
     # is clipped into it, and the last trace record carries the clipped value
     spec = verify_suite_spec() if instance == "verify" else closed_form_spec(2.0, 2, 6.0, 0.1)
-    march = parabolic_march(spec, tol=1e-8)
-    settled = march.settled
-    assert march.lambda_lo <= settled.lam <= march.lambda_hi
+    settled = solve_ergodic(spec, method="relative_value_iteration", tol=1e-8)
+    assert settled.lambda_lo <= settled.lam <= settled.lambda_hi
     assert settled.trace.records[-1].lambda_estimate == settled.lam
     assert settled.residual_sup <= 1e-8
+
+
+@pytest.mark.parametrize("theta, m", [(2.0, 1), (1.5, 1), (3.0, 1), (2.0, 2)])
+def test_every_routes_enclosure_brackets_lambda(theta, m):
+    # Newton's and policy iteration's enclosure is the rate range of their
+    # field, relative value iteration's the running intersection of its
+    # iterates' ranges; each encloses lambda_h, so the three intersect
+    if m == 1:  # f = 1 + |y|^2
+        spec = ProblemSpec(theta, 1, make_power_rhs(1.0, 2.0, 0.0), 8.0, 0.02)
+    else:
+        spec = closed_form_spec(theta, 2, 6.0, 0.1)
+    tol = 1e-8
+    methods = ("newton_augmented", "policy_iteration", "relative_value_iteration")
+    sols = [solve_ergodic(spec, method=method, tol=tol) for method in methods]
+    for sol in sols:
+        assert sol.lambda_lo <= sol.lam <= sol.lambda_hi, sol.method
+        assert sol.lambda_hi - sol.lambda_lo <= tol, sol.method
+    assert max(sol.lambda_lo for sol in sols) <= min(sol.lambda_hi for sol in sols)
 
 
 @pytest.mark.parametrize("start", ["zero", "random"])
@@ -1218,13 +1236,13 @@ def test_every_accelerated_iterate_certifies_newtons_lambda(monkeypatch, theta, 
     tol = 1e-10
     newton = solve_ergodic(spec, eikonal_initial_guess(spec), tol=tol)
     u0 = None if start == "zero" else random_smooth_field(spec.grid, 3)
-    march = parabolic_march(spec, u0, tol=tol)
-    assert len(march.rate_stats) == march.n_steps + 1
-    for _, lo, _, hi in march.rate_stats:
+    march = solve_ergodic(spec, u0, method="relative_value_iteration", tol=tol)
+    assert len(march.trace.rate_stats) == march.trace.records[-1].iteration + 1
+    for _, lo, _, hi in march.trace.rate_stats:
         assert lo - 1e-12 <= newton.lam <= hi + 1e-12
     assert march.lambda_lo - 1e-12 <= newton.lam <= march.lambda_hi + 1e-12
-    assert abs(march.settled.lam - newton.lam) <= tol
-    d = march.settled.phi.values - newton.phi.values
+    assert abs(march.lam - newton.lam) <= tol
+    d = march.phi.values - newton.phi.values
     assert d.max() - d.min() <= 10.0 * tol
 
 
@@ -1233,7 +1251,7 @@ def test_wild_anderson_weights_fall_back_to_plain_images(monkeypatch):
     # image it was mixed from: the iteration settles as the plain one does
     spec = closed_form_spec(2.0, 1, 4.0, 0.1)
     tol = 1e-7
-    good = parabolic_march(spec, tol=tol)
+    good = solve_ergodic(spec, method="relative_value_iteration", tol=tol)
     calls = []
 
     def wild(gram, order):
@@ -1241,19 +1259,21 @@ def test_wild_anderson_weights_fall_back_to_plain_images(monkeypatch):
         return [1e200] * (len(order) - 1) + [-1e200]
 
     monkeypatch.setattr(solvers, "_anderson_weights", wild)
-    bad = parabolic_march(spec, tol=tol)
+    bad = solve_ergodic(spec, method="relative_value_iteration", tol=tol)
     assert calls and set(calls) == {2}  # cleared after every fall-back
-    assert bad.settled.residual_sup <= tol
-    assert abs(bad.settled.lam - good.settled.lam) <= tol
-    assert bad.lambda_lo <= good.settled.lam + tol and good.settled.lam - tol <= bad.lambda_hi
+    assert bad.residual_sup <= tol
+    assert abs(bad.lam - good.lam) <= tol
+    assert bad.lambda_lo <= good.lam + tol and good.lam - tol <= bad.lambda_hi
     # every other iterate is a fall-back to a plain image, so it takes about
     # as many plain images as the iteration weighing the newest image alone
     def newest_alone(gram, order):
         return [0.0] * (len(order) - 1) + [1.0]
 
     monkeypatch.setattr(solvers, "_anderson_weights", newest_alone)
-    plain = parabolic_march(spec, tol=tol).n_steps
-    assert bad.n_steps == pytest.approx(plain, rel=0.01)
+    plain = solve_ergodic(spec, method="relative_value_iteration", tol=tol)
+    assert bad.trace.records[-1].iteration == pytest.approx(
+        plain.trace.records[-1].iteration, rel=0.01
+    )
 
 
 def test_parabolic_long_run_matches_ergodic_solve():
@@ -1261,30 +1281,13 @@ def test_parabolic_long_run_matches_ergodic_solve():
     # march's comparison enclosure, the profile equal up to a constant in the bulk
     rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=6.0, h=0.05)
-    march = parabolic_march(spec)
+    march = solve_ergodic(spec, method="relative_value_iteration")
     sol = solve_ergodic(spec, tol=1e-8)
-    assert march.settled.lam == pytest.approx(sol.lam, abs=0.03)
+    assert march.lam == pytest.approx(sol.lam, abs=0.03)
     assert march.lambda_lo - 1e-9 <= sol.lam <= march.lambda_hi + 1e-9
     mask = spec.grid.radii() <= 3.0
-    d = march.settled.phi.values[mask] - sol.phi.values[mask]
+    d = march.phi.values[mask] - sol.phi.values[mask]
     assert d.max() - d.min() <= 0.05
-
-
-def test_relative_value_iteration_is_read_off_the_march():
-    # relative value iteration is the march's settled pair, bit for bit, and
-    # it agrees with Newton's pair within tol
-    spec = closed_form_spec(2.0, 1, 4.0, 0.1)
-    tol = 1e-7
-    settled = parabolic_march(spec, tol=tol).settled
-    rvi = solve_ergodic(spec, method="relative_value_iteration", tol=tol)
-    assert rvi.lam == settled.lam
-    assert np.array_equal(rvi.phi.values, settled.phi.values)
-    assert rvi.residual_sup == settled.residual_sup <= tol
-    assert rvi.trace == settled.trace
-    newton = solve_ergodic(spec, tol=tol)
-    assert abs(rvi.lam - newton.lam) <= tol
-    d = rvi.phi.values - newton.phi.values
-    assert d.max() - d.min() <= 10.0 * tol
 
 
 def test_relative_value_iteration_below_the_floor_raises():
@@ -1317,7 +1320,7 @@ def test_lambda_lies_in_the_comparison_enclosure_of_any_field(m, theta, seed):
 def test_march_step_budget_raises():
     spec = closed_form_spec(2.0, 1, 4.0, 0.1)
     with pytest.raises(solvers.SolverError) as info:
-        parabolic_march(spec, max_steps=10)
+        solve_ergodic(spec, method="relative_value_iteration", max_iter=10)
     assert info.value.trace.termination == "max_iterations"
 
 
@@ -1329,7 +1332,7 @@ def test_march_blow_up_raises_solver_error():
     spec = ProblemSpec(2.0, 1, make_pure_power_rhs(0.5, 2.0, 1.0), 4.0, 0.1)
     y = spec.grid.axis_coords()
     with pytest.raises(solvers.SolverError) as info:
-        parabolic_march(spec, Field(spec.grid, 1e10 * y**2))
+        solve_ergodic(spec, Field(spec.grid, 1e10 * y**2), method="relative_value_iteration")
     assert info.value.trace.termination == "blow_up"
     assert "blew up" in str(info.value)
 
@@ -1342,7 +1345,7 @@ def test_march_step_budget_reports_the_current_rate_spread(monkeypatch):
     spec = ProblemSpec(2.0, 1, make_pure_power_rhs(0.5, 2.0, 1.0), 4.0, 0.05)
     tol, max_steps = 1e-2, 15
     with pytest.raises(solvers.SolverError) as info:
-        parabolic_march(spec, tol=tol, max_steps=max_steps)
+        solve_ergodic(spec, method="relative_value_iteration", tol=tol, max_iter=max_steps)
     last = info.value.trace.records[-1]
     assert last.iteration == max_steps
     assert last.residual_sup > 0.5 * tol
