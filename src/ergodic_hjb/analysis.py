@@ -549,8 +549,8 @@ def check_lambda_star_characterization(
     Bounded-from-below routes and the solvability supremum single out the same
     lambda_R: the zero-data Dirichlet problem, solved from the zero field, must
     solve at lambda_R - DIRICHLET_DELTA and fail at lambda_R + DIRICHLET_DELTA.
-    Newton failure is the (heuristic) unsolvability signal. The two levels are
-    the rows of the table dirichlet_bracket.csv.
+    A Howard solve (solve_dirichlet) that returns certifies its level; a failed
+    one is the heuristic unsolvability signal; dirichlet_bracket.csv lists both.
     """
     sol = _eikonal_solve(spec, solver_tol)
     table = [

@@ -2,8 +2,8 @@
 
 Routes implemented here:
 
-* ``solve_dirichlet``      fixed lambda, boundary data prescribed; damped Newton
-                           on the interior rows of the state-constraint operator
+* ``solve_dirichlet``      fixed lambda, boundary data prescribed; Howard's policy
+                           iteration on the interior rows of the state-constraint operator
 * ``solve_discounted``     discount term eps*phi replaces lambda; eps*phi(anchor)
                            estimates the critical value as eps -> 0
 * ``solve_ergodic``        state-constraint problem on the box; three methods:
@@ -65,11 +65,11 @@ __all__ = [
     "random_smooth_field",
 ]
 
-# A line-search step cut below this fraction is a stall, as a non-finite step is.
-# At 2^-20, random fields 8 and 9 on the verify instance took 35 and 53 steps cut
-# to between 2^-19 and 2^-1 while |F|_inf stayed above 1.1e3; at 2^-10 both stall
-# at iteration 1 and finish in pseudo-time. At 2^-4 solvable Dirichlet levels of
-# verify_suite.cfg stall; 2^-10 keeps six halvings of margin.
+# A line-search step cut below this fraction is a stall, as a non-finite step is
+# (newton_augmented then goes on in pseudo-time; the discount route raises). At
+# 2^-20 random fields 8 and 9 of the verify instance crawled 35 and 53 steps at
+# |F|_inf > 1.1e3; at 2^-10 both stall at once. At 2^-4 two configs of tier-1's
+# specificity matrix change outcome; the shipped verify configs accept 2^-5.
 BACKTRACK_FLOOR = 2.0**-10
 # First pseudo-time step of the continuation that takes over when the line search
 # stalls. From 60 random fields on the 1-d closed forms (h=0.01, theta 1.5/2/3),
@@ -102,7 +102,7 @@ METHOD_BUDGETS = {
     "relative_value_iteration": 2_000_000,
 }
 DISCOUNTED_MAX_ITER = 200  # Newton iterations of one discounted solve
-DIRICHLET_MAX_ITER = 80  # Newton iterations of one Dirichlet solve
+DIRICHLET_MAX_ITER = 80  # Howard sweeps of one Dirichlet solve
 ND_LEAF = 16  # nested dissection stops at blocks of at most this many nodes
 ND_LAYOUTS = 8  # _nd_matrix keeps the layouts of this many (grid, unknowns, anchor) keys
 _LAYOUTS: dict = {}  # oldest first
@@ -409,8 +409,8 @@ def _damped_newton(
     (J + I/tau) d = -F and is taken whole: pseudo-transient continuation,
     with tau grown by switched evolution relaxation,
     tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau = inf is
-    the plain full Newton step, which on the ergodic system is Howard's
-    policy iteration. Under PTC a non-finite step raises SolverError with
+    the plain full Newton step, Howard's policy iteration on the ergodic and
+    the Dirichlet system. Under PTC a non-finite step raises SolverError with
     termination "non_finite_step".
 
     The line search stalls when its step is not finite or no fraction down to
@@ -494,13 +494,13 @@ def solve_dirichlet(
 ) -> Field:
     """Solve G_h[phi] + lambda = 0 at interior nodes with phi = data on the boundary.
 
-    Both stencil arms exist at interior nodes, so the Dirichlet operator is the
-    state-constraint operator restricted to the interior rows; the Jacobian is
-    restricted to the interior rows and columns (boundary values are data, not
-    unknowns). A failed damped Newton iteration raises SolverError; a stall
-    ("stagnated") or an exhausted budget far from tolerance is consistent with
-    lambda above the critical value. This is a diagnostic, not a certificate
-    of nonexistence.
+    Both stencil arms exist at interior nodes, so the operator is the
+    state-constraint one on the interior rows, and the Jacobian its interior
+    rows and columns. Each sweep is Howard's full step with that
+    policy-evaluation matrix (Bokanowski, Maroso & Zidani 2009). A returned
+    field solves to tol and so certifies solvability at lambda; a SolverError
+    (a non-finite step, or the budget spent far from tol) is consistent with
+    lambda above the critical value but certifies nothing.
     """
     grid = spec.grid
     op = DiscreteOperator(spec)
@@ -519,7 +519,7 @@ def solve_dirichlet(
         return op.residual_values(assemble(x), lam)[interior]
 
     step = _linear_step(op, lambda x, s: (assemble(x), s), unknowns)
-    x, _ = _damped_newton(residual_fn, step, full[interior], tol, DIRICHLET_MAX_ITER)
+    x, _ = _damped_newton(residual_fn, step, full[interior], tol, DIRICHLET_MAX_ITER, tau=np.inf)
     return Field(grid, assemble(x))
 
 

@@ -25,6 +25,7 @@ from ergodic_hjb.analysis import (
 )
 from ergodic_hjb.grid import Field, Grid
 from ergodic_hjb.problem import BlendRhs, ProblemSpec, make_power_rhs, make_pure_power_rhs
+from ergodic_hjb.scheme import DiscreteOperator
 from ergodic_hjb.solvers import SolverError, solve_ergodic
 
 from oracles import closed_form_lambda, closed_form_spec, quad_ansatz_lambda, smooth_power_lambda
@@ -367,14 +368,16 @@ def test_threshold_bisection_matches_state_constraint_level(quadratic_spec):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec,solvable_above",
     [
-        ProblemSpec(theta=2.0, m=1, rhs=make_pure_power_rhs(0.5, 2.0, 0.0), radius=8.0, h=0.02),
-        closed_form_spec(2.0, 2, 3.0, 0.1),
+        (ProblemSpec(theta=2.0, m=1, rhs=make_pure_power_rhs(0.5, 2.0, 0.0), radius=8.0, h=0.02), 0.0),
+        # on this box the level above lambda_R solves (certified below), so the check at
+        # DIRICHLET_DELTA = 2^-7 cannot resolve it and its verdict fails
+        (closed_form_spec(2.0, 2, 3.0, 0.1), 1.0),
     ],
     ids=["1d", "2d"],
 )
-def test_lambda_star_characterization_is_two_dirichlet_solves(monkeypatch, spec):
+def test_lambda_star_characterization_is_two_dirichlet_solves(monkeypatch, spec, solvable_above):
     ergodic_calls, levels = [], []
     solve, solve_dirichlet = analysis.solve_ergodic, analysis.solve_dirichlet
 
@@ -389,10 +392,32 @@ def test_lambda_star_characterization_is_two_dirichlet_solves(monkeypatch, spec)
     monkeypatch.setattr(analysis, "solve_ergodic", counting_solve)
     monkeypatch.setattr(analysis, "solve_dirichlet", counting_dirichlet)
     (rep,), _ = check_lambda_star_characterization(spec)
-    assert rep.passed, rep.measured
+    assert rep.passed == (solvable_above == 0.0), rep.measured
+    assert rep.measured["solvable_below"] == 1.0
+    assert rep.measured["solvable_above"] == solvable_above
     lam_r = rep.measured["lambda_state_constraint"]
     assert len(ergodic_calls) == 1
     assert levels == [lam_r - 2**-7, lam_r + 2**-7]
+    if solvable_above:
+        # the certificate: the returned field solves the zero-data Dirichlet problem
+        lam = lam_r + 2**-7
+        phi = solve_dirichlet(spec, lam, Field(spec.grid, np.zeros(spec.grid.shape))).values
+        interior = spec.grid.interior_mask()
+        residual = DiscreteOperator(spec).residual_values(phi, lam)[interior]
+        assert np.max(np.abs(residual)) <= 1e-8
+        assert np.all(phi[~interior] == 0.0)
+
+
+def test_dirichlet_checks_pass_on_the_theta_6_quartic():
+    # f = |y|^4 + 1 at theta 6: line-searched Newton solved none of these Dirichlet
+    # levels from the zero field, and Howard's iteration solves every one below lambda_R
+    spec = ProblemSpec(theta=6.0, m=1, rhs=make_pure_power_rhs(1.0, 4.0, 1.0), radius=8.0, h=0.02)
+    (family,), _ = check_dirichlet_family(spec)
+    assert family.passed, family.measured
+    assert set(family.measured.values()) == {1.0}
+    (bracket,), _ = check_lambda_star_characterization(spec)
+    assert bracket.passed, bracket.measured
+    assert (bracket.measured["solvable_below"], bracket.measured["solvable_above"]) == (1.0, 0.0)
 
 
 # -- uniqueness and interior minimum -------------------------------------------------------

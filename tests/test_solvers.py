@@ -176,24 +176,26 @@ def test_dirichlet_above_critical_value_is_suspected_unsolvable():
     rhs = make_pure_power_rhs(0.5, 2.0, 0.0)
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=4.0, h=0.05)
     lam_hat = solve_ergodic(spec, tol=1e-8).lam  # about 1/2
-    with pytest.raises(SolverError) as info:
+    # Howard's iteration diverges: its eleventh full step overflows
+    with pytest.raises(SolverError, match="non-finite newton step at iteration 11$") as info:
         solve_dirichlet(spec, lam_hat + 5.0, zero_field(spec.grid))
     trace = info.value.trace
-    assert trace.termination in {"stagnated", "max_iterations"}
+    assert trace.termination == "non_finite_step"
     assert trace.records[-1].residual_sup > 1e3 * 1e-8  # far from the default tolerance
 
 
-def test_dirichlet_stall_without_a_hand_off_raises_stagnated():
-    # the Dirichlet route passes no stall_tau, so a line-search stall ends the solve
-    spec = ProblemSpec(2.0, 1, make_pure_power_rhs(0.5, 2.0, 0.0), 4.0, 0.05)
+# -- discounted -----------------------------------------------------------------------
+
+
+def test_discount_stall_without_a_hand_off_raises_stagnated():
+    # the discount route passes no stall_tau, so a line-search stall ends the solve;
+    # from a random field at theta 6 the line search stalls at the first step
+    spec = closed_form_spec(6.0, 1, 4.0, 0.05)
     with pytest.raises(SolverError) as info:
-        solve_dirichlet(spec, 1.0, zero_field(spec.grid))
+        solve_discounted(spec, 0.1, initial_guess=random_smooth_field(spec.grid, 0))
     trace = info.value.trace
     assert trace.termination == "stagnated"
     assert trace.records[-1].step_size == 0.0
-
-
-# -- discounted -----------------------------------------------------------------------
 
 
 def test_discounted_constant_f_solved_by_constant():
