@@ -17,7 +17,7 @@ from .problem import (
     make_power_rhs,
     make_pure_power_rhs,
 )
-from .scheme import DiscreteOperator, hopf_cole_residual
+from .scheme import DiscreteOperator
 from .solvers import (
     ConvergenceTrace,
     ErgodicSolution,
@@ -37,7 +37,6 @@ __all__ = [
     "make_power_rhs",
     "make_pure_power_rhs",
     "DiscreteOperator",
-    "hopf_cole_residual",
     "ConvergenceTrace",
     "ErgodicSolution",
     "SolverError",

@@ -159,14 +159,6 @@ class BlendRhs(RhsFunction):
         # both parametric families attain their minimum at the origin
         return self.t * self.f1.min_value() + (1.0 - self.t) * self.f2.min_value()
 
-    def descriptor(self) -> dict:
-        return {
-            "form": "blend",
-            "t": self.t,
-            "f1": self.f1.descriptor(),
-            "f2": self.f2.descriptor(),
-        }
-
 
 # -- factories ----------------------------------------------------------------
 

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Field
 from .problem import ProblemSpec
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "upwind_state",
     "laplacian_and_slope",
     "drift_field",
-    "hopf_cole_residual",
 ]
 
 # |p|^(theta-2) is unbounded at p=0 for theta < 2; derivative denominators
@@ -215,31 +213,3 @@ def drift_field(values: np.ndarray, h: float, theta: float) -> np.ndarray:
     magc = np.maximum(state.mag, GRADIENT_CLAMP)
     return magc ** (theta - 2.0) * state.p
 
-
-def hopf_cole_residual(phi: Field, lam: float, spec: ProblemSpec) -> Field:
-    """Residual of the transformed equation satisfied by z = -exp(-phi).
-
-    Centered differences throughout; this is a diagnostic for smooth fields,
-    not a monotone solver ingredient. Boundary entries are set to zero.
-    """
-    if phi.grid != spec.grid:
-        raise ValueError("field grid does not match the problem grid")
-    vals = phi.values
-    if float(np.min(vals)) < -700.0:
-        raise OverflowError(
-            "exp(-phi) overflows for min(phi) < -700; renormalize phi by adding a constant"
-        )
-    z = -np.exp(-vals)
-    lap = np.zeros_like(z)
-    grad_sq = np.zeros_like(z)
-    for back, fwd in _one_sided(z, spec.h)():  # central differences at interior nodes
-        lap += (fwd - back) / spec.h
-        grad_sq += (0.5 * (back + fwd)) ** 2
-
-    q = np.sqrt(grad_sq) / np.abs(z)  # |Dz/z|
-    theta = spec.theta
-    res = -0.5 * lap + z * (0.5 * q**2 - q**theta / theta + spec.f_field().values - lam)
-    interior = spec.grid.interior_mask()
-    out = np.zeros_like(res)
-    out[interior] = res[interior]
-    return Field(spec.grid, out)

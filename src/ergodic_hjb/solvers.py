@@ -5,7 +5,9 @@ Routes implemented here:
 * ``solve_dirichlet``      fixed lambda, boundary data prescribed; Howard's policy
                            iteration on the interior rows of the state-constraint operator
 * ``solve_discounted``     discount term eps*phi replaces lambda; eps*phi(anchor)
-                           estimates the critical value as eps -> 0
+                           estimates the critical value as eps -> 0; Newton with
+                           a line search, and on a stall pseudo-transient
+                           continuation, as newton_augmented
 * ``solve_ergodic``        state-constraint problem on the box; three methods:
                            augmented Newton, relative value iteration, policy
                            iteration (all fixed points of the same discrete system),
@@ -28,6 +30,8 @@ Routes implemented here:
                            plain steps' images (Anderson 1965; Walker & Ni 2011),
                            stopped once the rate spread -G_h[u] is <= tol/2
 
+Every Newton-type route runs one driver (_damped_newton) with one stall policy:
+a line-searched route goes on in pseudo-time where its line search stalls.
 Every Newton-type step (Newton, pseudo-time, policy, Dirichlet, discount)
 solves one linear system with the Jacobian (_linear_step). On a 1-d grid that
 matrix is tridiagonal: LAPACK's ?gtsv solves it from the operator's three
@@ -65,8 +69,8 @@ __all__ = [
     "random_smooth_field",
 ]
 
-# A line-search step cut below this fraction is a stall, as a non-finite step is
-# (newton_augmented then goes on in pseudo-time; the discount route raises). At
+# A line-search step cut below this fraction is a stall, as a non-finite step is;
+# the solve then goes on in pseudo-time (_damped_newton). At
 # 2^-20 random fields 8 and 9 of the verify instance crawled 35 and 53 steps at
 # |F|_inf > 1.1e3; at 2^-10 both stall at once. At 2^-4 two configs of tier-1's
 # specificity matrix change outcome; the shipped verify configs accept 2^-5.
@@ -390,7 +394,6 @@ def _damped_newton(
     lam_of: Optional[Callable[[np.ndarray], float]] = None,
     *,
     tau: Optional[float] = None,
-    stall_tau: Optional[float] = None,
 ) -> tuple[np.ndarray, list[TraceRecord]]:
     """Newton iteration globalized by a line search or in pseudo-time.
 
@@ -410,15 +413,14 @@ def _damped_newton(
     with tau grown by switched evolution relaxation,
     tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau = inf is
     the plain full Newton step, Howard's policy iteration on the ergodic and
-    the Dirichlet system. Under PTC a non-finite step raises SolverError with
-    termination "non_finite_step".
+    the Dirichlet system.
 
     The line search stalls when its step is not finite or no fraction down to
-    BACKTRACK_FLOOR helps; that iteration is recorded with step size 0. With
-    stall_tau the same loop then goes on in pseudo-time from tau = stall_tau,
-    within the same max_iter budget; without it the stall raises SolverError
-    with termination "stagnated". Every failure is a SolverError whose trace's
-    termination says why.
+    BACKTRACK_FLOOR helps; that iteration is recorded with step size 0, and
+    the same loop goes on in pseudo-time from tau = PTC_TAU0, within the same
+    max_iter budget. A failure is a SolverError whose trace's termination
+    says why: "non_finite_step" for a non-finite step in pseudo-time (tau =
+    inf included), or "max_iterations".
     """
     ptc = tau is not None
 
@@ -448,7 +450,7 @@ def _damped_newton(
             ft, mt = trial(xt)
             if ptc and not np.isfinite(mt):
                 raise SolverError(
-                    f"non-finite newton step at iteration {it}",
+                    f"non-finite step at iteration {it}",
                     ConvergenceTrace(records=records, termination="non_finite_step"),
                 )
             while not ptc and not (np.isfinite(mt) and mt < merit * (1.0 - 1e-4 * s)):
@@ -460,12 +462,7 @@ def _damped_newton(
                 ft, mt = trial(xt)
         if stalled:
             records.append(TraceRecord(it, r, lam, 0.0))
-            if stall_tau is None:
-                raise SolverError(
-                    f"newton stagnated at iteration {it} (residual {r:.3e})",
-                    ConvergenceTrace(records=records, termination="stagnated"),
-                )
-            ptc, tau = True, stall_tau  # carry on from x in pseudo-time
+            ptc, tau = True, PTC_TAU0  # carry on from x in pseudo-time
             continue
         x, f, merit, previous = xt, ft, mt, merit
         r = _sup(f)
@@ -477,7 +474,7 @@ def _damped_newton(
     if r <= tol:
         return x, records
     raise SolverError(
-        f"newton did not reach tolerance {tol:g} within {max_iter} iterations (residual {r:.3e})",
+        f"did not reach tolerance {tol:g} within {max_iter} iterations (residual {r:.3e})",
         ConvergenceTrace(records=records, termination="max_iterations"),
     )
 
@@ -535,6 +532,8 @@ def solve_discounted(
     """Solve -1/2 Lap phi + H(D phi) + eps*phi = f under the state-constraint policy.
 
     Returns the un-normalized field; eps*phi(anchor) estimates the critical value.
+    Newton backtracks, and where its line search stalls it goes on in
+    pseudo-time within DISCOUNTED_MAX_ITER iterations (_damped_newton).
     """
     if not epsilon > 0:
         raise ValueError(f"discount rate must be positive, got {epsilon}")
@@ -674,7 +673,6 @@ def _solve_square(
         z, records = _damped_newton(
             lambda z: op.residual_values(*split(z)).ravel(), step_fn, z0, 0.5 * tol, max_iter,
             lambda z: split(z)[1], tau=np.inf if method == "policy_iteration" else None,
-            stall_tau=PTC_TAU0,
         )
         sol = _finalize(op, *split(z), records, method, tol)
     except SolverError as exc:

@@ -88,3 +88,32 @@ def dyadic_field(grid: Grid, seed: int, scale: float = 2.0**-6, span: int = 2**1
     rng = np.random.default_rng(seed)
     ints = rng.integers(-span, span + 1, size=grid.shape)
     return Field(grid, ints.astype(float) * scale)
+
+
+def hopf_cole_residual(phi: Field, lam: float, spec: ProblemSpec) -> Field:
+    """Residual of the transformed equation satisfied by z = -exp(-phi).
+
+    -1/2 Lap z + z (1/2 q^2 - q^theta / theta + f - lambda) with q = |Dz/z|,
+    by centered differences at interior nodes, written with plain slicing;
+    a diagnostic for smooth fields. Boundary entries are zero.
+    """
+    if float(np.min(phi.values)) < -700.0:
+        raise OverflowError(
+            "exp(-phi) overflows for min(phi) < -700; renormalize phi by adding a constant"
+        )
+    z = -np.exp(-phi.values)
+    h, theta = spec.h, spec.theta
+    inner = (slice(1, -1),) * spec.m
+    zi = z[inner]
+    lap = np.zeros(zi.shape)
+    grad_sq = np.zeros(zi.shape)
+    for a in range(spec.m):
+        up = inner[:a] + (slice(2, None),) + inner[a + 1:]
+        down = inner[:a] + (slice(None, -2),) + inner[a + 1:]
+        lap += (z[up] - 2.0 * zi + z[down]) / h**2
+        grad_sq += ((z[up] - z[down]) / (2.0 * h)) ** 2
+    q = np.sqrt(grad_sq) / np.abs(zi)
+    f = spec.f_field().values[inner]
+    out = np.zeros(z.shape)
+    out[inner] = -0.5 * lap + zi * (0.5 * q**2 - q**theta / theta + f - lam)
+    return Field(spec.grid, out)

@@ -22,7 +22,7 @@ from ergodic_hjb.analysis import (
 )
 from ergodic_hjb.grid import Field
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
-from ergodic_hjb.scheme import DiscreteOperator, hopf_cole_residual
+from ergodic_hjb.scheme import DiscreteOperator
 from ergodic_hjb.solvers import eikonal_initial_guess, random_smooth_field, solve_ergodic
 
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     closed_form_spec,
     convergence_order,
     dyadic_field,
+    hopf_cole_residual,
 )
 from test_scheme import monotonicity_violations
 

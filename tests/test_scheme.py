@@ -14,13 +14,18 @@ from ergodic_hjb.scheme import (
     STATE_CONSTRAINT,
     DiscreteOperator,
     drift_field,
-    hopf_cole_residual,
     laplacian_and_slope,
     upwind_state,
 )
 from ergodic_hjb.solvers import PTC_TAU0, eikonal_initial_guess
 
-from oracles import closed_form_spec, convergence_order, dyadic_field, godunov_1d_brute
+from oracles import (
+    closed_form_spec,
+    convergence_order,
+    dyadic_field,
+    godunov_1d_brute,
+    hopf_cole_residual,
+)
 
 
 def flat_rhs(theta=2.0, m=1, radius=1.0, h=0.25, c=1.0):

@@ -177,7 +177,7 @@ def test_dirichlet_above_critical_value_is_suspected_unsolvable():
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=4.0, h=0.05)
     lam_hat = solve_ergodic(spec, tol=1e-8).lam  # about 1/2
     # Howard's iteration diverges: its eleventh full step overflows
-    with pytest.raises(SolverError, match="non-finite newton step at iteration 11$") as info:
+    with pytest.raises(SolverError, match="^non-finite step at iteration 11$") as info:
         solve_dirichlet(spec, lam_hat + 5.0, zero_field(spec.grid))
     trace = info.value.trace
     assert trace.termination == "non_finite_step"
@@ -187,15 +187,33 @@ def test_dirichlet_above_critical_value_is_suspected_unsolvable():
 # -- discounted -----------------------------------------------------------------------
 
 
-def test_discount_stall_without_a_hand_off_raises_stagnated():
-    # the discount route passes no stall_tau, so a line-search stall ends the solve;
-    # from a random field at theta 6 the line search stalls at the first step
-    spec = closed_form_spec(6.0, 1, 4.0, 0.05)
-    with pytest.raises(SolverError) as info:
-        solve_discounted(spec, 0.1, initial_guess=random_smooth_field(spec.grid, 0))
-    trace = info.value.trace
-    assert trace.termination == "stagnated"
-    assert trace.records[-1].step_size == 0.0
+@pytest.mark.parametrize(
+    "case, seed, eps",
+    [((6.0, 1, 4.0, 0.05), 0, 0.1), ((3.0, 1, 4.0, 0.05), 1, 0.025), ((6.0, 2, 3.0, 0.1), 1, 0.1)],
+    ids=["theta6-1d", "theta3-1d", "theta6-2d"],
+)
+def test_discount_stall_goes_on_in_pseudo_time(monkeypatch, case, seed, eps):
+    # from these random fields the line search stalls at the first step; the
+    # solve then goes on in pseudo-time from PTC_TAU0, as newton_augmented does,
+    # and reaches the field the zero start reaches
+    spec = closed_form_spec(*case)
+    runs = []
+    damped_newton = solvers._damped_newton
+
+    def recording(*args, **kwargs):
+        x, records = damped_newton(*args, **kwargs)
+        runs.append(records)
+        return x, records
+
+    monkeypatch.setattr(solvers, "_damped_newton", recording)
+    phi = solve_discounted(spec, eps, initial_guess=random_smooth_field(spec.grid, seed))
+    (records,) = runs
+    assert (records[1].iteration, records[1].step_size) == (1, 0.0)
+    assert records[2].step_size == PTC_TAU0
+    assert all(r.step_size > 0.0 for r in records[2:])
+    anchor = spec.anchor_index
+    from_zero = solve_discounted(spec, eps)
+    assert abs(eps * phi.values[anchor] - eps * from_zero.values[anchor]) <= 1e-8
 
 
 def test_discounted_constant_f_solved_by_constant():
@@ -834,7 +852,7 @@ def test_failed_coarse_level_falls_back_to_the_callers_guess(monkeypatch):
     def failing_coarse_level(level_spec, *args):
         if level_spec.h != spec.h:
             records = [solvers.TraceRecord(0, 1.0), solvers.TraceRecord(7, 0.5)]
-            trace = solvers.ConvergenceTrace(records=records, termination="stagnated")
+            trace = solvers.ConvergenceTrace(records=records, termination="non_finite_step")
             raise SolverError("coarse level made to fail", trace)
         return solve_square(level_spec, *args)
 
@@ -846,7 +864,7 @@ def test_failed_coarse_level_falls_back_to_the_callers_guess(monkeypatch):
     assert sol.trace.coarse_levels == [
         {
             "n_per_axis": 61, "h": 0.1, "iterations": 7, "factorizations": 0,
-            "reused_steps": 0, "termination": "stagnated",
+            "reused_steps": 0, "termination": "non_finite_step",
             "error": "coarse level made to fail",
         }
     ]
