@@ -7,14 +7,18 @@ quantity against a predicted value or inequality, and returns
 its rows, each row a dict from column name to value. CHECKS names the battery.
 Each check's inputs are its defaults: the constants below, and boxes and
 radii that are fractions of spec.radius (calibrated at radius 8). So a call
-with spec and solver_tol alone is the check verify runs. Verdicts are
+with spec and solver_tol alone is the check verify runs. During a verify
+pass the checks share their ergodic solves: one problem solved from one start
+by one method at one tolerance is solved once (_solve). Verdicts are
 numerical evidence at stated tolerances, not certificates.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -173,17 +177,53 @@ def check_growth_exponent(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckR
     rr = sol.phi.grid.radii().ravel()
     shifted = (sol.phi.values - sol.phi.values.min() + 1.0).ravel()
     mask = rr > 0
-    rows = [{"abs_y": r, "phi_shifted": v} for r, v in zip(rr[mask], shifted[mask])]
+    rr, shifted = rr[mask].tolist(), shifted[mask].tolist()
+    rows = [{"abs_y": r, "phi_shifted": v} for r, v in zip(rr, shifted)]
     return [report], {"growth_loglog.csv": rows}
 
 
-# -- scaling and continuity -------------------------------------------------------
+# -- ergodic solves, shared within a verify pass ------------------------------------
+
+
+# One verify pass's ergodic solves by (spec, eikonal, method, tol); None outside a pass.
+_pass_solves: ContextVar[Optional[dict]] = ContextVar("_pass_solves", default=None)
+
+
+@contextmanager
+def _verify_pass() -> Iterator[None]:
+    """Share the checks' ergodic solves (_solve) until the pass ends or a check raises."""
+    token = _pass_solves.set({})
+    try:
+        yield
+    finally:
+        _pass_solves.reset(token)
+
+
+def _solve(
+    spec: ProblemSpec, tol: float, eikonal: bool = False, method: str = "newton_augmented"
+) -> ErgodicSolution:
+    """solve_ergodic from the zero field, or from the eikonal guess if eikonal.
+
+    Inside a verify pass (_verify_pass) a key solved before returns the same
+    solution object, so a check must not write into a solution it is given.
+    """
+    key = (spec, eikonal, method, tol)
+    memo = _pass_solves.get()
+    if memo is not None and key in memo:
+        return memo[key]
+    guess = eikonal_initial_guess(spec) if eikonal else None
+    sol = solve_ergodic(spec, initial_guess=guess, method=method, tol=tol)
+    if memo is not None:
+        memo[key] = sol
+    return sol
 
 
 def _eikonal_solve(spec: ProblemSpec, tol: float, **changes) -> ErgodicSolution:
     """Newton's pair on spec with the given fields replaced, from the eikonal guess."""
-    spec = replace(spec, **changes)
-    return solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol)
+    return _solve(replace(spec, **changes), tol, eikonal=True)
+
+
+# -- scaling and continuity -------------------------------------------------------
 
 
 def check_scaling_law(
@@ -612,9 +652,9 @@ def check_shift_equivariance(spec: ProblemSpec, solver_tol: float = 1e-8) -> Che
     """lambda*(f + c) = lambda*(f) + c and the normalized profiles agree, within 2 CHECK_TOL."""
     if not isinstance(spec.rhs, (PowerRhs, PurePowerRhs)):
         raise ValueError("shift equivariance check needs a power-family right-hand side")
-    sol = solve_ergodic(spec, tol=solver_tol)
+    sol = _solve(spec, solver_tol)
     shifted_spec = replace(spec, rhs=replace(spec.rhs, shift=spec.rhs.shift + SHIFT_C))
-    sol_c = solve_ergodic(shifted_spec, tol=solver_tol)
+    sol_c = _solve(shifted_spec, solver_tol)
     lam_gap = sol_c.lam - sol.lam
     phi_gap = float(np.max(np.abs(sol_c.phi.values - sol.phi.values)))
     passed = abs(lam_gap - SHIFT_C) <= 2.0 * CHECK_TOL and phi_gap <= 2.0 * CHECK_TOL
@@ -675,7 +715,7 @@ def check_cross_method(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckResu
     (parabolic_rate.csv) and the discount path (discount_path.csv).
     """
     methods = ("newton_augmented", "policy_iteration", "relative_value_iteration")
-    sols = {meth: solve_ergodic(spec, method=meth, tol=solver_tol) for meth in methods}
+    sols = {meth: _solve(spec, solver_tol, method=meth) for meth in methods}
     march = sols["relative_value_iteration"]
     lams = {meth: sol.lam for meth, sol in sols.items()}
     lams["parabolic_march"] = march.lam
@@ -736,7 +776,7 @@ def check_interior_minimum(spec: ProblemSpec, solver_tol: float = 1e-8) -> Check
     Solves spec with solve_ergodic's defaults; the minimizer passes when it
     lies at least two cells inside the box.
     """
-    sol = solve_ergodic(spec, tol=solver_tol)
+    sol = _solve(spec, solver_tol)
     grid = sol.phi.grid
     loc = grid.points()[np.argmin(sol.phi.values)]
     f_val = float(spec.rhs.value_at(loc))

@@ -6,7 +6,9 @@ deterministic for a fixed config; wall times and timestamps live only in
 meta.json (per sweep row in row_wall_s, per check in check_wall_s). verify
 runs analysis.check_<name>(spec, solver_tol) for each configured check, with
 the run's seed for uniqueness: every other input of a check is its default in
-analysis. method and max_iter of [numerics] apply to solve and sweep only.
+analysis. The checks of one verify run share their ergodic solves, so a
+check's wall time leaves out a solve an earlier check made. method and
+max_iter of [numerics] apply to solve and sweep only.
 """
 
 from __future__ import annotations
@@ -182,7 +184,8 @@ def _run_one_check(name: str, cfg: ExperimentConfig):
 def run_verify(cfg: ExperimentConfig, out_dir: str) -> int:
     out = Path(out_dir)
     start = time.perf_counter()
-    results = [_run_one_check(nm, cfg) for nm in cfg.verify.checks]
+    with analysis._verify_pass():  # each distinct ergodic solve once per pass
+        results = [_run_one_check(nm, cfg) for nm in cfg.verify.checks]
 
     verdicts = []
     for (reps, tables), _ in results:

@@ -15,6 +15,7 @@ measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -222,7 +223,7 @@ class ProblemSpec:
         """Conjugate exponent: 1/theta + 1/theta_star = 1."""
         return self.theta / (self.theta - 1.0)
 
-    @property
+    @cached_property  # built once per spec; not a field, so not in == or hash
     def grid(self) -> Grid:
         return Grid(self.m, self.radius, self.h)
 

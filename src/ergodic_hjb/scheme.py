@@ -18,6 +18,7 @@ operator restricted to the interior rows (``solvers.solve_dirichlet``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,23 +107,26 @@ def _slope_kernel(values: np.ndarray, h: float) -> Callable[[], tuple[np.ndarray
 
     The kernel holds its buffers: the differences (_one_sided), lap, |p| and
     a scratch array, which every call overwrites. A march that updates
-    values in place builds one kernel and allocates nothing per step.
+    values in place builds one kernel and allocates nothing per step. The
+    first axis writes its terms into lap and |p| and later axes add theirs.
     """
     differences = _one_sided(values, h)
     lap, mag, work = np.empty(values.shape), np.empty(values.shape), np.empty(values.shape)
 
     def kernel() -> tuple[np.ndarray, np.ndarray]:
-        lap.fill(0.0)
-        mag.fill(0.0)  # the sum of the squared slopes until the root
-        for back, fwd in differences():
-            np.subtract(fwd, back, out=work)
-            np.divide(work, h, out=work)
-            np.add(lap, work, out=lap)
-            np.negative(fwd, out=work)
-            np.maximum(back, work, out=work)
-            np.maximum(work, 0.0, out=work)
-            np.multiply(work, work, out=work)
-            np.add(mag, work, out=mag)
+        for a, (back, fwd) in enumerate(differences()):
+            term = work if a else lap
+            np.subtract(fwd, back, out=term)
+            np.divide(term, h, out=term)
+            if a:
+                np.add(lap, work, out=lap)
+            term = work if a else mag  # |p| holds the sum of the squared slopes until the root
+            np.negative(fwd, out=term)
+            np.maximum(back, term, out=term)
+            np.maximum(term, 0.0, out=term)
+            np.multiply(term, term, out=term)
+            if a:
+                np.add(mag, work, out=mag)
         np.sqrt(mag, out=mag)
         return lap, mag
 
@@ -190,7 +194,7 @@ class DiscreteOperator:
         diag = np.zeros(values.shape)
         bands = {}  # offset: diagonal
         for a in range(values.ndim):
-            stride = int(np.prod(values.shape[a + 1:]))
+            stride = math.prod(values.shape[a + 1:])
             ba = b[a]
             on_axis = diag.swapaxes(0, a)
             on_axis[:-1] += arm

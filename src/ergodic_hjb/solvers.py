@@ -811,7 +811,9 @@ def _relative_value_iteration(
     # held for the whole march: every step writes into them and updates u in place
     slopes = _slope_kernel(u, h)
     ham, rate = np.empty(u.shape), np.empty(u.shape)
+    flat_rate = rate.reshape(-1)
     top = 0.9 * h / m
+    k = 0  # the rung index
     rungs = {}  # dt -> the rung's P (_rung_solver)
     stats: list[tuple[int, float, float, float]] = []
     records: list[TraceRecord] = []
@@ -832,7 +834,8 @@ def _relative_value_iteration(
             ham /= theta
             rate -= ham
             rate += f
-            lo, hi = float(rate.min()), float(rate.max())
+            lo = float(np.minimum.reduce(flat_rate))
+            hi = float(np.maximum.reduce(flat_rate))
             if not (lo >= -1e14 and hi <= 1e14):  # also catches nan
                 if mixed:  # back to the plain image the combination replaced
                     history.fall_back()
@@ -845,8 +848,10 @@ def _relative_value_iteration(
             if lo > cert_lo or hi < cert_hi:
                 cert_lo, cert_hi = max(cert_lo, lo), min(cert_hi, hi)
                 last_shrink = step
-            bound = top / max(1.0, float(mag.max())) ** (theta - 1.0)
-            k = 0
+            bound = top / max(1.0, float(np.maximum.reduce(mag, axis=None))) ** (theta - 1.0)
+            # the smallest k with top 2^(-k/2) <= bound, searched from the last step's
+            while k > 0 and top * 2.0 ** (-0.5 * (k - 1)) <= bound:
+                k -= 1
             while top * 2.0 ** (-0.5 * k) > bound:
                 k += 1
             dt = top * 2.0 ** (-0.5 * k)
@@ -873,7 +878,7 @@ def _relative_value_iteration(
                 )
             if dt not in rungs:
                 rungs[dt] = _rung_solver(op, dt)
-            history.push(rungs[dt](rate.ravel()), rate.ravel(), dt)
+            history.push(rungs[dt](flat_rate), flat_rate, dt)
             mixed = history.mix()
             step += 1
     lam = min(max(lam, cert_lo), cert_hi)
@@ -919,7 +924,7 @@ class _AndersonHistory:
         np.subtract(rate, np.add.reduce(rate) / rate.size, out=r)
         self.order.append(slot)
         np.multiply(self.residuals, r, out=self.products)
-        dots = self.products.sum(axis=1).tolist()
+        dots = np.add.reduce(self.products, axis=1).tolist()
         for j in self.order:
             self.gram[slot][j] = self.gram[j][slot] = dots[j]
 

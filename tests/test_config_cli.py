@@ -597,6 +597,80 @@ def test_cli_error_inside_a_check_exits_two(tmp_path, monkeypatch, capsys):
     assert "inconsistent state inside the check" in capsys.readouterr().err
 
 
+SUITE = Path(__file__).resolve().parents[1] / "configs" / "verify_suite.cfg"
+
+
+def count_ergodic_solves(monkeypatch) -> list:
+    """The specs analysis.solve_ergodic is called on from now on, in order."""
+    specs = []
+    solve = analysis.solve_ergodic
+
+    def counting_solve(spec, *args, **kwargs):
+        specs.append(spec)
+        return solve(spec, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_ergodic", counting_solve)
+    return specs
+
+
+def test_a_verify_pass_solves_each_distinct_problem_once(tmp_path, monkeypatch):
+    # the suite's checks ask for 27 ergodic solutions: uniqueness's two from random
+    # fields and 25 requests of 16 distinct (spec, eikonal, method, tol); library calls
+    # outside a pass share nothing
+    solved = count_ergodic_solves(monkeypatch)
+    requests = []
+    request = analysis._solve
+
+    def counting_request(spec, *args, **kwargs):
+        requests.append(spec)
+        return request(spec, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_solve", counting_request)
+    assert main(["verify", "--config", str(SUITE), "--out", str(tmp_path / "o")]) == 0
+    assert (len(requests), len(solved)) == (25, 18)
+    assert analysis._pass_solves.get() is None
+    solved.clear()
+    spec = build_spec(parse_config(SUITE.read_text()))
+    first, _ = analysis.check_interior_minimum(spec)
+    again, _ = analysis.check_interior_minimum(spec)
+    assert len(solved) == 2
+    assert first == again
+
+
+def test_a_verify_pass_that_raises_drops_its_solves(tmp_path, monkeypatch, capsys):
+    solved = count_ergodic_solves(monkeypatch)
+
+    def failing(*args, **kwargs):
+        raise SolverError("march did not settle")
+
+    monkeypatch.setattr(analysis, "check_uniqueness", failing)
+    text = VERIFY.replace("shift_equivariance, uniqueness", "interior_minimum, uniqueness")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "march did not settle" in capsys.readouterr().err
+    assert len(solved) == 1 and analysis._pass_solves.get() is None
+    analysis.check_interior_minimum(build_spec(parse_config(text)))
+    assert len(solved) == 2
+
+
+def test_shared_solves_change_no_verdict(tmp_path):
+    # each check of the suite alone writes the verdicts and plot files it writes
+    # in the full pass, floats to the last bit: a memo key that missed a field
+    # would hand one check another problem's solution
+    text = SUITE.read_text()
+    full = tmp_path / "all"
+    assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(full)]) == 0
+    verdicts, plots = [], {}
+    for name in parse_config(text).verify.checks:
+        alone = tmp_path / name
+        one = re.sub(r"^checks = .*$", f"checks = {name}", text, flags=re.M)
+        assert main(["verify", "--config", write_cfg(tmp_path, one), "--out", str(alone)]) == 0
+        verdicts.extend(json.loads((alone / "verdicts.json").read_text()))
+        plots.update({p.name: p.read_bytes() for p in (alone / "plots").glob("*.csv")})
+    assert json.loads((full / "verdicts.json").read_text()) == verdicts
+    assert {p.name: p.read_bytes() for p in (full / "plots").glob("*.csv")} == plots
+
+
 def test_readme_lists_the_parser_keys_and_check_names():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table, names = text.split("### Configuration schema", 1)[1].split("Check names:", 1)

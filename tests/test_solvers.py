@@ -1214,6 +1214,28 @@ def test_verify_relative_value_iteration_is_pinned_and_holds_no_state(monkeypatc
         assert got == pytest.approx(float.fromhex(want), rel=1e-12, abs=0.0)
 
 
+def test_2d_relative_value_iteration_is_pinned():
+    """The accelerated relative value iteration on a 2-d closed form, pinned as in 1-d.
+
+    Every shipped config is 1-d, so this is where the march's 2-d path (the
+    kernel's second axis, reductions over a 2-d field, the rung split by axes
+    with ?pttrs on rank-2 right-hand sides) meets a change or another numpy
+    and scipy build: a slip that computes a wrong number changes the count or
+    the read-offs here.
+    """
+    march = solve_ergodic(
+        closed_form_spec(2.0, 2, 6.0, 0.1), method="relative_value_iteration", tol=1e-8
+    )
+    assert march.trace.records[-1].iteration == 312
+    pinned = [
+        "0x1.0736fc16e41ecp+1",  # lambda_lo
+        "0x1.0736fc17558aep+1",  # lambda_hi
+        "0x1.0736fc17558aep+1",  # lam, the mean rate clipped to lambda_hi
+    ]
+    for got, want in zip((march.lambda_lo, march.lambda_hi, march.lam), pinned):
+        assert got == pytest.approx(float.fromhex(want), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("instance", ["verify", "closed_form_2d"])
 def test_settled_lambda_lies_in_the_certified_enclosure(instance):
     # the settled iterate's mean rate may lie outside the running intersection
