@@ -127,7 +127,7 @@ def fit_growth_exponent(phi: Field, r0: float, r1: float) -> tuple[float, float]
 
     phi is shifted so its minimum is 1 before taking logs; gradient_slope is
     compared to gamma - 1. The annulus should stay inside 0.6 R to avoid the
-    state-constraint boundary layer.
+    reflecting (Neumann) boundary layer.
     """
     grid = phi.grid
     rr = grid.radii()
@@ -613,7 +613,7 @@ def check_dirichlet_family(spec: ProblemSpec, solver_tol: float = 1e-8) -> Check
 def check_lambda_star_characterization(
     spec: ProblemSpec, solver_tol: float = 1e-8
 ) -> CheckResult:
-    """The Dirichlet-solvability threshold coincides with the state-constraint level.
+    """The Dirichlet-solvability threshold coincides with the reflecting (Neumann) level.
 
     Bounded-from-below routes and the solvability supremum single out the same
     lambda_R: the zero-data Dirichlet problem, solved from the zero field, must

@@ -86,10 +86,8 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
         )
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        linear = {}
-        if exc.trace is not None:
-            _write(out / "trace.jsonl", exc.trace.to_jsonl())
-            linear = _linear_counts(exc.trace)
+        _write(out / "trace.jsonl", exc.trace.to_jsonl())
+        linear = _linear_counts(exc.trace)
         _write_meta(out, time.perf_counter() - start, {"status": "solver_failure", **linear})
         return 2
     wall = time.perf_counter() - start
@@ -227,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, desc in (
-        ("solve", "one state-constraint ergodic solve"),
+        ("solve", "one reflecting (Neumann) ergodic solve"),
         ("sweep", "a parameter sweep producing a CSV table"),
         ("verify", "run property checks and aggregate verdicts"),
     ):

@@ -8,12 +8,12 @@ and the sign of the difference it came from, which for the radial convex
 Hamiltonian H(p) = (1/theta)|p|^theta is the exact Godunov flux per axis and
 yields a monotone (degenerate-elliptic) scheme.
 
-Boundary handling is the state constraint, written once (``_one_sided``): a
-stencil arm that would leave the grid is a zero, in the Laplacian, the
-Hamiltonian and the Jacobian alike, so only interior information enters. This
-is the discrete counterpart of "no data prescribed on the boundary". At
-interior nodes both arms exist, so the Dirichlet problem uses the same
-operator restricted to the interior rows (``solvers.solve_dirichlet``).
+Boundary handling is reflecting (homogeneous Neumann), written once
+(``_one_sided``): a stencil arm that would leave the grid is a zero, in the
+Laplacian, the Hamiltonian and the Jacobian alike, so no flux crosses the
+boundary and no data is prescribed on it. At interior nodes both arms exist,
+so the Dirichlet problem uses the same operator restricted to the interior
+rows (``solvers.solve_dirichlet``).
 """
 
 from __future__ import annotations
@@ -135,10 +135,11 @@ def _slope_kernel(values: np.ndarray, h: float) -> Callable[[], tuple[np.ndarray
 
 @dataclass
 class DiscreteOperator:
-    """State-constraint discretization of the operator for one problem instance.
+    """Reflecting (Neumann) discretization of the operator for one problem instance.
 
     The operator is defined at every node, with truncated stencils on the
-    boundary. ``boundary_policy`` accepts only ``state_constraint``.
+    boundary. ``boundary_policy`` accepts only ``state_constraint``, a
+    historical name for that reflecting boundary.
     """
 
     spec: ProblemSpec

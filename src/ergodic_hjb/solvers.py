@@ -3,12 +3,12 @@
 Routes implemented here:
 
 * ``solve_dirichlet``      fixed lambda, boundary data prescribed; Howard's policy
-                           iteration on the interior rows of the state-constraint operator
+                           iteration on the interior rows of the reflecting (Neumann) operator
 * ``solve_discounted``     discount term eps*phi replaces lambda; eps*phi(anchor)
                            estimates the critical value as eps -> 0; Newton with
                            a line search, and on a stall pseudo-transient
                            continuation, as newton_augmented
-* ``solve_ergodic``        state-constraint problem on the box; three methods:
+* ``solve_ergodic``        reflecting (Neumann) problem on the box; three methods:
                            augmented Newton, relative value iteration, policy
                            iteration (all fixed points of the same discrete system),
                            each solution carrying a certified enclosure
@@ -127,9 +127,10 @@ COARSE_MIN_NODES = 10_000
 
 
 class SolverError(RuntimeError):
-    """Iteration failed to reach its tolerance within the budget."""
+    """A solve that stopped short of tol, with its trace: the records and counts it wrote, and
+    a termination of "max_iterations", "non_finite_step", "blow_up" or "rounding_floor"."""
 
-    def __init__(self, message: str, trace: "ConvergenceTrace | None" = None):
+    def __init__(self, message: str, trace: ConvergenceTrace):
         super().__init__(message)
         self.trace = trace
 
@@ -147,7 +148,7 @@ class TraceRecord:
 class ConvergenceTrace:
     records: list[TraceRecord] = field(default_factory=list)
     termination: str = ""
-    # Newton and policy steps solved by a fresh factor and by the held LU (_nd_step),
+    # Newton-type steps solved by a fresh factor and by the held LU (_nd_step),
     # and the coarser grids solved first, coarsest first (_coarse_start); written
     # to meta.json, not to trace.jsonl
     factorizations: int = 0
@@ -208,30 +209,28 @@ def _tridiagonal_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndar
 def _tridiagonal_step(
     op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """1-d twin of _nd_step: the same step(x, shift, rhs, tol) and counts, by ?gtsv.
+    """1-d twin of _nd_step: the same step(x, shift, rhs, tol) -> (d, fresh), by ?gtsv.
 
     In 1-d keep is a run of consecutive nodes, so J is tridiagonal; its three
     diagonals are read from op._diagonals(*at(x, shift)) and factored afresh
-    at every step (a factorization; there is no held LU). Node ones_at (an
+    at every step (fresh is always True; there is no held LU). Node ones_at (an
     interior unknown: the anchor is the middle node) has a column of ones,
     which is eliminated by one Schur complement: with a its row and r the
     others, J_rr [x1 x2] = [b_r 1], then d_a = (b_a - J_ar x1) / (1 - J_ar x2)
     and d_r = x1 - d_a x2. The pivot 1 - J_ar x2 >= 1 is the one the ND factor
     takes last (_lu_solve).
     """
-    counts = {"factorizations": 0, "reused_steps": 0}
     first, last = keep[0], keep[-1]
     a = None if ones_at is None else ones_at - first
     if a is not None and not 0 < a < keep.size - 1:
         raise ValueError(f"the column of ones must belong to an interior unknown, got {ones_at}")
 
-    def step(x: np.ndarray, shift: float, rhs: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def step(x: np.ndarray, shift: float, rhs: np.ndarray, tol: float = 0.0):
         diagonals = op._diagonals(*at(x, shift))
         dl, du = diagonals[-1][first:last], diagonals[1][first:last]
         d = diagonals[0][first:last + 1]
-        counts["factorizations"] += 1
         if a is None:
-            return _tridiagonal_solve(dl, d, du, rhs)
+            return _tridiagonal_solve(dl, d, du, rhs), True
         ja = dl[a - 1], du[a]  # J_ar: J[a, a-1] and J[a, a+1]
         dl[a - 1:a + 1] = du[a - 1:a + 1] = 0.0  # J_rr, and an identity row that decouples node a
         d[a] = 1.0
@@ -242,9 +241,8 @@ def _tridiagonal_step(
         da = (rhs[a] - j1) / (1.0 - j2)
         delta = xs[:, 0] - da * xs[:, 1]
         delta[a] = da
-        return delta
+        return delta, True
 
-    step.counts = counts
     return step
 
 
@@ -298,21 +296,20 @@ def _nd_matrix(
 def _nd_step(
     op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """step(x, shift, rhs, tol) = J^(-1) rhs, J the rows and columns keep of op's Jacobian.
+    """step(x, shift, rhs, tol) = (J^(-1) rhs, fresh), J the rows and columns keep of op's Jacobian.
 
     J is op.jacobian(*at(x, shift)), and keep is sorted. J is written in
     _nd_order, node ones_at's column replaced by ones and last (_nd_matrix).
     The step holds every fresh LU. After a step that cut |rhs|_2 by
     REUSE_CONTRACTION or more, the next one first tries the held LU
     (_reused_solve) and factors J afresh by _lu_solve only if that solve is
-    not as good as a direct one; only one LU is held at any time.
-    step.counts holds the number of each kind of step.
+    not as good as a direct one; only one LU is held at any time. fresh says
+    whether the step factored J afresh.
     """
     held = None
     last_norm = np.inf
-    counts = {"factorizations": 0, "reused_steps": 0}
 
-    def step(x: np.ndarray, shift: float, rhs: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def step(x: np.ndarray, shift: float, rhs: np.ndarray, tol: float = 0.0):
         nonlocal held, last_norm
         a, pick, back = _nd_matrix(op.jacobian(*at(x, shift)), op.spec.grid.shape, keep, ones_at)
         b = rhs[pick]
@@ -321,14 +318,11 @@ def _nd_step(
         if held is not None and contracted:
             d = _reused_solve(a, held, b, tol)
             if d is not None:
-                counts["reused_steps"] += 1
-                return d[back]
+                return d[back], False
         held = None  # dropped before the fresh factor is built
         d, held = _lu_solve(a, b)
-        counts["factorizations"] += 1
-        return d[back]
+        return d[back], True
 
-    step.counts = counts  # step never names itself: no reference cycle keeps held alive
     return step
 
 
@@ -387,15 +381,16 @@ def _reused_solve(a: sp.csc_matrix, lu, b: np.ndarray, tol: float) -> Optional[n
 
 def _damped_newton(
     residual_fn: Callable[[np.ndarray], np.ndarray],
-    step_fn: Callable[[np.ndarray, float, np.ndarray, float], np.ndarray],
+    step_fn: Callable[[np.ndarray, float, np.ndarray, float], tuple[np.ndarray, bool]],
     x0: np.ndarray,
     tol: float,
     max_iter: int,
+    trace: ConvergenceTrace,
     lam_of: Optional[Callable[[np.ndarray], float]] = None,
     *,
     tau: Optional[float] = None,
-) -> tuple[np.ndarray, list[TraceRecord]]:
-    """Newton iteration globalized by a line search or in pseudo-time.
+) -> np.ndarray:
+    """Newton iteration globalized by a line search or in pseudo-time; returns x.
 
     Without tau each step is backtracked until the Euclidean residual norm
     decreases (the Newton direction is always a descent direction for it,
@@ -408,7 +403,9 @@ def _damped_newton(
     without tau) on the diagonal of its residual rows (_linear_step): by a
     fresh factor, or, for m >= 2, by the last LU when that solve is as good as
     a direct one or leaves a linear residual below tol/4, which cannot hold up
-    convergence. With a pseudo-time step tau every step solves
+    convergence. It returns (d, fresh), which the driver counts in
+    trace.factorizations or trace.reused_steps, and each iteration appends
+    its record to trace.records. With a pseudo-time step tau every step solves
     (J + I/tau) d = -F and is taken whole: pseudo-transient continuation,
     with tau grown by switched evolution relaxation,
     tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau = inf is
@@ -418,9 +415,9 @@ def _damped_newton(
     The line search stalls when its step is not finite or no fraction down to
     BACKTRACK_FLOOR helps; that iteration is recorded with step size 0, and
     the same loop goes on in pseudo-time from tau = PTC_TAU0, within the same
-    max_iter budget. A failure is a SolverError whose trace's termination
-    says why: "non_finite_step" for a non-finite step in pseudo-time (tau =
-    inf included), or "max_iterations".
+    max_iter budget. A failure is a SolverError carrying trace, whose
+    termination says why: "non_finite_step" for a non-finite step in
+    pseudo-time (tau = inf included), or "max_iterations".
     """
     ptc = tau is not None
 
@@ -436,23 +433,23 @@ def _damped_newton(
     r = _sup(f)
     merit = float(np.linalg.norm(f))
     lam = lam_of(x) if lam_of else None
-    records = [TraceRecord(0, r, lam, None)]
+    trace.records.append(TraceRecord(0, r, lam, None))
     for it in range(1, max_iter + 1):
         if r <= tol:
-            return x, records
+            return x
         # a singular J gives a NaN step, which the checks below handle (a
         # line-search stall)
-        delta = step_fn(x, 1.0 / tau if ptc else 0.0, -f, tol)
+        delta, fresh = step_fn(x, 1.0 / tau if ptc else 0.0, -f, tol)
+        trace.factorizations += int(fresh)
+        trace.reused_steps += int(not fresh)
         s = 1.0
         stalled = not ptc and not np.all(np.isfinite(delta))
         if not stalled:
             xt = x + delta
             ft, mt = trial(xt)
             if ptc and not np.isfinite(mt):
-                raise SolverError(
-                    f"non-finite step at iteration {it}",
-                    ConvergenceTrace(records=records, termination="non_finite_step"),
-                )
+                trace.termination = "non_finite_step"
+                raise SolverError(f"non-finite step at iteration {it}", trace)
             while not ptc and not (np.isfinite(mt) and mt < merit * (1.0 - 1e-4 * s)):
                 s *= 0.5
                 if s < BACKTRACK_FLOOR:
@@ -461,21 +458,21 @@ def _damped_newton(
                 xt = x + s * delta
                 ft, mt = trial(xt)
         if stalled:
-            records.append(TraceRecord(it, r, lam, 0.0))
+            trace.records.append(TraceRecord(it, r, lam, 0.0))
             ptc, tau = True, PTC_TAU0  # carry on from x in pseudo-time
             continue
         x, f, merit, previous = xt, ft, mt, merit
         r = _sup(f)
         lam = lam_of(x) if lam_of else None
         # the pseudo-time step, or the line-search fraction (1 for a full step)
-        records.append(TraceRecord(it, r, lam, tau if ptc and tau < np.inf else s))
+        trace.records.append(TraceRecord(it, r, lam, tau if ptc and tau < np.inf else s))
         if ptc and merit > 0.0:
             tau *= previous / merit
     if r <= tol:
-        return x, records
+        return x
+    trace.termination = "max_iterations"
     raise SolverError(
-        f"did not reach tolerance {tol:g} within {max_iter} iterations (residual {r:.3e})",
-        ConvergenceTrace(records=records, termination="max_iterations"),
+        f"did not reach tolerance {tol:g} within {max_iter} iterations (residual {r:.3e})", trace
     )
 
 
@@ -492,7 +489,7 @@ def solve_dirichlet(
     """Solve G_h[phi] + lambda = 0 at interior nodes with phi = data on the boundary.
 
     Both stencil arms exist at interior nodes, so the operator is the
-    state-constraint one on the interior rows, and the Jacobian its interior
+    reflecting (Neumann) one on the interior rows, and the Jacobian its interior
     rows and columns. Each sweep is Howard's full step with that
     policy-evaluation matrix (Bokanowski, Maroso & Zidani 2009). A returned
     field solves to tol and so certifies solvability at lambda; a SolverError
@@ -516,7 +513,9 @@ def solve_dirichlet(
         return op.residual_values(assemble(x), lam)[interior]
 
     step = _linear_step(op, lambda x, s: (assemble(x), s), unknowns)
-    x, _ = _damped_newton(residual_fn, step, full[interior], tol, DIRICHLET_MAX_ITER, tau=np.inf)
+    x = _damped_newton(
+        residual_fn, step, full[interior], tol, DIRICHLET_MAX_ITER, ConvergenceTrace(), tau=np.inf
+    )
     return Field(grid, assemble(x))
 
 
@@ -529,7 +528,7 @@ def solve_discounted(
     initial_guess: Optional[Field] = None,
     tol: float = 1e-8,
 ) -> Field:
-    """Solve -1/2 Lap phi + H(D phi) + eps*phi = f under the state-constraint policy.
+    """Solve -1/2 Lap phi + H(D phi) + eps*phi = f with the reflecting (Neumann) boundary.
 
     Returns the un-normalized field; eps*phi(anchor) estimates the critical value.
     Newton backtracks, and where its line search stalls it goes on in
@@ -547,7 +546,7 @@ def solve_discounted(
 
     x0 = initial_guess.values.ravel() if initial_guess is not None else np.zeros(nodes.size)
     step = _linear_step(op, lambda x, s: (x.reshape(grid.shape), epsilon + s), nodes)
-    x, _ = _damped_newton(residual_fn, step, x0, tol, DISCOUNTED_MAX_ITER)
+    x = _damped_newton(residual_fn, step, x0, tol, DISCOUNTED_MAX_ITER, ConvergenceTrace())
     return Field(grid, x.reshape(grid.shape))
 
 
@@ -583,19 +582,19 @@ def discounted_lambda_path(
     return rows, float(np.polyfit(eps_arr, lam_arr, min(2, len(rows) - 1))[-1])  # the intercept
 
 
-# -- state-constraint ergodic routes --------------------------------------------
+# -- reflecting (Neumann) ergodic routes ----------------------------------------
 
 
 def _finalize(
     op: DiscreteOperator,
     values: np.ndarray,
     lam: float,
-    records: list[TraceRecord],
+    trace: ConvergenceTrace,
     method: str,
     tol: float,
     enclosure: Optional[tuple[float, float]] = None,
 ) -> ErgodicSolution:
-    """The solution at values less their anchor value, and lambda lam.
+    """The solution at values less their anchor value, lambda lam and trace, now "converged".
 
     The scheme is monotone, so the range of the rate lam - res = -G_h[phi]
     encloses lambda_h by discrete comparison; that is the enclosure unless
@@ -605,8 +604,8 @@ def _finalize(
     vals = values - values[spec.anchor_index]
     res = op.residual_values(vals, lam)
     sup = _sup(res)
-    records = records[:-1] + [replace(records[-1], residual_sup=sup, lambda_estimate=float(lam))]
-    trace = ConvergenceTrace(records=records, termination="converged")
+    trace.records[-1] = replace(trace.records[-1], residual_sup=sup, lambda_estimate=float(lam))
+    trace.termination = "converged"
     if not np.all(np.isfinite(vals)):
         raise SolverError("solution contains non-finite values", trace)
     lo, hi = enclosure or (lam - float(res.max()), lam - float(res.min()))
@@ -654,7 +653,7 @@ def _solve_square(
     independence: Allgower, Boehmer, Potra & Rheinboldt 1986). The fixed
     point is the fine grid's whatever the start. The trace's records and
     counts are the fine grid's; trace.coarse_levels describes the coarse
-    solves. A SolverError carries the same counts and levels on its trace.
+    solves. A SolverError carries the same trace.
     """
     grid = spec.grid
     op = DiscreteOperator(spec)
@@ -669,16 +668,12 @@ def _solve_square(
     guess, levels = _coarse_start(spec, guess, tol, max_iter, method)
     z0 = (guess - guess[spec.anchor_index]).ravel()  # lambda starts at 0
     step_fn = _linear_step(op, lambda z, s: (split(z)[0], s), np.arange(z0.size), anchor)
-    try:
-        z, records = _damped_newton(
-            lambda z: op.residual_values(*split(z)).ravel(), step_fn, z0, 0.5 * tol, max_iter,
-            lambda z: split(z)[1], tau=np.inf if method == "policy_iteration" else None,
-        )
-        sol = _finalize(op, *split(z), records, method, tol)
-    except SolverError as exc:
-        exc.trace = replace(exc.trace, **step_fn.counts, coarse_levels=levels)
-        raise
-    return replace(sol, trace=replace(sol.trace, **step_fn.counts, coarse_levels=levels))
+    trace = ConvergenceTrace(coarse_levels=levels)
+    z = _damped_newton(
+        lambda z: op.residual_values(*split(z)).ravel(), step_fn, z0, 0.5 * tol, max_iter, trace,
+        lambda z: split(z)[1], tau=np.inf if method == "policy_iteration" else None,
+    )
+    return _finalize(op, *split(z), trace, method, tol)
 
 
 def _coarse_start(
@@ -702,7 +697,7 @@ def _coarse_start(
     injected = Field(coarse.grid, guess[(slice(None, None, 2),) * spec.m])
     try:
         sol = _solve_square(coarse, injected, tol, max_iter, method)
-    except SolverError as exc:  # _solve_square put its counts and levels on exc.trace
+    except SolverError as exc:  # its trace holds the failed level's counts and levels
         return guess, exc.trace.coarse_levels + [_level(coarse, exc.trace, error=str(exc))]
     return _prolong(sol.phi.values), sol.trace.coarse_levels + [_level(coarse, sol.trace)]
 
@@ -740,7 +735,7 @@ def solve_ergodic(
     tol: float = 1e-8,
     max_iter: Optional[int] = None,
 ) -> ErgodicSolution:
-    """State-constraint ergodic solve on the box; phi(anchor) = 0 exactly.
+    """Reflecting (Neumann) ergodic solve on the box; phi(anchor) = 0 exactly.
 
     All three methods converge to the same discrete fixed point; they differ
     in robustness and cost. ``newton_augmented`` and ``policy_iteration`` share
@@ -815,8 +810,7 @@ def _relative_value_iteration(
     top = 0.9 * h / m
     k = 0  # the rung index
     rungs = {}  # dt -> the rung's P (_rung_solver)
-    stats: list[tuple[int, float, float, float]] = []
-    records: list[TraceRecord] = []
+    trace = ConvergenceTrace()
     cert_lo, cert_hi = -np.inf, np.inf  # intersection of the per-step enclosures
     last_shrink = 0
     step = 0
@@ -841,10 +835,8 @@ def _relative_value_iteration(
                     history.fall_back()
                     mixed = False
                     continue
-                raise SolverError(
-                    "march blew up; check the data",
-                    ConvergenceTrace(records=records, termination="blow_up"),
-                )
+                trace.termination = "blow_up"
+                raise SolverError("march blew up; check the data", trace)
             if lo > cert_lo or hi < cert_hi:
                 cert_lo, cert_hi = max(cert_lo, lo), min(cert_hi, hi)
                 last_shrink = step
@@ -859,22 +851,24 @@ def _relative_value_iteration(
             stop = settled or step - last_shrink >= MARCH_FLOOR_STEPS
             if stop or step % MARCH_RECORD_EVERY == 0:
                 lam = float(rate.mean())
-                stats.append((step, lo, lam, hi))
-                records.append(TraceRecord(step, hi - lo, lam, None if stop else dt))
+                trace.rate_stats.append((step, lo, lam, hi))
+                trace.records.append(TraceRecord(step, hi - lo, lam, None if stop else dt))
             if settled:
                 break
             if stop:
+                trace.termination = "rounding_floor"
                 raise SolverError(
                     f"march reached its rounding floor at step {step} before its rate spread "
                     f"{hi - lo:.3e} fell to tol/2 = {0.5 * tol:g} (certified width "
                     f"{cert_hi - cert_lo:.3e})",
-                    ConvergenceTrace(records=records, termination="rounding_floor"),
+                    trace,
                 )
             if step >= max_steps:
+                trace.termination = "max_iterations"
                 raise SolverError(
                     f"march did not settle within {max_steps} steps (rate spread "
                     f"{hi - lo:.3e} vs tol/2 = {0.5 * tol:g})",
-                    ConvergenceTrace(records=records, termination="max_iterations"),
+                    trace,
                 )
             if dt not in rungs:
                 rungs[dt] = _rung_solver(op, dt)
@@ -882,8 +876,7 @@ def _relative_value_iteration(
             mixed = history.mix()
             step += 1
     lam = min(max(lam, cert_lo), cert_hi)
-    sol = _finalize(op, u, lam, records, "relative_value_iteration", tol, (cert_lo, cert_hi))
-    return replace(sol, trace=replace(sol.trace, rate_stats=stats))
+    return _finalize(op, u, lam, trace, "relative_value_iteration", tol, (cert_lo, cert_hi))
 
 
 class _AndersonHistory:

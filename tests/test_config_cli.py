@@ -26,7 +26,12 @@ from ergodic_hjb.config import (
     parse_config,
 )
 from ergodic_hjb.grid import dump_json
-from ergodic_hjb.solvers import SolverError, eikonal_initial_guess, solve_ergodic
+from ergodic_hjb.solvers import (
+    ConvergenceTrace,
+    SolverError,
+    eikonal_initial_guess,
+    solve_ergodic,
+)
 
 BASE = """
 [run]
@@ -493,7 +498,7 @@ def test_unsolvable_lower_dirichlet_level_exits_three(tmp_path, monkeypatch, cap
     # an unsolvable level below lambda_R contradicts the property: a failed
     # verdict, not a solver failure
     def unsolvable(*args, **kwargs):
-        raise SolverError("Dirichlet solve did not converge")
+        raise SolverError("Dirichlet solve did not converge", ConvergenceTrace())
 
     monkeypatch.setattr(analysis, "solve_dirichlet", unsolvable)
     text = VERIFY.replace("shift_equivariance, uniqueness", "lambda_star_characterization")
@@ -641,7 +646,7 @@ def test_a_verify_pass_that_raises_drops_its_solves(tmp_path, monkeypatch, capsy
     solved = count_ergodic_solves(monkeypatch)
 
     def failing(*args, **kwargs):
-        raise SolverError("march did not settle")
+        raise SolverError("march did not settle", ConvergenceTrace())
 
     monkeypatch.setattr(analysis, "check_uniqueness", failing)
     text = VERIFY.replace("shift_equivariance, uniqueness", "interior_minimum, uniqueness")

@@ -200,10 +200,9 @@ def test_discount_stall_goes_on_in_pseudo_time(monkeypatch, case, seed, eps):
     runs = []
     damped_newton = solvers._damped_newton
 
-    def recording(*args, **kwargs):
-        x, records = damped_newton(*args, **kwargs)
-        runs.append(records)
-        return x, records
+    def recording(residual_fn, step_fn, x0, tol, max_iter, trace, *args, **kwargs):
+        runs.append(trace.records)
+        return damped_newton(residual_fn, step_fn, x0, tol, max_iter, trace, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "_damped_newton", recording)
     phi = solve_discounted(spec, eps, initial_guess=random_smooth_field(spec.grid, seed))
@@ -449,7 +448,7 @@ def square_step(spec, phi, lam, shift):
     anchor = int(np.ravel_multi_index(spec.anchor_index, spec.grid.shape))
     op = DiscreteOperator(spec)
     step_fn = solvers._nd_step(op, lambda z, s: (phi, s), np.arange(n), anchor)
-    step = step_fn(None, shift, -op.residual_values(phi, lam).ravel())
+    step, _ = step_fn(None, shift, -op.residual_values(phi, lam).ravel())
     x = np.append(step, step[anchor])  # lambda rides in the anchor's slot
     x[anchor] = 0.0
     return x
@@ -648,7 +647,8 @@ def test_tridiagonal_step_agrees_with_the_nd_step(theta, shift, route):
             return phi, base + s
 
         rhs = -op.residual_values(phi, 0.7).ravel()[keep]
-        d = solvers._tridiagonal_step(op, at, keep, ones_at)(None, shift, rhs)
+        d, fresh = solvers._tridiagonal_step(op, at, keep, ones_at)(None, shift, rhs)
+        assert fresh
         a = op.jacobian(*at(None, shift))[keep][:, keep].toarray()
         if ones_at is not None:
             a[:, ones_at] = 1.0
@@ -659,7 +659,7 @@ def test_tridiagonal_step_agrees_with_the_nd_step(theta, shift, route):
         size = np.abs(a).sum(axis=1).max() * np.abs(d).max() + np.abs(rhs).max()
         assert np.abs(a @ d - rhs).max() <= 1e-14 * size
         for ref in (
-            solvers._nd_step(op, at, keep, ones_at)(None, shift, rhs),
+            solvers._nd_step(op, at, keep, ones_at)(None, shift, rhs)[0],
             spsolve(sp.csc_matrix(a), rhs),
         ):
             assert np.abs(d - ref).max() <= 10.0 * cond * np.finfo(float).eps * np.abs(ref).max()
@@ -673,8 +673,8 @@ def test_singular_tridiagonal_factor_gives_a_nan_step(route, monkeypatch):
     n = spec.grid.n_nodes
     monkeypatch.setattr(op, "_diagonals", lambda v, s: {k: np.zeros(n - abs(k)) for k in (-1, 0, 1)})
     step = solvers._tridiagonal_step(op, lambda x, s: (x, s), keep, ones_at)
-    assert np.all(np.isnan(step(None, 0.0, np.ones(keep.size))))
-    assert step.counts == {"factorizations": 1, "reused_steps": 0}
+    d, fresh = step(None, 0.0, np.ones(keep.size))
+    assert np.all(np.isnan(d)) and fresh
 
 
 def gttrf_gttrs_solve(dl, d, du, b):
@@ -879,6 +879,31 @@ def test_solver_error_carries_the_counts_and_levels_of_its_solve():
     (level,) = trace.coarse_levels
     assert level["n_per_axis"] == 61 and level["termination"] == "max_iterations"
     assert level["iterations"] == 2 and "did not reach tolerance" in level["error"]
+
+
+@pytest.mark.parametrize("route", ["dirichlet", "discount", "march"])
+def test_a_failed_solve_keeps_its_counts(route):
+    # every route raises with the one trace it wrote into, counts included
+    spec = verify_suite_spec()
+    with pytest.raises(SolverError) as info:
+        if route == "dirichlet":  # a level above lambda_R: no solution to step to
+            lam = solve_ergodic(spec, eikonal_initial_guess(spec)).lam + 2.0**-7
+            solve_dirichlet(spec, lam, zero_field(spec.grid))
+        elif route == "discount":  # a tolerance below the rounding floor
+            solve_discounted(closed_form_spec(2.0, 1, 8.0, 0.01), 0.1, tol=1e-14)
+        else:
+            solve_ergodic(spec, method="relative_value_iteration", max_iter=10)
+    trace = info.value.trace
+    if route == "dirichlet":
+        assert trace.termination == "non_finite_step"
+        assert trace.factorizations == trace.records[-1].iteration + 1 > 0
+        assert trace.reused_steps == 0
+    elif route == "discount":
+        assert trace.termination == "max_iterations"
+        assert trace.factorizations == solvers.DISCOUNTED_MAX_ITER
+    else:
+        assert trace.termination == "max_iterations"
+        assert len(trace.rate_stats) == len(trace.records) == 1
 
 
 @pytest.mark.parametrize("method", ["newton_augmented", "policy_iteration"])
