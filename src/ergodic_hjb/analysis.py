@@ -32,7 +32,7 @@ from .problem import (
     make_power_rhs,
     make_pure_power_rhs,
 )
-from .scheme import DiscreteOperator, upwind_state
+from .scheme import DiscreteOperator, laplacian_and_slope
 from .solvers import (
     ErgodicSolution,
     SolverError,
@@ -137,7 +137,7 @@ def fit_growth_exponent(phi: Field, r0: float, r1: float) -> tuple[float, float]
         raise ValueError(f"annulus [{r0}, {r1}] contains {int(mask.sum())} nodes; need >= 10")
     logs_r = np.log(rr[mask])
     slope_v = float(np.polyfit(logs_r, np.log(vals[mask]), 1)[0])
-    mag = upwind_state(phi.values, grid.h).mag
+    mag = laplacian_and_slope(phi.values, grid.h)[1]
     gmask = mask & (mag > 0)
     if int(gmask.sum()) < 10:
         raise ValueError("gradient fit needs >= 10 annulus nodes with nonzero slope")
@@ -507,7 +507,7 @@ def gradient_estimate_ratio(sol: ErgodicSolution, r_prime: float) -> float:
         raise ValueError("need r_prime + 1 <= radius")
     grid = sol.phi.grid
     rr = grid.radii()
-    mag = upwind_state(sol.phi.values, grid.h).mag
+    mag = laplacian_and_slope(sol.phi.values, grid.h)[1]
     sup_grad = float(np.max(mag[rr <= r_prime]))
     pts = grid.points()
     f_vals = spec.rhs.evaluate(pts)

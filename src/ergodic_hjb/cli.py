@@ -8,7 +8,8 @@ runs analysis.check_<name>(spec, solver_tol) for each configured check, with
 the run's seed for uniqueness: every other input of a check is its default in
 analysis. The checks of one verify run share their ergodic solves, so a
 check's wall time leaves out a solve an earlier check made. method and
-max_iter of [numerics] apply to solve and sweep only.
+max_iter of [numerics] apply to solve, and radius and coeff sweeps; an
+epsilon sweep runs the discount route at its own budget.
 """
 
 from __future__ import annotations

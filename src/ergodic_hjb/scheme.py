@@ -27,13 +27,7 @@ import scipy.sparse as sp
 
 from .problem import ProblemSpec
 
-__all__ = [
-    "DiscreteOperator",
-    "UpwindState",
-    "upwind_state",
-    "laplacian_and_slope",
-    "drift_field",
-]
+__all__ = ["DiscreteOperator", "laplacian_and_slope", "drift_field"]
 
 # |p|^(theta-2) is unbounded at p=0 for theta < 2; derivative denominators
 # clamp |p| below to keep Jacobian entries finite without moving iterates.
@@ -67,37 +61,13 @@ def _one_sided(values: np.ndarray, h: float) -> Callable[[], list[tuple[np.ndarr
     return differences
 
 
-@dataclass
-class UpwindState:
-    """Per-axis Godunov slopes of a field.
-
-    p[a]      signed upwind derivative along axis a: the backward difference
-              where it is the active candidate (also on ties), the forward
-              difference where that is, else 0
-    mag       Euclidean magnitude of p across axes
-    """
-
-    p: np.ndarray
-    mag: np.ndarray
-
-
-def upwind_state(values: np.ndarray, h: float) -> UpwindState:
-    """Godunov upwind slopes at every node; an out-of-grid arm is a zero candidate."""
-    p = np.empty((values.ndim,) + values.shape)
-    for a, (back, fwd) in enumerate(_one_sided(values, h)()):
-        nf = -fwd
-        g = np.maximum(np.maximum(back, nf), 0.0)
-        p[a] = np.where(back >= nf, g, -g)  # ties go backward; a NaN arm makes g and p NaN
-    return UpwindState(p=p, mag=np.sqrt(np.sum(p**2, axis=0)))
-
-
 def laplacian_and_slope(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Discrete Laplacian and Godunov slope magnitude |p| from one difference per axis.
 
     Per axis the Laplacian adds (D^+ u - D^- u) / h: the central second
     difference at interior nodes, only the inward arm at a boundary node.
-    |p_a| = max(D^- u, -D^+ u, 0), so |p| equals upwind_state(values, h).mag
-    bit for bit, NaN where an arm is NaN.
+    |p_a| = max(D^- u, -D^+ u, 0), so |p| is the magnitude of drift_field's
+    slopes p bit for bit, NaN where an arm is NaN.
     """
     return _slope_kernel(values, h)()
 
@@ -213,8 +183,17 @@ class DiscreteOperator:
 
 
 def drift_field(values: np.ndarray, h: float, theta: float) -> np.ndarray:
-    """Maximizing drift b* = |p|^(theta-2) p of the upwind gradient, shape (m, ...)."""
-    state = upwind_state(values, h)
-    magc = np.maximum(state.mag, GRADIENT_CLAMP)
-    return magc ** (theta - 2.0) * state.p
+    """Maximizing drift b* = |p|^(theta-2) p of the upwind gradient, shape (m, ...).
 
+    p[a] is the signed Godunov slope along axis a: the backward difference
+    where it is active (also on ties), the forward difference where that
+    is, else 0. An arm off the grid is a zero candidate, a NaN arm makes p
+    NaN, and at theta = 2 the drift is p itself.
+    """
+    p = np.empty((values.ndim,) + values.shape)
+    for a, (back, fwd) in enumerate(_one_sided(values, h)()):
+        nf = -fwd
+        g = np.maximum(np.maximum(back, nf), 0.0)
+        p[a] = np.where(back >= nf, g, -g)  # ties go backward
+    magc = np.maximum(np.sqrt(np.sum(p**2, axis=0)), GRADIENT_CLAMP)
+    return np.multiply(magc ** (theta - 2.0), p, out=p)

@@ -337,7 +337,8 @@ def test_cli_radius_sweep_rows_and_monotonicity(tmp_path):
     assert len(lines) == 4
     lams = [float(ln.split(",")[1]) for ln in lines[1:]]
     for l1, l2 in zip(lams, lams[1:]):
-        assert l2 <= l1 + 0.02  # non-increasing within slack
+        # lambda_R rises toward lambda* with R and has settled by R = 4 at this h
+        assert abs(l2 - l1) <= 1e-5
     assert all(ln.endswith("ok") for ln in lines[1:])
     assert not (out / "sweep_timing.csv").exists()  # wall times live in meta.json only
     timing = json.loads((out / "meta.json").read_text())["row_wall_s"]
@@ -368,6 +369,21 @@ def test_cli_epsilon_sweep(tmp_path):
     # discount estimates approach 1/2 from below as eps shrinks
     assert lams == sorted(lams)
     assert lams[-1] == pytest.approx(0.5, abs=0.02)
+
+
+def test_epsilon_sweep_ignores_method_and_max_iter(tmp_path):
+    # an epsilon row is a discount solve at its own budget, so the numerics
+    # keys that pick the ergodic solver change nothing in the shipped sweep
+    shipped = (Path(__file__).resolve().parents[1] / "configs" / "sweep_epsilon.cfg").read_text()
+    keys = "max_iter = 1\nmethod = policy_iteration\n"
+    text = shipped.replace("tol = 1e-08\n", "tol = 1e-08\n" + keys)
+    assert keys in text and "max_iter" not in shipped
+    csv = []
+    for name, cfg_text in (("shipped", shipped), ("keyed", text)):
+        out = tmp_path / name
+        assert main(["sweep", "--config", write_cfg(tmp_path, cfg_text), "--out", str(out)]) == 0
+        csv.append((out / "sweep.csv").read_bytes())
+    assert csv[0] == csv[1]
 
 
 def test_cli_coeff_sweep(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergodic_hjb.grid import Field, Grid, field_to_csv
-from ergodic_hjb.scheme import laplacian_and_slope, upwind_state
+from ergodic_hjb.scheme import drift_field, laplacian_and_slope
 
 from oracles import convergence_order
 
@@ -42,19 +42,19 @@ def test_index_of_rejects_off_grid_points():
 
 def test_one_sided_diffs_on_constant_field():
     g = Grid(m=1, radius=1.0, h=0.1)
-    state = upwind_state(np.full(g.shape, 5.0), g.h)
-    assert np.array_equal(state.p, np.zeros((1,) + g.shape))
-    assert np.array_equal(state.mag, np.zeros(g.shape))
+    u = np.full(g.shape, 5.0)
+    assert np.array_equal(drift_field(u, g.h, 2.0), np.zeros((1,) + g.shape))
+    assert np.array_equal(laplacian_and_slope(u, g.h)[1], np.zeros(g.shape))
 
 
 def test_one_sided_diffs_linear_exactness():
     # slope +1 takes the backward arm, slope -1 the forward arm; both give p exactly
     g = Grid(m=1, radius=1.0, h=0.1)
-    up = upwind_state(g.axis_coords(), g.h)
-    down = upwind_state(-g.axis_coords(), g.h)
+    up = drift_field(g.axis_coords(), g.h, 2.0)
+    down = drift_field(-g.axis_coords(), g.h, 2.0)
     for i in range(1, g.n_per_axis - 1):
-        assert up.p[0, i] == pytest.approx(1.0, abs=1e-12)
-        assert down.p[0, i] == pytest.approx(-1.0, abs=1e-12)
+        assert up[0, i] == pytest.approx(1.0, abs=1e-12)
+        assert down[0, i] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_one_sided_diffs_on_parabola_at_origin():
@@ -62,11 +62,11 @@ def test_one_sided_diffs_on_parabola_at_origin():
     # the forward difference at x = -h is (0 - h^2)/h = -0.1; the origin is a
     # discrete minimum, so its slope vanishes
     g = Grid(m=1, radius=1.0, h=0.1)
-    state = upwind_state(g.axis_coords() ** 2, g.h)
+    p = drift_field(g.axis_coords() ** 2, g.h, 2.0)
     i0 = g.index_of((0.0,))[0]
-    assert state.p[0, i0 + 1] == pytest.approx(0.1, abs=1e-13)
-    assert state.p[0, i0 - 1] == pytest.approx(-0.1, abs=1e-13)
-    assert state.p[0, i0] == 0.0
+    assert p[0, i0 + 1] == pytest.approx(0.1, abs=1e-13)
+    assert p[0, i0 - 1] == pytest.approx(-0.1, abs=1e-13)
+    assert p[0, i0] == 0.0
 
 
 def test_laplacian_constant_and_quadratic_exactness():

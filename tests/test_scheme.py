@@ -15,7 +15,6 @@ from ergodic_hjb.scheme import (
     DiscreteOperator,
     drift_field,
     laplacian_and_slope,
-    upwind_state,
 )
 from ergodic_hjb.solvers import PTC_TAU0, eikonal_initial_guess
 
@@ -38,10 +37,10 @@ def flat_rhs(theta=2.0, m=1, radius=1.0, h=0.25, c=1.0):
 
 def test_godunov_vanishes_at_discrete_minimum():
     g = Grid(m=1, radius=1.0, h=0.25)
-    state = upwind_state(np.abs(g.axis_coords()), g.h)  # minimum at the origin
+    u = np.abs(g.axis_coords())  # minimum at the origin
     node = g.index_of((0.0,))
-    assert state.mag[node] == 0.0
-    assert np.array_equal(state.p[(slice(None),) + node], np.zeros(1))
+    assert laplacian_and_slope(u, g.h)[1][node] == 0.0
+    assert np.array_equal(drift_field(u, g.h, 2.0)[(slice(None),) + node], np.zeros(1))
 
 
 def test_godunov_hand_example_backward_two_forward_three():
@@ -52,17 +51,17 @@ def test_godunov_hand_example_backward_two_forward_three():
     vals[i0 - 1] = 1.0 - 2.0 * g.h
     vals[i0] = 1.0
     vals[i0 + 1] = 1.0 + 3.0 * g.h
-    state = upwind_state(vals, g.h)
-    assert state.mag[i0] == pytest.approx(2.0, abs=1e-14)
-    assert state.p[0, i0] == pytest.approx(2.0, abs=1e-14)  # backward branch, positive
+    assert laplacian_and_slope(vals, g.h)[1][i0] == pytest.approx(2.0, abs=1e-14)
+    # backward branch, positive
+    assert drift_field(vals, g.h, 2.0)[0, i0] == pytest.approx(2.0, abs=1e-14)
     assert godunov_1d_brute(2.0, 3.0) == 2.0
 
 
 def test_godunov_on_kink_profile():
     # u = |x| at x = h: backward 1, forward 1, slope 1 exactly
     g = Grid(m=1, radius=1.0, h=0.1)
-    state = upwind_state(np.abs(g.axis_coords()), g.h)
-    assert state.mag[g.index_of((0.1,))] == pytest.approx(1.0, abs=1e-14)
+    mag = laplacian_and_slope(np.abs(g.axis_coords()), g.h)[1]
+    assert mag[g.index_of((0.1,))] == pytest.approx(1.0, abs=1e-14)
 
 
 slopes = st.one_of(st.floats(min_value=-10, max_value=10), st.integers(-3, 3).map(float))
@@ -77,17 +76,17 @@ def test_godunov_matches_definitional_extremum(back, fwd, tie):
         fwd = -back
     g = Grid(m=1, radius=0.5, h=0.5)
     u = np.array([-back * g.h, 0.0, fwd * g.h])
-    state = upwind_state(u, g.h)
-    assert state.mag[1] == pytest.approx(godunov_1d_brute(back, fwd), abs=1e-12)
+    mag, p = laplacian_and_slope(u, g.h)[1], drift_field(u, g.h, 2.0)
+    assert mag[1] == pytest.approx(godunov_1d_brute(back, fwd), abs=1e-12)
     # the sign of the difference that won, the backward one on a tie (the
     # Jacobian's branch follows it); D^-u, D^+u as the grid holds them
     dm, dp = (u[1] - u[0]) / g.h, (u[2] - u[1]) / g.h
     if dm >= -dp and dm > 0:
-        assert state.p[0, 1] == dm
+        assert p[0, 1] == dm
     elif -dp > dm and -dp > 0:
-        assert state.p[0, 1] == dp
+        assert p[0, 1] == dp
     else:
-        assert state.p[0, 1] == 0.0
+        assert p[0, 1] == 0.0
 
 
 def separate_laplacian(values, h):
@@ -105,7 +104,9 @@ def separate_laplacian(values, h):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_fused_kernel_equals_the_separate_formulas_bitwise(m):
-    # integer-valued fields make the backward and forward candidates tie
+    # Newton needs the residual's |p| to be the magnitude of the slopes the
+    # Jacobian's drift is built from (drift_field at theta = 2 is p itself).
+    # Integer-valued fields make the backward and forward candidates tie.
     n = {1: 41, 2: 17, 3: 9}[m]
     rng = np.random.default_rng(m)
     fields = [np.full((n,) * m, 2.5), np.zeros((n,) * m)]
@@ -116,11 +117,12 @@ def test_fused_kernel_equals_the_separate_formulas_bitwise(m):
         for u in fields:
             lap, mag = laplacian_and_slope(u, h)
             assert np.array_equal(lap, separate_laplacian(u, h))
-            assert np.array_equal(mag, upwind_state(u, h).mag)
+            assert np.array_equal(mag, np.sqrt(np.sum(drift_field(u, h, 2.0) ** 2, axis=0)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_kernel_and_upwind_state_agree_next_to_nan_nodes(m):
+    # the upwind state the Jacobian reads is drift_field's p (theta = 2);
     # a NaN arm makes the slope NaN in both: NaN residual and NaN Jacobian rows
     n = {1: 41, 2: 17, 3: 9}[m]
     rng = np.random.default_rng(10 + m)
@@ -128,22 +130,24 @@ def test_kernel_and_upwind_state_agree_next_to_nan_nodes(m):
         u = rng.standard_normal((n,) * m)
         u.flat[rng.choice(u.size, 3, replace=False)] = np.nan
         for h in (1.0, 0.1):
-            state = upwind_state(u, h)
-            mag = laplacian_and_slope(u, h)[1]
+            lap, mag = laplacian_and_slope(u, h)
+            p = drift_field(u, h, 2.0)
             assert np.isnan(mag).sum() > 3  # the NaN nodes and their neighbours
-            assert np.array_equal(state.mag, mag, equal_nan=True)
-            assert np.array_equal(np.isnan(state.p).any(axis=0), np.isnan(mag))
+            assert np.array_equal(lap, separate_laplacian(u, h), equal_nan=True)
+            assert np.array_equal(np.sqrt(np.sum(p**2, axis=0)), mag, equal_nan=True)
+            assert np.array_equal(np.isnan(p).any(axis=0), np.isnan(mag))
 
 
 def test_godunov_boundary_uses_only_interior_information():
     g = Grid(m=1, radius=1.0, h=0.5)
-    state = upwind_state(np.array([5.0, 0.0, 0.0, 0.0, 7.0]), g.h)
+    u = np.array([5.0, 0.0, 0.0, 0.0, 7.0])
+    mag, p = laplacian_and_slope(u, g.h)[1], drift_field(u, g.h, 2.0)
     # left boundary: only the forward arm; slope max(-(-10), 0) = 10, forward sign
-    assert state.mag[0] == pytest.approx(10.0)
-    assert state.p[0, 0] == pytest.approx(-10.0)
+    assert mag[0] == pytest.approx(10.0)
+    assert p[0, 0] == pytest.approx(-10.0)
     # right boundary: only the backward arm; slope max(14, 0) = 14, backward sign
-    assert state.mag[4] == pytest.approx(14.0)
-    assert state.p[0, 4] == pytest.approx(14.0)
+    assert mag[4] == pytest.approx(14.0)
+    assert p[0, 4] == pytest.approx(14.0)
 
 
 # -- operator residual -----------------------------------------------------------
@@ -311,12 +315,12 @@ def test_drift_field_fenchel_on_solver_state():
     spec = closed_form_spec(3.0, 1, 4.0, 0.05)
     g = spec.grid
     phi = Field(g, 0.5 * g.axis_coords() ** 2)
-    state = upwind_state(phi.values, g.h)
+    mag, p = laplacian_and_slope(phi.values, g.h)[1], drift_field(phi.values, g.h, 2.0)
     b = drift_field(phi.values, g.h, spec.theta)
     theta_star = spec.theta_star
-    mask = state.mag > 1e-8
-    lhs = np.sum(b * state.p, axis=0) - np.linalg.norm(b, axis=0) ** theta_star / theta_star
-    rhs = state.mag**spec.theta / spec.theta
+    mask = mag > 1e-8
+    lhs = np.sum(b * p, axis=0) - np.linalg.norm(b, axis=0) ** theta_star / theta_star
+    rhs = mag**spec.theta / spec.theta
     rel = np.abs(lhs - rhs)[mask] / np.maximum(1.0, rhs[mask])
     assert np.max(rel) <= 1e-12
 

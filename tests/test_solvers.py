@@ -19,7 +19,7 @@ from ergodic_hjb.analysis import check_interior_minimum
 from ergodic_hjb.config import build_spec, parse_config
 from ergodic_hjb.grid import Field
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
-from ergodic_hjb.scheme import DiscreteOperator, laplacian_and_slope, upwind_state
+from ergodic_hjb.scheme import DiscreteOperator, laplacian_and_slope
 from ergodic_hjb.solvers import (
     PTC_TAU0,
     SolverError,
@@ -1055,7 +1055,7 @@ def test_parabolic_time_step_respects_cfl_at_every_step(monkeypatch):
     # theta = 6 from a rough field: max|p| moves fast, so a time step that is
     # refreshed only now and then overshoots the monotonicity bound of the
     # explicit Hamiltonian part. Each record's dt is checked against max|p|
-    # of the iterate the kernel saw at that step, taken by upwind_state.
+    # of the iterate the kernel saw at that step, taken by laplacian_and_slope.
     theta = 6.0
     spec = closed_form_spec(theta, 1, 8.0, 0.025)
     h, m = spec.h, spec.m
@@ -1067,7 +1067,7 @@ def test_parabolic_time_step_respects_cfl_at_every_step(monkeypatch):
         kernel = slope_kernel(values, h)
 
         def recorded():
-            maxp.append(float(np.max(upwind_state(values, h).mag)))
+            maxp.append(float(np.max(laplacian_and_slope(values, h)[1])))
             return kernel()
 
         return recorded
