@@ -8,9 +8,10 @@ its rows, each row a dict from column name to value. CHECKS names the battery.
 Each check's inputs are its defaults: the constants below, and boxes and
 radii that are fractions of spec.radius (calibrated at radius 8). So a call
 with spec and solver_tol alone is the check verify runs. During a verify
-pass the checks share their ergodic solves: one problem solved from one start
-by one method at one tolerance is solved once (_solve). Verdicts are
-numerical evidence at stated tolerances, not certificates.
+pass the checks share their ergodic solves: Newton from the eikonal guess
+solves each problem once (_solve); only uniqueness and cross_method, which
+test starts and routes, solve for themselves. Verdicts are numerical
+evidence at stated tolerances, not certificates.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def check_growth_exponent(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckR
     h = 0.02 if m == 1 else 0.1
     rhs = make_pure_power_rhs(1.0, alpha, shift=1.0)
     box = ProblemSpec(theta=theta, m=m, rhs=rhs, radius=radius, h=h)
-    sol = _eikonal_solve(box, solver_tol)
+    sol = _solve(box, solver_tol)
     fitted, slope = fit_growth_exponent(sol.phi, *(w * radius for w in GROWTH_WINDOW))
     gamma = alpha / theta + 1.0
     passed = abs(fitted - gamma) <= GROWTH_TOL_REL * gamma
@@ -185,7 +186,7 @@ def check_growth_exponent(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckR
 # -- ergodic solves, shared within a verify pass ------------------------------------
 
 
-# One verify pass's ergodic solves by (spec, eikonal, method, tol); None outside a pass.
+# One verify pass's ergodic solves by (spec, tol); None outside a pass.
 _pass_solves: ContextVar[Optional[dict]] = ContextVar("_pass_solves", default=None)
 
 
@@ -199,28 +200,20 @@ def _verify_pass() -> Iterator[None]:
         _pass_solves.reset(token)
 
 
-def _solve(
-    spec: ProblemSpec, tol: float, eikonal: bool = False, method: str = "newton_augmented"
-) -> ErgodicSolution:
-    """solve_ergodic from the zero field, or from the eikonal guess if eikonal.
+def _solve(spec: ProblemSpec, tol: float, **changes) -> ErgodicSolution:
+    """Newton's pair on spec with the given fields replaced, from the eikonal guess.
 
-    Inside a verify pass (_verify_pass) a key solved before returns the same
-    solution object, so a check must not write into a solution it is given.
+    Inside a verify pass (_verify_pass) a problem solved before at tol returns
+    the same solution object, so a check must not write into a solution it is given.
     """
-    key = (spec, eikonal, method, tol)
+    spec = replace(spec, **changes)
     memo = _pass_solves.get()
-    if memo is not None and key in memo:
-        return memo[key]
-    guess = eikonal_initial_guess(spec) if eikonal else None
-    sol = solve_ergodic(spec, initial_guess=guess, method=method, tol=tol)
+    if memo is not None and (spec, tol) in memo:
+        return memo[spec, tol]
+    sol = solve_ergodic(spec, initial_guess=eikonal_initial_guess(spec), tol=tol)
     if memo is not None:
-        memo[key] = sol
+        memo[spec, tol] = sol
     return sol
-
-
-def _eikonal_solve(spec: ProblemSpec, tol: float, **changes) -> ErgodicSolution:
-    """Newton's pair on spec with the given fields replaced, from the eikonal guess."""
-    return _solve(replace(spec, **changes), tol, eikonal=True)
 
 
 # -- scaling and continuity -------------------------------------------------------
@@ -245,8 +238,8 @@ def check_scaling_law(
         raise ValueError("the scaling law needs a right-hand side with a growth exponent")
     theta_star = spec.theta_star
     if alpha >= 1.0:
-        lam_base = _eikonal_solve(spec, solver_tol, rhs=make_pure_power_rhs(1.0, alpha)).lam
-        lam_scaled = _eikonal_solve(spec, solver_tol, rhs=make_pure_power_rhs(c, alpha)).lam
+        lam_base = _solve(spec, solver_tol, rhs=make_pure_power_rhs(1.0, alpha)).lam
+        lam_scaled = _solve(spec, solver_tol, rhs=make_pure_power_rhs(c, alpha)).lam
         predicted_ratio = c ** (theta_star / (theta_star + alpha))
         measured_ratio = lam_scaled / lam_base
         passed = abs(measured_ratio - predicted_ratio) <= CHECK_TOL * predicted_ratio
@@ -264,8 +257,8 @@ def check_scaling_law(
             inputs={"theta": spec.theta, "alpha": alpha, "c": c, "m": spec.m},
         )], {}
     # alpha < 1: inequality variant with the smooth regularization
-    lam_smooth = _eikonal_solve(spec, solver_tol, rhs=make_power_rhs(c, alpha)).lam
-    lam_lin = _eikonal_solve(spec, solver_tol, rhs=make_pure_power_rhs(1.0, 1.0)).lam
+    lam_smooth = _solve(spec, solver_tol, rhs=make_power_rhs(c, alpha)).lam
+    lam_lin = _solve(spec, solver_tol, rhs=make_pure_power_rhs(1.0, 1.0)).lam
     upper = c + c ** (theta_star / (theta_star + 1.0)) * lam_lin
     slack = min(lam_smooth - 0.0, upper - lam_smooth)
     passed = slack >= -CHECK_TOL * max(1.0, upper)
@@ -299,13 +292,13 @@ def check_lambda_shape(
         raise ValueError("the shift construction needs a power-family first operand")
     theta, m = spec.theta, spec.m
     grid_pts = spec.grid.points()
-    lam1 = _eikonal_solve(spec, solver_tol, rhs=f1).lam
-    lam2 = _eikonal_solve(spec, solver_tol, rhs=f2).lam
+    lam1 = _solve(spec, solver_tol, rhs=f1).lam
+    lam2 = _solve(spec, solver_tol, rhs=f2).lam
     reports: list[VerdictReport] = []
 
     # shift exactness: lambda*(f + 1) = lambda*(f) + 1
     shifted = replace(f1, shift=f1.shift + 1.0)
-    lam_shift = _eikonal_solve(spec, solver_tol, rhs=shifted).lam
+    lam_shift = _solve(spec, solver_tol, rhs=shifted).lam
     gap = lam_shift - lam1
     reports.append(
         VerdictReport(
@@ -353,7 +346,7 @@ def check_lambda_shape(
         elif t == 1.0:
             lam_t = lam1
         else:
-            lam_t = _eikonal_solve(spec, solver_tol, rhs=blend_rhs(f1, f2, t)).lam
+            lam_t = _solve(spec, solver_tol, rhs=blend_rhs(f1, f2, t)).lam
         slack = lam_t - (t * lam1 + (1.0 - t) * lam2)
         worst = min(worst, slack)
         measured[f"slack_t={t:g}"] = slack
@@ -444,8 +437,8 @@ def check_continuity_bound(
         raise ValueError("continuity bound needs both right-hand sides positive")
     f0 = max(f0s)
     gap = _rhs_gap(f1, f2, alpha, spec.m)
-    lam1 = _eikonal_solve(spec, solver_tol, rhs=f1).lam
-    lam2 = _eikonal_solve(spec, solver_tol, rhs=f2).lam
+    lam1 = _solve(spec, solver_tol, rhs=f1).lam
+    lam2 = _solve(spec, solver_tol, rhs=f2).lam
     measured_gap = abs(lam2 - lam1)
     bound = (f0 * gap / (1.0 + f0 * gap)) * max(lam1, lam2)
     return [VerdictReport(
@@ -485,7 +478,7 @@ def check_power_supersolution(
     mask = (rr >= r_inner) & (rr <= 0.8 * spec.radius)
     if not np.any(mask):
         raise ValueError(f"annulus [{r_inner}, {0.8 * spec.radius}] contains no nodes")
-    sol = _eikonal_solve(spec, solver_tol)
+    sol = _solve(spec, solver_tol)
     shifted = sol.phi.values - sol.phi.values.min() + 1.0
     q_res = DiscreteOperator(spec).residual_values(shifted**q, sol.lam)
     margin = float(np.min(q_res[mask]))
@@ -540,7 +533,7 @@ def check_gradient_estimate(
     gap = big / 2 if gap is None else gap
     ratios = {}
     for rp in r_primes:
-        sol = _eikonal_solve(spec, solver_tol, radius=rp + gap)
+        sol = _solve(spec, solver_tol, radius=rp + gap)
         ratios[f"K_r{rp:g}"] = gradient_estimate_ratio(sol, rp)
     vals = np.array(list(ratios.values()))
     if np.max(vals) <= 1e-12:
@@ -586,7 +579,7 @@ def check_dirichlet_family(spec: ProblemSpec, solver_tol: float = 1e-8) -> Check
     min f and top - 0.1. Boundary data is the constant 0: constants are
     subsolutions at lambda = min f, so each level should admit a solution.
     """
-    lam_r = _eikonal_solve(spec, solver_tol).lam
+    lam_r = _solve(spec, solver_tol).lam
     top = lam_r - 0.1
     low = min(spec.rhs.min_value(), top - 0.1)
     lambdas = [low, 0.5 * (low + lam_r - 0.1), top]  # 0.5 * (low + top) rounds differently
@@ -621,7 +614,7 @@ def check_lambda_star_characterization(
     A Howard solve (solve_dirichlet) that returns certifies its level; a failed
     one is the heuristic unsolvability signal; dirichlet_bracket.csv lists both.
     """
-    sol = _eikonal_solve(spec, solver_tol)
+    sol = _solve(spec, solver_tol)
     table = [
         {"lambda": lam, "solvable": _dirichlet_solvable(spec, lam, solver_tol)[0]}
         for lam in (sol.lam - DIRICHLET_DELTA, sol.lam + DIRICHLET_DELTA)
@@ -635,7 +628,7 @@ def check_lambda_star_characterization(
             "lambda_above": above["lambda"],
             "solvable_below": float(below["solvable"]),
             "solvable_above": float(above["solvable"]),
-            "lambda_state_constraint": sol.lam,
+            "lambda_R": sol.lam,
         },
         predicted={"solvable_below": 1.0, "solvable_above": 0.0},
         tolerance=DIRICHLET_DELTA,
@@ -649,12 +642,14 @@ def check_lambda_star_characterization(
 
 
 def check_shift_equivariance(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckResult:
-    """lambda*(f + c) = lambda*(f) + c and the normalized profiles agree, within 2 CHECK_TOL."""
+    """lambda*(f + c) = lambda*(f) + c and the normalized profiles agree, within 2 CHECK_TOL.
+
+    Both problems are solved from the eikonal guess (_solve), as lambda_shape's are.
+    """
     if not isinstance(spec.rhs, (PowerRhs, PurePowerRhs)):
         raise ValueError("shift equivariance check needs a power-family right-hand side")
     sol = _solve(spec, solver_tol)
-    shifted_spec = replace(spec, rhs=replace(spec.rhs, shift=spec.rhs.shift + SHIFT_C))
-    sol_c = _solve(shifted_spec, solver_tol)
+    sol_c = _solve(spec, solver_tol, rhs=replace(spec.rhs, shift=spec.rhs.shift + SHIFT_C))
     lam_gap = sol_c.lam - sol.lam
     phi_gap = float(np.max(np.abs(sol_c.phi.values - sol.phi.values)))
     passed = abs(lam_gap - SHIFT_C) <= 2.0 * CHECK_TOL and phi_gap <= 2.0 * CHECK_TOL
@@ -701,24 +696,28 @@ def check_uniqueness(spec: ProblemSpec, solver_tol: float = 1e-8, seed: int = 0)
 def check_cross_method(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckResult:
     """Agreement of the five routes to the critical value on one instance.
 
-    The routes are the three solve_ergodic methods, relative value iteration
-    (from the zero field, Anderson-accelerated: Anderson 1965; Walker & Ni
-    2011) counting also as the parabolic march, and the discount path over
-    DISCOUNT_EPS. Newton and policy iteration are one iteration with two
-    globalizations, so the independent computations are Newton, the march
-    and the discount path. They must agree pairwise within CHECK_TOL. The
-    march's certified enclosure goes to measured as parabolic_lambda_lo and
-    parabolic_lambda_hi (the verdict does not read it), and its iteration
-    count as march_iterations. A march that cannot settle raises SolverError.
+    The routes are the three solve_ergodic methods: Newton from the eikonal
+    guess (_solve), and policy iteration and relative value iteration from the
+    zero field. Relative value iteration (Anderson-accelerated: Anderson 1965;
+    Walker & Ni 2011) counts also as the parabolic march. The fifth route is
+    the discount path over DISCOUNT_EPS. Newton and policy iteration are one
+    iteration with two globalizations, so the independent computations are
+    Newton, the march and the discount path. They must agree pairwise within
+    CHECK_TOL. The march's certified enclosure goes to measured as
+    parabolic_lambda_lo and parabolic_lambda_hi (the verdict does not read
+    it), and its iteration count as march_iterations. A march that cannot
+    settle raises SolverError.
 
     The tables are the iteration's rate spread by iteration
     (parabolic_rate.csv) and the discount path (discount_path.csv).
     """
-    methods = ("newton_augmented", "policy_iteration", "relative_value_iteration")
-    sols = {meth: _solve(spec, solver_tol, method=meth) for meth in methods}
-    march = sols["relative_value_iteration"]
-    lams = {meth: sol.lam for meth, sol in sols.items()}
-    lams["parabolic_march"] = march.lam
+    march = solve_ergodic(spec, method="relative_value_iteration", tol=solver_tol)
+    lams = {
+        "newton_augmented": _solve(spec, solver_tol).lam,
+        "policy_iteration": solve_ergodic(spec, method="policy_iteration", tol=solver_tol).lam,
+        "relative_value_iteration": march.lam,
+        "parabolic_march": march.lam,
+    }
     rows, extrap = discounted_lambda_path(spec, list(DISCOUNT_EPS), tol=solver_tol)
     lams["discounted_extrapolation"] = extrap
     worst = max(lams.values()) - min(lams.values())
@@ -755,7 +754,7 @@ def check_radius_monotonicity(spec: ProblemSpec, solver_tol: float = 1e-8) -> Ch
     radii = (big / 2, 3 * big / 4, big)
     rows = []
     for r in radii:
-        sol = _eikonal_solve(spec, solver_tol, radius=float(r))
+        sol = _solve(spec, solver_tol, radius=float(r))
         rows.append({"radius": float(r), "lambda": sol.lam})
     lams = [row["lambda"] for row in rows]
     report = VerdictReport(
@@ -773,8 +772,8 @@ def check_radius_monotonicity(spec: ProblemSpec, solver_tol: float = 1e-8) -> Ch
 def check_interior_minimum(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckResult:
     """Interior localization of the minimizer with f(argmin) <= lambda.
 
-    Solves spec with solve_ergodic's defaults; the minimizer passes when it
-    lies at least two cells inside the box.
+    Solves spec from the eikonal guess; the minimizer passes when it lies at
+    least two cells inside the box.
     """
     sol = _solve(spec, solver_tol)
     grid = sol.phi.grid
@@ -788,6 +787,6 @@ def check_interior_minimum(spec: ProblemSpec, solver_tol: float = 1e-8) -> Check
         measured={"f_at_argmin": f_val, "lambda": sol.lam, "distance_to_boundary": dist},
         predicted={"f_at_argmin_below_lambda": 0.0},
         tolerance=INTERIOR_MINIMUM_TOL,
-        provenance="the minimum of the state-constraint solution is interior with f(argmin) <= lambda",
+        provenance="the minimum of the reflecting (Neumann) solution is interior with f(argmin) <= lambda",
         inputs={"verdict": "pass" if passed else "fail", "location": [float(c) for c in loc]},
     )], {}

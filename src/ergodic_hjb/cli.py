@@ -6,10 +6,11 @@ deterministic for a fixed config; wall times and timestamps live only in
 meta.json (per sweep row in row_wall_s, per check in check_wall_s). verify
 runs analysis.check_<name>(spec, solver_tol) for each configured check, with
 the run's seed for uniqueness: every other input of a check is its default in
-analysis. The checks of one verify run share their ergodic solves, so a
-check's wall time leaves out a solve an earlier check made. method and
-max_iter of [numerics] apply to solve, and radius and coeff sweeps; an
-epsilon sweep runs the discount route at its own budget.
+analysis. The checks of one verify run share their ergodic solves: each
+problem is solved once, by Newton from the eikonal guess, so a check's wall
+time leaves out a solve an earlier check made. method and max_iter of
+[numerics] apply to solve, and radius and coeff sweeps; an epsilon sweep runs
+the discount route at its own budget.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .config import (
     parse_config,
 )
 from .grid import _fmt, dump_json, field_to_csv
-from .scheme import STATE_CONSTRAINT
 from .solvers import (
     ConvergenceTrace,
     SolverError,
@@ -96,7 +96,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
         "lambda": sol.lam,
         "residual_sup": sol.residual_sup,
         "method": sol.method,
-        "boundary_policy": STATE_CONSTRAINT,
+        "boundary_policy": "reflecting",
         "tolerance": sol.tol,
         "grid": {"m": spec.m, "radius": spec.radius, "h": spec.h},
         "anchor": [0.0] * spec.m,

@@ -395,7 +395,7 @@ def test_lambda_star_characterization_is_two_dirichlet_solves(monkeypatch, spec,
     assert rep.passed == (solvable_above == 0.0), rep.measured
     assert rep.measured["solvable_below"] == 1.0
     assert rep.measured["solvable_above"] == solvable_above
-    lam_r = rep.measured["lambda_state_constraint"]
+    lam_r = rep.measured["lambda_R"]
     assert len(ergodic_calls) == 1
     assert levels == [lam_r - 2**-7, lam_r + 2**-7]
     if solvable_above:

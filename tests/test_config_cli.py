@@ -636,19 +636,35 @@ def count_ergodic_solves(monkeypatch) -> list:
 
 def test_a_verify_pass_solves_each_distinct_problem_once(tmp_path, monkeypatch):
     # the suite's checks ask for 27 ergodic solutions: uniqueness's two from random
-    # fields and 25 requests of 16 distinct (spec, eikonal, method, tol); library calls
-    # outside a pass share nothing
+    # fields, cross_method's policy iteration and march from the zero field, and 23
+    # requests of 12 distinct (spec, tol), each solved once by Newton from the eikonal
+    # guess; library calls outside a pass share nothing
     solved = count_ergodic_solves(monkeypatch)
-    requests = []
+    counted, starts = analysis.solve_ergodic, []
+
+    def recording_start(spec, *args, **kwargs):
+        starts.append(kwargs.get("initial_guess"))
+        return counted(spec, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_ergodic", recording_start)
+    requests, misses = [], []
     request = analysis._solve
 
-    def counting_request(spec, *args, **kwargs):
-        requests.append(spec)
-        return request(spec, *args, **kwargs)
+    def counting_request(spec, tol, **changes):
+        problem = replace(spec, **changes)
+        requests.append(problem)
+        before = len(solved)
+        sol = request(spec, tol, **changes)
+        if len(solved) > before:  # a miss: one solve of the problem, from the eikonal guess
+            assert solved[before:] == [problem]
+            assert np.array_equal(starts[-1].values, eikonal_initial_guess(problem).values)
+            misses.append(problem)
+        return sol
 
     monkeypatch.setattr(analysis, "_solve", counting_request)
     assert main(["verify", "--config", str(SUITE), "--out", str(tmp_path / "o")]) == 0
-    assert (len(requests), len(solved)) == (25, 18)
+    assert (len(requests), len(misses), len(solved)) == (23, 12, 16)
+    assert len(set(misses)) == len(misses)
     assert analysis._pass_solves.get() is None
     solved.clear()
     spec = build_spec(parse_config(SUITE.read_text()))
