@@ -82,10 +82,10 @@ CHECKS = (
 )
 
 # Each property is checked at one fixed constant, so a library call and verify judge alike.
-CHECK_TOL = 0.03  # verdict tolerance of the six lambda* comparisons; each docstring says how
+CHECK_TOL = 0.03  # verdict tolerance of the five lambda* comparisons; each docstring says how
 GROWTH_WINDOW = (0.375, 0.6)  # fit annulus as fractions of the box radius
 GROWTH_TOL_REL = 0.10
-SHIFT_C = 1.0  # the constant added to f by check_shift_equivariance
+SHIFT_C = 1.0  # the constant added to f by check_shift_equivariance and lambda_shape's fallback
 SCALING_C = 4.0  # dilation constant of check_scaling_law
 F2 = (1.0, 4.0, 1.0)  # (coeff, alpha, shift) of the second rhs of the pair checks
 T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # blend weights of check_lambda_shape
@@ -279,13 +279,13 @@ def check_lambda_shape(
     f2: RhsFunction = make_pure_power_rhs(*F2),
     t_grid: tuple[float, ...] = T_GRID,
 ) -> CheckResult:
-    """Shift exactness, monotonicity, and concavity of f -> lambda*(f) on spec's box.
+    """Monotonicity and concavity of f -> lambda*(f) on spec's box, each within CHECK_TOL.
 
     f1 is spec.rhs. Monotonicity needs an ordered pair. When f1 <= f2 (or
     f2 <= f1) on the box the given pair is used; otherwise the check falls back
-    to the ordered pair (f1, f1 + 1), whose shift structure also pins the
-    predicted gap to 1. Shift exactness is judged at 2 CHECK_TOL, the other
-    two at CHECK_TOL.
+    to the ordered pair (f1, f1 + SHIFT_C), and only then solves f1 + SHIFT_C,
+    which shift_equivariance solves too (a verify pass shares it). The shift
+    identity itself is shift_equivariance's verdict.
     """
     f1 = spec.rhs
     if not isinstance(f1, (PowerRhs, PurePowerRhs)):
@@ -295,22 +295,6 @@ def check_lambda_shape(
     lam1 = _solve(spec, solver_tol, rhs=f1).lam
     lam2 = _solve(spec, solver_tol, rhs=f2).lam
     reports: list[VerdictReport] = []
-
-    # shift exactness: lambda*(f + 1) = lambda*(f) + 1
-    shifted = replace(f1, shift=f1.shift + 1.0)
-    lam_shift = _solve(spec, solver_tol, rhs=shifted).lam
-    gap = lam_shift - lam1
-    reports.append(
-        VerdictReport(
-            name="shift_exactness",
-            passed=bool(abs(gap - 1.0) <= 2.0 * CHECK_TOL),
-            measured={"lambda_gap": gap},
-            predicted={"lambda_gap": 1.0},
-            tolerance=2.0 * CHECK_TOL,
-            provenance="lambda*(f + c) = lambda*(f) + c",
-            inputs={"theta": theta, "m": m},
-        )
-    )
 
     # monotonicity on an ordered pair
     v1 = f1.evaluate(grid_pts)
@@ -323,8 +307,9 @@ def check_lambda_shape(
         pair = "(f2, f1)"
     else:
         # not pointwise ordered; use the shifted pair, which is
-        lo_name, lo, hi_name, hi = "f1", lam1, "f1+1", lam_shift
-        pair = "(f1, f1+1)"
+        hi_name = f"f1+{SHIFT_C:g}"
+        hi = _solve(spec, solver_tol, rhs=replace(f1, shift=f1.shift + SHIFT_C)).lam
+        lo_name, lo, pair = "f1", lam1, f"(f1, {hi_name})"
     reports.append(
         VerdictReport(
             name="monotonicity",
@@ -642,9 +627,15 @@ def check_lambda_star_characterization(
 
 
 def check_shift_equivariance(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckResult:
-    """lambda*(f + c) = lambda*(f) + c and the normalized profiles agree, within 2 CHECK_TOL.
+    """lambda*(f + c) = lambda*(f) + c and the normalized profiles agree, within 10 * solver_tol.
 
-    Both problems are solved from the eikonal guess (_solve), as lambda_shape's are.
+    The identity is exact for the scheme, not only in the limit: the residual
+    G_h[phi] + lambda - f is unchanged by (f, lambda) -> (f + c, lambda + c).
+    So the lambda gap is off from c by at most the two solves' residuals, and
+    the profiles may differ by what uniqueness allows two starts of one
+    problem; a larger gap means the operator scales f instead of subtracting
+    it. c is SHIFT_C. Both problems are solved from the eikonal guess (_solve),
+    and lambda_shape's fallback pair shares the shifted one.
     """
     if not isinstance(spec.rhs, (PowerRhs, PurePowerRhs)):
         raise ValueError("shift equivariance check needs a power-family right-hand side")
@@ -652,13 +643,13 @@ def check_shift_equivariance(spec: ProblemSpec, solver_tol: float = 1e-8) -> Che
     sol_c = _solve(spec, solver_tol, rhs=replace(spec.rhs, shift=spec.rhs.shift + SHIFT_C))
     lam_gap = sol_c.lam - sol.lam
     phi_gap = float(np.max(np.abs(sol_c.phi.values - sol.phi.values)))
-    passed = abs(lam_gap - SHIFT_C) <= 2.0 * CHECK_TOL and phi_gap <= 2.0 * CHECK_TOL
+    passed = abs(lam_gap - SHIFT_C) <= 10.0 * solver_tol and phi_gap <= 10.0 * solver_tol
     return [VerdictReport(
         name="shift_equivariance",
         passed=bool(passed),
         measured={"lambda_gap": lam_gap, "phi_sup_gap": phi_gap},
         predicted={"lambda_gap": SHIFT_C, "phi_sup_gap": 0.0},
-        tolerance=2.0 * CHECK_TOL,
+        tolerance=10.0 * solver_tol,
         provenance="adding a constant to f shifts the critical value by that constant",
         inputs={"c": SHIFT_C, "theta": spec.theta, "m": spec.m},
     )], {}

@@ -19,6 +19,7 @@ from ergodic_hjb.analysis import (
     check_lambda_star_characterization,
     check_radius_monotonicity,
     check_scaling_law,
+    check_shift_equivariance,
 )
 from ergodic_hjb.grid import Field
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
@@ -123,11 +124,12 @@ def test_criterion_4_scaling_law():
 
 
 def test_criterion_5_shift_monotone_concave_suite():
-    with criterion("5 shift/monotone/concave suite at tolerance 0.03"):
+    with criterion("5 shift at 10 solver tol, monotone/concave suite at tolerance 0.03"):
         f2 = make_pure_power_rhs(1.0, 4.0, 1.0)  # 1 + |y|^4
         reps, _ = check_lambda_shape(
             BOX, solver_tol=SOLVER_TOL, f2=f2, t_grid=(0.0, 0.25, 0.5, 0.75, 1.0)
         )
+        reps += check_shift_equivariance(BOX, solver_tol=SOLVER_TOL)[0]
         for rep in reps:
             assert rep.passed, (rep.name, rep.measured)
 

@@ -116,8 +116,7 @@ def test_lambda_shape_suite_on_quadratic_quartic_pair():
     f2 = make_pure_power_rhs(1.0, 4.0, 1.0)
     reps, _ = check_lambda_shape(box(8.0, 0.02), f2=f2, t_grid=(0.0, 0.25, 0.5, 0.75, 1.0))
     by_name = {r.name: r for r in reps}
-    assert by_name["shift_exactness"].passed
-    assert by_name["shift_exactness"].measured["lambda_gap"] == pytest.approx(1.0, abs=0.06)
+    assert set(by_name) == {"monotonicity", "concavity"}
     # the pair crosses at |y| = 1, so monotonicity falls back to (f1, f1+1)
     assert by_name["monotonicity"].inputs["pair"] == "(f1, f1+1)"
     assert by_name["monotonicity"].passed
@@ -126,12 +125,24 @@ def test_lambda_shape_suite_on_quadratic_quartic_pair():
     assert min(slacks) >= -0.03
 
 
-def test_lambda_shape_uses_given_pair_when_ordered():
+def test_lambda_shape_uses_given_pair_when_ordered(monkeypatch):
     f2 = make_power_rhs(1.0, 2.0, 0.5)  # f1 + 1/2: pointwise ordered
-    reps, _ = check_lambda_shape(box(6.0, 0.05), f2=f2, t_grid=(0.0, 0.5, 1.0))
+    spec = box(6.0, 0.05)
+    solved, solve = [], analysis.solve_ergodic
+
+    def counting_solve(problem, *args, **kwargs):
+        solved.append(problem)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_ergodic", counting_solve)
+    reps, _ = check_lambda_shape(spec, f2=f2, t_grid=(0.0, 0.5, 1.0))
     by_name = {r.name: r for r in reps}
     assert by_name["monotonicity"].inputs["pair"] == "(f1, f2)"
     assert by_name["monotonicity"].passed
+    # f1, f2 and the t = 0.5 blend; the fallback's f1 + SHIFT_C is not asked for
+    shifted = dataclasses.replace(spec.rhs, shift=spec.rhs.shift + analysis.SHIFT_C)
+    assert len(solved) == 3
+    assert dataclasses.replace(spec, rhs=shifted) not in solved
 
 
 def test_shift_equivariance_check():
@@ -139,6 +150,7 @@ def test_shift_equivariance_check():
     spec = ProblemSpec(theta=2.0, m=1, rhs=rhs, radius=6.0, h=0.05)
     (rep,), _ = check_shift_equivariance(spec)
     assert rep.passed
+    assert rep.tolerance == 10 * 1e-8  # the identity is exact for the scheme: solver tolerance
     assert rep.measured["lambda_gap"] == pytest.approx(1.0, abs=1e-8)
     assert rep.measured["phi_sup_gap"] <= 1e-8
 

@@ -26,6 +26,7 @@ from ergodic_hjb.config import (
     parse_config,
 )
 from ergodic_hjb.grid import dump_json
+from ergodic_hjb.scheme import DiscreteOperator
 from ergodic_hjb.solvers import (
     ConvergenceTrace,
     SolverError,
@@ -765,6 +766,27 @@ checks = power_supersolution
 def test_cli_verify_failure_exits_three(tmp_path):
     cfg = write_cfg(tmp_path, SUPERSOLUTION_FAIL)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+
+
+SHIPPED_VERIFY = sorted((Path(__file__).resolve().parents[1] / "configs").glob("verify_*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_VERIFY, ids=lambda p: p.stem)
+def test_verify_fails_an_operator_that_scales_f(tmp_path, monkeypatch, path):
+    # the operator reads 1.02 f where the equation has f: every other verdict
+    # compares lambda values of that one operator, whose relations survive, but
+    # scaling f scales the shift too, so lambda*(f + 1) - lambda*(f) reads 1.02
+    post_init = DiscreteOperator.__post_init__
+
+    def scaled_f(self):
+        post_init(self)
+        self._f = 1.02 * self._f
+
+    monkeypatch.setattr(DiscreteOperator, "__post_init__", scaled_f)
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 3
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    assert {v["name"] for v in verdicts if not v["passed"]} == {"shift_equivariance"}
 
 
 def test_cli_verify_emits_plot_data(tmp_path):
