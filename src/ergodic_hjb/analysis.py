@@ -10,8 +10,9 @@ radii that are fractions of spec.radius (calibrated at radius 8). So a call
 with spec and solver_tol alone is the check verify runs. During a verify
 pass the checks share their ergodic solves: Newton from the eikonal guess
 solves each problem once (_solve); only uniqueness and cross_method, which
-test starts and routes, solve for themselves. Verdicts are numerical
-evidence at stated tolerances, not certificates.
+test starts and routes, solve for themselves, and cross_method starts its
+march at the shared Newton profile. Verdicts are numerical evidence at
+stated tolerances, not certificates.
 """
 
 from __future__ import annotations
@@ -688,23 +689,32 @@ def check_cross_method(spec: ProblemSpec, solver_tol: float = 1e-8) -> CheckResu
     """Agreement of the five routes to the critical value on one instance.
 
     The routes are the three solve_ergodic methods: Newton from the eikonal
-    guess (_solve), and policy iteration and relative value iteration from the
-    zero field. Relative value iteration (Anderson-accelerated: Anderson 1965;
-    Walker & Ni 2011) counts also as the parabolic march. The fifth route is
-    the discount path over DISCOUNT_EPS. Newton and policy iteration are one
-    iteration with two globalizations, so the independent computations are
-    Newton, the march and the discount path. They must agree pairwise within
-    CHECK_TOL. The march's certified enclosure goes to measured as
-    parabolic_lambda_lo and parabolic_lambda_hi (the verdict does not read
-    it), and its iteration count as march_iterations. A march that cannot
-    settle raises SolverError.
+    guess (_solve), policy iteration from the zero field, and relative value
+    iteration from Newton's profile. Relative value iteration
+    (Anderson-accelerated: Anderson 1965; Walker & Ni 2011) counts also as the
+    parabolic march. The fifth route is the discount path over DISCOUNT_EPS.
+    Newton and policy iteration are one iteration with two globalizations, so
+    the independent computations are Newton, the march and the discount path.
+    They must agree pairwise within CHECK_TOL. The march's certified
+    enclosure goes to measured as parabolic_lambda_lo and parabolic_lambda_hi
+    (the verdict does not read it), and its iteration count as
+    march_iterations. A march that cannot settle raises SolverError.
+
+    The march's value does not depend on its start: the monotone scheme's
+    fixed point is unique up to a constant, and every grid field's rate range
+    encloses lambda_h. The march reads rates by its own inline formula, so at
+    Newton's profile it settles at step 0 with its own enclosure when that
+    formula agrees with residual_values to tol/2, and otherwise iterates to
+    its own fixed point. So march_iterations > 0 in a verify run means the
+    two formulas disagree at Newton's profile by more than tol/2.
 
     The tables are the iteration's rate spread by iteration
     (parabolic_rate.csv) and the discount path (discount_path.csv).
     """
-    march = solve_ergodic(spec, method="relative_value_iteration", tol=solver_tol)
+    newton = _solve(spec, solver_tol)
+    march = solve_ergodic(spec, newton.phi, method="relative_value_iteration", tol=solver_tol)
     lams = {
-        "newton_augmented": _solve(spec, solver_tol).lam,
+        "newton_augmented": newton.lam,
         "policy_iteration": solve_ergodic(spec, method="policy_iteration", tol=solver_tol).lam,
         "relative_value_iteration": march.lam,
         "parabolic_march": march.lam,

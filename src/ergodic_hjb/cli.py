@@ -205,7 +205,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: str) -> int:
         out / "verdicts.csv",
         _csv(["check", "outcome", "measured", "predicted", "tolerance"], summary_rows),
     )
-    meta = {"n_checks": len(verdicts), "check_wall_s": [wall for _, wall in results]}
+    meta = {"n_checks": len(results), "check_wall_s": [wall for _, wall in results]}
     _write_meta(out, time.perf_counter() - start, meta)
     failed = [r.name for r in verdicts if not r.passed]
     for r in verdicts:

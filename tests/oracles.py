@@ -2,7 +2,8 @@
 
 Everything here is deliberately simple and separate from the library code
 paths it checks: closed-form substitutions, quadratic ansatz values, and
-brute-force stencil evaluations.
+brute-force stencil evaluations; and one deliberately wrong operator, a
+mutant that a verify battery should be able to see.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 
 from ergodic_hjb.grid import Field, Grid
 from ergodic_hjb.problem import ProblemSpec, make_pure_power_rhs
+from ergodic_hjb.scheme import laplacian_and_slope
 
 
 def closed_form_spec(theta: float, m: int, radius: float, h: float) -> ProblemSpec:
@@ -117,3 +119,16 @@ def hopf_cole_residual(phi: Field, lam: float, spec: ProblemSpec) -> Field:
     out = np.zeros(z.shape)
     out[inner] = -0.5 * lap + zi * (0.5 * q**2 - q**theta / theta + f - lam)
     return Field(spec.grid, out)
+
+
+def m5_residual_values(op, values: np.ndarray, lam: float) -> np.ndarray:
+    """Mutant M5 of DiscreteOperator.residual_values: Laplacian weight 0.52 instead of 1/2.
+
+    Patched in for residual_values alone, it leaves the Jacobian and relative
+    value iteration's inline rate formula on the true weight. Newton, policy
+    iteration and the discount path then solve the mutant, and the march the
+    true operator.
+    """
+    theta = op.spec.theta
+    lap, mag = laplacian_and_slope(values, op.spec.h)
+    return -0.52 * lap + mag**theta / theta - op._f + lam

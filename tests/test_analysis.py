@@ -26,9 +26,15 @@ from ergodic_hjb.analysis import (
 from ergodic_hjb.grid import Field, Grid
 from ergodic_hjb.problem import BlendRhs, ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.scheme import DiscreteOperator
-from ergodic_hjb.solvers import SolverError, solve_ergodic
+from ergodic_hjb.solvers import SolverError, eikonal_initial_guess, solve_ergodic
 
-from oracles import closed_form_lambda, closed_form_spec, quad_ansatz_lambda, smooth_power_lambda
+from oracles import (
+    closed_form_lambda,
+    closed_form_spec,
+    m5_residual_values,
+    quad_ansatz_lambda,
+    smooth_power_lambda,
+)
 
 
 # -- growth fits -------------------------------------------------------------------
@@ -438,7 +444,11 @@ def test_dirichlet_checks_pass_on_the_theta_6_quartic():
 def test_cross_method_step_budget_before_settling_raises(monkeypatch):
     # relative value iteration is the iteration's settled pair, so an
     # iteration that cannot settle within its budget (here 10 steps) has no
-    # value to compare, and the check raises instead of reporting a verdict
+    # value to compare, and the check raises instead of reporting a verdict.
+    # The march starts at Newton's profile and settles there at step 0 unless
+    # its own rate formula and residual_values disagree; mutant M5 makes them
+    # disagree, so the march has to iterate to its own fixed point
+    monkeypatch.setattr(DiscreteOperator, "residual_values", m5_residual_values)
     monkeypatch.setitem(solvers.METHOD_BUDGETS, "relative_value_iteration", 10)
     spec = ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=4.0, h=0.1)
     with pytest.raises(SolverError, match="within 10 steps"):
@@ -446,12 +456,16 @@ def test_cross_method_step_budget_before_settling_raises(monkeypatch):
 
 
 def test_cross_method_reports_the_march_enclosure():
+    # the march starts at Newton's profile from the eikonal guess, where its rate
+    # spread is already within tol/2: it settles at step 0 with its own enclosure
     spec = ProblemSpec(theta=2.0, m=1, rhs=make_power_rhs(1.0, 2.0, 0.0), radius=4.0, h=0.1)
     (report,), _ = check_cross_method(spec)
-    march = solve_ergodic(spec, method="relative_value_iteration")
+    newton = solve_ergodic(spec, eikonal_initial_guess(spec))
+    march = solve_ergodic(spec, newton.phi, method="relative_value_iteration")
+    assert report.measured["relative_value_iteration"] == march.lam
     assert report.measured["parabolic_lambda_lo"] == march.lambda_lo
     assert report.measured["parabolic_lambda_hi"] == march.lambda_hi
-    assert report.measured["march_iterations"] == march.trace.records[-1].iteration
+    assert report.measured["march_iterations"] == march.trace.records[-1].iteration == 0
     assert 0.0 <= march.lambda_hi - march.lambda_lo <= 1e-8
 
 

@@ -34,6 +34,8 @@ from ergodic_hjb.solvers import (
     solve_ergodic,
 )
 
+from oracles import m5_residual_values
+
 BASE = """
 [run]
 seed = 0
@@ -637,9 +639,10 @@ def count_ergodic_solves(monkeypatch) -> list:
 
 def test_a_verify_pass_solves_each_distinct_problem_once(tmp_path, monkeypatch):
     # the suite's checks ask for 27 ergodic solutions: uniqueness's two from random
-    # fields, cross_method's policy iteration and march from the zero field, and 23
-    # requests of 12 distinct (spec, tol), each solved once by Newton from the eikonal
-    # guess; library calls outside a pass share nothing
+    # fields, cross_method's policy iteration from the zero field and its march from
+    # the shared Newton profile, and 23 requests of 12 distinct (spec, tol), each
+    # solved once by Newton from the eikonal guess; library calls outside a pass
+    # share nothing
     solved = count_ergodic_solves(monkeypatch)
     counted, starts = analysis.solve_ergodic, []
 
@@ -787,6 +790,54 @@ def test_verify_fails_an_operator_that_scales_f(tmp_path, monkeypatch, path):
     assert main(["verify", "--config", str(path), "--out", str(out)]) == 3
     verdicts = json.loads((out / "verdicts.json").read_text())
     assert {v["name"] for v in verdicts if not v["passed"]} == {"shift_equivariance"}
+
+
+@pytest.mark.parametrize("path", SHIPPED_VERIFY, ids=lambda p: p.stem)
+def test_verify_march_settles_at_newtons_profile(tmp_path, path):
+    # cross_method starts relative value iteration at the pass's Newton profile,
+    # where the march's own rate formula agrees with residual_values to tol/2;
+    # meta.json counts the checks run, and lambda_shape writes two reports
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    (cross,) = [v for v in verdicts if v["name"] == "cross_method"]
+    assert cross["measured"]["march_iterations"] == 0
+    checks = parse_config(path.read_text()).verify.checks
+    n_checks = json.loads((out / "meta.json").read_text())["n_checks"]
+    assert n_checks == len(checks) == len(verdicts) - 1
+    if path.stem == "verify_suite":
+        assert n_checks == 12
+
+
+# mutant M5 on the shipped configs: (exit code, failing checks); its gap of about
+# 0.027 to 0.031 crosses CHECK_TOL = 0.03 only at theta 1.5
+M5_VERDICTS = {
+    "verify_subquadratic": (3, {"cross_method"}),
+    "verify_suite": (0, set()),
+    "verify_superquadratic": (0, set()),
+}
+
+
+@pytest.mark.parametrize("path", SHIPPED_VERIFY, ids=lambda p: p.stem)
+def test_verify_march_sees_a_residual_that_disagrees_with_its_rate(tmp_path, monkeypatch, path):
+    # M5 weights the Laplacian 0.52 in residual_values only, so Newton, policy
+    # iteration and the discount path solve the mutant while the march, whose rate
+    # formula is its own, iterates from Newton's profile to the true operator's
+    # fixed point: cross_method reads the gap a march from the zero field reads
+    monkeypatch.setattr(DiscreteOperator, "residual_values", m5_residual_values)
+    out = tmp_path / "o"
+    code = main(["verify", "--config", str(path), "--out", str(out)])
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    assert (code, {v["name"] for v in verdicts if not v["passed"]}) == M5_VERDICTS[path.stem]
+    (cross,) = [v["measured"] for v in verdicts if v["name"] == "cross_method"]
+    assert cross["march_iterations"] > 0
+    cfg = parse_config(path.read_text())
+    tol = cfg.numerics.tol
+    from_zero = solve_ergodic(build_spec(cfg), method="relative_value_iteration", tol=tol).lam
+    lams = [from_zero] + [
+        cross[k] for k in ("newton_augmented", "policy_iteration", "discounted_extrapolation")
+    ]
+    assert abs(max(lams) - min(lams) - cross["max_pairwise_gap"]) <= 10.0 * tol
 
 
 def test_cli_verify_emits_plot_data(tmp_path):

@@ -1372,9 +1372,9 @@ def test_relative_value_iteration_from_the_eikonal_guess_stops_far_above_its_flo
     # a known defect, pinned so that a fix shows: on this theta 3, alpha 3 box the
     # march from the eikonal guess reports rounding_floor (at step 3,539 on numpy
     # 2.4) at a rate spread of 0.24, its mean rate near 2.115 against Newton's
-    # 2.2447371; from the zero field it settles in 11,394 iterations, which is why
-    # cross_method's march starts there. The step moves with the numpy build, so
-    # only the termination and the spread are asserted.
+    # 2.2447371; from the zero field it settles in 11,394 iterations, and from
+    # Newton's profile, where cross_method's march starts, at step 0. The step
+    # moves with the numpy build, so only the termination and the spread are asserted.
     spec = ProblemSpec(3.0, 1, make_power_rhs(0.5, 3.0, 1.0), 8.0, 0.02)
     guess = eikonal_initial_guess(spec)
     with pytest.raises(SolverError) as info:
