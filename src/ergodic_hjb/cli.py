@@ -66,10 +66,12 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 
 def _linear_counts(trace: ConvergenceTrace) -> dict:
     """How a solve's steps were solved, for meta.json: the fine grid's fresh
-    and reused LU steps, and one entry per coarser grid solved first."""
+    and reused LU steps and GMRES iterations on the held LU, and one entry per
+    coarser grid solved first."""
     return {
         "factorizations": trace.factorizations,
         "reused_steps": trace.reused_steps,
+        "reused_iterations": trace.reused_iterations,
         "coarse_levels": trace.coarse_levels,
     }
 
@@ -94,6 +96,8 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     wall = time.perf_counter() - start
     doc = {
         "lambda": sol.lam,
+        "lambda_lo": sol.lambda_lo,
+        "lambda_hi": sol.lambda_hi,
         "residual_sup": sol.residual_sup,
         "method": sol.method,
         "boundary_policy": "reflecting",

@@ -37,8 +37,11 @@ solves one linear system with the Jacobian (_linear_step). On a 1-d grid that
 matrix is tridiagonal: LAPACK's ?gtsv solves it from the operator's three
 diagonals, with no sparse matrix built (_tridiagonal_step). On larger
 dimensions a sparse LU in nested-dissection order does, and may be reused
-(_nd_step). A march rung factors the 1-d I/dt - 1/2 L once by ?pttrf and solves
-along every axis in turn (_rung_solver); the march builds no sparse matrix.
+as GMRES's preconditioner (_nd_step) down to the linear residual the driver
+allows: max(tol/4, FORCING |F|_inf) for a line-searched step (inexact
+Newton), tol/4 for a pseudo-time or Howard step. A march rung factors the
+1-d I/dt - 1/2 L once by ?pttrf and solves along every axis in turn
+(_rung_solver); the march builds no sparse matrix.
 """
 
 from __future__ import annotations
@@ -82,10 +85,15 @@ BACKTRACK_FLOOR = 2.0**-10
 # 2-d theta=3 instance; 1 takes up to 246 iterations and twice the wall time.
 PTC_TAU0 = 1e-2
 MARCH_RECORD_EVERY = 200  # march steps between trace records and rate statistics
-# Relative value iteration stops at its rounding floor once its certified
-# enclosure of lambda_h has not shrunk for this many iterations (not records).
-# On the verify instance it last shrinks at iteration 1,874 and then stays put
-# through iteration 21,874.
+# Relative value iteration stops once its certified enclosure of lambda_h has
+# not shrunk for this many iterations (not records). On the verify instance it
+# last shrinks at iteration 1,874 and then stays put through iteration 21,874.
+# The plateau is the rounding floor when its width is at most 2^10 eps max|u| / h^2,
+# the rounding of the Laplacian's differences, and a stall otherwise. The floors
+# of the three verify configs and of three closed forms (1-d R 4 h 0.1, R 8 h 0.01,
+# 2-d R 3 h 0.1), marched at tol 1e-14, are 0.04-2.9 times eps max|u| / h^2
+# (verify instance: 8.8e-13, 0.04 times); the plateau of the theta 3, alpha 3
+# box from the eikonal guess is 0.23 wide, 1e10 times.
 MARCH_FLOOR_STEPS = 2000
 # Relative value iteration mixes its last ANDERSON_DEPTH + 1 plain images. From
 # the zero start at tol 1e-8, on 16 1-d boxes (theta 1.5, 2, 2.5, 3; R 6, 8;
@@ -115,6 +123,14 @@ _LAYOUTS: dict = {}  # oldest first
 REUSE_CONTRACTION = 0.1  # try the held LU only after a step that cut |F|_2 tenfold
 REUSE_ITERATIONS = 10  # GMRES iterations on a held LU before it is dropped
 REUSE_BACKWARD_ERROR = 1e-10  # a fresh diagonal-pivot LU reaches 4e-16 to 5e-11 here
+# Forcing term of a line-searched Newton step: its linear residual may be
+# max(tol/4, FORCING |F|_inf) (inexact Newton: Dembo, Eisenstat & Steihaug 1982;
+# Eisenstat & Walker 1996). Over the six 2-d closed-form Newton solves on
+# 241 x 241 (three eikonal, three random starts) the 241 x 241 LU solves number
+# 80 / 54 / 50 / 46 / 44 at FORCING 0 / 1e-4 / 1e-3 / 1e-2 / 1e-1; from 3e-2 on
+# the 121 x 121 level takes 5-9 records instead of 4-5. Howard and pseudo-time
+# steps keep tol/4: forced on the 1-d hard solves, policy iteration diverges.
+FORCING = 1e-3
 # Nested iteration (_coarse_start): a grid of more nodes than this is first
 # solved at spacing 2h. Measured on the 2-d closed forms (2-vCPU host), one
 # coarse level takes a random-field Newton solve on 81 x 81 from 0.23 to
@@ -128,7 +144,8 @@ COARSE_MIN_NODES = 10_000
 
 class SolverError(RuntimeError):
     """A solve that stopped short of tol, with its trace: the records and counts it wrote, and
-    a termination of "max_iterations", "non_finite_step", "blow_up" or "rounding_floor"."""
+    a termination of "max_iterations", "non_finite_step", "blow_up", "rounding_floor" or
+    "stalled"."""
 
     def __init__(self, message: str, trace: ConvergenceTrace):
         super().__init__(message)
@@ -149,10 +166,12 @@ class ConvergenceTrace:
     records: list[TraceRecord] = field(default_factory=list)
     termination: str = ""
     # Newton-type steps solved by a fresh factor and by the held LU (_nd_step),
+    # the GMRES iterations run on the held LU (one LU solve each, _reused_solve),
     # and the coarser grids solved first, coarsest first (_coarse_start); written
     # to meta.json, not to trace.jsonl
     factorizations: int = 0
     reused_steps: int = 0
+    reused_iterations: int = 0
     coarse_levels: list[dict] = field(default_factory=list)
     # relative value iteration's (iteration, min, mean, max) of the rate at every
     # record; written to neither file
@@ -185,7 +204,8 @@ def _sup(v: np.ndarray) -> float:
 def _linear_step(
     op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """step(x, shift, rhs, tol) of a Newton-type route: _tridiagonal_step in 1-d, else _nd_step.
+    """step(x, shift, rhs, bound, trace) of a Newton-type route: _tridiagonal_step in 1-d,
+    else _nd_step.
 
     Its matrix is op's Jacobian at at(x, shift) = (values, shift), restricted
     to the rows and columns keep.
@@ -209,11 +229,12 @@ def _tridiagonal_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndar
 def _tridiagonal_step(
     op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """1-d twin of _nd_step: the same step(x, shift, rhs, tol) -> (d, fresh), by ?gtsv.
+    """1-d twin of _nd_step: the same step(x, shift, rhs, bound, trace) -> (d, fresh), by ?gtsv.
 
     In 1-d keep is a run of consecutive nodes, so J is tridiagonal; its three
     diagonals are read from op._diagonals(*at(x, shift)) and factored afresh
-    at every step (fresh is always True; there is no held LU). Node ones_at (an
+    at every step (fresh is always True; there is no held LU, so bound and
+    trace go unused: every step is a direct solve). Node ones_at (an
     interior unknown: the anchor is the middle node) has a column of ones,
     which is eliminated by one Schur complement: with a its row and r the
     others, J_rr [x1 x2] = [b_r 1], then d_a = (b_a - J_ar x1) / (1 - J_ar x2)
@@ -225,7 +246,7 @@ def _tridiagonal_step(
     if a is not None and not 0 < a < keep.size - 1:
         raise ValueError(f"the column of ones must belong to an interior unknown, got {ones_at}")
 
-    def step(x: np.ndarray, shift: float, rhs: np.ndarray, tol: float = 0.0):
+    def step(x: np.ndarray, shift: float, rhs: np.ndarray, bound: float = 0.0, trace=None):
         diagonals = op._diagonals(*at(x, shift))
         dl, du = diagonals[-1][first:last], diagonals[1][first:last]
         d = diagonals[0][first:last + 1]
@@ -296,27 +317,30 @@ def _nd_matrix(
 def _nd_step(
     op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """step(x, shift, rhs, tol) = (J^(-1) rhs, fresh), J the rows and columns keep of op's Jacobian.
+    """step(x, shift, rhs, bound, trace) = (J^(-1) rhs, fresh), J the rows and columns keep
+    of op's Jacobian.
 
     J is op.jacobian(*at(x, shift)), and keep is sorted. J is written in
     _nd_order, node ones_at's column replaced by ones and last (_nd_matrix).
     The step holds every fresh LU. After a step that cut |rhs|_2 by
     REUSE_CONTRACTION or more, the next one first tries the held LU
-    (_reused_solve) and factors J afresh by _lu_solve only if that solve is
-    not as good as a direct one; only one LU is held at any time. fresh says
-    whether the step factored J afresh.
+    (_reused_solve, accepting a linear residual of at most bound) and factors
+    J afresh by _lu_solve only if that solve falls short; only one LU is held
+    at any time. Its GMRES iterations, declined ones included, are added to
+    trace.reused_iterations when a trace is given. fresh says whether the
+    step factored J afresh.
     """
     held = None
     last_norm = np.inf
 
-    def step(x: np.ndarray, shift: float, rhs: np.ndarray, tol: float = 0.0):
+    def step(x: np.ndarray, shift: float, rhs: np.ndarray, bound: float = 0.0, trace=None):
         nonlocal held, last_norm
         a, pick, back = _nd_matrix(op.jacobian(*at(x, shift)), op.spec.grid.shape, keep, ones_at)
         b = rhs[pick]
         norm = np.linalg.norm(b)
         contracted, last_norm = norm <= REUSE_CONTRACTION * last_norm, norm
         if held is not None and contracted:
-            d = _reused_solve(a, held, b, tol)
+            d = _reused_solve(a, held, b, bound, trace)
             if d is not None:
                 return d[back], False
         held = None  # dropped before the fresh factor is built
@@ -343,15 +367,20 @@ def _lu_solve(a: sp.csc_matrix, b: np.ndarray):
     return lu.solve(b), lu
 
 
-def _reused_solve(a: sp.csc_matrix, lu, b: np.ndarray, tol: float) -> Optional[np.ndarray]:
-    """a^(-1) b by GMRES on a lu^(-1) from 0, or None if it is not as good as a direct solve.
+def _reused_solve(
+    a: sp.csc_matrix, lu, b: np.ndarray, bound: float, trace: Optional[ConvergenceTrace] = None
+) -> Optional[np.ndarray]:
+    """a^(-1) b by GMRES on a lu^(-1) from 0, or None if no iterate meets the bar.
 
     Right preconditioning minimizes the true residual |a d - b|_2 over the
-    Krylov space; at most REUSE_ITERATIONS iterations. An iterate d is
-    accepted when its componentwise (Oettli-Prager) backward error
-    max_i |a d - b|_i / (|a| |d| + |b|)_i is at most REUSE_BACKWARD_ERROR, or
-    when |a d - b|_inf <= tol/4. A small 2-norm residual alone is not enough:
-    accepted on that, policy iteration diverged from a cold start.
+    Krylov space; at most REUSE_ITERATIONS iterations, each one LU solve,
+    counted in trace.reused_iterations when a trace is given. An iterate d is
+    accepted when |a d - b|_inf <= bound, the linear residual the Newton
+    driver allows this step (_damped_newton), or when its componentwise
+    (Oettli-Prager) backward error max_i |a d - b|_i / (|a| |d| + |b|)_i is
+    at most REUSE_BACKWARD_ERROR, as good as a direct solve. A small
+    2-norm residual alone is not enough: accepted on that, policy iteration
+    diverged from a cold start.
     """
     v = np.empty((REUSE_ITERATIONS + 1, b.size))  # orthonormal Krylov basis
     z = np.empty((REUSE_ITERATIONS, b.size))  # lu^(-1) v
@@ -361,6 +390,8 @@ def _reused_solve(a: sp.csc_matrix, lu, b: np.ndarray, tol: float) -> Optional[n
     v[0] = b / e1[0]
     scale = sp.csc_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)  # |a|
     for k in range(REUSE_ITERATIONS):
+        if trace is not None:
+            trace.reused_iterations += 1
         z[k] = lu.solve(v[k])
         w = a @ z[k]
         for i in range(k + 1):  # modified Gram-Schmidt
@@ -371,7 +402,7 @@ def _reused_solve(a: sp.csc_matrix, lu, b: np.ndarray, tol: float) -> Optional[n
         d = y @ z[: k + 1]
         r = np.abs(a @ d - b)
         componentwise = np.all(r <= REUSE_BACKWARD_ERROR * (scale @ np.abs(d) + np.abs(b)))
-        if componentwise or r.max() <= 0.25 * tol:
+        if componentwise or r.max() <= bound:
             return d
         if not hess[k + 1, k] > 0.0:  # breakdown: the Krylov space holds no better d
             return None
@@ -381,7 +412,9 @@ def _reused_solve(a: sp.csc_matrix, lu, b: np.ndarray, tol: float) -> Optional[n
 
 def _damped_newton(
     residual_fn: Callable[[np.ndarray], np.ndarray],
-    step_fn: Callable[[np.ndarray, float, np.ndarray, float], tuple[np.ndarray, bool]],
+    step_fn: Callable[
+        [np.ndarray, float, np.ndarray, float, ConvergenceTrace], tuple[np.ndarray, bool]
+    ],
     x0: np.ndarray,
     tol: float,
     max_iter: int,
@@ -399,13 +432,19 @@ def _damped_newton(
     |F|_2 by a relative 1e-4 s >= 1e-4 BACKTRACK_FLOOR (about 9.8e-8), so the
     line search needs no stall window.
 
-    step_fn(x, shift, -F, tol) solves with the Jacobian at x plus shift (0
-    without tau) on the diagonal of its residual rows (_linear_step): by a
-    fresh factor, or, for m >= 2, by the last LU when that solve is as good as
-    a direct one or leaves a linear residual below tol/4, which cannot hold up
-    convergence. It returns (d, fresh), which the driver counts in
-    trace.factorizations or trace.reused_steps, and each iteration appends
-    its record to trace.records. With a pseudo-time step tau every step solves
+    step_fn(x, shift, -F, bound, trace) solves with the Jacobian at x plus
+    shift (0 without tau) on the diagonal of its residual rows (_linear_step):
+    by a fresh factor, or, for m >= 2, by the last LU when that solve is as
+    good as a direct one or leaves a linear residual |J d + F|_inf <= bound.
+    The driver sets the bound. A line-searched step is an inexact Newton step
+    (Dembo, Eisenstat & Steihaug 1982): bound = max(tol/4, FORCING |F|_inf),
+    which the line search absorbs. A step in pseudo-time, Howard's full step
+    included, has no line search to absorb an inexact step, and keeps
+    bound = tol/4, which cannot hold up convergence. step_fn returns
+    (d, fresh), which the driver counts in trace.factorizations or
+    trace.reused_steps, and adds its GMRES iterations on the held LU to
+    trace.reused_iterations; each iteration appends its record to
+    trace.records. With a pseudo-time step tau every step solves
     (J + I/tau) d = -F and is taken whole: pseudo-transient continuation,
     with tau grown by switched evolution relaxation,
     tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau = inf is
@@ -439,7 +478,8 @@ def _damped_newton(
             return x
         # a singular J gives a NaN step, which the checks below handle (a
         # line-search stall)
-        delta, fresh = step_fn(x, 1.0 / tau if ptc else 0.0, -f, tol)
+        bound = 0.25 * tol if ptc else max(0.25 * tol, FORCING * r)
+        delta, fresh = step_fn(x, 1.0 / tau if ptc else 0.0, -f, bound, trace)
         trace.factorizations += int(fresh)
         trace.reused_steps += int(not fresh)
         s = 1.0
@@ -710,6 +750,7 @@ def _level(spec: ProblemSpec, trace: ConvergenceTrace, **extra) -> dict:
         "iterations": trace.records[-1].iteration,
         "factorizations": trace.factorizations,
         "reused_steps": trace.reused_steps,
+        "reused_iterations": trace.reused_iterations,
         "termination": trace.termination,
         **extra,
     }
@@ -793,8 +834,10 @@ def _relative_value_iteration(
     (a bound on that pair's residual) is <= tol/2, lambda its mean rate
     clipped to [lambda_lo, lambda_hi]: the mean need not lie in the running
     intersection of earlier iterates' ranges. An enclosure that has
-    not shrunk for MARCH_FLOOR_STEPS iterations before that means tol/2 lies
-    below the rounding floor: SolverError with termination "rounding_floor".
+    not shrunk for MARCH_FLOOR_STEPS iterations before that raises
+    SolverError: with termination "rounding_floor" when its width is at
+    rounding scale (tol/2 lies below the floor), and "stalled" when it is
+    wider, a plateau far above the floor.
     A non-finite or runaway rate of a plain iterate raises SolverError with
     termination "blow_up": dt follows the gradient at every step, so a
     blow-up points at the data (right-hand side or initial field), not at
@@ -856,11 +899,14 @@ def _relative_value_iteration(
             if settled:
                 break
             if stop:
-                trace.termination = "rounding_floor"
+                width = cert_hi - cert_lo
+                floor = 2.0**10 * np.finfo(float).eps * float(np.abs(u).max()) / h**2
+                at_floor = width <= floor
+                trace.termination = "rounding_floor" if at_floor else "stalled"
                 raise SolverError(
-                    f"march reached its rounding floor at step {step} before its rate spread "
-                    f"{hi - lo:.3e} fell to tol/2 = {0.5 * tol:g} (certified width "
-                    f"{cert_hi - cert_lo:.3e})",
+                    f"march {'reached its rounding floor' if at_floor else 'stalled'} at step "
+                    f"{step} before its rate spread {hi - lo:.3e} fell to tol/2 = "
+                    f"{0.5 * tol:g} (certified width {width:.3e}, rounding scale {floor:.3e})",
                     trace,
                 )
             if step >= max_steps:

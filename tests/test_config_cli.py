@@ -267,6 +267,23 @@ def test_cli_solve_quadratic_rhs(tmp_path):
     assert "factorizations" not in done and "coarse_levels" not in done
 
 
+def test_cli_2d_solve_writes_its_enclosure_and_held_lu_counts(tmp_path):
+    # 121 x 121, nested once: solution.json carries the certified enclosure,
+    # and meta.json the GMRES iterations on the held LU, per level too
+    text = BASE.replace("dim = 1", "dim = 2").replace("radius = 2.0", "radius = 3.0")
+    text = text.replace("alpha = 0.0", "alpha = 2.0").replace("rhs = power", "rhs = pure_power")
+    text = text.replace("coeff = 1.0", "coeff = 0.5").replace("h = 0.1", "h = 0.05")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    doc = json.loads((out / "solution.json").read_text())
+    assert doc["lambda_lo"] <= doc["lambda"] <= doc["lambda_hi"]
+    assert doc["lambda_hi"] - doc["lambda_lo"] <= 1e-8
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["reused_steps"] >= 1 and meta["reused_iterations"] >= meta["reused_steps"]
+    (level,) = meta["coarse_levels"]
+    assert level["n_per_axis"] == 61 and level["reused_iterations"] >= level["reused_steps"]
+
+
 def test_cli_unknown_key_exits_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE.replace("theta", "thetta"))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

@@ -587,6 +587,95 @@ def test_held_lu_is_freed_with_its_solve(monkeypatch):
     assert len(steps) == 1 and steps[0]() is None
 
 
+def held_lu_iterations(sol):
+    """GMRES iterations on the held LU over the fine grid and every coarse level."""
+    levels = sol.trace.coarse_levels
+    return sol.trace.reused_iterations + sum(level["reused_iterations"] for level in levels)
+
+
+@pytest.mark.parametrize("theta", [2.0, 3.0])
+def test_forcing_term_saves_held_lu_iterations_and_keeps_the_fixed_point(theta, monkeypatch):
+    # a line-searched step's GMRES stops at FORCING |F|_inf; Howard's full steps
+    # keep tol/4, so policy iteration does not move, count for count
+    spec = closed_form_spec(theta, 2, 3.0, 0.05)
+    guess = eikonal_initial_guess(spec)
+    tol = 1e-8
+    runs = []
+    for forcing in (solvers.FORCING, 0.0):
+        monkeypatch.setattr(solvers, "FORCING", forcing)
+        runs.append([
+            solve_ergodic(spec, initial_guess=guess, method=method, tol=tol)
+            for method in ("newton_augmented", "policy_iteration")
+        ])
+    (inexact, howard), (exact, howard_exact) = runs
+    assert inexact.trace.reused_iterations < exact.trace.reused_iterations
+    assert held_lu_iterations(inexact) < held_lu_iterations(exact)
+    assert abs(inexact.lam - exact.lam) <= inexact.residual_sup + exact.residual_sup
+    assert np.max(np.abs(inexact.phi.values - exact.phi.values)) <= 10.0 * tol
+    assert howard.trace.reused_iterations == howard_exact.trace.reused_iterations > 0
+    assert held_lu_iterations(howard) == held_lu_iterations(howard_exact)
+    assert howard.lam == howard_exact.lam
+    assert np.array_equal(howard.phi.values, howard_exact.phi.values)
+
+
+def recorded_bounds(monkeypatch) -> list:
+    """(shift, |rhs|_inf, bound) of every linear step from now on, read off step_fn's arguments."""
+    calls = []
+    linear_step = solvers._linear_step
+
+    def recording_linear_step(*args):
+        step = linear_step(*args)
+
+        def recorded(x, shift, rhs, bound, trace):
+            calls.append((shift, np.max(np.abs(rhs)), bound))
+            return step(x, shift, rhs, bound, trace)
+
+        return recorded
+
+    monkeypatch.setattr(solvers, "_linear_step", recording_linear_step)
+    return calls
+
+
+def test_the_driver_bounds_a_line_searched_steps_linear_residual_by_the_forcing_term(
+    monkeypatch
+):
+    calls = recorded_bounds(monkeypatch)
+    tol = 1e-8
+    quarter = 0.25 * (0.5 * tol)  # solve_ergodic's driver stops at tol/2
+    spec = closed_form_spec(2.0, 2, 3.0, 0.1)
+    solve_ergodic(spec, eikonal_initial_guess(spec), tol=tol)
+    assert calls and all(shift == 0.0 for shift, _, _ in calls)
+    assert all(bound == max(quarter, solvers.FORCING * r) for _, r, bound in calls)
+    assert any(bound > quarter for _, _, bound in calls)
+    assert any(bound == quarter for _, _, bound in calls)  # the last steps, near tol
+    # a stall: line-searched steps up to it, pseudo-time steps (shift 1/tau > 0) after it
+    calls.clear()
+    cold = closed_form_spec(6.0, 1, 8.0, 0.02)
+    sol = solve_ergodic(cold, random_smooth_field(cold.grid, 1), tol=tol)
+    stall = [r.step_size for r in sol.trace.records].index(0.0)  # the stalled iteration
+    searched, pseudo_time = calls[:stall], calls[stall:]
+    assert searched and all(shift == 0.0 for shift, _, _ in searched)
+    assert all(bound == max(quarter, solvers.FORCING * r) for _, r, bound in searched)
+    assert pseudo_time and all(shift > 0.0 for shift, _, _ in pseudo_time)
+    assert all(bound == quarter for _, _, bound in pseudo_time)
+    assert solvers.FORCING * pseudo_time[0][1] > quarter
+
+
+def test_howards_full_steps_keep_a_linear_residual_bound_of_tol_over_4(monkeypatch):
+    calls = recorded_bounds(monkeypatch)
+    tol = 1e-8
+    spec = closed_form_spec(2.0, 2, 3.0, 0.1)
+    solve_ergodic(spec, eikonal_initial_guess(spec), method="policy_iteration", tol=tol)
+    assert calls and all(bound == 0.25 * (0.5 * tol) for _, _, bound in calls)
+    assert solvers.FORCING * calls[0][1] > 0.25 * (0.5 * tol)
+    calls.clear()
+    box = ProblemSpec(theta=1.5, m=2, rhs=make_power_rhs(1.0, 2.0), radius=2.0, h=0.1)
+    data = np.random.default_rng(7).standard_normal(box.grid.shape)
+    solve_dirichlet(box, 1.0, Field(box.grid, data), tol=tol)
+    assert calls and all(bound == 0.25 * tol for _, _, bound in calls)
+    assert solvers.FORCING * calls[0][1] > 0.25 * tol
+
+
 def test_nd_layout_is_built_once_per_grid_from_the_steps_own_jacobians(monkeypatch):
     orders, jacobians = [], []
     nd_order, jacobian = solvers._nd_order, DiscreteOperator.jacobian
@@ -864,7 +953,7 @@ def test_failed_coarse_level_falls_back_to_the_callers_guess(monkeypatch):
     assert sol.trace.coarse_levels == [
         {
             "n_per_axis": 61, "h": 0.1, "iterations": 7, "factorizations": 0,
-            "reused_steps": 0, "termination": "non_finite_step",
+            "reused_steps": 0, "reused_iterations": 0, "termination": "non_finite_step",
             "error": "coarse level made to fail",
         }
     ]
@@ -1369,17 +1458,18 @@ def test_relative_value_iteration_below_the_floor_raises():
 
 
 def test_relative_value_iteration_from_the_eikonal_guess_stops_far_above_its_floor():
-    # a known defect, pinned so that a fix shows: on this theta 3, alpha 3 box the
-    # march from the eikonal guess reports rounding_floor (at step 3,539 on numpy
-    # 2.4) at a rate spread of 0.24, its mean rate near 2.115 against Newton's
-    # 2.2447371; from the zero field it settles in 11,394 iterations, and from
-    # Newton's profile, where cross_method's march starts, at step 0. The step
-    # moves with the numpy build, so only the termination and the spread are asserted.
+    # on this theta 3, alpha 3 box the march from the eikonal guess plateaus
+    # (at step 3,539 on numpy 2.4) at a rate spread of 0.24, its mean rate near
+    # 2.115 against Newton's 2.2447371; its certified width is 1e10 times the
+    # rounding scale, so the stop reports a stall, not the rounding floor. From
+    # the zero field it settles in 11,394 iterations, and from Newton's profile,
+    # where cross_method's march starts, at step 0. The step moves with the numpy
+    # build, so only the termination and the spread are asserted.
     spec = ProblemSpec(3.0, 1, make_power_rhs(0.5, 3.0, 1.0), 8.0, 0.02)
     guess = eikonal_initial_guess(spec)
     with pytest.raises(SolverError) as info:
         solve_ergodic(spec, guess, method="relative_value_iteration", tol=1e-8)
-    assert info.value.trace.termination == "rounding_floor"
+    assert info.value.trace.termination == "stalled"
     assert info.value.trace.records[-1].residual_sup > 0.1
 
 
