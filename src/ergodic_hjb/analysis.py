@@ -86,9 +86,9 @@ CHECKS = (
 CHECK_TOL = 0.03  # verdict tolerance of the five lambda* comparisons; each docstring says how
 GROWTH_WINDOW = (0.375, 0.6)  # fit annulus as fractions of the box radius
 GROWTH_TOL_REL = 0.10
-SHIFT_C = 1.0  # the constant added to f by check_shift_equivariance and lambda_shape's fallback
+SHIFT_C = 1.0  # added to f by shift_equivariance, lambda_shape's fallback, continuity_bound
 SCALING_C = 4.0  # dilation constant of check_scaling_law
-F2 = (1.0, 4.0, 1.0)  # (coeff, alpha, shift) of the second rhs of the pair checks
+F2 = (1.0, 4.0, 1.0)  # (coeff, alpha, shift) of check_lambda_shape's second rhs
 T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # blend weights of check_lambda_shape
 SUPERSOLUTION_Q = 1.01
 DIRICHLET_DELTA = 2.0**-7  # distance of the two tested Dirichlet levels from lambda_R
@@ -407,12 +407,12 @@ def check_continuity_bound(
 
     where f1 is spec.rhs, g = sup |f1 - f2|/(1 + |y|^alpha) and f0 is the
     shared two-sided growth constant (the larger of the two measured
-    constants). Both lambda* are solved on spec's box. Without f2, f2 is f1's
-    own family and alpha at F2's coefficient and shift.
+    constants). Both lambda* are solved on spec's box. Without f2, f2 is
+    f1 + SHIFT_C, never f1, which shift_equivariance solves too (a verify pass shares it).
     """
     f1 = spec.rhs
     if f2 is None:
-        f2 = replace(f1, coeff=F2[0], shift=F2[2])
+        f2 = replace(f1, shift=f1.shift + SHIFT_C)
     if f1.alpha is None or f2.alpha is None or f1.alpha != f2.alpha:
         raise ValueError("continuity bound needs matching growth exponents")
     if f1.alpha < 1:

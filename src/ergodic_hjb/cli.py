@@ -31,12 +31,7 @@ from .config import (
     parse_config,
 )
 from .grid import _fmt, dump_json, field_to_csv
-from .solvers import (
-    ConvergenceTrace,
-    SolverError,
-    discounted_lambda_path,
-    solve_ergodic,
-)
+from .solvers import ConvergenceTrace, SolverError, discounted_lambda_path, solve_ergodic
 
 __all__ = ["main", "run_solve", "run_sweep", "run_verify"]
 
@@ -61,19 +56,22 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
 
 
+def _write_trace(out: Path, trace: ConvergenceTrace, wall_s: float, extra: dict) -> None:
+    """A solve's trace.jsonl, and meta.json with extra, the fine grid's linear-step
+    counts and one entry per coarser grid solved first."""
+    _write(out / "trace.jsonl", trace.to_jsonl())
+    counts = {**trace.linear_counts(), "coarse_levels": trace.coarse_levels}
+    _write_meta(out, wall_s, {**extra, **counts})
+
+
+def _write_failure(out: Path, exc: SolverError, wall_s: float, extra: dict) -> int:
+    """Exit 2 of a solve or verify check that raised, with the error's trace."""
+    print(f"solver failure: {exc}", file=sys.stderr)
+    _write_trace(out, exc.trace, wall_s, {"status": "solver_failure", **extra})
+    return 2
+
+
 # -- solve ------------------------------------------------------------------------
-
-
-def _linear_counts(trace: ConvergenceTrace) -> dict:
-    """How a solve's steps were solved, for meta.json: the fine grid's fresh
-    and reused LU steps and GMRES iterations on the held LU, and one entry per
-    coarser grid solved first."""
-    return {
-        "factorizations": trace.factorizations,
-        "reused_steps": trace.reused_steps,
-        "reused_iterations": trace.reused_iterations,
-        "coarse_levels": trace.coarse_levels,
-    }
 
 
 def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -88,11 +86,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
             max_iter=cfg.numerics.max_iter,
         )
     except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        _write(out / "trace.jsonl", exc.trace.to_jsonl())
-        linear = _linear_counts(exc.trace)
-        _write_meta(out, time.perf_counter() - start, {"status": "solver_failure", **linear})
-        return 2
+        return _write_failure(out, exc, time.perf_counter() - start, {})
     wall = time.perf_counter() - start
     doc = {
         "lambda": sol.lam,
@@ -110,8 +104,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: str) -> int:
     }
     _write(out / "solution.json", dump_json(doc) + "\n")
     _write(out / "solution.csv", field_to_csv(sol.phi))
-    _write(out / "trace.jsonl", sol.trace.to_jsonl())
-    _write_meta(out, wall, {"status": "ok", **_linear_counts(sol.trace)})
+    _write_trace(out, sol.trace, wall, {"status": "ok"})
     return 0
 
 
@@ -187,8 +180,14 @@ def _run_one_check(name: str, cfg: ExperimentConfig):
 def run_verify(cfg: ExperimentConfig, out_dir: str) -> int:
     out = Path(out_dir)
     start = time.perf_counter()
-    with analysis._verify_pass():  # each distinct ergodic solve once per pass
-        results = [_run_one_check(nm, cfg) for nm in cfg.verify.checks]
+    results = []
+    try:
+        with analysis._verify_pass():  # each distinct ergodic solve once per pass
+            for name in cfg.verify.checks:
+                results.append(_run_one_check(name, cfg))
+    except SolverError as exc:  # the pass and its solves end with the failing check
+        walls = {"failed_check": name, "check_wall_s": [wall for _, wall in results]}
+        return _write_failure(out, exc, time.perf_counter() - start, walls)
 
     verdicts = []
     for (reps, tables), _ in results:
@@ -269,9 +268,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return run_sweep(cfg, out_dir)
         return run_verify(cfg, out_dir)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
     except Exception:  # parse_config refused every bad value: this is a solver fault
         traceback.print_exc()
         return 2

@@ -39,9 +39,10 @@ diagonals, with no sparse matrix built (_tridiagonal_step). On larger
 dimensions a sparse LU in nested-dissection order does, and may be reused
 as GMRES's preconditioner (_nd_step) down to the linear residual the driver
 allows: max(tol/4, FORCING |F|_inf) for a line-searched step (inexact
-Newton), tol/4 for a pseudo-time or Howard step. A march rung factors the
-1-d I/dt - 1/2 L once by ?pttrf and solves along every axis in turn
-(_rung_solver); the march builds no sparse matrix.
+Newton), tol/4 for a pseudo-time or Howard step. The step alone counts its
+fresh factors, held-LU solves and GMRES iterations into the trace. A march
+rung factors the 1-d I/dt - 1/2 L once by ?pttrf and solves along every axis
+in turn (_rung_solver); the march builds no sparse matrix.
 """
 
 from __future__ import annotations
@@ -165,10 +166,10 @@ class TraceRecord:
 class ConvergenceTrace:
     records: list[TraceRecord] = field(default_factory=list)
     termination: str = ""
-    # Newton-type steps solved by a fresh factor and by the held LU (_nd_step),
-    # the GMRES iterations run on the held LU (one LU solve each, _reused_solve),
-    # and the coarser grids solved first, coarsest first (_coarse_start); written
-    # to meta.json, not to trace.jsonl
+    # Newton-type steps solved by a fresh factor and by the held LU, and the GMRES
+    # iterations run on the held LU (one LU solve each), counted by the step
+    # (_linear_step); and the coarser grids solved first, coarsest first
+    # (_coarse_start); written to meta.json, not to trace.jsonl
     factorizations: int = 0
     reused_steps: int = 0
     reused_iterations: int = 0
@@ -181,6 +182,10 @@ class ConvergenceTrace:
         lines = [dump_json(asdict(r)) for r in self.records]
         lines.append(dump_json({"event": "done", "termination": self.termination}))
         return "\n".join(lines) + "\n"
+
+    def linear_counts(self) -> dict:
+        """The step counts by name, as meta.json and each coarse_levels entry write them."""
+        return {k: getattr(self, k) for k in ("factorizations", "reused_steps", "reused_iterations")}
 
 
 @dataclass
@@ -204,8 +209,8 @@ def _sup(v: np.ndarray) -> float:
 def _linear_step(
     op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """step(x, shift, rhs, bound, trace) of a Newton-type route: _tridiagonal_step in 1-d,
-    else _nd_step.
+    """step(x, shift, rhs, bound, trace) -> d of a Newton-type route: _tridiagonal_step in
+    1-d, else _nd_step.
 
     Its matrix is op's Jacobian at at(x, shift) = (values, shift), restricted
     to the rows and columns keep.
@@ -229,12 +234,12 @@ def _tridiagonal_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndar
 def _tridiagonal_step(
     op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """1-d twin of _nd_step: the same step(x, shift, rhs, bound, trace) -> (d, fresh), by ?gtsv.
+    """1-d twin of _nd_step: the same step(x, shift, rhs, bound, trace) -> d, by ?gtsv.
 
     In 1-d keep is a run of consecutive nodes, so J is tridiagonal; its three
     diagonals are read from op._diagonals(*at(x, shift)) and factored afresh
-    at every step (fresh is always True; there is no held LU, so bound and
-    trace go unused: every step is a direct solve). Node ones_at (an
+    at every step, which adds 1 to trace.factorizations (there is no held LU,
+    so bound goes unused: every step is a direct solve). Node ones_at (an
     interior unknown: the anchor is the middle node) has a column of ones,
     which is eliminated by one Schur complement: with a its row and r the
     others, J_rr [x1 x2] = [b_r 1], then d_a = (b_a - J_ar x1) / (1 - J_ar x2)
@@ -246,12 +251,13 @@ def _tridiagonal_step(
     if a is not None and not 0 < a < keep.size - 1:
         raise ValueError(f"the column of ones must belong to an interior unknown, got {ones_at}")
 
-    def step(x: np.ndarray, shift: float, rhs: np.ndarray, bound: float = 0.0, trace=None):
+    def step(x: np.ndarray, shift: float, rhs: np.ndarray, bound: float, trace: ConvergenceTrace):
+        trace.factorizations += 1
         diagonals = op._diagonals(*at(x, shift))
         dl, du = diagonals[-1][first:last], diagonals[1][first:last]
         d = diagonals[0][first:last + 1]
         if a is None:
-            return _tridiagonal_solve(dl, d, du, rhs), True
+            return _tridiagonal_solve(dl, d, du, rhs)
         ja = dl[a - 1], du[a]  # J_ar: J[a, a-1] and J[a, a+1]
         dl[a - 1:a + 1] = du[a - 1:a + 1] = 0.0  # J_rr, and an identity row that decouples node a
         d[a] = 1.0
@@ -262,7 +268,7 @@ def _tridiagonal_step(
         da = (rhs[a] - j1) / (1.0 - j2)
         delta = xs[:, 0] - da * xs[:, 1]
         delta[a] = da
-        return delta, True
+        return delta
 
     return step
 
@@ -317,8 +323,8 @@ def _nd_matrix(
 def _nd_step(
     op: DiscreteOperator, at: Callable, keep: np.ndarray, ones_at: Optional[int] = None
 ):
-    """step(x, shift, rhs, bound, trace) = (J^(-1) rhs, fresh), J the rows and columns keep
-    of op's Jacobian.
+    """step(x, shift, rhs, bound, trace) = J^(-1) rhs, J the rows and columns keep of op's
+    Jacobian.
 
     J is op.jacobian(*at(x, shift)), and keep is sorted. J is written in
     _nd_order, node ones_at's column replaced by ones and last (_nd_matrix).
@@ -326,14 +332,14 @@ def _nd_step(
     REUSE_CONTRACTION or more, the next one first tries the held LU
     (_reused_solve, accepting a linear residual of at most bound) and factors
     J afresh by _lu_solve only if that solve falls short; only one LU is held
-    at any time. Its GMRES iterations, declined ones included, are added to
-    trace.reused_iterations when a trace is given. fresh says whether the
-    step factored J afresh.
+    at any time. The step adds 1 to trace.reused_steps when the held LU
+    solves it and to trace.factorizations when J is factored afresh;
+    _reused_solve counts its GMRES iterations, declined ones included.
     """
     held = None
     last_norm = np.inf
 
-    def step(x: np.ndarray, shift: float, rhs: np.ndarray, bound: float = 0.0, trace=None):
+    def step(x: np.ndarray, shift: float, rhs: np.ndarray, bound: float, trace: ConvergenceTrace):
         nonlocal held, last_norm
         a, pick, back = _nd_matrix(op.jacobian(*at(x, shift)), op.spec.grid.shape, keep, ones_at)
         b = rhs[pick]
@@ -342,10 +348,12 @@ def _nd_step(
         if held is not None and contracted:
             d = _reused_solve(a, held, b, bound, trace)
             if d is not None:
-                return d[back], False
+                trace.reused_steps += 1
+                return d[back]
         held = None  # dropped before the fresh factor is built
+        trace.factorizations += 1
         d, held = _lu_solve(a, b)
-        return d[back], True
+        return d[back]
 
     return step
 
@@ -368,15 +376,15 @@ def _lu_solve(a: sp.csc_matrix, b: np.ndarray):
 
 
 def _reused_solve(
-    a: sp.csc_matrix, lu, b: np.ndarray, bound: float, trace: Optional[ConvergenceTrace] = None
+    a: sp.csc_matrix, lu, b: np.ndarray, bound: float, trace: ConvergenceTrace
 ) -> Optional[np.ndarray]:
     """a^(-1) b by GMRES on a lu^(-1) from 0, or None if no iterate meets the bar.
 
     Right preconditioning minimizes the true residual |a d - b|_2 over the
-    Krylov space; at most REUSE_ITERATIONS iterations, each one LU solve,
-    counted in trace.reused_iterations when a trace is given. An iterate d is
-    accepted when |a d - b|_inf <= bound, the linear residual the Newton
-    driver allows this step (_damped_newton), or when its componentwise
+    Krylov space; at most REUSE_ITERATIONS iterations, each one LU solve that
+    adds 1 to trace.reused_iterations, accepted or not (_nd_step counts the
+    step). An iterate d is accepted when |a d - b|_inf <= bound, the linear residual
+    the Newton driver allows this step (_damped_newton), or when its componentwise
     (Oettli-Prager) backward error max_i |a d - b|_i / (|a| |d| + |b|)_i is
     at most REUSE_BACKWARD_ERROR, as good as a direct solve. A small
     2-norm residual alone is not enough: accepted on that, policy iteration
@@ -390,8 +398,7 @@ def _reused_solve(
     v[0] = b / e1[0]
     scale = sp.csc_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)  # |a|
     for k in range(REUSE_ITERATIONS):
-        if trace is not None:
-            trace.reused_iterations += 1
+        trace.reused_iterations += 1
         z[k] = lu.solve(v[k])
         w = a @ z[k]
         for i in range(k + 1):  # modified Gram-Schmidt
@@ -412,9 +419,7 @@ def _reused_solve(
 
 def _damped_newton(
     residual_fn: Callable[[np.ndarray], np.ndarray],
-    step_fn: Callable[
-        [np.ndarray, float, np.ndarray, float, ConvergenceTrace], tuple[np.ndarray, bool]
-    ],
+    step_fn: Callable[[np.ndarray, float, np.ndarray, float, ConvergenceTrace], np.ndarray],
     x0: np.ndarray,
     tol: float,
     max_iter: int,
@@ -440,16 +445,14 @@ def _damped_newton(
     (Dembo, Eisenstat & Steihaug 1982): bound = max(tol/4, FORCING |F|_inf),
     which the line search absorbs. A step in pseudo-time, Howard's full step
     included, has no line search to absorb an inexact step, and keeps
-    bound = tol/4, which cannot hold up convergence. step_fn returns
-    (d, fresh), which the driver counts in trace.factorizations or
-    trace.reused_steps, and adds its GMRES iterations on the held LU to
-    trace.reused_iterations; each iteration appends its record to
-    trace.records. With a pseudo-time step tau every step solves
-    (J + I/tau) d = -F and is taken whole: pseudo-transient continuation,
-    with tau grown by switched evolution relaxation,
-    tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998). tau = inf is
-    the plain full Newton step, Howard's policy iteration on the ergodic and
-    the Dirichlet system.
+    bound = tol/4, which cannot hold up convergence. step_fn counts its own
+    linear algebra into trace; the driver reads and writes no count, and
+    appends each iteration's record to trace.records. With a pseudo-time
+    step tau every step solves (J + I/tau) d = -F and is taken whole:
+    pseudo-transient continuation, with tau grown by switched evolution
+    relaxation, tau <- tau |F_old|_2 / |F_new|_2 (Kelley & Keyes 1998).
+    tau = inf is the plain full Newton step, Howard's policy iteration on
+    the ergodic and the Dirichlet system.
 
     The line search stalls when its step is not finite or no fraction down to
     BACKTRACK_FLOOR helps; that iteration is recorded with step size 0, and
@@ -479,9 +482,7 @@ def _damped_newton(
         # a singular J gives a NaN step, which the checks below handle (a
         # line-search stall)
         bound = 0.25 * tol if ptc else max(0.25 * tol, FORCING * r)
-        delta, fresh = step_fn(x, 1.0 / tau if ptc else 0.0, -f, bound, trace)
-        trace.factorizations += int(fresh)
-        trace.reused_steps += int(not fresh)
+        delta = step_fn(x, 1.0 / tau if ptc else 0.0, -f, bound, trace)
         s = 1.0
         stalled = not ptc and not np.all(np.isfinite(delta))
         if not stalled:
@@ -748,9 +749,7 @@ def _level(spec: ProblemSpec, trace: ConvergenceTrace, **extra) -> dict:
         "n_per_axis": spec.grid.n_per_axis,
         "h": spec.h,
         "iterations": trace.records[-1].iteration,
-        "factorizations": trace.factorizations,
-        "reused_steps": trace.reused_steps,
-        "reused_iterations": trace.reused_iterations,
+        **trace.linear_counts(),
         "termination": trace.termination,
         **extra,
     }

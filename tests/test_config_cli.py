@@ -30,6 +30,7 @@ from ergodic_hjb.scheme import DiscreteOperator
 from ergodic_hjb.solvers import (
     ConvergenceTrace,
     SolverError,
+    TraceRecord,
     eikonal_initial_guess,
     solve_ergodic,
 )
@@ -696,19 +697,38 @@ def test_a_verify_pass_solves_each_distinct_problem_once(tmp_path, monkeypatch):
 
 
 def test_a_verify_pass_that_raises_drops_its_solves(tmp_path, monkeypatch, capsys):
+    # and writes the error's trace to trace.jsonl, and to meta.json the failing
+    # check, the wall times of the checks before it and the trace's counts
     solved = count_ergodic_solves(monkeypatch)
+    records = [TraceRecord(0, 1.0), TraceRecord(1, 0.5, None, 1.0)]
+    trace = ConvergenceTrace(records, "max_iterations", 2, 1, 3)
 
     def failing(*args, **kwargs):
-        raise SolverError("march did not settle", ConvergenceTrace())
+        raise SolverError("march did not settle", trace)
 
     monkeypatch.setattr(analysis, "check_uniqueness", failing)
     text = VERIFY.replace("shift_equivariance, uniqueness", "interior_minimum, uniqueness")
-    cfg = write_cfg(tmp_path, text)
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    cfg, out = write_cfg(tmp_path, text), tmp_path / "o"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
     assert "march did not settle" in capsys.readouterr().err
     assert len(solved) == 1 and analysis._pass_solves.get() is None
     analysis.check_interior_minimum(build_spec(parse_config(text)))
     assert len(solved) == 2
+    assert (out / "trace.jsonl").read_text() == trace.to_jsonl()
+    meta = json.loads((out / "meta.json").read_text())
+    assert [name for name, _ in meta.pop("check_wall_s")] == ["interior_minimum"]
+    assert meta["wall_time_s"] > 0
+    for key in ("created_utc", "wall_time_s", "version"):
+        meta.pop(key)
+    assert meta == {
+        "status": "solver_failure",
+        "failed_check": "uniqueness",
+        "factorizations": 2,
+        "reused_steps": 1,
+        "reused_iterations": 3,
+        "coarse_levels": [],
+    }
+    assert sorted(p.name for p in out.iterdir()) == ["meta.json", "trace.jsonl"]
 
 
 def test_shared_solves_change_no_verdict(tmp_path):
@@ -878,6 +898,26 @@ SPECIFICITY_RHS = {
     "alpha3": ("power", 3.0, 0.5, 1.0),
     "quartic": ("pure_power", 4.0, 1.0, 1.0),
 }
+
+
+@pytest.mark.parametrize("rhs", list(SPECIFICITY_RHS))
+def test_continuity_bounds_default_pair_never_compares_f_with_itself(monkeypatch, rhs):
+    # the default f2 is f1 + SHIFT_C on every right-hand side of the matrix, so its
+    # lambda gap is SHIFT_C, and a pass serves it from shift_equivariance's solve
+    form, alpha, coeff, shift = SPECIFICITY_RHS[rhs]
+    cfg = parse_config(SUITE.read_text())
+    problem = replace(cfg.problem, rhs=form, alpha=alpha, coeff=coeff, shift=shift)
+    spec = build_spec(replace(cfg, problem=problem, numerics=replace(cfg.numerics, radius=4.0)))
+    solved = count_ergodic_solves(monkeypatch)
+    with analysis._verify_pass():
+        analysis.check_shift_equivariance(spec)
+        (rep,), _ = analysis.check_continuity_bound(spec)
+    assert len(solved) == 2
+    assert rep.measured["rhs_gap"] == pytest.approx(analysis.SHIFT_C, abs=1e-12)
+    assert rep.measured["lambda_gap"] == pytest.approx(analysis.SHIFT_C, abs=1e-6)
+    assert rep.passed and rep.predicted["bound"] > analysis.SHIFT_C
+
+
 # (theta, rhs, radius) -> (exit code, failing checks) of the configs that do not exit 0,
 # pinned as they stand; exit 2 is growth_exponent's R 16 Newton solve stopping at
 # max_iterations just above its tolerance, below the rounding floor of quartic f

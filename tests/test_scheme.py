@@ -16,7 +16,7 @@ from ergodic_hjb.scheme import (
     drift_field,
     laplacian_and_slope,
 )
-from ergodic_hjb.solvers import PTC_TAU0, eikonal_initial_guess
+from ergodic_hjb.solvers import PTC_TAU0, ConvergenceTrace, eikonal_initial_guess
 
 from oracles import (
     closed_form_spec,
@@ -509,7 +509,9 @@ def test_tridiagonal_step_reads_the_jacobians_diagonals(monkeypatch):
     for v in jacobian_fields(spec):
         for shift in (0.0, 1.0 / PTC_TAU0):
             step = solvers._tridiagonal_step(op, lambda x, s: (v, s), np.arange(n))
-            step(None, shift, np.ones(n))
+            trace = ConvergenceTrace()
+            step(None, shift, np.ones(n), 0.0, trace)
+            assert (trace.factorizations, trace.reused_steps, trace.reused_iterations) == (1, 0, 0)
             jac = op.jacobian(v, shift)
             for diagonal, k in zip(read.pop(), (-1, 0, 1)):
                 assert diagonal.tobytes() == jac.diagonal(k).tobytes()

@@ -22,6 +22,7 @@ from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.scheme import DiscreteOperator, laplacian_and_slope
 from ergodic_hjb.solvers import (
     PTC_TAU0,
+    ConvergenceTrace,
     SolverError,
     discounted_lambda_path,
     eikonal_initial_guess,
@@ -448,7 +449,9 @@ def square_step(spec, phi, lam, shift):
     anchor = int(np.ravel_multi_index(spec.anchor_index, spec.grid.shape))
     op = DiscreteOperator(spec)
     step_fn = solvers._nd_step(op, lambda z, s: (phi, s), np.arange(n), anchor)
-    step, _ = step_fn(None, shift, -op.residual_values(phi, lam).ravel())
+    trace = ConvergenceTrace()
+    step = step_fn(None, shift, -op.residual_values(phi, lam).ravel(), 0.0, trace)
+    assert trace.linear_counts() == {"factorizations": 1, "reused_steps": 0, "reused_iterations": 0}
     x = np.append(step, step[anchor])  # lambda rides in the anchor's slot
     x[anchor] = 0.0
     return x
@@ -538,11 +541,17 @@ def test_reused_solve_meets_the_componentwise_bar_or_declines():
     a = op.jacobian(phi, 1.0).tocsc()
     b = -op.residual_values(phi, 0.7).ravel()
     near = splu(op.jacobian(1.05 * phi, 1.0).tocsc())  # the factor of the last step
-    d = solvers._reused_solve(a, near, b, 0.0)  # tol 0: only the componentwise bar accepts
+    trace = ConvergenceTrace()
+    d = solvers._reused_solve(a, near, b, 0.0, trace)  # tol 0: only the componentwise bar accepts
     r = np.abs(a @ d - b)
     assert np.all(r <= solvers.REUSE_BACKWARD_ERROR * (abs(a) @ np.abs(d) + np.abs(b)))
+    accepted = trace.reused_iterations
+    assert 1 <= accepted < solvers.REUSE_ITERATIONS
     jacobi = splu(sp.diags(a.diagonal()).tocsc())  # too far from a for 10 iterations
-    assert solvers._reused_solve(a, jacobi, b, 0.0) is None
+    assert solvers._reused_solve(a, jacobi, b, 0.0, trace) is None
+    # a declined solve counts every iteration it ran; the solve counts no step
+    assert trace.reused_iterations == accepted + solvers.REUSE_ITERATIONS
+    assert (trace.factorizations, trace.reused_steps) == (0, 0)
 
 
 def test_held_lu_forced_on_in_1d_keeps_the_hard_solves(monkeypatch):
@@ -736,8 +745,9 @@ def test_tridiagonal_step_agrees_with_the_nd_step(theta, shift, route):
             return phi, base + s
 
         rhs = -op.residual_values(phi, 0.7).ravel()[keep]
-        d, fresh = solvers._tridiagonal_step(op, at, keep, ones_at)(None, shift, rhs)
-        assert fresh
+        trace = ConvergenceTrace()
+        d = solvers._tridiagonal_step(op, at, keep, ones_at)(None, shift, rhs, 0.0, trace)
+        assert (trace.factorizations, trace.reused_steps, trace.reused_iterations) == (1, 0, 0)
         a = op.jacobian(*at(None, shift))[keep][:, keep].toarray()
         if ones_at is not None:
             a[:, ones_at] = 1.0
@@ -748,7 +758,7 @@ def test_tridiagonal_step_agrees_with_the_nd_step(theta, shift, route):
         size = np.abs(a).sum(axis=1).max() * np.abs(d).max() + np.abs(rhs).max()
         assert np.abs(a @ d - rhs).max() <= 1e-14 * size
         for ref in (
-            solvers._nd_step(op, at, keep, ones_at)(None, shift, rhs)[0],
+            solvers._nd_step(op, at, keep, ones_at)(None, shift, rhs, 0.0, ConvergenceTrace()),
             spsolve(sp.csc_matrix(a), rhs),
         ):
             assert np.abs(d - ref).max() <= 10.0 * cond * np.finfo(float).eps * np.abs(ref).max()
@@ -762,8 +772,9 @@ def test_singular_tridiagonal_factor_gives_a_nan_step(route, monkeypatch):
     n = spec.grid.n_nodes
     monkeypatch.setattr(op, "_diagonals", lambda v, s: {k: np.zeros(n - abs(k)) for k in (-1, 0, 1)})
     step = solvers._tridiagonal_step(op, lambda x, s: (x, s), keep, ones_at)
-    d, fresh = step(None, 0.0, np.ones(keep.size))
-    assert np.all(np.isnan(d)) and fresh
+    trace = ConvergenceTrace()
+    d = step(None, 0.0, np.ones(keep.size), 0.0, trace)
+    assert np.all(np.isnan(d)) and trace.factorizations == 1
 
 
 def gttrf_gttrs_solve(dl, d, du, b):
@@ -993,6 +1004,49 @@ def test_a_failed_solve_keeps_its_counts(route):
     else:
         assert trace.termination == "max_iterations"
         assert len(trace.rate_stats) == len(trace.records) == 1
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_each_linear_step_is_counted_once(m, monkeypatch):
+    # the step counts itself into the trace it is handed, and nothing else counts
+    # it: every trace's fresh and held-LU steps add up to the calls it saw
+    calls = {}  # id(trace) -> [trace, steps handed that trace]
+    linear_step = solvers._linear_step
+
+    def counting_linear_step(*args):
+        step = linear_step(*args)
+
+        def counted(x, shift, rhs, bound, trace):
+            calls.setdefault(id(trace), [trace, 0])[1] += 1
+            return step(x, shift, rhs, bound, trace)
+
+        return counted
+
+    monkeypatch.setattr(solvers, "_linear_step", counting_linear_step)
+    spec = closed_form_spec(2.0, m, 3.0, 0.1)  # 61 nodes, or 61 x 61: one level
+    newton, howard = (
+        solve_ergodic(spec, method=method, tol=1e-8)
+        for method in ("newton_augmented", "policy_iteration")
+    )
+    solve_discounted(spec, 0.1)
+    solve_dirichlet(spec, newton.lam - 0.5, zero_field(spec.grid))
+    failed = []
+    for solve in (
+        lambda: solve_dirichlet(spec, newton.lam + 5.0, zero_field(spec.grid)),
+        lambda: solve_ergodic(spec, initial_guess=random_smooth_field(spec.grid, 101), max_iter=2),
+    ):
+        with pytest.raises(SolverError) as info:
+            solve()
+        failed.append(info.value.trace)
+    traces = [trace for trace, _ in calls.values()]
+    assert len(traces) == 6
+    assert all(any(t is trace for t in traces) for trace in [newton.trace, howard.trace, *failed])
+    for trace, n in calls.values():
+        assert trace.factorizations + trace.reused_steps == n > 0
+        if m == 1:
+            assert trace.reused_steps == trace.reused_iterations == 0
+    if m == 2:  # the held LU's path is counted too
+        assert any(trace.reused_steps > 0 for trace in traces)
 
 
 @pytest.mark.parametrize("method", ["newton_augmented", "policy_iteration"])
