@@ -19,7 +19,7 @@ import argparse
 import sys
 import time
 import traceback
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,6 +54,13 @@ def _write_meta(out: Path, wall_s: float, extra: dict | None = None) -> None:
 
 def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+
+
+def _table_csv(rows: list[dict]) -> str:
+    """A plot table as CSV: its keys, then its values as _fmt writes them, by one % ("%.17g")."""
+    line = ",".join(["%.17g"] * len(rows[0]))
+    body = "\n".join([line] * len(rows)) % tuple([v for row in rows for v in row.values()])
+    return ",".join(rows[0]) + "\n" + body + "\n"
 
 
 def _write_trace(out: Path, trace: ConvergenceTrace, wall_s: float, extra: dict) -> None:
@@ -193,10 +200,10 @@ def run_verify(cfg: ExperimentConfig, out_dir: str) -> int:
     for (reps, tables), _ in results:
         verdicts.extend(reps)
         for fname, rows in tables.items():
-            body = [[_fmt(value) for value in row.values()] for row in rows]
-            _write(out / "plots" / fname, _csv(list(rows[0]), body))
+            _write(out / "plots" / fname, _table_csv(rows))
 
-    _write(out / "verdicts.json", dump_json([asdict(r) for r in verdicts]) + "\n")
+    reports = [{f.name: getattr(r, f.name) for f in fields(r)} for r in verdicts]  # no deep copy
+    _write(out / "verdicts.json", dump_json(reports) + "\n")
     summary_rows = []
     for r in verdicts:
         measured = ";".join(f"{k}={_fmt(val)}" for k, val in r.measured.items())

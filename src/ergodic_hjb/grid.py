@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,16 +43,16 @@ class Grid:
         if not (np.isfinite(self.h) and 0 < self.h <= self.radius):
             raise ValueError(f"spacing must lie in (0, radius], got {self.h}")
 
-    @property
+    @cached_property  # like n_per_axis and shape, computed once; not a field, so not in == or hash
     def half_count(self) -> int:
         """Number of nodes on each side of the origin along one axis."""
         return int(round(self.radius / self.h))
 
-    @property
+    @cached_property
     def n_per_axis(self) -> int:
         return 2 * self.half_count + 1
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.n_per_axis,) * self.m
 

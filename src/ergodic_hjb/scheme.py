@@ -157,7 +157,32 @@ class DiscreteOperator:
         plus-neighbour couplings are grid-shaped, with 0 on an arm that
         leaves the grid; the diagonal sums, axis by axis, the in-grid
         Laplacian arms and |b[a]|/h, then the shift.
+
+        A 1-d field takes its own branch: it differences the field once and
+        forms p, b and the three bands with plain array expressions. Its floats
+        are the general construction's (_axis_diagonals) bit for bit, whose
+        per-axis bookkeeping cost a 1-d step about as much as its arithmetic.
         """
+        if values.ndim > 1:
+            return self._axis_diagonals(values, shift)
+        h, n = self.spec.h, values.size
+        e = np.zeros(n + 1)  # the differences with a zero arm at each end, as _one_sided
+        e[1:-1] = (values[1:] - values[:-1]) / h
+        back, nf = e[:-1], -e[1:]
+        g = np.maximum(np.maximum(back, nf), 0.0)
+        p = np.where(back >= nf, g, -g)  # ties go backward, as in drift_field
+        b = np.maximum(np.sqrt(p**2), GRADIENT_CLAMP) ** (self.spec.theta - 2.0) * p
+        arm = 0.5 * (1.0 / h**2)
+        lap = np.full(n, arm + arm)
+        lap[0] = lap[-1] = arm
+        return {
+            -1: -arm - np.maximum(b[1:], 0.0) / h,
+            0: lap + np.abs(b) / h + shift,
+            1: -arm + np.minimum(b[:-1], 0.0) / h,
+        }
+
+    def _axis_diagonals(self, values: np.ndarray, shift: float) -> dict[int, np.ndarray]:
+        """_diagonals by the general construction, axis by axis, for a field of any dimension."""
         h = self.spec.h
         n = values.size
         b = drift_field(values, h, self.spec.theta)

@@ -203,7 +203,7 @@ class ErgodicSolution:
 
 
 def _sup(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v)))
+    return float(np.abs(v).max())
 
 
 def _linear_step(
@@ -261,8 +261,8 @@ def _tridiagonal_step(
         ja = dl[a - 1], du[a]  # J_ar: J[a, a-1] and J[a, a+1]
         dl[a - 1:a + 1] = du[a - 1:a + 1] = 0.0  # J_rr, and an identity row that decouples node a
         d[a] = 1.0
-        b = np.ones((rhs.size, 2))
-        b[:, 0] = rhs
+        b = np.empty((rhs.size, 2), order="F")  # ?gtsv's layout: copied without a transpose
+        b[:, 0], b[:, 1] = rhs, 1.0
         xs = _tridiagonal_solve(dl, d, du, b)  # [x1 x2] off row a, which is decoupled
         j1, j2 = ja[0] * xs[a - 1] + ja[1] * xs[a + 1]  # J_ar [x1 x2]
         da = (rhs[a] - j1) / (1.0 - j2)
@@ -468,12 +468,12 @@ def _damped_newton(
         # results is handled below (backtrack, or SolverError under PTC)
         with np.errstate(over="ignore", invalid="ignore"):
             ft = residual_fn(xt)
-            return ft, float(np.linalg.norm(ft))
+            return ft, math.sqrt(ft.dot(ft))  # np.linalg.norm's float for a contiguous 1-d ft
 
     x = np.asarray(x0, dtype=float).copy()
     f = residual_fn(x)
     r = _sup(f)
-    merit = float(np.linalg.norm(f))
+    merit = math.sqrt(f.dot(f))
     lam = lam_of(x) if lam_of else None
     trace.records.append(TraceRecord(0, r, lam, None))
     for it in range(1, max_iter + 1):
@@ -484,7 +484,7 @@ def _damped_newton(
         bound = 0.25 * tol if ptc else max(0.25 * tol, FORCING * r)
         delta = step_fn(x, 1.0 / tau if ptc else 0.0, -f, bound, trace)
         s = 1.0
-        stalled = not ptc and not np.all(np.isfinite(delta))
+        stalled = not ptc and not np.isfinite(delta).all()
         if not stalled:
             xt = x + delta
             ft, mt = trial(xt)
@@ -712,7 +712,7 @@ def _solve_square(
     trace = ConvergenceTrace(coarse_levels=levels)
     z = _damped_newton(
         lambda z: op.residual_values(*split(z)).ravel(), step_fn, z0, 0.5 * tol, max_iter, trace,
-        lambda z: split(z)[1], tau=np.inf if method == "policy_iteration" else None,
+        lambda z: float(z[anchor]), tau=np.inf if method == "policy_iteration" else None,
     )
     return _finalize(op, *split(z), trace, method, tol)
 

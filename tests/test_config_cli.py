@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodic_hjb import analysis, cli, config
+from ergodic_hjb import analysis, cli, config, solvers
 from ergodic_hjb.cli import main
 from ergodic_hjb.config import (
     ConfigError,
@@ -25,7 +25,7 @@ from ergodic_hjb.config import (
     config_to_text,
     parse_config,
 )
-from ergodic_hjb.grid import dump_json
+from ergodic_hjb.grid import _fmt, dump_json
 from ergodic_hjb.scheme import DiscreteOperator
 from ergodic_hjb.solvers import (
     ConvergenceTrace,
@@ -694,6 +694,42 @@ def test_a_verify_pass_solves_each_distinct_problem_once(tmp_path, monkeypatch):
     again, _ = analysis.check_interior_minimum(spec)
     assert len(solved) == 2
     assert first == again
+
+
+def test_a_verify_pass_makes_a_pinned_amount_of_newton_work(tmp_path, monkeypatch):
+    # the shipped suite at seed 0: 23 Newton-type solves (15 ergodic, 5 Dirichlet
+    # levels, 3 discounts) with 183 records and 161 factorizations over their
+    # traces, failed solves' traces included, and one set of diagonals per
+    # factorization; a speedup that moves these changed the work, not its cost
+    traces, diagonals = [], []
+    damped_newton, operator_diagonals = solvers._damped_newton, DiscreteOperator._diagonals
+
+    def recording_newton(residual_fn, step_fn, x0, tol, max_iter, trace, *args, **kwargs):
+        traces.append(trace)
+        return damped_newton(residual_fn, step_fn, x0, tol, max_iter, trace, *args, **kwargs)
+
+    def counting_diagonals(self, values, shift):
+        diagonals.append(values.shape)
+        return operator_diagonals(self, values, shift)
+
+    monkeypatch.setattr(solvers, "_damped_newton", recording_newton)
+    monkeypatch.setattr(DiscreteOperator, "_diagonals", counting_diagonals)
+    assert main(["verify", "--config", str(SUITE), "--out", str(tmp_path / "o")]) == 0
+    records = sum(len(t.records) for t in traces)
+    factorizations = sum(t.factorizations for t in traces)
+    assert (len(traces), records, factorizations, len(diagonals)) == (23, 183, 161, 161)
+
+
+def test_plot_tables_are_written_as_fmt_writes_each_value():
+    # one % over a table's values writes what _fmt writes, value by value
+    specials = [0.1, 1 / 3, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                1.7976931348623157e308, 7, -12, 2**70, True, False, np.float64(2) ** 0.5,
+                np.float32(0.1), np.int64(-3)]
+    rows = [{"x": v, "y": w} for v, w in zip(specials, specials[::-1])]
+    rows.append({"x": float("-nan"), "y": 1e22})
+    expected = cli._csv(["x", "y"], [[_fmt(v) for v in row.values()] for row in rows])
+    assert cli._table_csv(rows) == expected
+    assert cli._table_csv(rows[:1]) == "x,y\n0.10000000000000001,-3\n"
 
 
 def test_a_verify_pass_that_raises_drops_its_solves(tmp_path, monkeypatch, capsys):

@@ -492,6 +492,30 @@ def test_jacobian_pattern_is_independent_of_the_field(m):
         assert np.array_equal(jac.indices, jacs[0].indices)
 
 
+@pytest.mark.parametrize("theta", [1.5, 2.0, 3.0, 6.0])
+def test_1d_diagonals_are_the_general_construction_byte_for_byte(theta):
+    # the 1-d branch of _diagonals against the axis-by-axis construction on the
+    # same field, which reads drift_field: besides jacobian_fields, a field of
+    # ties in the Godunov slope at every interior node (back = -fwd), NaN at an
+    # end node (a NaN arm next to an off-grid one), and slopes whose squares
+    # overflow, where |p| is the root of the summed squares: inf, not |p|
+    spec = closed_form_spec(theta, 1, 1.0, 0.25)
+    op = DiscreteOperator(spec)
+    n = spec.grid.n_nodes
+    rough = np.random.default_rng(16).standard_normal(n)
+    ties = np.arange(n) % 2.0
+    nan_end = rough.copy()
+    nan_end[-1] = np.nan
+    fields = jacobian_fields(spec) + [ties, -ties, nan_end, 1e160 * rough, 1e160 * ties]
+    for v in fields:
+        for shift in (0.0, 1.0 / PTC_TAU0):
+            with np.errstate(over="ignore", invalid="ignore"):
+                branch, general = op._diagonals(v, shift), op._axis_diagonals(v, shift)
+            assert sorted(branch) == sorted(general) == [-1, 0, 1]
+            for k in (-1, 0, 1):
+                assert branch[k].tobytes() == general[k].tobytes()
+
+
 def test_tridiagonal_step_reads_the_jacobians_diagonals(monkeypatch):
     # a 1-d step factors the operator's diagonals without building the CSR
     # matrix: they must be the matrix's, byte for byte
