@@ -30,7 +30,7 @@ from .config import (
     build_spec,
     parse_config,
 )
-from .grid import _fmt, dump_json, field_to_csv
+from .grid import _fmt, _numeric_csv, dump_json, field_to_csv
 from .solvers import ConvergenceTrace, SolverError, discounted_lambda_path, solve_ergodic
 
 __all__ = ["main", "run_solve", "run_sweep", "run_verify"]
@@ -57,10 +57,8 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _table_csv(rows: list[dict]) -> str:
-    """A plot table as CSV: its keys, then its values as _fmt writes them, by one % ("%.17g")."""
-    line = ",".join(["%.17g"] * len(rows[0]))
-    body = "\n".join([line] * len(rows)) % tuple([v for row in rows for v in row.values()])
-    return ",".join(rows[0]) + "\n" + body + "\n"
+    """A plot table as CSV: its keys, then its values as _fmt writes them."""
+    return _numeric_csv(list(rows[0]), [v for row in rows for v in row.values()])
 
 
 def _write_trace(out: Path, trace: ConvergenceTrace, wall_s: float, extra: dict) -> None:

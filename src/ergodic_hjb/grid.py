@@ -20,11 +20,11 @@ __all__ = [
 ]
 
 # 17 significant decimal digits round-trip any IEEE double exactly.
-_FLOAT_FMT = ".17g"
+_FLOAT_FMT = "%.17g"
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), _FLOAT_FMT)
+    return _FLOAT_FMT % float(x)
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,18 @@ class Field:
 # -- serialization ----------------------------------------------------------
 
 
+def _numeric_csv(header: list[str], values: list) -> str:
+    """CSV of header, then values len(header) a row, each as _fmt writes it, by one %."""
+    line = ",".join([_FLOAT_FMT] * len(header))
+    body = "\n".join([line] * (len(values) // len(header))) % tuple(values)
+    return ",".join(header) + "\n" + body + "\n"
+
+
 def field_to_csv(field: Field) -> str:
     """One row per node, coordinates then value, C order, 17 significant digits."""
     g = field.grid
-    header = ",".join(f"x{i + 1}" for i in range(g.m)) + ",value"
-    pts = g.points()
-    vals = field.values.ravel()
-    lines = [header]
-    for p, v in zip(pts, vals):
-        lines.append(",".join(_fmt(c) for c in p) + "," + _fmt(v))
-    return "\n".join(lines) + "\n"
+    cells = np.column_stack([g.points(), field.values.ravel()])
+    return _numeric_csv([f"x{i + 1}" for i in range(g.m)] + ["value"], cells.ravel().tolist())
 
 
 def dump_json(obj) -> str:

@@ -9,18 +9,18 @@ Hamiltonian H(p) = (1/theta)|p|^theta is the exact Godunov flux per axis and
 yields a monotone (degenerate-elliptic) scheme.
 
 Boundary handling is reflecting (homogeneous Neumann), written once
-(``_one_sided``): a stencil arm that would leave the grid is a zero, in the
-Laplacian, the Hamiltonian and the Jacobian alike, so no flux crosses the
-boundary and no data is prescribed on it. At interior nodes both arms exist,
-so the Dirichlet problem uses the same operator restricted to the interior
-rows (``solvers.solve_dirichlet``).
+(``_one_sided``, the one function that differences a field; the Laplacian and
+slope, the drift and the Jacobian's diagonals all read it): a stencil arm that
+would leave the grid is a zero, in the Laplacian, the Hamiltonian and the
+Jacobian alike, so no flux crosses the boundary and no data is prescribed on
+it. At interior nodes both arms exist, so the Dirichlet problem uses the same
+operator restricted to the interior rows (``solvers.solve_dirichlet``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,29 +36,24 @@ GRADIENT_CLAMP = 1e-10
 STATE_CONSTRAINT = "state_constraint"
 
 
-def _one_sided(values: np.ndarray, h: float) -> Callable[[], list[tuple[np.ndarray, np.ndarray]]]:
-    """differences() -> per axis (D^- u, D^+ u) at every node, 0 on an arm that leaves the grid.
+def _one_sided(values: np.ndarray, h: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis (D^- u, D^+ u) at every node, 0 on an arm that leaves the grid.
 
-    Each call differences the entries values holds then, so values may
-    change in place between calls. Per axis the pair are views of one held
-    buffer, the differences along the axis padded by a zero at each end, and
-    are overwritten by the next call; a caller must not write to them.
+    Per axis the pair are views of one fresh array, the differences along
+    the axis padded by a zero at each end, allocated in values' own axis
+    order, so that every pair has values' memory order. The only place the
+    package differences a field.
     """
-    axes, pairs = [], []
+    pairs = []
     for a in range(values.ndim):
         shape = list(values.shape)
         shape[a] += 1
         u, e = values.swapaxes(0, a), np.zeros(shape).swapaxes(0, a)
-        axes.append((u[1:], u[:-1], e[1:-1]))
+        inner = e[1:-1]
+        np.subtract(u[1:], u[:-1], out=inner)
+        inner /= h
         pairs.append((e[:-1].swapaxes(0, a), e[1:].swapaxes(0, a)))
-
-    def differences() -> list[tuple[np.ndarray, np.ndarray]]:
-        for hi, lo, inner in axes:
-            np.subtract(hi, lo, out=inner)
-            inner /= h
-        return pairs
-
-    return differences
+    return pairs
 
 
 def laplacian_and_slope(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -67,40 +62,26 @@ def laplacian_and_slope(values: np.ndarray, h: float) -> tuple[np.ndarray, np.nd
     Per axis the Laplacian adds (D^+ u - D^- u) / h: the central second
     difference at interior nodes, only the inward arm at a boundary node.
     |p_a| = max(D^- u, -D^+ u, 0), so |p| is the magnitude of drift_field's
-    slopes p bit for bit, NaN where an arm is NaN.
+    slopes p bit for bit, NaN where an arm is NaN. The first axis writes its
+    terms into lap and |p| and later axes add theirs.
     """
-    return _slope_kernel(values, h)()
-
-
-def _slope_kernel(values: np.ndarray, h: float) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
-    """kernel() -> (lap, |p|) of the entries values holds then, as laplacian_and_slope.
-
-    The kernel holds its buffers: the differences (_one_sided), lap, |p| and
-    a scratch array, which every call overwrites. A march that updates
-    values in place builds one kernel and allocates nothing per step. The
-    first axis writes its terms into lap and |p| and later axes add theirs.
-    """
-    differences = _one_sided(values, h)
+    pairs = _one_sided(values, h)
     lap, mag, work = np.empty(values.shape), np.empty(values.shape), np.empty(values.shape)
-
-    def kernel() -> tuple[np.ndarray, np.ndarray]:
-        for a, (back, fwd) in enumerate(differences()):
-            term = work if a else lap
-            np.subtract(fwd, back, out=term)
-            np.divide(term, h, out=term)
-            if a:
-                np.add(lap, work, out=lap)
-            term = work if a else mag  # |p| holds the sum of the squared slopes until the root
-            np.negative(fwd, out=term)
-            np.maximum(back, term, out=term)
-            np.maximum(term, 0.0, out=term)
-            np.multiply(term, term, out=term)
-            if a:
-                np.add(mag, work, out=mag)
-        np.sqrt(mag, out=mag)
-        return lap, mag
-
-    return kernel
+    for a, (back, fwd) in enumerate(pairs):
+        term = work if a else lap
+        np.subtract(fwd, back, out=term)
+        np.divide(term, h, out=term)
+        if a:
+            np.add(lap, work, out=lap)
+        term = work if a else mag  # |p| holds the sum of the squared slopes until the root
+        np.negative(fwd, out=term)
+        np.maximum(back, term, out=term)
+        np.maximum(term, 0.0, out=term)
+        np.multiply(term, term, out=term)
+        if a:
+            np.add(mag, work, out=mag)
+    np.sqrt(mag, out=mag)
+    return lap, mag
 
 
 @dataclass
@@ -158,17 +139,17 @@ class DiscreteOperator:
         leaves the grid; the diagonal sums, axis by axis, the in-grid
         Laplacian arms and |b[a]|/h, then the shift.
 
-        A 1-d field takes its own branch: it differences the field once and
-        forms p, b and the three bands with plain array expressions. Its floats
-        are the general construction's (_axis_diagonals) bit for bit, whose
-        per-axis bookkeeping cost a 1-d step about as much as its arithmetic.
+        A 1-d field takes its own branch: it reads the field's one pair of
+        differences (_one_sided) and forms p, b and the three bands with plain
+        array expressions. Its floats are the general construction's
+        (_axis_diagonals) bit for bit, whose per-axis bookkeeping cost a 1-d
+        step about as much as its arithmetic.
         """
         if values.ndim > 1:
             return self._axis_diagonals(values, shift)
         h, n = self.spec.h, values.size
-        e = np.zeros(n + 1)  # the differences with a zero arm at each end, as _one_sided
-        e[1:-1] = (values[1:] - values[:-1]) / h
-        back, nf = e[:-1], -e[1:]
+        [(back, fwd)] = _one_sided(values, h)
+        nf = -fwd
         g = np.maximum(np.maximum(back, nf), 0.0)
         p = np.where(back >= nf, g, -g)  # ties go backward, as in drift_field
         b = np.maximum(np.sqrt(p**2), GRADIENT_CLAMP) ** (self.spec.theta - 2.0) * p
@@ -216,7 +197,7 @@ def drift_field(values: np.ndarray, h: float, theta: float) -> np.ndarray:
     NaN, and at theta = 2 the drift is p itself.
     """
     p = np.empty((values.ndim,) + values.shape)
-    for a, (back, fwd) in enumerate(_one_sided(values, h)()):
+    for a, (back, fwd) in enumerate(_one_sided(values, h)):
         nf = -fwd
         g = np.maximum(np.maximum(back, nf), 0.0)
         p[a] = np.where(back >= nf, g, -g)  # ties go backward

@@ -24,7 +24,8 @@ Routes implemented here:
                            (_relative_value_iteration) is the one march of
                            u_t = 1/2 Lap u - H(Du) + f: a plain step is IMEX
                            (backward Euler for 1/2 Lap, split by axes when m >= 2,
-                           explicit upwind H) with
+                           explicit upwind H from the scheme's one kernel,
+                           laplacian_and_slope, run afresh at every step) with
                            dt <= 0.9 h / (m max(1, max|p|)^(theta-1)), and each
                            iterate is the Anderson type-II combination of its last
                            plain steps' images (Anderson 1965; Walker & Ni 2011),
@@ -58,7 +59,7 @@ from scipy.sparse.linalg import splu
 
 from .grid import Field, Grid, dump_json
 from .problem import ProblemSpec
-from .scheme import DiscreteOperator, _slope_kernel
+from .scheme import DiscreteOperator, laplacian_and_slope
 
 __all__ = [
     "SolverError",
@@ -427,8 +428,8 @@ def _damped_newton(
     lam_of: Optional[Callable[[np.ndarray], float]] = None,
     *,
     tau: Optional[float] = None,
-) -> np.ndarray:
-    """Newton iteration globalized by a line search or in pseudo-time; returns x.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton iteration globalized by a line search or in pseudo-time; returns x and F(x).
 
     Without tau each step is backtracked until the Euclidean residual norm
     decreases (the Newton direction is always a descent direction for it,
@@ -478,7 +479,7 @@ def _damped_newton(
     trace.records.append(TraceRecord(0, r, lam, None))
     for it in range(1, max_iter + 1):
         if r <= tol:
-            return x
+            return x, f
         # a singular J gives a NaN step, which the checks below handle (a
         # line-search stall)
         bound = 0.25 * tol if ptc else max(0.25 * tol, FORCING * r)
@@ -510,7 +511,7 @@ def _damped_newton(
         if ptc and merit > 0.0:
             tau *= previous / merit
     if r <= tol:
-        return x
+        return x, f
     trace.termination = "max_iterations"
     raise SolverError(
         f"did not reach tolerance {tol:g} within {max_iter} iterations (residual {r:.3e})", trace
@@ -554,7 +555,7 @@ def solve_dirichlet(
         return op.residual_values(assemble(x), lam)[interior]
 
     step = _linear_step(op, lambda x, s: (assemble(x), s), unknowns)
-    x = _damped_newton(
+    x, _ = _damped_newton(
         residual_fn, step, full[interior], tol, DIRICHLET_MAX_ITER, ConvergenceTrace(), tau=np.inf
     )
     return Field(grid, assemble(x))
@@ -587,7 +588,7 @@ def solve_discounted(
 
     x0 = initial_guess.values.ravel() if initial_guess is not None else np.zeros(nodes.size)
     step = _linear_step(op, lambda x, s: (x.reshape(grid.shape), epsilon + s), nodes)
-    x = _damped_newton(residual_fn, step, x0, tol, DISCOUNTED_MAX_ITER, ConvergenceTrace())
+    x, _ = _damped_newton(residual_fn, step, x0, tol, DISCOUNTED_MAX_ITER, ConvergenceTrace())
     return Field(grid, x.reshape(grid.shape))
 
 
@@ -603,6 +604,8 @@ def discounted_lambda_path(
     cancels the O(eps) term as well as the O(1) one (Richardson in eps).
     Successive solves are warm-started through the 1/eps scaling of the fields.
     """
+    if len(eps_list) == 0:
+        raise ValueError("the discount schedule eps_list is empty: nothing to extrapolate")
     anchor = spec.anchor_index
     op = DiscreteOperator(spec)
     rows = []
@@ -634,16 +637,20 @@ def _finalize(
     method: str,
     tol: float,
     enclosure: Optional[tuple[float, float]] = None,
+    res: Optional[np.ndarray] = None,
 ) -> ErgodicSolution:
     """The solution at values less their anchor value, lambda lam and trace, now "converged".
 
     The scheme is monotone, so the range of the rate lam - res = -G_h[phi]
     encloses lambda_h by discrete comparison; that is the enclosure unless
-    one is given (relative value iteration's running intersection).
+    one is given (relative value iteration's running intersection). res is
+    the residual at the normalized values and lam, evaluated here unless the
+    caller holds it (_solve_square, from its last _damped_newton iterate).
     """
     spec = op.spec
     vals = values - values[spec.anchor_index]
-    res = op.residual_values(vals, lam)
+    if res is None:
+        res = op.residual_values(vals, lam)
     sup = _sup(res)
     trace.records[-1] = replace(trace.records[-1], residual_sup=sup, lambda_estimate=float(lam))
     trace.termination = "converged"
@@ -710,11 +717,11 @@ def _solve_square(
     z0 = (guess - guess[spec.anchor_index]).ravel()  # lambda starts at 0
     step_fn = _linear_step(op, lambda z, s: (split(z)[0], s), np.arange(z0.size), anchor)
     trace = ConvergenceTrace(coarse_levels=levels)
-    z = _damped_newton(
+    z, res = _damped_newton(
         lambda z: op.residual_values(*split(z)).ravel(), step_fn, z0, 0.5 * tol, max_iter, trace,
         lambda z: float(z[anchor]), tau=np.inf if method == "policy_iteration" else None,
     )
-    return _finalize(op, *split(z), trace, method, tol)
+    return _finalize(op, *split(z), trace, method, tol, res=res)  # phi(anchor) is 0 already
 
 
 def _coarse_start(
@@ -811,8 +818,9 @@ def _relative_value_iteration(
     dt <= 0.9 h / (m max(1, max|p|)^(theta-1)) at u: u + dt (f - H) is then
     monotone, and so is the 1-d step, I - dt/2 Lap_h being an M-matrix; for
     m >= 2 P^(-1) adds (dt/4) L_1 L_2, and the step need not be monotone.
-    Nothing below relies on it. The work arrays are allocated once
-    (_slope_kernel). The step takes phi + lambda t to phi + lambda (t + dt)
+    Nothing below relies on it. Each step takes the Laplacian and |p| of u
+    afresh (laplacian_and_slope) and forms the rate by its own formula, not
+    by residual_values. The step takes phi + lambda t to phi + lambda (t + dt)
     exactly when G_h[phi] + lambda = 0, whatever dt is, because P 1 = dt 1;
     so a fixed point of g solves G_h[u] + lambda = 0.
 
@@ -845,10 +853,6 @@ def _relative_value_iteration(
     op = DiscreteOperator(spec)
     f, theta, h, m = op._f, spec.theta, spec.h, spec.m
     u = u0.values.astype(float).copy() if u0 is not None else np.zeros(spec.grid.shape)
-    # held for the whole march: every step writes into them and updates u in place
-    slopes = _slope_kernel(u, h)
-    ham, rate = np.empty(u.shape), np.empty(u.shape)
-    flat_rate = rate.reshape(-1)
     top = 0.9 * h / m
     k = 0  # the rung index
     rungs = {}  # dt -> the rung's P (_rung_solver)
@@ -863,15 +867,10 @@ def _relative_value_iteration(
     # rate is caught below, and at a plain iterate it is a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            lap, mag = slopes()
-            np.multiply(lap, 0.5, out=rate)  # rate = 1/2 lap - |p|^theta / theta + f
-            np.copyto(ham, mag)
-            ham **= theta  # in place, as mag**theta computes it, scalar fast paths included
-            ham /= theta
-            rate -= ham
-            rate += f
-            lo = float(np.minimum.reduce(flat_rate))
-            hi = float(np.maximum.reduce(flat_rate))
+            lap, mag = laplacian_and_slope(u, h)
+            rate = 0.5 * lap - mag**theta / theta + f  # -G_h[u], not by residual_values
+            flat = rate.reshape(-1)
+            lo, hi = float(np.minimum.reduce(flat)), float(np.maximum.reduce(flat))
             if not (lo >= -1e14 and hi <= 1e14):  # also catches nan
                 if mixed:  # back to the plain image the combination replaced
                     history.fall_back()
@@ -917,7 +916,7 @@ def _relative_value_iteration(
                 )
             if dt not in rungs:
                 rungs[dt] = _rung_solver(op, dt)
-            history.push(rungs[dt](flat_rate), flat_rate, dt)
+            history.push(rungs[dt](flat), flat, dt)
             mixed = history.mix()
             step += 1
     lam = min(max(lam, cert_lo), cert_hi)
@@ -944,7 +943,6 @@ class _AndersonHistory:
         self.x, self.anchor = x, anchor
         rows = ANDERSON_DEPTH + 1
         self.images, self.residuals = np.zeros((rows, x.size)), np.zeros((rows, x.size))
-        self.products, self.work = np.empty((rows, x.size)), np.empty(x.size)
         self.gram = [[0.0] * rows for _ in range(rows)]
         self.order: list[int] = []  # ring slots, oldest first
         self.dt = None
@@ -961,8 +959,7 @@ class _AndersonHistory:
         g -= g[self.anchor]
         np.subtract(rate, np.add.reduce(rate) / rate.size, out=r)
         self.order.append(slot)
-        np.multiply(self.residuals, r, out=self.products)
-        dots = np.add.reduce(self.products, axis=1).tolist()
+        dots = np.add.reduce(self.residuals * r, axis=1).tolist()
         for j in self.order:
             self.gram[slot][j] = self.gram[j][slot] = dots[j]
 
@@ -973,8 +970,7 @@ class _AndersonHistory:
         weights = _anderson_weights(self.gram, self.order)
         np.multiply(self.images[self.order[0]], weights[0], out=self.x)
         for slot, w in zip(self.order[1:], weights[1:]):
-            np.multiply(self.images[slot], w, out=self.work)
-            self.x += self.work
+            self.x += self.images[slot] * w
         return True
 
     def fall_back(self) -> None:
@@ -1042,15 +1038,15 @@ def _rung_solver(op: DiscreteOperator, dt: float) -> Callable[[np.ndarray], np.n
     n, m = op.spec.grid.n_per_axis, op.spec.m
     diagonals = op._diagonals(np.zeros(n), 1.0 / dt)
     d, e, _ = dpttrf(diagonals[0], diagonals[1])
-    if m == 1:  # one factor: b goes to ?pttrs as it is, with no reshape or scaling per step
-        return lambda b: dpttrs(d, e, b)[0]
     scale = dt ** (1 - m)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x = b.reshape(n, -1)
+        x = b
         for _ in range(m):  # along the leading axis, which then goes last
-            x = dpttrs(d, e, x)[0].T.reshape(n, -1)
-        return scale * x.reshape(b.shape)
+            x = dpttrs(d, e, x.reshape(n, -1))[0].T
+        x = x.reshape(b.shape)
+        x *= scale  # a fresh array: ?pttrs does not overwrite b
+        return x
 
     return solve
 

@@ -720,6 +720,26 @@ def test_a_verify_pass_makes_a_pinned_amount_of_newton_work(tmp_path, monkeypatc
     assert (len(traces), records, factorizations, len(diagonals)) == (23, 183, 161, 161)
 
 
+@pytest.mark.parametrize(
+    "name, evaluations",
+    [("verify_suite", 271), ("verify_subquadratic", 209), ("verify_superquadratic", 238)],
+)
+def test_a_verify_pass_evaluates_a_pinned_number_of_residuals(tmp_path, monkeypatch, name,
+                                                              evaluations):
+    # a Newton or policy iteration solve hands its last residual to _finalize,
+    # which evaluates none of its own: 15 fewer per pass than when it did
+    residual_values, calls = DiscreteOperator.residual_values, []
+
+    def counting(self, values, lam):
+        calls.append(values.shape)
+        return residual_values(self, values, lam)
+
+    monkeypatch.setattr(DiscreteOperator, "residual_values", counting)
+    path = SUITE.parent / f"{name}.cfg"
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == evaluations
+
+
 def test_plot_tables_are_written_as_fmt_writes_each_value():
     # one % over a table's values writes what _fmt writes, value by value
     specials = [0.1, 1 / 3, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,

@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodic_hjb import solvers
+from ergodic_hjb import scheme, solvers
 from ergodic_hjb.grid import Field, Grid
 from ergodic_hjb.problem import ProblemSpec, make_power_rhs, make_pure_power_rhs
 from ergodic_hjb.scheme import (
@@ -16,7 +16,14 @@ from ergodic_hjb.scheme import (
     drift_field,
     laplacian_and_slope,
 )
-from ergodic_hjb.solvers import PTC_TAU0, ConvergenceTrace, eikonal_initial_guess
+from ergodic_hjb.solvers import (
+    PTC_TAU0,
+    ConvergenceTrace,
+    SolverError,
+    eikonal_initial_guess,
+    random_smooth_field,
+    solve_ergodic,
+)
 
 from oracles import (
     closed_form_spec,
@@ -33,6 +40,38 @@ def flat_rhs(theta=2.0, m=1, radius=1.0, h=0.25, c=1.0):
 
 
 # -- godunov upwinding -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_every_difference_goes_through_one_sided(monkeypatch, m):
+    # the reflecting boundary is written once: the residual, the Jacobian's
+    # diagonals (the 1-d branch and the general construction), the drift and a
+    # march step each take their differences from scheme._one_sided, once a call
+    spec = closed_form_spec(2.0, m, 1.0, 0.25)
+    values = random_smooth_field(spec.grid, 0).values
+    op = DiscreteOperator(spec)
+    differenced = []
+    one_sided = scheme._one_sided
+
+    def recording(values, h):
+        differenced.append(values.shape)
+        return one_sided(values, h)
+
+    monkeypatch.setattr(scheme, "_one_sided", recording)
+    calls = {
+        "residual_values": lambda: op.residual_values(values, 0.0),
+        "_diagonals": lambda: op._diagonals(values, 0.0),
+        "drift_field": lambda: drift_field(values, spec.h, spec.theta),
+    }
+    for name, call in calls.items():
+        differenced.clear()
+        call()
+        assert differenced == [values.shape], name
+    differenced.clear()
+    with pytest.raises(SolverError):  # one step from the zero field, then the budget is spent
+        solve_ergodic(spec, method="relative_value_iteration", max_iter=1)
+    # the iterates at steps 0 and 1, and between them the rung's 1-d factor at a zero axis
+    assert differenced == [values.shape, (spec.grid.n_per_axis,), values.shape]
 
 
 def test_godunov_vanishes_at_discrete_minimum():

@@ -255,6 +255,16 @@ def test_discounted_extrapolation_is_the_quadratic_intercept():
     assert single == row["lambda"]
 
 
+def test_discounted_path_rejects_an_empty_schedule(monkeypatch):
+    # before any solve, and naming the schedule, not inside np.polyfit
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an empty schedule reached a discounted solve")
+
+    monkeypatch.setattr(solvers, "solve_discounted", forbidden)
+    with pytest.raises(ValueError, match="schedule"):
+        discounted_lambda_path(closed_form_spec(2.0, 1, 2.0, 0.25), [])
+
+
 def test_discounted_rejects_nonpositive_rate():
     spec = closed_form_spec(2.0, 1, 2.0, 0.25)
     with pytest.raises(ValueError):
@@ -1198,24 +1208,19 @@ def test_parabolic_time_step_respects_cfl_at_every_step(monkeypatch):
     # theta = 6 from a rough field: max|p| moves fast, so a time step that is
     # refreshed only now and then overshoots the monotonicity bound of the
     # explicit Hamiltonian part. Each record's dt is checked against max|p|
-    # of the iterate the kernel saw at that step, taken by laplacian_and_slope.
+    # of the iterate the march differenced at that step (laplacian_and_slope).
     theta = 6.0
     spec = closed_form_spec(theta, 1, 8.0, 0.025)
     h, m = spec.h, spec.m
     top = 0.9 * h / m
-    maxp = []  # max|p| of each iterate, in the order the kernel saw them
-    slope_kernel = solvers._slope_kernel
+    maxp = []  # max|p| of each iterate, in the order the march saw them
 
-    def recording_kernel(values, h):
-        kernel = slope_kernel(values, h)
+    def recording(values, h):
+        lap, mag = laplacian_and_slope(values, h)
+        maxp.append(float(np.max(mag)))
+        return lap, mag
 
-        def recorded():
-            maxp.append(float(np.max(laplacian_and_slope(values, h)[1])))
-            return kernel()
-
-        return recorded
-
-    monkeypatch.setattr(solvers, "_slope_kernel", recording_kernel)
+    monkeypatch.setattr(solvers, "laplacian_and_slope", recording)
     monkeypatch.setattr(solvers, "MARCH_RECORD_EVERY", 1)
     with pytest.raises(SolverError) as info:
         solve_ergodic(
@@ -1223,7 +1228,7 @@ def test_parabolic_time_step_respects_cfl_at_every_step(monkeypatch):
         )
     assert info.value.trace.termination == "max_iterations"
     records = info.value.trace.records
-    assert len(records) == len(maxp) == 501  # no fall-back: one kernel call per record
+    assert len(records) == len(maxp) == 501  # no fall-back: one slope call per record
     for rec, p in zip(records, maxp):
         bound = 0.9 * h / (m * max(1.0, p) ** (theta - 1.0))
         dt = rec.step_size
@@ -1322,22 +1327,17 @@ def test_verify_relative_value_iteration_is_pinned_and_holds_no_state(monkeypatc
     relative: the Anderson weights are sums over the grid, and numpy builds
     other than this one may round them differently. Two runs in one process
     agree byte for byte, and nothing a run returns shares memory with the
-    kernel's arrays, the rate handed to the rung solver or the history rings.
+    march's field u, its last lap and |p|, the rate handed to the rung solver
+    or the history rings.
     """
     spec = verify_suite_spec()
-    held = {}  # the kernel's field, lap and |p|, the rate, and the history's arrays
-    slope_kernel, rung_solver = solvers._slope_kernel, solvers._rung_solver
-    history = solvers._AndersonHistory
+    held = {}  # the march's field, lap and |p|, the rate, and the history's arrays
+    rung_solver, history = solvers._rung_solver, solvers._AndersonHistory
 
-    def recording_kernel(values, h):
-        kernel = slope_kernel(values, h)
-
-        def recorded():
-            lap, mag = kernel()
-            held.update(u=values, lap=lap, mag=mag)
-            return lap, mag
-
-        return recorded
+    def recording_slopes(values, h):
+        lap, mag = laplacian_and_slope(values, h)
+        held.update(u=values, lap=lap, mag=mag)
+        return lap, mag
 
     def recording_rung_solver(op, dt):
         solve = rung_solver(op, dt)
@@ -1352,9 +1352,8 @@ def test_verify_relative_value_iteration_is_pinned_and_holds_no_state(monkeypatc
         def __init__(self, x, anchor):
             super().__init__(x, anchor)
             held.update(x=x, images=self.images, residuals=self.residuals)
-            held.update(products=self.products, work=self.work)
 
-    monkeypatch.setattr(solvers, "_slope_kernel", recording_kernel)
+    monkeypatch.setattr(solvers, "laplacian_and_slope", recording_slopes)
     monkeypatch.setattr(solvers, "_rung_solver", recording_rung_solver)
     monkeypatch.setattr(solvers, "_AndersonHistory", RecordingHistory)
     runs = []
@@ -1362,7 +1361,7 @@ def test_verify_relative_value_iteration_is_pinned_and_holds_no_state(monkeypatc
         held.clear()
         march = solve_ergodic(spec, method="relative_value_iteration", tol=1e-8)
         phi = march.phi.values
-        assert len(held) == 9
+        assert len(held) == 7
         assert not any(np.shares_memory(phi, w) for w in held.values())
         read_offs = (march.lambda_lo, march.lambda_hi, march.lam)
         runs.append((
