@@ -6,15 +6,16 @@ Gradient terms use Godunov upwinding: per axis the slope p_i has magnitude
 
 and the sign of the difference it came from, which for the radial convex
 Hamiltonian H(p) = (1/theta)|p|^theta is the exact Godunov flux per axis and
-yields a monotone (degenerate-elliptic) scheme.
+yields a monotone (degenerate-elliptic) scheme. The signed slope is formed in
+``drift_field`` alone, and the Jacobian's diagonals read the drift.
 
 Boundary handling is reflecting (homogeneous Neumann), written once
 (``_one_sided``, the one function that differences a field; the Laplacian and
-slope, the drift and the Jacobian's diagonals all read it): a stencil arm that
-would leave the grid is a zero, in the Laplacian, the Hamiltonian and the
-Jacobian alike, so no flux crosses the boundary and no data is prescribed on
-it. At interior nodes both arms exist, so the Dirichlet problem uses the same
-operator restricted to the interior rows (``solvers.solve_dirichlet``).
+slope and the drift read it): a stencil arm that would leave the grid is a
+zero, in the Laplacian, the Hamiltonian and the Jacobian alike, so no flux
+crosses the boundary and no data is prescribed on it. At interior nodes both
+arms exist, so the Dirichlet problem uses the same operator restricted to the
+interior rows (``solvers.solve_dirichlet``).
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ class DiscreteOperator:
         differentiate through the backward branch; for theta < 2 the
         gradient-magnitude factor is clamped below at GRADIENT_CLAMP.
 
-        The matrix is built from its diagonals (_diagonals). The CSR
+        The matrix is built from its diagonals (_diagonals, the one
+        construction in every dimension, which 1-d steps also read). The CSR
         conversion drops exactly the off-grid zeros: an in-grid coupling is
         <= -1/(2h^2) or NaN, and the diagonal >= 1/(2h^2) for shift >= 0. So
         the canonical CSR pattern depends on the grid alone, which the cached
@@ -134,53 +136,27 @@ class DiscreteOperator:
 
         The offsets are 0 and +-stride of each axis, and the diagonal at
         offset k has n - |k| entries, as sp.diags takes them; in 1-d the
-        offsets -1, 0, 1 are ?gtsv's dl, d and du. Per axis, the minus- and
+        offsets -1, 0, 1 are ?gtsv's dl, d and du. One loop over the axes of
+        b = drift_field(values), in every dimension: per axis, the minus- and
         plus-neighbour couplings are grid-shaped, with 0 on an arm that
         leaves the grid; the diagonal sums, axis by axis, the in-grid
         Laplacian arms and |b[a]|/h, then the shift.
-
-        A 1-d field takes its own branch: it reads the field's one pair of
-        differences (_one_sided) and forms p, b and the three bands with plain
-        array expressions. Its floats are the general construction's
-        (_axis_diagonals) bit for bit, whose per-axis bookkeeping cost a 1-d
-        step about as much as its arithmetic.
         """
-        if values.ndim > 1:
-            return self._axis_diagonals(values, shift)
         h, n = self.spec.h, values.size
-        [(back, fwd)] = _one_sided(values, h)
-        nf = -fwd
-        g = np.maximum(np.maximum(back, nf), 0.0)
-        p = np.where(back >= nf, g, -g)  # ties go backward, as in drift_field
-        b = np.maximum(np.sqrt(p**2), GRADIENT_CLAMP) ** (self.spec.theta - 2.0) * p
-        arm = 0.5 * (1.0 / h**2)
-        lap = np.full(n, arm + arm)
-        lap[0] = lap[-1] = arm
-        return {
-            -1: -arm - np.maximum(b[1:], 0.0) / h,
-            0: lap + np.abs(b) / h + shift,
-            1: -arm + np.minimum(b[:-1], 0.0) / h,
-        }
-
-    def _axis_diagonals(self, values: np.ndarray, shift: float) -> dict[int, np.ndarray]:
-        """_diagonals by the general construction, axis by axis, for a field of any dimension."""
-        h = self.spec.h
-        n = values.size
-        b = drift_field(values, h, self.spec.theta)
         arm = 0.5 * (1.0 / h**2)  # weight of one Laplacian arm
         diag = np.zeros(values.shape)
         bands = {}  # offset: diagonal
-        for a in range(values.ndim):
+        # b/h: |b|/h, max(b, 0)/h and min(b, 0)/h are its abs, max and min bit for bit
+        for a, bh in enumerate(drift_field(values, h, self.spec.theta) / h):
             stride = math.prod(values.shape[a + 1:])
-            ba = b[a]
             on_axis = diag.swapaxes(0, a)
             on_axis[:-1] += arm
             on_axis[1:] += arm
-            diag += np.abs(ba) / h
+            diag += np.abs(bh)
             # d/dp (1/theta)|p|^theta = b goes through the one-sided difference
             # that produced p: the minus arm where b > 0, the plus arm where b < 0
-            minus = -arm - np.maximum(ba, 0.0) / h
-            plus = -arm + np.minimum(ba, 0.0) / h
+            minus = -arm - np.maximum(bh, 0.0)
+            plus = -arm + np.minimum(bh, 0.0)
             minus.swapaxes(0, a)[0] = 0.0
             plus.swapaxes(0, a)[-1] = 0.0
             bands[-stride], bands[stride] = minus.ravel()[stride:], plus.ravel()[: n - stride]
@@ -197,9 +173,13 @@ def drift_field(values: np.ndarray, h: float, theta: float) -> np.ndarray:
     NaN, and at theta = 2 the drift is p itself.
     """
     p = np.empty((values.ndim,) + values.shape)
-    for a, (back, fwd) in enumerate(_one_sided(values, h)):
+    for pa, (back, fwd) in zip(p, _one_sided(values, h)):
         nf = -fwd
         g = np.maximum(np.maximum(back, nf), 0.0)
-        p[a] = np.where(back >= nf, g, -g)  # ties go backward
-    magc = np.maximum(np.sqrt(np.sum(p**2, axis=0)), GRADIENT_CLAMP)
+        np.negative(g, out=pa)
+        np.copyto(pa, g, where=back >= nf)  # ties go backward
+    sq = p[0] ** 2
+    for pa in p[1:]:
+        sq += pa**2
+    magc = np.maximum(np.sqrt(sq, out=sq), GRADIENT_CLAMP, out=sq)
     return np.multiply(magc ** (theta - 2.0), p, out=p)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ergodic_hjb.grid import Field, Grid
 from ergodic_hjb.problem import ProblemSpec, make_pure_power_rhs
-from ergodic_hjb.scheme import laplacian_and_slope
+from ergodic_hjb.scheme import GRADIENT_CLAMP, laplacian_and_slope
 
 
 def closed_form_spec(theta: float, m: int, radius: float, h: float) -> ProblemSpec:
@@ -61,6 +61,55 @@ def godunov_1d_brute(backward: float, forward: float) -> float:
             return 0.0
         return min(abs(lo), abs(hi))
     return max(abs(lo), abs(hi))
+
+
+def jacobian_diagonals_brute(values: np.ndarray, h: float, theta: float,
+                             shift: float) -> dict[int, np.ndarray]:
+    """{offset: diagonal} of the upwind Jacobian plus shift * I, one node and axis at a time.
+
+    At each node and axis: the one-sided differences (0 off the grid), the
+    signed Godunov slope p_a (backward on ties), b = max(|p|, GRADIENT_CLAMP)^(theta-2) p
+    with |p| the root of the squares summed over the axes, then the arms
+    -1/(2h^2) - max(b_a, 0)/h and -1/(2h^2) + min(b_a, 0)/h and the diagonal
+    sum of the in-grid Laplacian arms and |b_a|/h, axis by axis, then the
+    shift. Each float is formed in DiscreteOperator._diagonals's order, with
+    numpy's ufuncs on scalars, so the two agree byte for byte.
+    """
+    shape, n, m = values.shape, values.size, values.ndim
+    strides = [int(np.prod(shape[a + 1:])) for a in range(m)]
+    arm = 0.5 * (1.0 / h**2)
+    bands = {0: np.zeros(n)}
+    for s in strides:
+        bands[-s], bands[s] = np.zeros(n - s), np.zeros(n - s)
+    for node in np.ndindex(shape):
+        i = int(np.ravel_multi_index(node, shape))
+        p, arms = [], []
+        for a in range(m):
+            lo, hi = node[a] > 0, node[a] < shape[a] - 1
+            prev = node[:a] + (node[a] - 1,) + node[a + 1:]
+            nxt = node[:a] + (node[a] + 1,) + node[a + 1:]
+            back = (values[node] - values[prev]) / h if lo else np.float64(0.0)
+            fwd = (values[nxt] - values[node]) / h if hi else np.float64(0.0)
+            nf = -fwd
+            g = np.maximum(np.maximum(back, nf), 0.0)
+            p.append(g if back >= nf else -g)
+            arms.append((lo, hi))
+        sq = np.square(p[0])
+        for pa in p[1:]:
+            sq = sq + np.square(pa)
+        weight = np.power(np.maximum(np.sqrt(sq), GRADIENT_CLAMP), theta - 2.0)
+        d = 0.0
+        for s, pa, (lo, hi) in zip(strides, p, arms):
+            bh = weight * pa / h
+            if hi:
+                d += arm
+                bands[s][i] = -arm + np.minimum(bh, 0.0)
+            if lo:
+                d += arm
+                bands[-s][i - s] = -arm - np.maximum(bh, 0.0)
+            d += np.abs(bh)
+        bands[0][i] = d + shift
+    return bands
 
 
 def centered_fd_gradient(f, point: np.ndarray, h: float) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodic_hjb import analysis, cli, config, solvers
+from ergodic_hjb import analysis, cli, config, scheme, solvers
 from ergodic_hjb.cli import main
 from ergodic_hjb.config import (
     ConfigError,
@@ -700,9 +700,11 @@ def test_a_verify_pass_makes_a_pinned_amount_of_newton_work(tmp_path, monkeypatc
     # the shipped suite at seed 0: 23 Newton-type solves (15 ergodic, 5 Dirichlet
     # levels, 3 discounts) with 183 records and 161 factorizations over their
     # traces, failed solves' traces included, and one set of diagonals per
-    # factorization; a speedup that moves these changed the work, not its cost
-    traces, diagonals = [], []
+    # factorization, each formed from one drift field, the one producer of signed
+    # slopes; a speedup that moves these changed the work, not its cost
+    traces, diagonals, drifts = [], [], []
     damped_newton, operator_diagonals = solvers._damped_newton, DiscreteOperator._diagonals
+    drift_field = scheme.drift_field
 
     def recording_newton(residual_fn, step_fn, x0, tol, max_iter, trace, *args, **kwargs):
         traces.append(trace)
@@ -712,12 +714,18 @@ def test_a_verify_pass_makes_a_pinned_amount_of_newton_work(tmp_path, monkeypatc
         diagonals.append(values.shape)
         return operator_diagonals(self, values, shift)
 
+    def counting_drift(values, h, theta):
+        drifts.append(values.shape)
+        return drift_field(values, h, theta)
+
     monkeypatch.setattr(solvers, "_damped_newton", recording_newton)
     monkeypatch.setattr(DiscreteOperator, "_diagonals", counting_diagonals)
+    monkeypatch.setattr(scheme, "drift_field", counting_drift)
     assert main(["verify", "--config", str(SUITE), "--out", str(tmp_path / "o")]) == 0
     records = sum(len(t.records) for t in traces)
     factorizations = sum(t.factorizations for t in traces)
     assert (len(traces), records, factorizations, len(diagonals)) == (23, 183, 161, 161)
+    assert drifts == diagonals
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from oracles import (
     dyadic_field,
     godunov_1d_brute,
     hopf_cole_residual,
+    jacobian_diagonals_brute,
 )
 
 
@@ -45,8 +46,8 @@ def flat_rhs(theta=2.0, m=1, radius=1.0, h=0.25, c=1.0):
 @pytest.mark.parametrize("m", [1, 2])
 def test_every_difference_goes_through_one_sided(monkeypatch, m):
     # the reflecting boundary is written once: the residual, the Jacobian's
-    # diagonals (the 1-d branch and the general construction), the drift and a
-    # march step each take their differences from scheme._one_sided, once a call
+    # diagonals (through the drift), the drift and a march step each take their
+    # differences from scheme._one_sided, once a call
     spec = closed_form_spec(2.0, m, 1.0, 0.25)
     values = random_smooth_field(spec.grid, 0).values
     op = DiscreteOperator(spec)
@@ -449,13 +450,25 @@ def test_jacobian_annihilates_constants():
     assert np.max(np.abs(action)) <= 1e-8  # rounding on 1/h^2-scale entries
 
 
-@pytest.mark.parametrize("theta", [1.5, 2.0, 3.0])
+def kink_distance(values, h):
+    """Least distance of a one-sided slope from 0 and of back + fwd from a tie, over all axes."""
+    out = np.inf
+    for a in range(values.ndim):
+        u = values.swapaxes(0, a)
+        slopes = np.diff(u, axis=0) / h
+        out = min(out, np.min(np.abs(slopes)), np.min(np.abs(slopes[:-1] + slopes[1:])))
+    return out
+
+
+@pytest.mark.parametrize("theta", [1.1, 1.5, 2.0, 3.0, 6.0])
 def test_jacobian_matches_finite_differences(theta):
     spec = closed_form_spec(theta, 1, 2.0, 0.1)
     op = DiscreteOperator(spec)
     g = spec.grid
     rng = np.random.default_rng(12)
     base = rng.standard_normal(g.shape).cumsum() * 0.3  # smooth-ish, no exact ties
+    # the upwind choice and |p|^(theta-2) are smooth within a step's reach
+    assert kink_distance(base, g.h) > 0.05
     phi = Field(g, base)
     jac = op.jacobian(phi.values)
     step = 1e-6
@@ -470,18 +483,20 @@ def test_jacobian_matches_finite_differences(theta):
 
 
 def test_jacobian_matches_finite_differences_2d():
-    spec = closed_form_spec(2.0, 2, 1.0, 0.25)
-    op = DiscreteOperator(spec)
-    g = spec.grid
+    # off theta = 2 each axis's drift |p|^(theta-2) p_a couples to the other axis's slope
+    g = Grid(m=2, radius=1.0, h=0.25)
     rng = np.random.default_rng(13)
     base = rng.standard_normal(g.shape)
-    jac = op.jacobian(base)
+    assert kink_distance(base, g.h) > 0.05
     step = 1e-6
     direction = rng.standard_normal(g.shape)
-    fd = (op.residual_values(base + step * direction, 0.0)
-          - op.residual_values(base - step * direction, 0.0)) / (2 * step)
-    action = (jac @ direction.ravel()).reshape(g.shape)
-    assert np.max(np.abs(action - fd)) / max(np.max(np.abs(fd)), 1.0) <= 1e-5
+    for theta in (1.5, 2.0, 3.0):
+        op = DiscreteOperator(closed_form_spec(theta, 2, 1.0, 0.25))
+        jac = op.jacobian(base)
+        fd = (op.residual_values(base + step * direction, 0.0)
+              - op.residual_values(base - step * direction, 0.0)) / (2 * step)
+        action = (jac @ direction.ravel()).reshape(g.shape)
+        assert np.max(np.abs(action - fd)) / max(np.max(np.abs(fd)), 1.0) <= 1e-5, theta
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -531,28 +546,33 @@ def test_jacobian_pattern_is_independent_of_the_field(m):
         assert np.array_equal(jac.indices, jacs[0].indices)
 
 
-@pytest.mark.parametrize("theta", [1.5, 2.0, 3.0, 6.0])
-def test_1d_diagonals_are_the_general_construction_byte_for_byte(theta):
-    # the 1-d branch of _diagonals against the axis-by-axis construction on the
-    # same field, which reads drift_field: besides jacobian_fields, a field of
-    # ties in the Godunov slope at every interior node (back = -fwd), NaN at an
-    # end node (a NaN arm next to an off-grid one), and slopes whose squares
-    # overflow, where |p| is the root of the summed squares: inf, not |p|
-    spec = closed_form_spec(theta, 1, 1.0, 0.25)
+@pytest.mark.parametrize("theta", [1.1, 1.5, 2.0, 3.0, 6.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_diagonals_are_the_per_node_reference_byte_for_byte(m, theta):
+    # _diagonals against a loop over nodes and axes in the same float order: besides
+    # jacobian_fields, a checkerboard of ties in the Godunov slope at every interior
+    # node (back = -fwd on each axis), NaN at an end node (a NaN arm next to an
+    # off-grid one), and slopes whose squares overflow, where |p| is the root of the
+    # summed squares: inf, not |p|. A NaN entry is compared as NaN only: its sign
+    # comes from NaN * NaN, whose operand order the compiled loop is free to choose
+    spec = closed_form_spec(theta, m, 1.0, 0.25)
     op = DiscreteOperator(spec)
-    n = spec.grid.n_nodes
-    rough = np.random.default_rng(16).standard_normal(n)
-    ties = np.arange(n) % 2.0
+    g = spec.grid
+    rough = np.random.default_rng(16).standard_normal(g.shape)
+    ties = np.indices(g.shape).sum(axis=0) % 2.0
     nan_end = rough.copy()
-    nan_end[-1] = np.nan
+    nan_end.flat[-1] = np.nan
     fields = jacobian_fields(spec) + [ties, -ties, nan_end, 1e160 * rough, 1e160 * ties]
     for v in fields:
         for shift in (0.0, 1.0 / PTC_TAU0):
             with np.errstate(over="ignore", invalid="ignore"):
-                branch, general = op._diagonals(v, shift), op._axis_diagonals(v, shift)
-            assert sorted(branch) == sorted(general) == [-1, 0, 1]
-            for k in (-1, 0, 1):
-                assert branch[k].tobytes() == general[k].tobytes()
+                bands = op._diagonals(v, shift)
+                reference = jacobian_diagonals_brute(v, spec.h, theta, shift)
+            assert sorted(bands) == sorted(reference)
+            for k, expected in reference.items():
+                nan = np.isnan(expected)
+                assert np.array_equal(np.isnan(bands[k]), nan)
+                assert bands[k][~nan].tobytes() == expected[~nan].tobytes()
 
 
 def test_tridiagonal_step_reads_the_jacobians_diagonals(monkeypatch):
